@@ -3,7 +3,8 @@
 Subcommands ``run`` and ``sweep`` execute one of twelve named experiments
 from a JSON config, print a JSON report to stdout, and write a CSV sidecar
 with fixed columns (experiment, quantity, component, mean_re, mean_im,
-stderr, target_re, target_im, z, pass). Results are bit-identical for a
+stderr, target_re, target_im, z, pass); a field holding a comma is quoted
+the way the ``csv`` module quotes it. Results are bit-identical for a
 fixed (seed, config) regardless of the worker count.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import math
 import os
@@ -597,18 +599,18 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _csv_lines(experiment: str, rows: list[Row]) -> list[str]:
-    lines = ["experiment,quantity,component,mean_re,mean_im,stderr,"
-             "target_re,target_im,z,pass"]
+def _csv_rows(experiment: str, rows: list[Row]) -> list[list[str]]:
+    out = [["experiment", "quantity", "component", "mean_re", "mean_im",
+            "stderr", "target_re", "target_im", "z", "pass"]]
     for r in rows:
         t_re = r.target.real if r.target is not None else math.nan
         t_im = r.target.imag if r.target is not None else math.nan
-        lines.append(",".join([
+        out.append([
             experiment, r.quantity, r.component,
             _fmt(r.mean.real), _fmt(r.mean.imag), _fmt(r.stderr),
             _fmt(t_re), _fmt(t_im), _fmt(r.z),
-            "true" if r.passed else "false"]))
-    return lines
+            "true" if r.passed else "false"])
+    return out
 
 
 def _json_rows(rows: list[Row]) -> list[dict]:
@@ -683,9 +685,10 @@ def _execute(cfg: ExperimentConfig) -> list[Row]:
     return RUNNERS[cfg.experiment](cfg)
 
 
-def _emit(report: dict, csv_lines: list[str], out_path: str) -> None:
+def _emit(report: dict, csv_rows: list[list[str]], out_path: str) -> None:
+    # csv's default dialect: \r\n line ends, fields quoted only when needed
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(csv_lines) + "\r\n")
+        csv.writer(fh).writerows(csv_rows)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
@@ -706,7 +709,7 @@ def cmd_run(args) -> int:
     }
     stem = os.path.splitext(os.path.basename(args.config))[0]
     out_path = os.path.join(args.out, stem + ".csv")
-    _emit(report, _csv_lines(cfg.experiment, rows), out_path)
+    _emit(report, _csv_rows(cfg.experiment, rows), out_path)
     return 0 if passed else 1
 
 
@@ -771,7 +774,7 @@ def cmd_sweep(args) -> int:
     }
     stem = os.path.splitext(os.path.basename(args.config))[0]
     out_path = os.path.join(args.out, stem + ".sweep.csv")
-    _emit(report, _csv_lines(experiment, all_rows), out_path)
+    _emit(report, _csv_rows(experiment, all_rows), out_path)
     return 0 if passed else 1
 
 

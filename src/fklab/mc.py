@@ -38,6 +38,10 @@ class MCEstimate:
 
 
 def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     sizes = [chunk_size] * (n_samples // chunk_size)
     if n_samples % chunk_size:
         sizes.append(n_samples % chunk_size)

@@ -50,22 +50,34 @@ def expm(X: np.ndarray) -> np.ndarray:
 
 
 def _expm2_batch(M: np.ndarray) -> np.ndarray:
-    """Closed-form exponential for stacked 2x2 matrices."""
-    tr2 = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
-    a = M[..., 0, 0] - tr2
-    b = M[..., 0, 1]
-    c = M[..., 1, 0]
-    delta = np.sqrt(a * a + b * c + 0j)
+    """Closed-form exponential for stacked 2x2 matrices, entry by entry.
+
+    Each of the four output entries is computed as its own array and then
+    scaled by exp(tr/2) in place. The result is entry-major: a (2, 2, ...)
+    buffer returned through ``np.moveaxis``, so each ``out[..., a, b]`` is
+    a contiguous array for the ordered product.
+    """
+    m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    tr2 = 0.5 * (m00 + m11)
+    a = m00 - tr2
+    delta = np.sqrt(a * a + m01 * m10 + 0j)
     cosh = np.cosh(delta)
     small = np.abs(delta) < 1e-6
-    dsafe = np.where(small, 1.0, delta)
-    sinhc = np.where(small, 1.0 + delta * delta / 6.0, np.sinh(dsafe) / dsafe)
-    out = np.empty_like(M)
-    out[..., 0, 0] = cosh + sinhc * a
-    out[..., 0, 1] = sinhc * b
-    out[..., 1, 0] = sinhc * c
-    out[..., 1, 1] = cosh - sinhc * a
-    return out * np.exp(tr2)[..., None, None]
+    if small.any():
+        dsafe = np.where(small, 1.0, delta)
+        sinhc = np.where(small, 1.0 + delta * delta / 6.0,
+                         np.sinh(dsafe) / dsafe)
+    else:
+        sinhc = np.sinh(delta) / delta
+    scale = np.exp(tr2)
+    sa = sinhc * a
+    out = np.empty((2, 2) + M.shape[:-2], dtype=complex)
+    np.add(cosh, sa, out=out[0, 0, ...])
+    np.multiply(sinhc, m01, out=out[0, 1, ...])
+    np.multiply(sinhc, m10, out=out[1, 0, ...])
+    np.subtract(cosh, sa, out=out[1, 1, ...])
+    out *= scale
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # Pade-13 coefficients for scaling-and-squaring.
@@ -76,7 +88,13 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 
 
 def expm_batch(M: np.ndarray) -> np.ndarray:
-    """Exponentials of a stack (..., m, m); exact 2x2 formula when m == 2."""
+    """Exponentials of a stack (..., m, m).
+
+    For m == 2 the exact closed form runs on the four entry arrays and the
+    result is an entry-major view of shape (..., 2, 2). Larger m use
+    Pade-13 scaling-and-squaring and raise ``OverflowError`` instead of
+    returning non-finite entries.
+    """
     M = np.asarray(M, dtype=complex)
     m = M.shape[-1]
     if m == 2:
@@ -95,8 +113,11 @@ def expm_batch(M: np.ndarray) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            R = R @ R
+    if not np.all(np.isfinite(R)):
+        raise OverflowError("batched matrix exponential overflowed")
     return R
 
 
@@ -115,16 +136,43 @@ class ApproximantFamily:
             raise ValueError("family must satisfy F(0) = identity")
 
 
+def _generator2(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
+                B: np.ndarray | None) -> np.ndarray:
+    """-i dW . A - dt B for m = 2, built entry by entry.
+
+    -i dW_j (x + iy) = dW_j y - i dW_j x, so each real and imaginary part
+    of each entry is a sum over the nonzero coefficients only. The buffer
+    is entry-major, (2, 2, ...), returned as a (..., 2, 2) view.
+    """
+    M = np.zeros((2, 2) + dW.shape[:-1], dtype=complex)
+    drift = np.zeros((2, 2), dtype=complex) if B is None else dt * B
+    for a, b in np.ndindex(2, 2):
+        entry = M[a, b, ...]
+        for out, coefs, shift in (
+                (entry.real, [Aj[a, b].imag for Aj in A], drift[a, b].real),
+                (entry.imag, [-Aj[a, b].real for Aj in A], drift[a, b].imag)):
+            for j, c in enumerate(coefs):
+                if c != 0:
+                    out += dW[..., j] * c
+            if shift != 0:
+                out -= shift
+    return np.moveaxis(M, (0, 1), (-2, -1))
+
+
 def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
                  B: np.ndarray | None) -> np.ndarray:
     """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
     A = as_operator_tuple(A)
     m = A[0].shape[0] if A else as_operator(B).shape[0]
+    if B is not None:
+        B = as_operator(B)
+    if m == 2:
+        return expm_batch(_generator2(dW, dt, A, B))
     M = np.zeros(dW.shape[:-1] + (m, m), dtype=complex)
     for j, Aj in enumerate(A):
         M += -1j * dW[..., j, None, None] * Aj
     if B is not None:
-        M -= dt * as_operator(B)
+        M -= dt * B
     return expm_batch(M)
 
 
@@ -147,12 +195,36 @@ def ordered_exp_sde(path: WienerPath, A: Sequence[np.ndarray],
     return T
 
 
+def _tree2(F: np.ndarray) -> np.ndarray:
+    """ordered_product_tree for m = 2 on the four (P, n) entry arrays."""
+    E = np.moveaxis(F, (-2, -1), (0, 1))
+    paths, n = F.shape[:2]
+    while n > 1:
+        half, odd = divmod(n, 2)
+        later, earlier = E[..., 1:2 * half:2], E[..., 0:2 * half:2]
+        out = np.empty((2, 2, paths, half + odd), dtype=complex)
+        tmp = np.empty((paths, half), dtype=complex)
+        for a, b in np.ndindex(2, 2):
+            c = out[a, b, :, :half]
+            np.multiply(later[a, 0], earlier[0, b], out=c)
+            c += np.multiply(later[a, 1], earlier[1, b], out=tmp)
+        if odd:
+            out[..., half] = E[..., n - 1]
+        E, n = out, half + odd
+    return np.ascontiguousarray(np.moveaxis(E[..., 0], (0, 1), (-2, -1)))
+
+
 def ordered_product_tree(F: np.ndarray) -> np.ndarray:
     """Left-ordered product F[:, n-1] @ ... @ F[:, 0] by pairwise reduction.
 
     Adjacent factors are multiplied in place of a sequential loop; the
     association changes but the operand order (later leftmost) does not.
+    For m == 2 each level works on the four entry arrays,
+    c00 = l00 r00 + l01 r10 and so on, instead of stacked 2x2 matmuls;
+    an odd level carries its last factor to the next level unchanged.
     """
+    if F.shape[-1] == 2:
+        return _tree2(F)
     while F.shape[1] > 1:
         even = F.shape[1] - F.shape[1] % 2
         paired = F[:, 1:even:2] @ F[:, 0:even:2]

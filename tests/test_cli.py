@@ -1,5 +1,6 @@
 """Config-driven command line runner: parsing, exit codes, determinism."""
 
+import csv
 import json
 
 import pytest
@@ -116,6 +117,27 @@ def test_singular_potential_exits_3_without_output(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_batched_exponential_overflow_exits_3_without_output(tmp_path, capsys):
+    # A = diag(2^500, 0, 0) and B = -A^2 / 2: the target exp(-t (A^2/2 + B))
+    # is the identity, but each 3x3 step factor holds exp(dt 2^999)
+    zero = [0, 0]
+    doc = {
+        "experiment": "fk-matrix",
+        "seed": 4,
+        "n_paths": 4,
+        "grid": {"t_end": 1.0, "n_steps": 4},
+        "params": {
+            "A": [[[[2.0**500, 0], zero, zero], [zero, zero, zero],
+                   [zero, zero, zero]]],
+            "B": [[[-2.0**999, 0], zero, zero], [zero, zero, zero],
+                  [zero, zero, zero]]},
+    }
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 3
+    assert not csv_path.exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # successful runs and determinism
 
@@ -166,11 +188,18 @@ def test_wiener_stats_run(tmp_path, capsys):
         "grid": {"t_end": 1.0, "n_steps": 16},
         "params": {"d": 2},
     }
-    code, _ = run_cli(tmp_path, doc)
+    code, csv_path = run_cli(tmp_path, doc)
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     quantities = {r["quantity"] for r in report["rows"]}
     assert quantities == {"mean", "cov"}
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert len(table) == 1 + len(report["rows"])
+    assert all(len(row) == 10 for row in table)
+    # components such as "r=...,s=...,j=0,k=0" hold commas and are quoted
+    assert [row[2] for row in table[1:]] == [r["component"] for r in report["rows"]]
+    assert any("," in row[2] for row in table[1:])
 
 
 def test_phasespace_roundtrip_run(tmp_path, capsys):

@@ -62,6 +62,72 @@ def test_expm_batch_pade_path():
         assert np.allclose(out[i], taylor_expm(3.0 * M[i]), atol=1e-10)
 
 
+def test_expm_batch_pade_overflow_raises():
+    with pytest.raises(OverflowError):
+        expm_batch(np.full((1, 3, 3), 1e306 + 0j))
+
+
+def test_expm_batch_2x2_entry_path_against_taylor():
+    gen = RngStream(21).generator()
+    M = 0.05 * (gen.standard_normal((4, 8, 2, 2))
+                + 1j * gen.standard_normal((4, 8, 2, 2)))
+    M[0, 0] = [[0.3, 1e-9], [0.0, 0.3]]  # delta = 0: series branch
+    M[0, 1] = [[0.2, 1e-7], [1e-7, 0.2 + 1e-7j]]  # 0 < |delta| < 1e-6
+    out = expm_batch(M)
+    assert out.shape == M.shape
+    for idx in np.ndindex(M.shape[:2]):
+        assert np.allclose(out[idx], taylor_expm(M[idx]), rtol=0, atol=1e-14)
+
+
+def _generator(dW, dt, A, B):
+    M = sum(-1j * dW[..., j, None, None] * Aj for j, Aj in enumerate(A))
+    return M - dt * B if B is not None else M
+
+
+@pytest.mark.parametrize("A, B", [
+    ((SX, SY), SZ),  # SX, SY and SZ each hold zero entries
+    ((SX + 0.5j * SZ, SY), None),
+    ((SY,), SX + 0.25 * SZ),
+])
+def test_step_factors_2x2_entry_path_exact(A, B):
+    dW = 0.1 * RngStream(22).generator().standard_normal((3, 17, len(A)))
+    F = step_factors(dW, 0.01, A, B)
+    assert F.shape == (3, 17, 2, 2)
+    assert np.array_equal(F, expm_batch(_generator(dW, 0.01, A, B)))
+
+
+def _left_loop(F):
+    out = []
+    for p in range(F.shape[0]):
+        T = np.eye(2, dtype=complex)
+        for nu in range(F.shape[1]):
+            T = F[p, nu] @ T
+        out.append(T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 513])
+@pytest.mark.parametrize("paths", [1, 4])
+def test_ordered_product_tree_2x2_matches_loop(n, paths):
+    gen = RngStream(23).generator()
+    H = gen.standard_normal((paths, n, 2, 2)) + 1j * gen.standard_normal((paths, n, 2, 2))
+    F = expm_batch(-0.1j * (H + np.conj(np.swapaxes(H, -1, -2))))  # unitary
+    tree = ordered_product_tree(F)
+    assert tree.shape == (paths, 2, 2)
+    assert np.allclose(tree, _left_loop(F), rtol=0, atol=1e-13)
+
+
+def test_ordered_product_tree_2x2_noncontiguous_input():
+    gen = RngStream(24).generator()
+    G = gen.standard_normal((6, 22, 2, 2)) + 1j * gen.standard_normal((6, 22, 2, 2))
+    # strided slice with reversed rows, 7 factors per path
+    F = (0.6 * G)[::2, 1::3, ::-1, :]
+    assert not F.flags.c_contiguous
+    before = F.copy()
+    assert np.allclose(ordered_product_tree(F), _left_loop(F), rtol=0, atol=1e-13)
+    assert np.array_equal(F, before)
+
+
 def test_step_factor_definition():
     dW = np.array([0.3, -0.2])
     F = step_factors(dW[None, :], 0.01, (SX, SY), SZ)

@@ -53,6 +53,18 @@ def test_mc_run_chunk_size_changes_partition_only():
     assert a.mean == b.mean
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_mc_run_rejects_empty_sample_count(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        mc_run(_normal_chunk, n_samples, RngStream(9))
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_mc_run_rejects_empty_chunk(chunk_size):
+    with pytest.raises(ValueError, match="chunk_size"):
+        mc_run(_normal_chunk, 100, RngStream(9), chunk_size=chunk_size)
+
+
 def test_mc_run_vector_samples():
     est = mc_run(lambda gen, count: gen.standard_normal((count, 3)) + [1, 2, 3],
                  20000, RngStream(11))
