@@ -14,6 +14,7 @@ Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -28,7 +29,7 @@ import numpy as np
 from . import fkmatrix, fkschrodinger, phasespace
 from .fkschrodinger import (KatoQuadSpec, PathRejectionOverflow, WaveFunction,
                             kato_kappa, mehler_kernel, preset_potential)
-from .mc import MCEstimate
+from .mc import MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
 from .wiener import (PathBatch, TimeGrid, estimate_covariance,
@@ -51,6 +52,15 @@ ATOL = 1e-12  # roundoff floor below which z-tests are meaningless
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised by library input checks as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -274,7 +284,6 @@ def _run_stochint_convergence(cfg: ExperimentConfig) -> list[Row]:
     field = FieldWithDivergence(
         lambda x, s: x, lambda x, s: np.full(x.shape[:-1], 1.0))
     grid = cfg.grid
-    from .mc import mc_run
 
     def func(gen, count):
         vals = paths_from_increments(grid, sample_increments(grid, 1, count, gen))
@@ -316,13 +325,11 @@ def _run_fk_matrix(cfg: ExperimentConfig) -> list[Row]:
     frob_tol = _as_float(_take(p, "frob_tol", default=1e-2), "params.frob_tol")
     zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
     _no_extras(p, "params")
-    try:
+    with _config_errors():
         problem = fkmatrix.FKProblem(A, B, cfg.grid.t_end, cfg.grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    est = fkmatrix.estimate_generalized_fk(problem, cfg.n_paths,
-                                           RngStream(cfg.seed),
-                                           workers=cfg.workers)
+        est = fkmatrix.estimate_generalized_fk(problem, cfg.n_paths,
+                                               RngStream(cfg.seed),
+                                               workers=cfg.workers)
     return _matrix_rows("T", est, fkmatrix.rhs_generator(problem), frob_tol,
                         zmax)
 
@@ -339,9 +346,10 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     _no_extras(p, "params")
     if Ap.shape != Am.shape or Ap.shape != B.shape:
         raise ConfigError("Aplus, Aminus, B must share one dimension")
-    est = fkmatrix.estimate_product_formula(
-        Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
-        RngStream(cfg.seed), workers=cfg.workers)
+    with _config_errors():
+        est = fkmatrix.estimate_product_formula(
+            Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
+            RngStream(cfg.seed), workers=cfg.workers)
     target = fkmatrix.product_formula_target(Ap, Am, B, cfg.grid.t_end)
     return _matrix_rows("T", est, target, frob_tol, zmax)
 
@@ -482,9 +490,10 @@ def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
                            "params.potential")
     q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
     _no_extras(p, "params")
-    lhs, bound = fkschrodinger.khasminskii_check(
-        pot, q, cfg.grid.t_end, cfg.n_paths, cfg.grid, RngStream(cfg.seed),
-        workers=cfg.workers)
+    with _config_errors():  # kappa_t(v_minus) >= 1 leaves no bound
+        lhs, bound = fkschrodinger.khasminskii_check(
+            pot, q, cfg.grid.t_end, cfg.n_paths, cfg.grid,
+            RngStream(cfg.seed), workers=cfg.workers)
     # one-sided: the exponential moment must not exceed the bound
     excess = lhs.mean.real - bound
     return [Row("exp_moment", "-", lhs.mean, lhs.stderr, bound,
@@ -538,10 +547,8 @@ def _run_phasespace_roundtrip(cfg: ExperimentConfig) -> list[Row]:
     op_block = _take(p, "operator", default={"name": "harmonic"})
     _no_extras(p, "params")
     alphas = _as_vector(alphas, "params.alpha_values")
-    try:
+    with _config_errors():
         grid = phasespace.PeriodicGrid(n_points, length)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     H = _phasespace_operator(op_block, grid, cfg.seed)
     rows = []
     for alpha in alphas:
@@ -565,10 +572,8 @@ def _run_trotter(cfg: ExperimentConfig) -> list[Row]:
     n = _as_int(_take(p, "n", required=True), "params.n")
     h_block = _take(p, "hamiltonian", default={"name": "harmonic"})
     _no_extras(p, "params")
-    try:
+    with _config_errors():
         grid = phasespace.PeriodicGrid(n_points, length)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     H = _phasespace_operator(h_block, grid, cfg.seed)
     table = phasespace.trotter_reconstruct(H, grid, alpha, t, [n],
                                            workers=cfg.workers)

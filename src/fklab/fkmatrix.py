@@ -8,14 +8,13 @@ is licensed by the reflection invariance of the measure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .mc import DEFAULT_CHUNK, MCEstimate, _chunk_sizes
-from .opalg import (as_operator, as_operator_tuple, expm, expm_batch,
+from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
+from .opalg import (as_operator, as_operator_tuple, expm,
                     ordered_product_tree, step_factors)
 from .streams import RngStream
 from .wiener import TimeGrid, sample_increments
@@ -57,46 +56,21 @@ def rhs_generator(problem: FKProblem) -> np.ndarray:
     return expm(-problem.t * gen)
 
 
-def _matrix_mc(chunk_fn, n_pairs: int, stream: RngStream, shape,
-               chunk_size: int, workers: int) -> MCEstimate:
-    """Deterministic chunked reduction of matrix-valued pair samples.
+def _matrix_mc(chunk_fn, n_pairs: int, stream: RngStream, chunk_size: int,
+               workers: int) -> MCEstimate:
+    """Reduce ``chunk_fn(gen, count) -> (count, ...)`` antithetic pair means.
 
-    ``chunk_fn(gen, count) -> (count, *shape)`` must return antithetic-pair
-    averages (one sample per pair).
+    One sample per pair, so ``n_samples`` counts pairs; nothing is rejected.
     """
-    sizes = _chunk_sizes(n_pairs, chunk_size)
-
-    def one_chunk(c):
-        gen = stream.offset(c).generator()
-        samples = chunk_fn(gen, sizes[c])
-        return (samples.sum(axis=0),
-                (samples.real**2 + samples.imag**2).sum(axis=0),
-                samples.shape[0])
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_chunk, range(len(sizes))))
-    else:
-        partials = [one_chunk(c) for c in range(len(sizes))]
-
-    total = np.zeros(shape, dtype=complex)
-    sumsq = np.zeros(shape, dtype=float)
-    count = 0
-    for s, sq, k in partials:
-        total += s
-        sumsq += sq
-        count += k
-    mean = total / count
-    if count > 1:
-        var = np.maximum(sumsq / count - np.abs(mean) ** 2, 0.0) * count / (count - 1)
-    else:
-        var = np.zeros_like(sumsq)
-    return MCEstimate(mean, np.sqrt(var / count), count)
+    return reduce_chunks(lambda gen, count: (chunk_fn(gen, count), None),
+                         n_pairs, stream, chunk_size, workers)[0]
 
 
 def _pair_count(n_paths: int) -> int:
     if n_paths < 2:
         raise ValueError("need at least two paths")
+    if n_paths % 2:
+        raise ValueError(f"antithetic pairs need an even n_paths: {n_paths}")
     return n_paths // 2
 
 
@@ -104,7 +78,6 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    m = problem.dim
     dt = problem.grid.dt
 
     def chunk_fn(gen, count):
@@ -113,8 +86,8 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
         Tr = ordered_product_tree(step_factors(-dW, dt, problem.A, problem.B))
         return 0.5 * (T + Tr)
 
-    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, (m, m),
-                      chunk_size, workers)
+    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
+                      workers)
 
 
 def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
@@ -153,8 +126,8 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
         Fr = step_factors(-dW, dt, problem.A, None)
         return 0.5 * (one_side(F, dW, count) + one_side(Fr, -dW, count))
 
-    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, (d, m, m),
-                      chunk_size, workers)
+    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
+                      workers)
 
 
 def _gauss_legendre_snapped(grid: TimeGrid, n_quad: int):
@@ -180,6 +153,7 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
     dt = problem.grid.dt
     idx, weights = _gauss_legendre_snapped(problem.grid, n_quad)
     snap = {int(i) for i in idx} | {problem.grid.n_steps}
+    keys = sorted(snap)
 
     def one_side(F, count):
         T = np.broadcast_to(np.eye(m, dtype=complex), (count, m, m)).copy()
@@ -197,13 +171,11 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
         F = step_factors(dW, dt, problem.A, problem.B)
         Fr = step_factors(-dW, dt, problem.A, problem.B)
         a, b = one_side(F, count), one_side(Fr, count)
-        keys = sorted(snap)
-        stacked = np.stack([0.5 * (a[k] + b[k]) for k in keys], axis=1)
-        return stacked  # (count, n_nodes, m, m)
+        # (count, n_nodes, m, m)
+        return np.stack([0.5 * (a[k] + b[k]) for k in keys], axis=1)
 
-    est = _matrix_mc(chunk_fn, _pair_count(n_paths), rng,
-                     (len(snap), m, m), chunk_size, workers)
-    keys = sorted(snap)
+    est = _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
+                     workers)
     pos = {k: i for i, k in enumerate(keys)}
 
     Asq = np.zeros((m, m), dtype=complex)
@@ -227,32 +199,13 @@ def estimate_product_formula(Aplus: np.ndarray, Aminus: np.ndarray,
                              workers: int = 1) -> MCEstimate:
     """MC mean of the ordered exponential driven by complex-combined noise.
 
-    Step factors are exp(-i [(dw1 + i dw2) A+ + (dw1 - i dw2) A-] - dt B);
-    the target is exp(-t (A+ A- + A- A+ + B)).
+    Step factors are exp(-i [z A+ + conj(z) A-] - dt B), z = dw1 + i dw2;
+    that is the generalized FK problem with A = (A+ + A-, i (A+ - A-)).
+    The target is exp(-t (A+ A- + A- A+ + B)).
     """
-    Aplus = as_operator(Aplus)
-    Aminus = as_operator(Aminus)
-    B = as_operator(B)
-    if abs(grid.t_end - t) > 1e-12:
-        raise ValueError("grid horizon must equal t")
-    m = B.shape[0]
-    dt = grid.dt
-
-    def factors(dW):
-        z = dW[..., 0] + 1j * dW[..., 1]
-        M = (-1j * z[..., None, None] * Aplus
-             - 1j * np.conj(z)[..., None, None] * Aminus
-             - dt * B)
-        return expm_batch(M)
-
-    def chunk_fn(gen, count):
-        dW = sample_increments(grid, 2, count, gen)
-        T = ordered_product_tree(factors(dW))
-        Tr = ordered_product_tree(factors(-dW))
-        return 0.5 * (T + Tr)
-
-    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, (m, m),
-                      chunk_size, workers)
+    Aplus, Aminus = as_operator(Aplus), as_operator(Aminus)
+    problem = FKProblem((Aplus + Aminus, 1j * (Aplus - Aminus)), B, t, grid)
+    return estimate_generalized_fk(problem, n_paths, rng, chunk_size, workers)
 
 
 def product_formula_target(Aplus: np.ndarray, Aminus: np.ndarray,

@@ -13,21 +13,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .mc import DEFAULT_CHUNK, MCEstimate, _chunk_sizes
+from .mc import (DEFAULT_CHUNK, MCEstimate,  # noqa: F401 (re-exported)
+                 PathRejectionOverflow, reduce_chunks)
 from .streams import RngStream
 from .wiener import TimeGrid, bridge_from_free, paths_from_increments, \
     sample_increments
-
-
-class PathRejectionOverflow(FloatingPointError):
-    """Raised when more than 0.1% of paths hit a non-finite potential value."""
 
 
 @dataclass(frozen=True)
@@ -156,55 +151,48 @@ def _functional_columns(pot: PotentialConfig, grid: TimeGrid,
         weight = spec.get("weight")
         integral = damping(v_fun)
         ok = np.isfinite(integral)
-        finite &= ok
-        value = np.exp(-np.where(ok, integral, 0.0)).astype(complex)
-        if a_fun is not None:
-            av = np.asarray(a_fun(mid))
-            strat = np.einsum("pkd,pkd->p", av, dW)
-            value = value * np.exp(-1j * strat)
-        if weight is not None:
-            value = value * np.asarray(weight(positions[:, -1, :]))
+        # a finite but large -int v overflows the weight; such paths and
+        # any non-finite column value are rejected, not averaged
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.exp(-np.where(ok, integral, 0.0)).astype(complex)
+            if a_fun is not None:
+                av = np.asarray(a_fun(mid))
+                strat = np.einsum("pkd,pkd->p", av, dW)
+                value = value * np.exp(-1j * strat)
+            if weight is not None:
+                value = value * np.asarray(weight(positions[:, -1, :]))
+        finite &= ok & np.isfinite(value)
         cols.append(value)
     return np.stack(cols, axis=1), finite
 
 
-def _columns_mc(chunk_fn, n_samples: int, stream: RngStream, k: int,
+def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
+                      q: Sequence[float], variants: Sequence[dict],
+                      endpoint=None):
+    """Chunk function of :func:`_functional_columns` on the paths q + w.
+
+    w is a free Wiener path, or a bridge to ``endpoint`` when one is given.
+    """
+    q = np.asarray(q, dtype=float).reshape(-1)
+
+    def chunk_fn(gen, count):
+        w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
+        if endpoint is not None:
+            w = bridge_from_free(grid, w, endpoint)
+        return _functional_columns(pot, grid, q + w, variants)
+
+    return chunk_fn
+
+
+def _columns_mc(chunk_fn, n_samples: int, stream: RngStream,
                 chunk_size: int, workers: int) -> list[MCEstimate]:
-    """Chunked reduction for joint scalar columns with path rejection."""
-    sizes = _chunk_sizes(n_samples, chunk_size)
+    """Reduce ``chunk_fn(gen, count) -> ((count, k) columns, finite mask)``.
 
-    def one_chunk(c):
-        gen = stream.offset(c).generator()
-        cols, finite = chunk_fn(gen, sizes[c])
-        kept = cols[finite]
-        return (kept.sum(axis=0),
-                (kept.real**2 + kept.imag**2).sum(axis=0),
-                int(finite.sum()), int((~finite).sum()))
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_chunk, range(len(sizes))))
-    else:
-        partials = [one_chunk(c) for c in range(len(sizes))]
-
-    total = np.zeros(k, dtype=complex)
-    sumsq = np.zeros(k, dtype=float)
-    count = rejected = 0
-    for s, sq, n, r in partials:
-        total += s
-        sumsq += sq
-        count += n
-        rejected += r
-    if rejected > 0.001 * (count + rejected):
-        raise PathRejectionOverflow(
-            f"{rejected} of {count + rejected} paths hit a singular potential")
-    mean = total / count
-    var = np.maximum(sumsq / count - np.abs(mean) ** 2, 0.0)
-    if count > 1:
-        var *= count / (count - 1)
-    stderr = np.sqrt(var / count)
-    return [MCEstimate(complex(mean[i]), float(stderr[i]), count)
-            for i in range(k)]
+    Non-finite paths are rejected and counted; one estimate per column.
+    """
+    est, _ = reduce_chunks(chunk_fn, n_samples, stream, chunk_size, workers)
+    return [MCEstimate(complex(m), float(e), est.n_samples)
+            for m, e in zip(est.mean, est.stderr)]
 
 
 def apply_semigroup(pot: PotentialConfig, psi: WaveFunction, q: Sequence[float],
@@ -219,14 +207,9 @@ def apply_semigroup(pot: PotentialConfig, psi: WaveFunction, q: Sequence[float],
     """
     if not t > 0 or abs(grid.t_end - t) > 1e-12:
         raise ValueError("t must be positive and equal the grid horizon")
-    q = np.asarray(q, dtype=float).reshape(-1)
-    variant = {"a": pot.a, "weight": psi.evaluator}
-
-    def chunk_fn(gen, count):
-        w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        return _functional_columns(pot, grid, q + w, [variant])
-
-    return _columns_mc(chunk_fn, n_paths, rng, 1, chunk_size, workers)[0]
+    chunk_fn = _path_functionals(pot, grid, q,
+                                 [{"a": pot.a, "weight": psi.evaluator}])
+    return _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
 
 
 def free_kernel(d: int, dq: np.ndarray, t: float) -> float:
@@ -248,14 +231,8 @@ def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     qp = np.asarray(qp, dtype=float).reshape(-1)
     endpoint = qp - q
     prefactor = free_kernel(pot.d, endpoint, t)
-    variant = {"a": pot.a}
-
-    def chunk_fn(gen, count):
-        free = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        br = bridge_from_free(grid, free, endpoint)
-        return _functional_columns(pot, grid, q + br, [variant])
-
-    est = _columns_mc(chunk_fn, n_paths, rng, 1, chunk_size, workers)[0]
+    chunk_fn = _path_functionals(pot, grid, q, [{"a": pot.a}], endpoint)
+    est = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return MCEstimate(prefactor * est.mean, prefactor * est.stderr,
                       est.n_samples)
 
@@ -284,15 +261,13 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     phase = np.exp(1j * (float(np.asarray(pot.chi(q[None, :]))[0])
                          - float(np.asarray(pot.chi(qp[None, :]))[0])))
     variants = [{"a": shifted_a}, {"a": base_a}]
+    bridged = _path_functionals(pot, grid, q, variants, endpoint)
 
     def chunk_fn(gen, count):
-        free = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        br = bridge_from_free(grid, free, endpoint)
-        cols, finite = _functional_columns(pot, grid, q + br, variants)
-        residual = cols[:, 0] - phase * cols[:, 1]
-        return residual[:, None], finite
+        cols, finite = bridged(gen, count)
+        return (cols[:, 0] - phase * cols[:, 1])[:, None], finite
 
-    return _columns_mc(chunk_fn, n_paths, rng, 1, chunk_size, workers)[0]
+    return _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
 
 
 def diamagnetic_check(pot: PotentialConfig, psi: WaveFunction,
@@ -305,18 +280,13 @@ def diamagnetic_check(pot: PotentialConfig, psi: WaveFunction,
     Uses common random paths; the diamagnetic inequality asserts
     |first.mean| <= second.mean up to Monte Carlo error.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
     variants = [
         {"a": pot.a, "weight": psi.evaluator},
         {"a": None, "weight": lambda x: np.abs(psi.evaluator(x))},
     ]
-
-    def chunk_fn(gen, count):
-        w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        return _functional_columns(pot, grid, q + w, variants)
-
-    with_a, without_a = _columns_mc(chunk_fn, n_paths, rng, 2,
-                                    chunk_size, workers)
+    chunk_fn = _path_functionals(pot, grid, q, variants)
+    with_a, without_a = _columns_mc(chunk_fn, n_paths, rng, chunk_size,
+                                    workers)
     return with_a, without_a
 
 
@@ -398,7 +368,6 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
     Returns the MC estimate of <exp(+int v_-(q + w(s)) ds)> and the bound
     (1 - kappa_t(v_-))^(-1); requires kappa_t(v_-) < 1.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
     axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_probe_grid)
     probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
                       axis=-1).reshape(-1, pot.d)
@@ -407,12 +376,9 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
         raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
     bound = 1.0 / (1.0 - kappa)
 
-    def chunk_fn(gen, count):
-        w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        variant = {"v": lambda x: -pot.eval_v_minus(x)}
-        return _functional_columns(pot, grid, q + w, [variant])
-
-    lhs = _columns_mc(chunk_fn, n_paths, rng, 1, chunk_size, workers)[0]
+    chunk_fn = _path_functionals(pot, grid, q,
+                                 [{"v": lambda x: -pot.eval_v_minus(x)}])
+    lhs = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return lhs, bound
 
 

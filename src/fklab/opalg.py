@@ -3,6 +3,11 @@
 Provides the matrix exponential (single and batched), the product-integral
 solver for the Stratonovich operator SDE, truncated Dyson series, and the
 generalized Lie-Trotter product engine. Operators are plain complex ndarrays.
+
+The operator SDE is solved for a batch only: ``step_factors`` builds
+exp(-i dW . A - dt B) for increments of shape (P, n, d) and
+``ordered_product_tree`` multiplies them, later factors on the left. One
+path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .wiener import TimeGrid, WienerPath
+from .wiener import WienerPath
 
 _EXPM_NORM_LIMIT = 500.0
 
@@ -41,7 +46,10 @@ def expm(X: np.ndarray) -> np.ndarray:
     Raises instead of returning non-finite entries when the norm is extreme.
     """
     X = as_operator(X)
-    if np.linalg.norm(X) > _EXPM_NORM_LIMIT:
+    # the Frobenius norm of X / scale cannot overflow; the limit is scaled
+    # the same way in Python floats, which give inf without a warning
+    scale = float(max(np.abs(X.real).max(), np.abs(X.imag).max()))
+    if scale > 0 and np.linalg.norm(X / scale) > _EXPM_NORM_LIMIT / scale:
         raise OverflowError("operator norm too large for a reliable exponential")
     out = scipy.linalg.expm(X)
     if not np.all(np.isfinite(out.view(float))):
@@ -159,40 +167,27 @@ def _generator2(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
     return np.moveaxis(M, (0, 1), (-2, -1))
 
 
-def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
-                 B: np.ndarray | None) -> np.ndarray:
-    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
+def _generator(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
+               B: np.ndarray | None) -> np.ndarray:
+    """-i dW . A - dt B for stacked increments dW of shape (..., d)."""
     A = as_operator_tuple(A)
     m = A[0].shape[0] if A else as_operator(B).shape[0]
     if B is not None:
         B = as_operator(B)
     if m == 2:
-        return expm_batch(_generator2(dW, dt, A, B))
+        return _generator2(dW, dt, A, B)
     M = np.zeros(dW.shape[:-1] + (m, m), dtype=complex)
     for j, Aj in enumerate(A):
         M += -1j * dW[..., j, None, None] * Aj
     if B is not None:
         M -= dt * B
-    return expm_batch(M)
+    return M
 
 
-def ordered_exp_sde(path: WienerPath, A: Sequence[np.ndarray],
-                    B: np.ndarray | None) -> np.ndarray:
-    """Product-integral solution of the Stratonovich operator SDE.
-
-    Later steps multiply on the left, matching the left-pointing time
-    ordering of the Dyson exponential. Each factor exp(-i dw . A - dt B)
-    preserves unitarity when B = 0 and the A components are Hermitian.
-    """
-    A = as_operator_tuple(A)
-    if A and path.d != len(A):
-        raise ValueError("path dimension must match the operator tuple")
-    dW = np.diff(path.values, axis=0)
-    F = step_factors(dW, path.grid.dt, A, B)
-    T = np.eye(F.shape[-1], dtype=complex)
-    for nu in range(F.shape[0]):
-        T = F[nu] @ T
-    return T
+def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
+                 B: np.ndarray | None) -> np.ndarray:
+    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
+    return expm_batch(_generator(dW, dt, A, B))
 
 
 def _tree2(F: np.ndarray) -> np.ndarray:
@@ -234,12 +229,6 @@ def ordered_product_tree(F: np.ndarray) -> np.ndarray:
     return F[:, 0]
 
 
-def ordered_exp_chunk(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
-                      B: np.ndarray | None) -> np.ndarray:
-    """Final-time solutions for a whole batch of increment sets (P, n, d)."""
-    return ordered_product_tree(step_factors(dW, dt, A, B))
-
-
 def dyson_series(path: WienerPath, A: Sequence[np.ndarray],
                  B: np.ndarray | None, order: int) -> np.ndarray:
     """Truncated iterated-integral series on the grid.
@@ -250,16 +239,11 @@ def dyson_series(path: WienerPath, A: Sequence[np.ndarray],
     """
     if not 0 <= order <= 6:
         raise ValueError("order must lie in [0, 6]")
-    A = as_operator_tuple(A)
-    m = A[0].shape[0] if A else as_operator(B).shape[0]
+    if len(A) not in (0, path.d):
+        raise ValueError("path dimension must match the operator tuple")
     n = path.grid.n_steps
-    dt = path.grid.dt
-    dW = np.diff(path.values, axis=0)
-    dF = np.zeros((n, m, m), dtype=complex)
-    for j, Aj in enumerate(A):
-        dF += -1j * dW[:, j, None, None] * Aj
-    if B is not None:
-        dF -= dt * as_operator(B)
+    dF = _generator(np.diff(path.values, axis=0), path.grid.dt, A, B)
+    m = dF.shape[-1]
 
     total = np.eye(m, dtype=complex)
     # level-by-level cumulative iterated sums; G[nu] holds the value up to node nu

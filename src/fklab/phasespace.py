@@ -18,12 +18,12 @@ inverse (1/L) sum_k e^{ip_k (q - q')} H(p_k, alpha q + (1-alpha) q').
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .mc import ordered_map
 from .opalg import ApproximantFamily, as_operator, expm
 
 
@@ -241,10 +241,7 @@ def trotter_reconstruct(H: np.ndarray, grid: PeriodicGrid, alpha: float,
         err = np.linalg.matrix_power(step, n) - target
         return n, float(np.linalg.norm(err))
 
-    if workers > 1 and len(n_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, n_list))
-    return [one(n) for n in n_list]
+    return ordered_map(one, n_list, workers)
 
 
 def ordering_mismatch_demo(sym_values: np.ndarray, grid: PeriodicGrid,

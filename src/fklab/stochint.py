@@ -4,6 +4,9 @@ The alpha-point rule evaluates the field at
 x = alpha * w(s_v) + (1 - alpha) * w(s_{v-1}), so alpha = 0 is the Ito sum
 and alpha = 1/2 the Stratonovich (midpoint-position) sum. Only pointwise
 fields g(x, s) are supported; path-history dependence is out of scope.
+
+Every function takes a :class:`~fklab.wiener.PathBatch` and returns one
+value per path; a single path is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wiener import PathBatch, TimeGrid, WienerPath
+from .wiener import PathBatch
 
 STRATONOVICH = 0.5
 
@@ -71,13 +74,6 @@ def alpha_integral_batch(batch: PathBatch, field: FieldWithDivergence,
     return np.einsum("pkd,pkd->p", gv, dw)
 
 
-def alpha_integral(path: WienerPath, field: FieldWithDivergence,
-                   scheme: AlphaScheme) -> float:
-    """Stochastic line integral of g along one path at the given alpha."""
-    batch = PathBatch(path.grid, path.values[None])
-    return float(alpha_integral_batch(batch, field, scheme)[0])
-
-
 def time_integral_batch(batch: PathBatch,
                         u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
@@ -89,12 +85,6 @@ def time_integral_batch(batch: PathBatch,
     weights = np.full(grid.n_steps + 1, grid.dt)
     weights[0] = weights[-1] = grid.dt / 2
     return uv @ weights
-
-
-def time_integral(path: WienerPath,
-                  u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Lebesgue-sense time integral of u along one path (trapezoid rule)."""
-    return float(time_integral_batch(PathBatch(path.grid, path.values[None]), u)[0])
 
 
 def convert_check_batch(batch: PathBatch, field: FieldWithDivergence,
@@ -110,9 +100,3 @@ def convert_check_batch(batch: PathBatch, field: FieldWithDivergence,
     asum = alpha_integral_batch(batch, field, scheme)
     correction = (0.5 - scheme.alpha) * time_integral_batch(batch, field.div_g)
     return strat - (asum + correction)
-
-
-def convert_check(path: WienerPath, field: FieldWithDivergence,
-                  scheme: AlphaScheme) -> float:
-    return float(convert_check_batch(
-        PathBatch(path.grid, path.values[None]), field, scheme)[0])

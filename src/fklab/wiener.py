@@ -4,16 +4,22 @@ Paths are represented at grid points only; integrals along paths use the
 trapezoidal rule and stochastic sums use increment-based rules from
 :mod:`fklab.stochint`. Brownian bridges are built from free paths by the
 linear-drift transform, which pins the endpoint bit-exactly.
+
+The API is batch-only: samplers return a :class:`PathBatch` of shape
+(n_paths, n+1, d), and one path is a batch with ``n_paths = 1``.
+Estimators end in :mod:`fklab.mc`: ``estimate_covariance`` through
+``mc_run``, the characteristic functionals of an in-memory batch through
+``sample_mean``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .mc import MCEstimate, mc_run, DEFAULT_CHUNK
+from .mc import DEFAULT_CHUNK, MCEstimate, mc_run, sample_mean
 from .streams import RngStream
 
 
@@ -73,10 +79,6 @@ class PathBatch:
     def d(self) -> int:
         return self.values.shape[2]
 
-    def __iter__(self):
-        for row in self.values:
-            yield WienerPath(self.grid, row)
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -107,13 +109,6 @@ def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_path(grid: TimeGrid, d: int, rng: RngStream) -> WienerPath:
-    """Draw one standard Wiener path on the grid."""
-    gen = rng.generator()
-    values = paths_from_increments(grid, sample_increments(grid, d, 1, gen))
-    return WienerPath(grid, values[0])
-
-
 def sample_paths(grid: TimeGrid, d: int, n_paths: int, rng: RngStream) -> PathBatch:
     """Draw an ensemble of independent Wiener paths as one batch."""
     gen = rng.generator()
@@ -131,52 +126,19 @@ def bridge_from_free(grid: TimeGrid, values: np.ndarray,
     return pinned
 
 
-def sample_bridge(grid: TimeGrid, d: int, endpoint: Sequence[float],
-                  rng: RngStream) -> WienerPath:
-    """Brownian bridge from 0 to ``endpoint`` over [0, t_end]."""
-    endpoint = np.asarray(endpoint, dtype=float).reshape(-1)
-    if endpoint.shape[0] != d:
-        raise ValueError("endpoint dimension does not match d")
-    gen = rng.generator()
-    free = paths_from_increments(grid, sample_increments(grid, d, 1, gen))
-    return WienerPath(grid, bridge_from_free(grid, free, endpoint)[0])
-
-
 def sample_bridges(grid: TimeGrid, d: int, endpoint: Sequence[float],
                    n_paths: int, rng: RngStream) -> PathBatch:
+    """Brownian bridges from 0 to ``endpoint`` over [0, t_end], as one batch."""
     endpoint = np.asarray(endpoint, dtype=float).reshape(-1)
     if endpoint.shape[0] != d:
         raise ValueError("endpoint dimension does not match d")
-    gen = rng.generator()
-    free = paths_from_increments(grid, sample_increments(grid, d, n_paths, gen))
+    free = sample_paths(grid, d, n_paths, rng).values
     return PathBatch(grid, bridge_from_free(grid, free, endpoint))
-
-
-def _as_batch(paths: PathBatch | Iterable[WienerPath]) -> PathBatch:
-    if isinstance(paths, PathBatch):
-        return paths
-    paths = list(paths)
-    grid = paths[0].grid
-    for p in paths[1:]:
-        if p.grid != grid:
-            raise ValueError("all paths must share one grid")
-    return PathBatch(grid, np.stack([p.values for p in paths]))
 
 
 def _check_support(grid: TimeGrid, f: TestFunction) -> None:
     if f.support_end > grid.t_end + 1e-12:
         raise ValueError("test function support exceeds the time horizon")
-
-
-def _estimate_from_samples(samples: np.ndarray) -> MCEstimate:
-    n = samples.shape[0]
-    mean = samples.mean(axis=0)
-    if n > 1:
-        var = np.abs(samples - mean) ** 2
-        stderr = np.sqrt(var.sum(axis=0) / (n - 1) / n)
-    else:
-        stderr = np.zeros_like(np.abs(mean))
-    return MCEstimate(complex(mean), float(stderr), n)
 
 
 def char_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndarray:
@@ -189,16 +151,14 @@ def char_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndarray:
     return np.exp(-1j * integrand)
 
 
-def estimate_char_functional(paths: PathBatch | Iterable[WienerPath],
-                             f: TestFunction) -> MCEstimate:
+def estimate_char_functional(batch: PathBatch, f: TestFunction) -> MCEstimate:
     """Monte Carlo functional Fourier transform of the ensemble at f.
 
     The target for Wiener statistics is
     exp(-1/2 * integral integral min(r, s) f(r) . f(s) dr ds).
     """
-    batch = _as_batch(paths)
     _check_support(batch.grid, f)
-    return _estimate_from_samples(char_functional_samples(batch, f))
+    return sample_mean(char_functional_samples(batch, f))
 
 
 def white_noise_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndarray:
@@ -212,12 +172,11 @@ def white_noise_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndar
     return np.exp(-1j * integrand)
 
 
-def estimate_white_noise_functional(paths: PathBatch | Iterable[WienerPath],
+def estimate_white_noise_functional(batch: PathBatch,
                                     f: TestFunction) -> MCEstimate:
     """White-noise characteristic functional; target exp(-1/2 * integral f^2)."""
-    batch = _as_batch(paths)
     _check_support(batch.grid, f)
-    return _estimate_from_samples(white_noise_functional_samples(batch, f))
+    return sample_mean(white_noise_functional_samples(batch, f))
 
 
 def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,

@@ -117,6 +117,53 @@ def test_singular_potential_exits_3_without_output(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_weight_exits_3_without_output(tmp_path, capsys):
+    # -int v = 1000 is finite, but exp(1000) overflows the path weight
+    doc = {
+        "experiment": "fk-semigroup",
+        "seed": 5,
+        "n_paths": 64,
+        "grid": {"t_end": 1.0, "n_steps": 16},
+        "params": {
+            "potential": {"name": "constant-well", "height": 1000,
+                          "halfwidth": 50},
+            "psi": {"name": "gaussian", "width": 100},
+        },
+    }
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 3
+    assert not csv_path.exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_khasminskii_kappa_above_one_exits_2_without_output(tmp_path, capsys):
+    doc = {
+        "experiment": "khasminskii",
+        "seed": 6,
+        "n_paths": 64,
+        "grid": {"t_end": 1.0, "n_steps": 16},
+        "params": {"potential": {"name": "constant-well", "height": 5,
+                                 "halfwidth": 3}},
+    }
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 2
+    assert not csv_path.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["fk-matrix", "fk-product"])
+def test_odd_path_count_exits_2_without_output(tmp_path, capsys, experiment):
+    doc = dict(FK_MATRIX_DOC, n_paths=7)
+    if experiment == "fk-product":
+        doc = dict(doc, experiment="fk-product",
+                   params={"Aplus": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+                           "Aminus": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]})
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 2
+    assert not csv_path.exists()
+    assert "even" in capsys.readouterr().err
+
+
 def test_batched_exponential_overflow_exits_3_without_output(tmp_path, capsys):
     # A = diag(2^500, 0, 0) and B = -A^2 / 2: the target exp(-t (A^2/2 + B))
     # is the identity, but each 3x3 step factor holds exp(dt 2^999)

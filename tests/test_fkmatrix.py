@@ -123,3 +123,13 @@ def test_minimum_path_count():
     prob = FKProblem((SX,), Z2, 1.0, TimeGrid(1.0, 8))
     with pytest.raises(ValueError):
         estimate_generalized_fk(prob, 1, RngStream(11))
+
+
+def test_odd_path_count_rejected():
+    # antithetic estimators pair every path with its reflection
+    prob = FKProblem((SX,), Z2, 1.0, TimeGrid(1.0, 8))
+    with pytest.raises(ValueError, match="even"):
+        estimate_generalized_fk(prob, 7, RngStream(11))
+    with pytest.raises(ValueError, match="even"):
+        estimate_product_formula(SX, Z2, Z2, 1.0, TimeGrid(1.0, 8), 7,
+                                 RngStream(11))

@@ -1,14 +1,15 @@
 """Dense operator algebra: exponentials, ordered products, Dyson series."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
                          dyson_series, expm, expm_batch, generator_probe,
-                         ordered_exp_chunk, ordered_exp_sde,
                          ordered_product_tree, step_factors, trotter_product)
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid, WienerPath, sample_path
+from fklab.wiener import TimeGrid, WienerPath, sample_increments, sample_paths
 
 from oracles import taylor_expm
 
@@ -37,6 +38,19 @@ def test_expm_against_taylor_oracle():
 def test_expm_overflow_guard():
     with pytest.raises(OverflowError):
         expm(1e4 * np.eye(2))
+
+
+def test_expm_guard_raises_before_norm_overflow():
+    # the Frobenius norm of 1e155 squares past the float range; the guard
+    # must raise OverflowError without printing an overflow warning
+    X = np.zeros((3, 3), dtype=complex)
+    X[0, 0] = 1e155j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            expm(X)
+        with pytest.raises(OverflowError):
+            expm(np.full((2, 2), 1e300 + 1e300j))
 
 
 def test_expm_batch_2x2_closed_form():
@@ -138,11 +152,8 @@ def test_step_factor_definition():
 def test_ordered_exp_left_multiplication_hand_check():
     # two non-commuting steps: the later factor must sit on the left
     g = TimeGrid(1.0, 2)
-    values = np.zeros((3, 2))
-    values[1] = [0.4, 0.0]
-    values[2] = [0.4, 0.7]
-    path = WienerPath(g, values)
-    T = ordered_exp_sde(path, (SX, SY), None)
+    dW = np.array([[0.4, 0.0], [0.0, 0.7]])
+    T = ordered_product_tree(step_factors(dW[None], g.dt, (SX, SY), None))[0]
     F1 = taylor_expm(-1j * 0.4 * SX)
     F2 = taylor_expm(-1j * 0.7 * SY)
     assert np.allclose(T, F2 @ F1, atol=1e-12)
@@ -151,8 +162,8 @@ def test_ordered_exp_left_multiplication_hand_check():
 
 def test_ordered_exp_unitary_when_hermitian():
     g = TimeGrid(1.0, 64)
-    path = sample_path(g, 2, RngStream(4))
-    T = ordered_exp_sde(path, (SX, SY), None)
+    dW = sample_increments(g, 2, 1, RngStream(4).generator())
+    T = ordered_product_tree(step_factors(dW, g.dt, (SX, SY), None))[0]
     assert np.allclose(T @ T.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -167,14 +178,6 @@ def test_ordered_product_tree_matches_loop():
         assert np.allclose(tree[p], loop, atol=1e-12)
 
 
-def test_ordered_exp_chunk_matches_single():
-    g = TimeGrid(0.5, 16)
-    path = sample_path(g, 1, RngStream(6))
-    dW = np.diff(path.values, axis=0)[None]
-    chunked = ordered_exp_chunk(dW, g.dt, (SX,), SZ)
-    assert np.allclose(chunked[0], ordered_exp_sde(path, (SX,), SZ), atol=1e-12)
-
-
 def test_dyson_first_order_drift_only():
     g = TimeGrid(0.25, 8)
     path = WienerPath(g, np.zeros((9, 1)))
@@ -184,8 +187,9 @@ def test_dyson_first_order_drift_only():
 
 def test_dyson_converges_to_ordered_exp():
     g = TimeGrid(0.05, 32)
-    path = sample_path(g, 1, RngStream(7))
-    exact = ordered_exp_sde(path, (SX,), SZ)
+    path = WienerPath(g, sample_paths(g, 1, 1, RngStream(7)).values[0])
+    dW = np.diff(path.values, axis=0)
+    exact = ordered_product_tree(step_factors(dW[None], g.dt, (SX,), SZ))[0]
     errs = [np.abs(dyson_series(path, (SX,), SZ, k) - exact).max()
             for k in range(5)]
     assert errs[4] < errs[2] < errs[0]
@@ -197,6 +201,12 @@ def test_dyson_order_range():
     path = WienerPath(g, np.zeros((5, 1)))
     with pytest.raises(ValueError):
         dyson_series(path, (SX,), None, order=7)
+
+
+def test_dyson_path_dimension_must_match():
+    g = TimeGrid(0.1, 4)
+    with pytest.raises(ValueError, match="dimension"):
+        dyson_series(WienerPath(g, np.zeros((5, 2))), (SX,), None, order=2)
 
 
 def test_approximant_family_identity_guard():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from fklab.stochint import (STRATONOVICH, AlphaScheme, FieldWithDivergence,
-                            alpha_integral, alpha_integral_batch,
-                            convert_check_batch, time_integral,
+                            alpha_integral_batch, convert_check_batch,
                             time_integral_batch)
 from fklab.streams import RngStream
-from fklab.wiener import PathBatch, TimeGrid, sample_path, sample_paths
+from fklab.wiener import PathBatch, TimeGrid, sample_paths
 
 from oracles import loglog_slope
 
@@ -88,16 +87,12 @@ def test_conversion_mean_square_slope():
         assert -1.3 <= slope <= -0.7, f"alpha={alpha}: slope {slope}"
 
 
-def test_single_path_wrappers_match_batch():
+def test_time_integral_of_time_on_one_path():
     g = TimeGrid(1.0, 32)
-    path = sample_path(g, 2, RngStream(6))
-    field = FieldWithDivergence(lambda x, s: np.sin(x),
-                                lambda x, s: np.cos(x).sum(axis=-1))
-    batch = PathBatch(g, path.values[None])
-    one = alpha_integral(path, field, AlphaScheme(0.3))
-    many = alpha_integral_batch(batch, field, AlphaScheme(0.3))
-    assert one == many[0]
-    assert time_integral(path, lambda x, s: s) == pytest.approx(0.5)
+    batch = sample_paths(g, 2, 1, RngStream(6))
+    out = time_integral_batch(batch, lambda x, s: s)
+    assert out.shape == (1,)
+    assert out[0] == pytest.approx(0.5)
 
 
 def test_time_dependent_field_uses_alpha_times():

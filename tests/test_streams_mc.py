@@ -1,9 +1,14 @@
 """Random streams and the deterministic Monte Carlo reducer."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fklab.mc import MCEstimate, mc_run
+from fklab.mc import (MCEstimate, PathRejectionOverflow, _estimate, _merge,
+                      _moments, mc_run, reduce_chunks)
 from fklab.streams import RngStream
 
 
@@ -77,6 +82,58 @@ def test_mc_run_complex_samples():
                  20000, RngStream(13))
     target = np.exp(-0.5)  # characteristic function of a standard normal
     assert abs(est.mean - target) <= 4 * est.stderr
+
+
+def test_mc_run_stderr_survives_large_offset():
+    # 1e8 + N(0, 1): E[x^2] - E[x]^2 cancels 16 digits; the pairwise merge
+    # of per-chunk deviations keeps the unit standard deviation
+    n = 100_000
+    est = mc_run(lambda gen, count: 1e8 + gen.standard_normal(count), n,
+                 RngStream(3), chunk_size=4096)
+    assert est.stderr * np.sqrt(n) == pytest.approx(1.0, rel=0.02)
+
+
+def test_mc_run_workers_one_and_two_bit_identical():
+    def chunk(gen, count):
+        x = gen.standard_normal((count, 3))
+        return np.exp(1j * x) + x**2
+
+    one = mc_run(chunk, 20000, RngStream(17), chunk_size=3000, workers=1)
+    two = mc_run(chunk, 20000, RngStream(17), chunk_size=3000, workers=2)
+    assert np.array_equal(one.mean, two.mean)
+    assert np.array_equal(one.stderr, two.stderr)
+
+
+_SAMPLES = np.random.default_rng(5).standard_normal((64, 2)) * [1.0, 1e3] + 7.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cuts=st.lists(st.integers(0, 64), max_size=8),
+       complex_samples=st.booleans())
+def test_merge_matches_unsplit_for_any_cut_points(cuts, complex_samples):
+    x = _SAMPLES[:, 0] + 1j * _SAMPLES[:, 1] if complex_samples else _SAMPLES
+    bounds = [0, *sorted(cuts), len(x)]
+    parts = [_moments(x[a:b]) for a, b in zip(bounds, bounds[1:])]
+    merged = _estimate(functools.reduce(_merge, parts, (0, 0j, 0.0)))
+    whole = _estimate(_moments(x))
+    assert merged.n_samples == whole.n_samples == len(x)
+    np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
+    np.testing.assert_allclose(merged.stderr, whole.stderr, rtol=1e-12)
+
+
+def test_reduce_chunks_counts_rejections():
+    def chunk(gen, count):
+        x = gen.standard_normal(count)
+        finite = np.ones(count, dtype=bool)
+        finite[0] = False  # one rejected sample per chunk
+        x[0] = np.nan
+        return x, finite
+
+    est, rejected = reduce_chunks(chunk, 20000, RngStream(2), chunk_size=10000)
+    assert (est.n_samples, rejected) == (19998, 2)
+    assert np.isfinite(est.mean) and np.isfinite(est.stderr)
+    with pytest.raises(PathRejectionOverflow):
+        reduce_chunks(chunk, 2000, RngStream(2), chunk_size=500)
 
 
 def test_z_conventions():

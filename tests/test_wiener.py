@@ -11,9 +11,8 @@ from fklab.wiener import (PathBatch, TimeGrid, WienerPath,
                           bridge_from_free, estimate_char_functional,
                           estimate_covariance,
                           estimate_white_noise_functional,
-                          paths_from_increments, sample_bridge,
-                          sample_bridges, sample_increments, sample_path,
-                          sample_paths)
+                          paths_from_increments, sample_bridges,
+                          sample_increments, sample_paths)
 
 from oracles import double_min_integral
 
@@ -57,8 +56,8 @@ def test_bridge_endpoint_bit_exact():
     batch = sample_bridges(g, 2, endpoint, 50, RngStream(3))
     assert np.all(batch.values[:, -1, :] == endpoint)
     assert np.all(batch.values[:, 0, :] == 0.0)
-    single = sample_bridge(g, 2, endpoint, RngStream(4))
-    assert np.all(single.values[-1] == endpoint)
+    single = sample_bridges(g, 2, endpoint, 1, RngStream(4))
+    assert np.all(single.values[0, -1] == endpoint)
 
 
 def test_bridge_midpoint_variance():
@@ -109,14 +108,6 @@ def test_support_beyond_horizon_rejected():
         estimate_char_functional(batch, f)
     with pytest.raises(ValueError):
         estimate_white_noise_functional(batch, f)
-
-
-def test_path_iterable_accepted():
-    g = TimeGrid(1.0, 32)
-    paths = [sample_path(g, 1, RngStream(11, k)) for k in range(50)]
-    f = PathTestFunction(lambda s: np.ones((len(s), 1)), 1.0)
-    est = estimate_char_functional(paths, f)
-    assert est.n_samples == 50
 
 
 def test_bridge_linear_drift_transform():
