@@ -7,7 +7,16 @@ stderr, target_re, target_im, z, pass); a field holding a comma is quoted
 the way the ``csv`` module quotes it. Results are bit-identical for a
 fixed (seed, config) regardless of the worker count.
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
+A valid config and its defaults are written once, in :data:`EXPERIMENTS`:
+each row holds a runner, the required top-level keys, a sweep slope rule
+and a params spec ``{key: (converter, default)}``. :func:`_fields` checks
+each block (top level, grid, params, and the potential, psi, chi and
+operator sub-blocks) against its spec and fills in defaults, so runners and
+oracles read only resolved values. Potential parameters and defaults come
+from ``fkschrodinger.POTENTIAL_PRESETS``.
+
+Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
+(a failed table check, or a ``ValueError`` from a library input check),
 3 numerical failure.
 """
 
@@ -17,35 +26,26 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fkmatrix, fkschrodinger, phasespace
-from .fkschrodinger import (KatoQuadSpec, PathRejectionOverflow, WaveFunction,
-                            kato_kappa, mehler_kernel, preset_potential)
+from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
+                            PathRejectionOverflow, WaveFunction, kato_kappa,
+                            mehler_kernel, preset_potential)
 from .mc import MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
 from .wiener import (PathBatch, TimeGrid, estimate_covariance,
                      paths_from_increments, sample_increments)
-
-EXPERIMENTS = ("wiener-stats", "stochint-convergence", "fk-matrix",
-               "fk-product", "fk-semigroup", "fk-kernel", "gauge", "kato",
-               "khasminskii", "diamagnetic", "phasespace-roundtrip", "trotter")
-
-# experiments whose sweep CSV gets a fitted log-log slope row:
-# quantity, slope target, tolerance (None = require positive slope only)
-DECAYING = {
-    "stochint-convergence": ("ms_residual", -1.0, 0.3),
-    "trotter": ("trotter_error", -1.0, 0.3),
-    "kato": ("kappa", None, None),
-}
 
 ATOL = 1e-12  # roundoff floor below which z-tests are meaningless
 
@@ -94,42 +94,30 @@ def _inforow(quantity: str, component: str, mean, stderr=0.0) -> Row:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# converters: (value, name, d) -> resolved value, d the point dimension
+
+REQUIRED = object()  # spec default of a key the config must give
 
 
-def _take(block: dict, key: str, required: bool = False, default=None):
-    if key in block:
-        return block.pop(key)
-    if required:
-        raise ConfigError(f"missing required key: {key}")
-    return default
-
-
-def _no_extras(block: dict, context: str) -> None:
-    if block:
-        raise ConfigError(f"unknown keys in {context}: {sorted(block)}")
-
-
-def _as_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}")
+def _int(value, name: str, d=None, minimum: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or not minimum <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer in [{minimum}, 2**64)")
     return value
 
 
-def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number")
+def _num(value, name: str, d=None) -> float:
+    # the comparison also rejects NaN and integers beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number")
     return float(value)
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    """Nested arrays with innermost [re, im] pairs -> complex square matrix."""
-    arr = np.asarray(value, dtype=float) if _is_numeric_nest(value) else None
-    if arr is None or arr.ndim != 3 or arr.shape[2] != 2 \
-            or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(
-            f"{name} must be a square matrix of [re, im] entry pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+def _positive(value, name: str, d=None) -> float:
+    if _num(value, name) <= 0:
+        raise ConfigError(f"{name} must be positive")
+    return float(value)
 
 
 def _is_numeric_nest(value) -> bool:
@@ -140,12 +128,129 @@ def _is_numeric_nest(value) -> bool:
     return False
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    if not (isinstance(value, list) and value
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        raise ConfigError(f"{name} must be a non-empty list of numbers")
-    return np.asarray(value, dtype=float)
+def _array(value) -> np.ndarray | None:
+    """Rectangular nested lists of finite numbers as floats, else None."""
+    if not _is_numeric_nest(value):
+        return None
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an int beyond float
+        return None
+    return arr if np.all(np.isfinite(arr)) else None
+
+
+def _vector(value, name: str, d=None) -> np.ndarray:
+    arr = _array(value)
+    if arr is None or arr.ndim != 1 or arr.size == 0:
+        raise ConfigError(f"{name} must be a non-empty list of finite numbers")
+    return arr
+
+
+def _point(value, name: str, d: int) -> np.ndarray:
+    arr = _vector(value, name)
+    if arr.shape != (d,):
+        raise ConfigError(f"{name} must have the potential dimension {d}")
+    return arr
+
+
+def _matrix(value, name: str, d=None) -> np.ndarray:
+    """Nested arrays with innermost [re, im] pairs -> complex square matrix."""
+    arr = _array(value)
+    if arr is None or arr.ndim != 3 or arr.shape[2] != 2 \
+            or arr.shape[0] != arr.shape[1]:
+        raise ConfigError(
+            f"{name} must be a square matrix of finite [re, im] entry pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _matrices(value, name: str, d=None) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a list of matrices")
+    return tuple(_matrix(a, f"{name}[{i}]") for i, a in enumerate(value))
+
+
+def _grid(value, name: str, d=None) -> TimeGrid:
+    return TimeGrid(**_fields(value, {"t_end": (_num, REQUIRED),
+                                      "n_steps": (_int, REQUIRED)}, name))
+
+
+def _fields(block, spec: dict, context: str, d: int | None = None) -> dict:
+    """Check ``block`` against ``spec`` and return its resolved values.
+
+    A missing key takes its default, which the converter resolves like a
+    given value. A default that is a function is called with the point
+    dimension ``d``; a ``potential`` key sets ``d`` for the keys after it.
+    A key given as null passes only where its default is None.
+    """
+    where = context or "config"
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(block) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    out = {}
+    for key, (convert, default) in spec.items():
+        name = f"{context}.{key}" if context else key
+        value = block.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key: {name}")
+        if callable(value):
+            value = value(d)
+        if value is None and default is None:
+            out[key] = None
+        else:
+            out[key] = convert(value, name, d)
+        if key == "potential":
+            d = out[key].config.d
+    return out
+
+
+def _presets(specs: dict):
+    """Converter of a sub-block ``{"name": preset, **fields}``, checked
+    against ``specs[preset]``; it resolves to the name and resolved fields."""
+    def convert(block, name: str, d=None) -> dict:
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name} must be an object with a preset name")
+        preset = block.get("name")
+        if not isinstance(preset, str) or preset not in specs:
+            raise ConfigError(f"{name}: unknown preset {preset!r}")
+        fields = {k: v for k, v in block.items() if k != "name"}
+        return {"name": preset, **_fields(fields, specs[preset], name, d)}
+
+    return convert
+
+
+class Potential(NamedTuple):
+    preset: dict  # the resolved block: name and every preset parameter
+    config: fkschrodinger.PotentialConfig
+
+
+# an int default is an integer >= 1, a float default a finite number
+_potential_block = _presets({
+    name: {key: (_int if isinstance(v, int) else _num, v)
+           for key, v in defaults.items()}
+    for name, defaults in POTENTIAL_PRESETS.items()})
+
+
+def _potential(value, name: str, d=None) -> Potential:
+    preset = _potential_block(value, name)
+    return Potential(preset, preset_potential(**preset))
+
+
+_POTENTIAL = (_potential, REQUIRED)
+_ORIGIN = (_point, lambda d: [0.0] * d)
+_psi = _presets({
+    "harmonic-ground": {},
+    "gaussian": {"width": (_positive, 1.0), "center": _ORIGIN},
+})
+_chi = _presets({
+    "linear": {"c": (_num, 1.0)},
+    "sine": {"amplitude": (_num, 1.0), "wavenumber": (_num, 1.0)},
+})
+_operator = _presets({
+    "harmonic": {"omega": (_num, 1.0)},
+    "random-hermitian": {},
+})
 
 
 @dataclass
@@ -162,78 +267,24 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    raw = copy.deepcopy(doc)
-    doc = copy.deepcopy(doc)
-    experiment = _take(doc, "experiment", required=True)
-    if experiment not in EXPERIMENTS:
+    experiment = doc.get("experiment")
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment: {experiment!r}")
-    seed = _take(doc, "seed", required=True)
-    if not isinstance(seed, int) or isinstance(seed, bool) \
-            or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
-    workers = _as_int(_take(doc, "workers", default=1), "workers")
+    row = EXPERIMENTS[experiment]
 
-    n_paths = _take(doc, "n_paths")
-    if n_paths is not None:
-        n_paths = _as_int(n_paths, "n_paths", minimum=2)
-    grid_block = _take(doc, "grid")
-    grid = None
-    if grid_block is not None:
-        if not isinstance(grid_block, dict):
-            raise ConfigError("grid must be an object")
-        t_end = _as_float(_take(grid_block, "t_end", required=True),
-                          "grid.t_end")
-        n_steps = _as_int(_take(grid_block, "n_steps", required=True),
-                          "grid.n_steps")
-        _no_extras(grid_block, "grid")
-        if t_end <= 0:
-            raise ConfigError("grid.t_end must be positive")
-        grid = TimeGrid(t_end, n_steps)
-
-    params = _take(doc, "params", default={})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    _no_extras(doc, "config")
-
-    needs_mc = experiment not in ("phasespace-roundtrip", "trotter", "kato")
-    if needs_mc and (n_paths is None or grid is None):
-        raise ConfigError(f"experiment {experiment} requires n_paths and grid")
-    if experiment == "kato" and grid is None:
-        raise ConfigError("experiment kato requires grid (t_end is used)")
-    return ExperimentConfig(experiment, seed, workers, n_paths, grid,
-                            params, raw)
-
-
-def _parse_potential(block, context: str) -> fkschrodinger.PotentialConfig:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context} must be an object with a preset name")
-    block = dict(block)
-    name = _take(block, "name", required=True)
-    try:
-        return preset_potential(name, **block)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_psi(block, d: int, context: str) -> WaveFunction:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context} must be an object")
-    block = dict(block)
-    name = _take(block, "name", required=True)
-    if name == "harmonic-ground":
-        _no_extras(block, context)
-        return WaveFunction(
-            lambda x: math.pi ** (-d / 4) * np.exp(-0.5 * np.sum(x**2, axis=-1)))
-    if name == "gaussian":
-        width = _as_float(_take(block, "width", default=1.0), f"{context}.width")
-        center = np.asarray(_take(block, "center", default=[0.0] * d),
-                            dtype=float)
-        _no_extras(block, context)
-        if width <= 0 or center.shape != (d,):
-            raise ConfigError(f"{context}: bad width or center")
-        return WaveFunction(lambda x: np.exp(
-            -np.sum((x - center)**2, axis=-1) / (2 * width**2)))
-    raise ConfigError(f"{context}: unknown wavefunction {name!r}")
+    top = _fields(doc, {
+        "experiment": (lambda value, name, d: value, REQUIRED),
+        "seed": (functools.partial(_int, minimum=0), REQUIRED),
+        "workers": (_int, 1),
+        "n_paths": (functools.partial(_int, minimum=2),
+                    REQUIRED if "n_paths" in row.needs else None),
+        "grid": (_grid, REQUIRED if "grid" in row.needs else None),
+        "params": (lambda value, name, d: _fields(value, row.params, name),
+                   {}),
+    }, "")
+    return ExperimentConfig(experiment, top["seed"], top["workers"],
+                            top["n_paths"], top["grid"], top["params"],
+                            copy.deepcopy(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +292,9 @@ def _parse_psi(block, d: int, context: str) -> WaveFunction:
 
 
 def _run_wiener_stats(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    d = _as_int(_take(p, "d", default=2), "params.d")
-    fractions = _take(p, "node_fractions", default=[0.25, 0.5, 0.75])
-    zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
-    _no_extras(p, "params")
-    fractions = _as_vector(fractions, "params.node_fractions")
-    grid = cfg.grid
-    idx = np.rint(fractions * grid.n_steps).astype(int)
+    p = cfg.params
+    d, zmax, grid = p["d"], p["zmax"], cfg.grid
+    idx = np.rint(p["node_fractions"] * grid.n_steps).astype(int)
     if np.any(idx < 1) or np.any(idx > grid.n_steps):
         raise ConfigError("node_fractions must lie in (0, 1]")
     times = idx * grid.dt
@@ -277,9 +323,7 @@ def _run_wiener_stats(cfg: ExperimentConfig) -> list[Row]:
 
 
 def _run_stochint_convergence(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    alpha = _as_float(_take(p, "alpha", required=True), "params.alpha")
-    _no_extras(p, "params")
+    alpha = cfg.params["alpha"]
     scheme = AlphaScheme(alpha)
     field = FieldWithDivergence(
         lambda x, s: x, lambda x, s: np.full(x.shape[:-1], 1.0))
@@ -298,7 +342,7 @@ def _run_stochint_convergence(cfg: ExperimentConfig) -> list[Row]:
 
 
 def _matrix_rows(name: str, est: MCEstimate, target: np.ndarray,
-                 frob_tol: float, zmax: float = 4.0) -> list[Row]:
+                 frob_tol: float, zmax: float) -> list[Row]:
     m = target.shape[0]
     rows = []
     for i in range(m):
@@ -313,187 +357,129 @@ def _matrix_rows(name: str, est: MCEstimate, target: np.ndarray,
 
 
 def _run_fk_matrix(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    A_block = _take(p, "A", required=True)
-    if not isinstance(A_block, list) or not A_block:
-        raise ConfigError("params.A must be a list of matrices")
-    A = tuple(_as_matrix(a, f"params.A[{i}]") for i, a in enumerate(A_block))
+    p = cfg.params
+    A = p["A"]
     m = A[0].shape[0]
-    B_block = _take(p, "B")
-    B = _as_matrix(B_block, "params.B") if B_block is not None \
-        else np.zeros((m, m), dtype=complex)
-    frob_tol = _as_float(_take(p, "frob_tol", default=1e-2), "params.frob_tol")
-    zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
-    _no_extras(p, "params")
-    with _config_errors():
-        problem = fkmatrix.FKProblem(A, B, cfg.grid.t_end, cfg.grid)
-        est = fkmatrix.estimate_generalized_fk(problem, cfg.n_paths,
-                                               RngStream(cfg.seed),
-                                               workers=cfg.workers)
-    return _matrix_rows("T", est, fkmatrix.rhs_generator(problem), frob_tol,
-                        zmax)
+    B = p["B"] if p["B"] is not None else np.zeros((m, m), dtype=complex)
+    problem = fkmatrix.FKProblem(A, B, cfg.grid.t_end, cfg.grid)
+    est = fkmatrix.estimate_generalized_fk(problem, cfg.n_paths,
+                                           RngStream(cfg.seed),
+                                           workers=cfg.workers)
+    return _matrix_rows("T", est, fkmatrix.rhs_generator(problem),
+                        p["frob_tol"], p["zmax"])
 
 
 def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    Ap = _as_matrix(_take(p, "Aplus", required=True), "params.Aplus")
-    Am = _as_matrix(_take(p, "Aminus", required=True), "params.Aminus")
-    B_block = _take(p, "B")
-    B = _as_matrix(B_block, "params.B") if B_block is not None \
-        else np.zeros_like(Ap)
-    frob_tol = _as_float(_take(p, "frob_tol", default=1e-2), "params.frob_tol")
-    zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
-    _no_extras(p, "params")
+    p = cfg.params
+    Ap, Am = p["Aplus"], p["Aminus"]
+    B = p["B"] if p["B"] is not None else np.zeros_like(Ap)
     if Ap.shape != Am.shape or Ap.shape != B.shape:
         raise ConfigError("Aplus, Aminus, B must share one dimension")
-    with _config_errors():
-        est = fkmatrix.estimate_product_formula(
-            Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
-            RngStream(cfg.seed), workers=cfg.workers)
+    est = fkmatrix.estimate_product_formula(
+        Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
+        RngStream(cfg.seed), workers=cfg.workers)
     target = fkmatrix.product_formula_target(Ap, Am, B, cfg.grid.t_end)
-    return _matrix_rows("T", est, target, frob_tol, zmax)
+    return _matrix_rows("T", est, target, p["frob_tol"], p["zmax"])
 
 
-def _semigroup_target(pot_name: str, pot: fkschrodinger.PotentialConfig,
-                      psi_block: dict, q: np.ndarray, t: float):
-    if pot_name == "harmonic" and psi_block.get("name") == "harmonic-ground":
-        d = pot.d
+def _wavefunction(psi: dict, d: int) -> WaveFunction:
+    if psi["name"] == "harmonic-ground":
+        return WaveFunction(
+            lambda x: math.pi ** (-d / 4) * np.exp(-0.5 * np.sum(x**2, axis=-1)))
+    width, center = psi["width"], psi["center"]  # gaussian
+    return WaveFunction(lambda x: np.exp(
+        -np.sum((x - center)**2, axis=-1) / (2 * width**2)))
+
+
+def _semigroup_target(pot: Potential, psi: dict, q: np.ndarray, t: float):
+    d = pot.config.d
+    if pot.preset["name"] == "harmonic" and psi["name"] == "harmonic-ground":
         return (math.exp(-t * d / 2) * math.pi ** (-d / 4)
                 * math.exp(-0.5 * float(q @ q)))
-    if pot_name == "free" and psi_block.get("name") == "gaussian":
-        w = float(psi_block.get("width", 1.0))
-        c = np.asarray(psi_block.get("center", [0.0] * pot.d), dtype=float)
+    if pot.preset["name"] == "free" and psi["name"] == "gaussian":
+        w, c = psi["width"], psi["center"]
         s = w**2 + t
-        return ((w**2 / s) ** (pot.d / 2)
+        return ((w**2 / s) ** (d / 2)
                 * math.exp(-float((q - c) @ (q - c)) / (2 * s)))
     return None
 
 
 def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot_block = _take(p, "potential", required=True)
-    pot = _parse_potential(pot_block, "params.potential")
-    psi_block = _take(p, "psi", required=True)
-    psi = _parse_psi(psi_block, pot.d, "params.psi")
-    q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
-    zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
-    _no_extras(p, "params")
-    if q.shape != (pot.d,):
-        raise ConfigError("params.q must have the potential dimension")
-    est = fkschrodinger.apply_semigroup(pot, psi, q, cfg.grid.t_end,
-                                        cfg.n_paths, cfg.grid,
+    p = cfg.params
+    pot, psi, q = p["potential"], p["psi"], p["q"]
+    est = fkschrodinger.apply_semigroup(pot.config,
+                                        _wavefunction(psi, pot.config.d), q,
+                                        cfg.grid.t_end, cfg.n_paths, cfg.grid,
                                         RngStream(cfg.seed),
                                         workers=cfg.workers)
-    target = _semigroup_target(pot_block["name"], pot, psi_block, q,
-                               cfg.grid.t_end)
+    target = _semigroup_target(pot, psi, q, cfg.grid.t_end)
     if target is None:
         return [_inforow("psi_t", "-", est.mean, est.stderr)]
-    return [_zrow("psi_t", "-", est.mean, est.stderr, target, zmax)]
+    return [_zrow("psi_t", "-", est.mean, est.stderr, target, p["zmax"])]
 
 
 def _run_fk_kernel(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot_block = _take(p, "potential", required=True)
-    pot = _parse_potential(pot_block, "params.potential")
-    q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
-    qp = _as_vector(_take(p, "q_prime", default=[0.0] * pot.d),
-                    "params.q_prime")
-    rel_tol = _as_float(_take(p, "rel_tol", default=0.02), "params.rel_tol")
-    _no_extras(p, "params")
-    if q.shape != (pot.d,) or qp.shape != (pot.d,):
-        raise ConfigError("params.q / q_prime must have the potential dimension")
+    p = cfg.params
+    pot, q, qp = p["potential"], p["q"], p["q_prime"]
     t = cfg.grid.t_end
-    est = fkschrodinger.kernel(pot, q, qp, t, cfg.n_paths, cfg.grid,
+    est = fkschrodinger.kernel(pot.config, q, qp, t, cfg.n_paths, cfg.grid,
                                RngStream(cfg.seed), workers=cfg.workers)
-    name = pot_block["name"]
+    name = pot.preset["name"]
     if name == "free":
-        target = fkschrodinger.free_kernel(pot.d, qp - q, t)
-    elif name == "harmonic" and pot.d == 1:
-        omega = float(pot_block.get("omega", 1.0))
-        target = mehler_kernel(float(q[0]), float(qp[0]), t, omega)
+        target = fkschrodinger.free_kernel(pot.config.d, qp - q, t)
+    elif name == "harmonic" and pot.config.d == 1:
+        target = mehler_kernel(float(q[0]), float(qp[0]), t,
+                               pot.preset["omega"])
     else:
         return [_inforow("kernel", "-", est.mean, est.stderr)]
     diff = abs(est.mean - target)
-    passed = diff <= max(3 * est.stderr, rel_tol * abs(target))
+    passed = diff <= max(3 * est.stderr, p["rel_tol"] * abs(target))
     return [Row("kernel", "-", est.mean, est.stderr, complex(target), passed)]
 
 
-def _with_chi(pot: fkschrodinger.PotentialConfig, chi_block,
-              context: str) -> fkschrodinger.PotentialConfig:
-    if not isinstance(chi_block, dict):
-        raise ConfigError(f"{context} must be an object")
-    chi_block = dict(chi_block)
-    name = _take(chi_block, "name", required=True)
-    if name == "linear":
-        c = _as_float(_take(chi_block, "c", default=1.0), f"{context}.c")
-        _no_extras(chi_block, context)
-        chi = lambda x: c * np.sum(x, axis=-1)
-        grad = lambda x: np.full_like(x, c)
-    elif name == "sine":
-        amp = _as_float(_take(chi_block, "amplitude", default=1.0),
-                        f"{context}.amplitude")
-        k = _as_float(_take(chi_block, "wavenumber", default=1.0),
-                      f"{context}.wavenumber")
-        _no_extras(chi_block, context)
-        chi = lambda x: amp * np.sum(np.sin(k * x), axis=-1)
-        grad = lambda x: amp * k * np.cos(k * x)
-    else:
-        raise ConfigError(f"{context}: unknown gauge function {name!r}")
-    from dataclasses import replace
-    return replace(pot, chi=chi, grad_chi=grad)
+def _with_chi(pot: fkschrodinger.PotentialConfig,
+              chi: dict) -> fkschrodinger.PotentialConfig:
+    if chi["name"] == "linear":
+        c = chi["c"]
+        return replace(pot, chi=lambda x: c * np.sum(x, axis=-1),
+                       grad_chi=lambda x: np.full_like(x, c))
+    amp, k = chi["amplitude"], chi["wavenumber"]  # sine
+    return replace(pot, chi=lambda x: amp * np.sum(np.sin(k * x), axis=-1),
+                   grad_chi=lambda x: amp * k * np.cos(k * x))
 
 
 def _run_gauge(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot = _parse_potential(_take(p, "potential", required=True),
-                           "params.potential")
-    pot = _with_chi(pot, _take(p, "chi", required=True), "params.chi")
-    q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
-    qp = _as_vector(_take(p, "q_prime", default=[0.5] * pot.d),
-                    "params.q_prime")
-    zmax = _as_float(_take(p, "zmax", default=4.0), "params.zmax")
-    _no_extras(p, "params")
-    est = fkschrodinger.gauge_check(pot, q, qp, cfg.grid.t_end, cfg.n_paths,
-                                    cfg.grid, RngStream(cfg.seed),
+    p = cfg.params
+    pot = _with_chi(p["potential"].config, p["chi"])
+    est = fkschrodinger.gauge_check(pot, p["q"], p["q_prime"], cfg.grid.t_end,
+                                    cfg.n_paths, cfg.grid, RngStream(cfg.seed),
                                     workers=cfg.workers)
-    return [_zrow("gauge_residual", "-", est.mean, est.stderr, 0.0, zmax)]
+    return [_zrow("gauge_residual", "-", est.mean, est.stderr, 0.0, p["zmax"])]
 
 
 def _run_kato(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot_block = _take(p, "potential", required=True)
-    pot = _parse_potential(pot_block, "params.potential")
-    n_space = _as_int(_take(p, "n_space", default=96), "params.n_space")
-    n_time = _as_int(_take(p, "n_time", default=64), "params.n_time")
-    n_probes = _as_int(_take(p, "n_probes", default=33), "params.n_probes")
-    _no_extras(p, "params")
-    t = cfg.grid.t_end
-    axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_probes)
-    probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
-                      axis=-1).reshape(-1, pot.d)
-    kappa = kato_kappa(pot.eval_v_minus, t, probes,
-                       KatoQuadSpec(n_space, n_time), pot.box_halfwidth)
+    p = cfg.params
+    pot, t = p["potential"], cfg.grid.t_end
+    kappa = kato_kappa(pot.config.eval_v_minus, t,
+                       fkschrodinger.box_probes(pot.config, p["n_probes"]),
+                       KatoQuadSpec(p["n_space"], p["n_time"]),
+                       pot.config.box_halfwidth)
     # a well wide enough that no Gaussian escapes it from the central probe
     # acts as a constant potential: kappa_t = c * t exactly
-    if pot_block["name"] == "constant-well" \
-            and float(pot_block.get("halfwidth", 1.0)) >= 8 * math.sqrt(t):
-        c = float(pot_block.get("height", 0.3))
-        target = c * t
+    well = pot.preset
+    if well["name"] == "constant-well" \
+            and well["halfwidth"] >= 8 * math.sqrt(t):
+        target = well["height"] * t
         return [Row("kappa", "-", kappa, 0.0, target,
                     abs(kappa - target) <= 1e-4)]
     return [_inforow("kappa", "-", kappa)]
 
 
 def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot = _parse_potential(_take(p, "potential", required=True),
-                           "params.potential")
-    q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
-    _no_extras(p, "params")
-    with _config_errors():  # kappa_t(v_minus) >= 1 leaves no bound
-        lhs, bound = fkschrodinger.khasminskii_check(
-            pot, q, cfg.grid.t_end, cfg.n_paths, cfg.grid,
-            RngStream(cfg.seed), workers=cfg.workers)
+    p = cfg.params
+    lhs, bound = fkschrodinger.khasminskii_check(
+        p["potential"].config, p["q"], cfg.grid.t_end, cfg.n_paths, cfg.grid,
+        RngStream(cfg.seed), workers=cfg.workers)
     # one-sided: the exponential moment must not exceed the bound
     excess = lhs.mean.real - bound
     return [Row("exp_moment", "-", lhs.mean, lhs.stderr, bound,
@@ -501,15 +487,11 @@ def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
 
 
 def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    pot = _parse_potential(_take(p, "potential", required=True),
-                           "params.potential")
-    psi = _parse_psi(_take(p, "psi", required=True), pot.d, "params.psi")
-    q = _as_vector(_take(p, "q", default=[0.0] * pot.d), "params.q")
-    _no_extras(p, "params")
+    p = cfg.params
+    pot = p["potential"].config
     with_a, without_a = fkschrodinger.diamagnetic_check(
-        pot, psi, q, cfg.grid.t_end, cfg.n_paths, cfg.grid,
-        RngStream(cfg.seed), workers=cfg.workers)
+        pot, _wavefunction(p["psi"], pot.d), p["q"], cfg.grid.t_end,
+        cfg.n_paths, cfg.grid, RngStream(cfg.seed), workers=cfg.workers)
     gap = abs(with_a.mean) - without_a.mean.real
     err = math.hypot(with_a.stderr, without_a.stderr)
     return [
@@ -519,44 +501,29 @@ def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
     ]
 
 
-def _phasespace_operator(block, grid: phasespace.PeriodicGrid,
+def _phasespace_operator(op: dict, grid: phasespace.PeriodicGrid,
                          seed: int) -> np.ndarray:
-    if not isinstance(block, dict):
-        raise ConfigError("operator/hamiltonian block must be an object")
-    block = dict(block)
-    name = _take(block, "name", required=True)
-    if name == "harmonic":
-        omega = _as_float(_take(block, "omega", default=1.0), "omega")
-        _no_extras(block, "operator")
+    if op["name"] == "harmonic":
+        omega = op["omega"]
         return phasespace.standard_hamiltonian(
             grid, None, lambda q: 0.5 * omega**2 * q**2)
-    if name == "random-hermitian":
-        _no_extras(block, "operator")
-        gen = RngStream(seed, 1).generator()
-        n = grid.n_points
-        raw = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-        return raw + raw.conj().T
-    raise ConfigError(f"unknown operator preset: {name!r}")
+    gen = RngStream(seed, 1).generator()  # random-hermitian
+    n = grid.n_points
+    raw = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return raw + raw.conj().T
 
 
 def _run_phasespace_roundtrip(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    n_points = _as_int(_take(p, "n_points", default=64), "params.n_points")
-    length = _as_float(_take(p, "length", default=16.0), "params.length")
-    alphas = _take(p, "alpha_values", default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    op_block = _take(p, "operator", default={"name": "harmonic"})
-    _no_extras(p, "params")
-    alphas = _as_vector(alphas, "params.alpha_values")
-    with _config_errors():
-        grid = phasespace.PeriodicGrid(n_points, length)
-    H = _phasespace_operator(op_block, grid, cfg.seed)
+    p = cfg.params
+    grid = phasespace.PeriodicGrid(p["n_points"], p["length"])
+    H = _phasespace_operator(p["operator"], grid, cfg.seed)
     rows = []
-    for alpha in alphas:
+    for alpha in p["alpha_values"]:
         sym = phasespace.alpha_symbol(H, grid, float(alpha))
         err = float(np.abs(phasespace.alpha_quantize(sym) - H).max())
         rows.append(Row("roundtrip_error", f"alpha={alpha:g}", err, 0.0,
                         0.0, err <= 1e-10))
-        if alpha == 0.5 and op_block.get("name") == "harmonic":
+        if alpha == 0.5 and p["operator"]["name"] == "harmonic":
             im = float(np.abs(sym.values.imag).max())
             rows.append(Row("imag_part", f"alpha={alpha:g}", im, 0.0,
                             0.0, im <= 1e-10))
@@ -564,35 +531,67 @@ def _run_phasespace_roundtrip(cfg: ExperimentConfig) -> list[Row]:
 
 
 def _run_trotter(cfg: ExperimentConfig) -> list[Row]:
-    p = dict(cfg.params)
-    n_points = _as_int(_take(p, "n_points", default=64), "params.n_points")
-    length = _as_float(_take(p, "length", default=16.0), "params.length")
-    alpha = _as_float(_take(p, "alpha", default=0.5), "params.alpha")
-    t = _as_float(_take(p, "t", default=1.0), "params.t")
-    n = _as_int(_take(p, "n", required=True), "params.n")
-    h_block = _take(p, "hamiltonian", default={"name": "harmonic"})
-    _no_extras(p, "params")
-    with _config_errors():
-        grid = phasespace.PeriodicGrid(n_points, length)
-    H = _phasespace_operator(h_block, grid, cfg.seed)
-    table = phasespace.trotter_reconstruct(H, grid, alpha, t, [n],
-                                           workers=cfg.workers)
-    return [_inforow("trotter_error", f"n={n}", table[0][1])]
+    p = cfg.params
+    grid = phasespace.PeriodicGrid(p["n_points"], p["length"])
+    H = _phasespace_operator(p["hamiltonian"], grid, cfg.seed)
+    table = phasespace.trotter_reconstruct(H, grid, p["alpha"], p["t"],
+                                           [p["n"]], workers=cfg.workers)
+    return [_inforow("trotter_error", f"n={p['n']}", table[0][1])]
 
 
-RUNNERS = {
-    "wiener-stats": _run_wiener_stats,
-    "stochint-convergence": _run_stochint_convergence,
-    "fk-matrix": _run_fk_matrix,
-    "fk-product": _run_fk_product,
-    "fk-semigroup": _run_fk_semigroup,
-    "fk-kernel": _run_fk_kernel,
-    "gauge": _run_gauge,
-    "kato": _run_kato,
-    "khasminskii": _run_khasminskii,
-    "diamagnetic": _run_diamagnetic,
-    "phasespace-roundtrip": _run_phasespace_roundtrip,
-    "trotter": _run_trotter,
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the parameter table."""
+
+    run: Callable[[ExperimentConfig], list[Row]]
+    params: dict  # key -> (converter, default)
+    needs: tuple = ("n_paths", "grid")  # required top-level keys
+    # sweep CSVs get a fitted log-log slope row: quantity, slope target,
+    # tolerance (target None = require a positive slope only)
+    slope: tuple | None = None
+
+
+_ZMAX = (_num, 4.0)
+_MATRIX_TOLS = {"B": (_matrix, None), "frob_tol": (_num, 1e-2), "zmax": _ZMAX}
+_LATTICE = {"n_points": (_int, 64), "length": (_num, 16.0)}
+_HARMONIC = (_operator, {"name": "harmonic"})
+
+# a potential comes before the points that take its dimension
+EXPERIMENTS = {
+    "wiener-stats": Experiment(_run_wiener_stats, {
+        "d": (_int, 2), "node_fractions": (_vector, [0.25, 0.5, 0.75]),
+        "zmax": _ZMAX}),
+    "stochint-convergence": Experiment(
+        _run_stochint_convergence, {"alpha": (_num, REQUIRED)},
+        slope=("ms_residual", -1.0, 0.3)),
+    "fk-matrix": Experiment(_run_fk_matrix, {
+        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}),
+    "fk-product": Experiment(_run_fk_product, {
+        "Aplus": (_matrix, REQUIRED), "Aminus": (_matrix, REQUIRED),
+        **_MATRIX_TOLS}),
+    "fk-semigroup": Experiment(_run_fk_semigroup, {
+        "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN,
+        "zmax": _ZMAX}),
+    "fk-kernel": Experiment(_run_fk_kernel, {
+        "potential": _POTENTIAL, "q": _ORIGIN, "q_prime": _ORIGIN,
+        "rel_tol": (_num, 0.02)}),
+    "gauge": Experiment(_run_gauge, {
+        "potential": _POTENTIAL, "chi": (_chi, REQUIRED), "q": _ORIGIN,
+        "q_prime": (_point, lambda d: [0.5] * d), "zmax": _ZMAX}),
+    "kato": Experiment(_run_kato, {
+        "potential": _POTENTIAL, "n_space": (_int, 96), "n_time": (_int, 64),
+        "n_probes": (_int, 33)}, needs=("grid",), slope=("kappa", None, None)),
+    "khasminskii": Experiment(_run_khasminskii, {
+        "potential": _POTENTIAL, "q": _ORIGIN}),
+    "diamagnetic": Experiment(_run_diamagnetic, {
+        "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN}),
+    "phasespace-roundtrip": Experiment(_run_phasespace_roundtrip, {
+        **_LATTICE, "alpha_values": (_vector, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        "operator": _HARMONIC}, needs=()),
+    "trotter": Experiment(_run_trotter, {
+        **_LATTICE, "alpha": (_num, 0.5), "t": (_num, 1.0),
+        "n": (_int, REQUIRED), "hamiltonian": _HARMONIC},
+        needs=(), slope=("trotter_error", -1.0, 0.3)),
 }
 
 
@@ -650,137 +649,95 @@ def _resolve_axis(doc: dict, axis: str):
     return node, key
 
 
-def _fit_slope(xs: list[float], ys: list[float]) -> float:
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _apply_overrides(doc: dict, args) -> None:
-    env_seed = os.environ.get("FKLAB_SEED")
-    env_workers = os.environ.get("FKLAB_WORKERS")
+def _load(args) -> dict:
+    """The config object, with the environment and flag overrides applied."""
     try:
-        if env_seed is not None:
-            doc["seed"] = int(env_seed)
-        if env_workers is not None:
-            doc["workers"] = int(env_workers)
-    except ValueError as exc:
-        raise ConfigError(f"bad environment override: {exc}") from exc
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.workers is not None:
-        doc["workers"] = args.workers
-
-
-def _load(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(args.config, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    # int() of a malformed override raises ValueError: a config error
+    for key, var in (("seed", "FKLAB_SEED"), ("workers", "FKLAB_WORKERS")):
+        if var in os.environ:
+            doc[key] = int(os.environ[var])
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.workers is not None:
+        doc["workers"] = args.workers
+    return doc
 
 
-def _execute(cfg: ExperimentConfig) -> list[Row]:
-    return RUNNERS[cfg.experiment](cfg)
-
-
-def _emit(report: dict, csv_rows: list[list[str]], out_path: str) -> None:
+def _finish(args, report: dict, experiment: str, rows: list[Row],
+            start: float, suffix: str) -> int:
+    """Complete the report, write the CSV sidecar and return the exit code."""
+    passed = all(r.passed for r in rows)
+    report.update(rows=_json_rows(rows), wall_time_s=time.monotonic() - start,
+                  passed=passed)
+    stem = os.path.splitext(os.path.basename(args.config))[0]
     # csv's default dialect: \r\n line ends, fields quoted only when needed
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(csv_rows)
+    with open(os.path.join(args.out, stem + suffix), "w", encoding="utf-8",
+              newline="") as fh:
+        csv.writer(fh).writerows(_csv_rows(experiment, rows))
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def cmd_run(args) -> int:
-    doc = _load(args.config)
-    _apply_overrides(doc, args)
-    cfg = parse_config(doc)
-    start = time.monotonic()
-    rows = _execute(cfg)
-    wall = time.monotonic() - start
-    passed = all(r.passed for r in rows)
-    report = {
-        "config": cfg.raw,
-        "rows": _json_rows(rows),
-        "wall_time_s": wall,
-        "passed": passed,
-    }
-    stem = os.path.splitext(os.path.basename(args.config))[0]
-    out_path = os.path.join(args.out, stem + ".csv")
-    _emit(report, _csv_rows(cfg.experiment, rows), out_path)
     return 0 if passed else 1
 
 
+def cmd_run(args) -> int:
+    cfg = parse_config(_load(args))
+    start = time.monotonic()
+    rows = EXPERIMENTS[cfg.experiment].run(cfg)
+    return _finish(args, {"config": cfg.raw}, cfg.experiment, rows, start,
+                   ".csv")
+
+
 def cmd_sweep(args) -> int:
-    doc = _load(args.config)
-    _apply_overrides(doc, args)
-    values = []
-    for tok in args.values.replace(",", " ").split():
-        try:
-            num = json.loads(tok)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad sweep value {tok!r}") from exc
-        if isinstance(num, bool) or not isinstance(num, (int, float)):
-            raise ConfigError(f"bad sweep value {tok!r}")
-        values.append(num)
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    doc = _load(args)
+    try:
+        values = [json.loads(v) for v in args.values.replace(",", " ").split()]
+    except json.JSONDecodeError:
+        values = []
+    if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                         for v in values):
+        raise ConfigError(f"sweep values must be numbers: {args.values!r}")
     _resolve_axis(doc, args.axis)  # validate path before any run
-    parse_config(doc)
+    experiment = parse_config(doc).experiment
+    slope = EXPERIMENTS[experiment].slope
 
     all_rows: list[Row] = []
     decaying: list[tuple[float, float]] = []
-    experiment = None
     start = time.monotonic()
     for value in values:
         point = copy.deepcopy(doc)
         node, key = _resolve_axis(point, args.axis)
         node[key] = value
         cfg = parse_config(point)
-        experiment = cfg.experiment
-        rows = _execute(cfg)
+        rows = EXPERIMENTS[experiment].run(cfg)
         for r in rows:
-            tagged = Row(r.quantity, f"{r.component}[{args.axis}={value:g}]",
-                         r.mean, r.stderr, r.target, r.passed)
-            all_rows.append(tagged)
-        if cfg.experiment in DECAYING:
-            qname = DECAYING[cfg.experiment][0]
-            for r in rows:
-                if r.quantity == qname and r.mean.real > 0:
-                    decaying.append((float(value), r.mean.real))
+            all_rows.append(
+                replace(r, component=f"{r.component}[{args.axis}={value:g}]"))
+            if slope and r.quantity == slope[0] and r.mean.real > 0:
+                decaying.append((float(value), r.mean.real))
 
-    if experiment in DECAYING and len(decaying) >= 2:
-        qname, target, tol = DECAYING[experiment]
-        slope = _fit_slope([v for v, _ in decaying], [y for _, y in decaying])
-        if experiment == "kato":
-            # kappa_t must vanish as t -> 0: positive log-log slope in t
-            all_rows.append(Row(f"slope({qname})", args.axis, slope, 0.0,
-                                None, slope > 0))
-        else:
-            all_rows.append(Row(f"slope({qname})", args.axis, slope, 0.0,
-                                complex(target), abs(slope - target) <= tol))
-    wall = time.monotonic() - start
-
-    passed = all(r.passed for r in all_rows)
-    report = {
-        "config": doc,
-        "axis": args.axis,
-        "values": values,
-        "rows": _json_rows(all_rows),
-        "wall_time_s": wall,
-        "passed": passed,
-    }
-    stem = os.path.splitext(os.path.basename(args.config))[0]
-    out_path = os.path.join(args.out, stem + ".sweep.csv")
-    _emit(report, _csv_rows(experiment, all_rows), out_path)
-    return 0 if passed else 1
+    if slope and len(decaying) >= 2:
+        qname, target, tol = slope
+        log_x, log_y = np.log(np.asarray(decaying)).T
+        fitted = float(np.polyfit(log_x, log_y, 1)[0])
+        # with no target the quantity must vanish as the axis value -> 0
+        passed = fitted > 0 if target is None else abs(fitted - target) <= tol
+        all_rows.append(Row(f"slope({qname})", args.axis, fitted, 0.0,
+                            None if target is None else complex(target),
+                            passed))
+    report = {"config": doc, "axis": args.axis, "values": values}
+    return _finish(args, report, experiment, all_rows, start, ".sweep.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -815,7 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every ValueError the library raises is an input check
+        with _config_errors():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -357,6 +357,13 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     return float(kappa.max())
 
 
+def box_probes(pot: PotentialConfig, n_per_axis: int) -> np.ndarray:
+    """Tensor grid of n_per_axis**d probe points spanning the declared box."""
+    axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_per_axis)
+    return np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
+                    axis=-1).reshape(-1, pot.d)
+
+
 def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
                       n_paths: int, grid: TimeGrid, rng: RngStream,
                       quad: KatoQuadSpec = KatoQuadSpec(),
@@ -368,10 +375,8 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
     Returns the MC estimate of <exp(+int v_-(q + w(s)) ds)> and the bound
     (1 - kappa_t(v_-))^(-1); requires kappa_t(v_-) < 1.
     """
-    axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_probe_grid)
-    probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
-                      axis=-1).reshape(-1, pot.d)
-    kappa = kato_kappa(pot.eval_v_minus, t, probes, quad, pot.box_halfwidth)
+    kappa = kato_kappa(pot.eval_v_minus, t, box_probes(pot, n_probe_grid),
+                       quad, pot.box_halfwidth)
     if kappa >= 1.0:
         raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
     bound = 1.0 / (1.0 - kappa)
@@ -386,68 +391,58 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
 # presets addressable from the CLI
 
 
+# name -> default parameters; a preset takes no other parameters
+POTENTIAL_PRESETS = {
+    "free": {"d": 1},
+    "constant-well": {"d": 1, "height": 0.3, "halfwidth": 1.0},
+    "harmonic": {"d": 1, "omega": 1.0},
+    "coulomb-3d": {"gamma": 1.0},
+    "constant-magnetic-2d": {"b0": 1.0},
+    "gauge-linear": {"d": 1, "c": 1.0},
+}
+
+
 def preset_potential(name: str, **params) -> PotentialConfig:
-    """Named potential configurations: free, constant-well, harmonic,
-    coulomb-3d, constant-magnetic-2d, gauge-linear."""
+    """Named potential configurations, see :data:`POTENTIAL_PRESETS`."""
+    if name not in POTENTIAL_PRESETS:
+        raise ValueError(f"unknown potential preset: {name}")
+    unknown = sorted(set(params) - set(POTENTIAL_PRESETS[name]))
+    if unknown:
+        raise ValueError(f"unknown parameters for preset {name}: {unknown}")
+    p = {**POTENTIAL_PRESETS[name], **params}
     if name == "free":
-        d = int(params.pop("d", 1))
-        _reject_extra(name, params)
-        return PotentialConfig(d=d)
+        return PotentialConfig(d=p["d"])
     if name == "constant-well":
-        d = int(params.pop("d", 1))
-        height = float(params.pop("height", 0.3))
-        halfwidth = float(params.pop("halfwidth", 1.0))
-        _reject_extra(name, params)
-
         def v_minus(x):
-            inside = np.all(np.abs(x) <= halfwidth, axis=-1)
-            return height * inside.astype(float)
+            inside = np.all(np.abs(x) <= p["halfwidth"], axis=-1)
+            return p["height"] * inside.astype(float)
 
-        return PotentialConfig(d=d, v_minus=v_minus,
+        return PotentialConfig(d=p["d"], v_minus=v_minus,
                                v_plus=lambda x: np.zeros(x.shape[:-1]),
-                               box_halfwidth=max(4.0, 4 * halfwidth))
+                               box_halfwidth=max(4.0, 4 * p["halfwidth"]))
     if name == "harmonic":
-        d = int(params.pop("d", 1))
-        omega = float(params.pop("omega", 1.0))
-        _reject_extra(name, params)
         return PotentialConfig(
-            d=d,
-            v=lambda x: 0.5 * omega**2 * np.sum(x**2, axis=-1),
-            v_plus=lambda x: 0.5 * omega**2 * np.sum(x**2, axis=-1),
+            d=p["d"],
+            v=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1),
+            v_plus=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1),
             v_minus=lambda x: np.zeros(x.shape[:-1]))
     if name == "coulomb-3d":
-        gamma = float(params.pop("gamma", 1.0))
-        _reject_extra(name, params)
-
         def v(x):
             r = np.sqrt(np.sum(x**2, axis=-1))
             with np.errstate(divide="ignore"):
-                return -gamma / r
+                return -p["gamma"] / r
 
         return PotentialConfig(d=3, v=v, box_halfwidth=10.0)
     if name == "constant-magnetic-2d":
-        b0 = float(params.pop("b0", 1.0))
-        _reject_extra(name, params)
-
         def a(x):
-            return 0.5 * b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)
+            return 0.5 * p["b0"] * np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
         return PotentialConfig(d=2, a=a,
                                div_a=lambda x: np.zeros(x.shape[:-1]))
-    if name == "gauge-linear":
-        d = int(params.pop("d", 1))
-        c = float(params.pop("c", 1.0))
-        _reject_extra(name, params)
-        return PotentialConfig(
-            d=d,
-            chi=lambda x: c * np.sum(x, axis=-1),
-            grad_chi=lambda x: np.full_like(x, c))
-    raise ValueError(f"unknown potential preset: {name}")
-
-
-def _reject_extra(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for preset {name}: {sorted(params)}")
+    return PotentialConfig(  # gauge-linear
+        d=p["d"],
+        chi=lambda x: p["c"] * np.sum(x, axis=-1),
+        grad_chi=lambda x: np.full_like(x, p["c"]))
 
 
 def mehler_kernel(q: float, qp: float, t: float, omega: float = 1.0) -> float:

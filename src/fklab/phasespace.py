@@ -231,6 +231,8 @@ def trotter_reconstruct(H: np.ndarray, grid: PeriodicGrid, alpha: float,
     expm(-tH) for every alpha: the ordering multiplicity only shapes the
     approach.
     """
+    if t < 0:
+        raise ValueError("t must be non-negative")
     target = expm(-t * as_operator(H))
     sym = alpha_symbol(H, grid, alpha)
 

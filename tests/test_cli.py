@@ -1,11 +1,16 @@
 """Config-driven command line runner: parsing, exit codes, determinism."""
 
+import copy
 import csv
 import json
+import math
 
 import pytest
 
+from fklab import cli
 from fklab.cli import ConfigError, main, parse_config
+
+from test_acceptance import REDUCED_CONFIGS
 
 FK_MATRIX_DOC = {
     "experiment": "fk-matrix",
@@ -183,6 +188,104 @@ def test_batched_exponential_overflow_exits_3_without_output(tmp_path, capsys):
     assert code == 3
     assert not csv_path.exists()
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _shrunk(name, overrides=()):
+    """REDUCED_CONFIGS[name] at 8 paths and at most 4 steps, with
+    (dotted path, value) overrides."""
+    doc = copy.deepcopy(REDUCED_CONFIGS[name])
+    if "n_paths" in doc:
+        doc["n_paths"] = 8
+    if "grid" in doc:
+        doc["grid"]["n_steps"] = min(doc["grid"]["n_steps"], 4)
+    for path, value in overrides:
+        _set(doc, path.split("."), value)
+    return doc
+
+
+BAD_INPUTS = {
+    # library range checks: alpha in [0, 1], Trotter time t >= 0
+    "stochint-alpha": ("stochint-convergence", [("params.alpha", 1.5)]),
+    "trotter-alpha": ("trotter", [("params.alpha", 2.0)]),
+    "roundtrip-alpha": ("phasespace-roundtrip",
+                        [("params.alpha_values", [2.0])]),
+    "trotter-negative-t": ("trotter", [("params.t", -1)]),
+    # integer and number fields are not coerced
+    "d-fraction": ("kato", [("params.potential.d", 2.5)]),
+    "d-bool": ("kato", [("params.potential.d", True)]),
+    "d-string": ("kato", [("params.potential.d", "2")]),
+    "height-string": ("kato", [("params.potential.height", "0.3")]),
+    # points have the potential dimension
+    "gauge-q-1d": ("gauge", [("params.potential",
+                              {"name": "gauge-linear", "c": 0.7, "d": 2}),
+                             ("params.q", [0.0])]),
+    "khasminskii-q-1d": ("khasminskii", [("params.potential",
+                                          {"name": "constant-well", "d": 2}),
+                                         ("params.q", [0.0])]),
+    "diamagnetic-q-1d": ("diamagnetic", [("params.q", [0.0])]),
+    "diamagnetic-q-3d": ("diamagnetic", [("params.q", [0.0, 0.0, 0.0])]),
+    "psi-center-string": ("fk-semigroup", [("params.psi", {
+        "name": "gaussian", "center": ["a"]})]),
+    # numbers are finite
+    "t_end-nan": ("fk-matrix", [("grid.t_end", math.nan)]),
+    "t_end-inf": ("stochint-convergence", [("grid.t_end", math.inf)]),
+    "zmax-nan": ("wiener-stats", [("params.zmax", math.nan)]),
+    "length-inf": ("phasespace-roundtrip", [("params.length", math.inf)]),
+    "rel_tol-beyond-float": ("fk-kernel", [("params.rel_tol", 10**400)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_output(tmp_path, capsys, case):
+    name, overrides = BAD_INPUTS[case]
+    code, csv_path = run_cli(tmp_path, _shrunk(name, overrides))
+    assert code == 2
+    assert not csv_path.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+MUTANTS = [math.nan, math.inf, -1, 0, 2.5, True, "x", [], [1.0], {}, None,
+           1e308]
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+# overflow and invalid-value warnings of mutated runs are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_mutated_leaf_exits_with_a_documented_code(tmp_path, capsys):
+    # criterion 11 runs REDUCED_CONFIGS: it must cover every experiment
+    assert set(cli.EXPERIMENTS) == set(REDUCED_CONFIGS)
+    csv_path = tmp_path / "m.csv"
+    wrong = []
+    for name in REDUCED_CONFIGS:
+        base = _shrunk(name)
+        for path in _leaves(base):
+            for value in MUTANTS:
+                doc = copy.deepcopy(base)
+                _set(doc, path, value)
+                csv_path.unlink(missing_ok=True)
+                code, _ = run_cli(tmp_path, doc, name="m.json")
+                # results are written exactly when the run completes
+                if code not in (0, 1, 2, 3) \
+                        or csv_path.exists() != (code in (0, 1)):
+                    wrong.append((name, path, value, code))
+            capsys.readouterr()
+    assert not wrong
 
 
 # ---------------------------------------------------------------------------

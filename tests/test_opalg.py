@@ -1,9 +1,12 @@
 """Dense operator algebra: exponentials, ordered products, Dyson series."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
                          dyson_series, expm, expm_batch, generator_probe,
@@ -74,6 +77,25 @@ def test_expm_batch_pade_path():
     out = expm_batch(3.0 * M)
     for i in range(10):
         assert np.allclose(out[i], taylor_expm(3.0 * M[i]), atol=1e-10)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 3, 4]),
+       log_norms=st.lists(st.floats(-8.0, 1.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_expm_batch_matches_taylor_across_norms(m, log_norms, seed):
+    # a batch of random complex matrices with row-sum norms 1e-8 .. 10; for
+    # m > 2 the batch shares one Pade scaling, set by its largest norm
+    norms = 10.0 ** np.asarray(log_norms)
+    gen = RngStream(seed).generator()
+    shape = (len(norms), m, m)
+    M = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    M *= (norms / np.abs(M).sum(axis=-1).max(axis=-1))[:, None, None]
+    out = expm_batch(M)
+    for k, norm in enumerate(norms):
+        # |exp(M)| <= exp(|M|); the kernels reach 1e-15 of that bound
+        err = np.abs(out[k] - taylor_expm(M[k])).max()
+        assert err <= 2e-14 * math.exp(norm), (m, norm, err)
 
 
 def test_expm_batch_pade_overflow_raises():

@@ -241,6 +241,13 @@ def test_trotter_reconstruct_exact_for_diagonal():
     assert all(err <= 1e-10 for _, err in pairs)
 
 
+def test_trotter_reconstruct_rejects_negative_time():
+    # exp(+H) has no Trotter limit to check; trotter_product rejects t < 0 too
+    H = standard_hamiltonian(GRID, None, lambda q: 0.5 * q**2)
+    with pytest.raises(ValueError, match="non-negative"):
+        trotter_reconstruct(H, GRID, 0.5, -1.0, [4])
+
+
 def test_wraparound_leak_detects_long_range_coupling():
     band = np.eye(32, k=1) + np.eye(32, k=-1)
     assert wraparound_leak(band, GRID) == 0.0
