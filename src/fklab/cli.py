@@ -16,8 +16,9 @@ oracles read only resolved values. Potential parameters and defaults come
 from ``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
-(a failed table check, or a ``ValueError`` from a library input check),
-3 numerical failure.
+(a failed table check, a ``ValueError`` from a library input check, or an
+``--out`` that is not a writable directory; nothing is run), 3 numerical
+failure, 4 the CSV sidecar could not be written after the run.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ ATOL = 1e-12  # roundoff floor below which z-tests are meaningless
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content (exit code 2)."""
+
+
+class OutputError(Exception):
+    """The CSV sidecar could not be written (exit code 4)."""
 
 
 @contextlib.contextmanager
@@ -382,10 +387,15 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     return _matrix_rows("T", est, target, p["frob_tol"], p["zmax"])
 
 
-def _wavefunction(psi: dict, d: int) -> WaveFunction:
+def _wavefunction(psi: dict, pot: Potential) -> WaveFunction:
+    """The psi block as a function; ``harmonic-ground`` is the ground state
+    (omega/pi)^(d/4) exp(-omega |x|^2 / 2) of the potential's oscillator
+    (omega = 1 unless the potential sets it)."""
     if psi["name"] == "harmonic-ground":
-        return WaveFunction(
-            lambda x: math.pi ** (-d / 4) * np.exp(-0.5 * np.sum(x**2, axis=-1)))
+        d, omega = pot.config.d, pot.preset.get("omega", 1.0)
+        # written so that omega = 1 gives the same bits as pi^(-d/4) e^(-x^2/2)
+        return WaveFunction(lambda x: omega ** (d / 4) * math.pi ** (-d / 4)
+                            * np.exp(-0.5 * omega * np.sum(x**2, axis=-1)))
     width, center = psi["width"], psi["center"]  # gaussian
     return WaveFunction(lambda x: np.exp(
         -np.sum((x - center)**2, axis=-1) / (2 * width**2)))
@@ -394,8 +404,10 @@ def _wavefunction(psi: dict, d: int) -> WaveFunction:
 def _semigroup_target(pot: Potential, psi: dict, q: np.ndarray, t: float):
     d = pot.config.d
     if pot.preset["name"] == "harmonic" and psi["name"] == "harmonic-ground":
-        return (math.exp(-t * d / 2) * math.pi ** (-d / 4)
-                * math.exp(-0.5 * float(q @ q)))
+        # an eigenfunction with eigenvalue d omega / 2
+        omega = pot.preset["omega"]
+        return (math.exp(-t * d * omega / 2) * omega ** (d / 4)
+                * math.pi ** (-d / 4) * math.exp(-0.5 * omega * float(q @ q)))
     if pot.preset["name"] == "free" and psi["name"] == "gaussian":
         w, c = psi["width"], psi["center"]
         s = w**2 + t
@@ -408,7 +420,7 @@ def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     pot, psi, q = p["potential"], p["psi"], p["q"]
     est = fkschrodinger.apply_semigroup(pot.config,
-                                        _wavefunction(psi, pot.config.d), q,
+                                        _wavefunction(psi, pot), q,
                                         cfg.grid.t_end, cfg.n_paths, cfg.grid,
                                         RngStream(cfg.seed),
                                         workers=cfg.workers)
@@ -488,9 +500,9 @@ def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
 
 def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot = p["potential"].config
+    pot = p["potential"]
     with_a, without_a = fkschrodinger.diamagnetic_check(
-        pot, _wavefunction(p["psi"], pot.d), p["q"], cfg.grid.t_end,
+        pot.config, _wavefunction(p["psi"], pot), p["q"], cfg.grid.t_end,
         cfg.n_paths, cfg.grid, RngStream(cfg.seed), workers=cfg.workers)
     gap = abs(with_a.mean) - without_a.mean.real
     err = math.hypot(with_a.stderr, without_a.stderr)
@@ -682,10 +694,13 @@ def _finish(args, report: dict, experiment: str, rows: list[Row],
     report.update(rows=_json_rows(rows), wall_time_s=time.monotonic() - start,
                   passed=passed)
     stem = os.path.splitext(os.path.basename(args.config))[0]
-    # csv's default dialect: \r\n line ends, fields quoted only when needed
-    with open(os.path.join(args.out, stem + suffix), "w", encoding="utf-8",
-              newline="") as fh:
-        csv.writer(fh).writerows(_csv_rows(experiment, rows))
+    path = os.path.join(args.out, stem + suffix)
+    try:
+        # csv's default dialect: \r\n line ends, fields quoted only when needed
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(_csv_rows(experiment, rows))
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if passed else 1
@@ -769,9 +784,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Reject an output directory before anything runs."""
+    if not os.path.isdir(out):
+        raise ConfigError(f"output directory does not exist: {out}")
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory is not writable: {out}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         # every ValueError the library raises is an input check
         with _config_errors():
             return args.func(args)
@@ -781,6 +805,9 @@ def main(argv=None) -> int:
     except (PathRejectionOverflow, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
-from .opalg import (as_operator, as_operator_tuple, expm,
+from .opalg import (as_operator, as_operator_tuple, expm, ordered_prefix,
                     ordered_product_tree, step_factors)
 from .streams import RngStream
 from .wiener import TimeGrid, sample_increments
@@ -90,6 +90,16 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                       workers)
 
 
+def _contract(dW: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_nu dW[p, nu, j] X[p, nu, k] for real dW and complex X.
+
+    The real and imaginary parts are contracted separately, so the real
+    increments are never cast to a complex copy.
+    """
+    dWt = np.swapaxes(dW, 1, 2)
+    return dWt @ X.real + 1j * (dWt @ X.imag)
+
+
 def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
                        chunk_size: int = DEFAULT_CHUNK,
                        workers: int = 1) -> MCEstimate:
@@ -98,33 +108,35 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
     Estimates <int dw_j T_s> + (i/2) A_j <int ds T_s> for each j with the
     midpoint rule for the stochastic sum and the trapezoid for the time
     integral; the mean vanishes as the identity holds. Requires B = 0.
+    The prefixes T_1 .. T_n come from ``ordered_prefix`` on the step
+    factors; the stochastic sum is two contractions of the increments with
+    the prefixes and with their shift by one step (T_0 = I), the time
+    integral one sum over the prefixes.
     """
     if np.abs(problem.B).max() > 0:
         raise ValueError("the identity is stated for B = 0")
     m = problem.dim
     d = problem.d
+    n = problem.grid.n_steps
     dt = problem.grid.dt
+    A = np.stack(problem.A)
+    diag = slice(None, None, m + 1)  # diagonal of a flattened m x m matrix
 
-    def one_side(F, dW, count):
-        T = np.broadcast_to(np.eye(m, dtype=complex), (count, m, m)).copy()
-        stoch = np.zeros((count, d, m, m), dtype=complex)
-        leb = np.zeros((count, m, m), dtype=complex)
-        for nu in range(problem.grid.n_steps):
-            T_new = F[:, nu] @ T
-            mid = 0.5 * (T_new + T)
-            stoch += dW[:, nu, :, None, None] * mid[:, None, :, :]
-            leb += dt * mid
-            T = T_new
-        res = stoch.copy()
-        for j in range(d):
-            res[:, j] += 0.5j * np.einsum("ab,pbc->pac", problem.A[j], leb)
-        return res
+    def one_side(dW):
+        count = dW.shape[0]
+        F = ordered_prefix(step_factors(dW, dt, problem.A, None))
+        T = F.reshape(count, n, m * m)  # T[:, nu] = T_(nu+1)
+        stoch = _contract(dW, T) + _contract(dW[:, 1:], T[:, :-1])
+        stoch[..., diag] += dW[:, 0, :, None]
+        leb = 2.0 * T.sum(axis=1) - T[:, -1]
+        leb[..., diag] += 1.0
+        leb = (0.5 * dt * leb).reshape(count, m, m)
+        return (0.5 * stoch.reshape(count, d, m, m)
+                + 0.5j * np.einsum("jab,pbc->pjac", A, leb))
 
     def chunk_fn(gen, count):
         dW = sample_increments(problem.grid, d, count, gen)
-        F = step_factors(dW, dt, problem.A, None)
-        Fr = step_factors(-dW, dt, problem.A, None)
-        return 0.5 * (one_side(F, dW, count) + one_side(Fr, -dW, count))
+        return 0.5 * (one_side(dW) + one_side(-dW))
 
     return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
                       workers)
@@ -147,32 +159,28 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
 
     <T_t> - exp(-t A^2 / 2) + int_0^t ds exp(-(t-s) A^2 / 2) B <T_s>, the
     s-integral on snapped Gauss-Legendre nodes with the <T_s> means taken
-    from path prefixes of the same ensemble.
+    from path prefixes of the same ensemble: ``ordered_prefix`` turns each
+    side's step factors into T_1 .. T_n in place, and the nodes are read
+    straight out of that array (T_0 = I).
     """
     m = problem.dim
     dt = problem.grid.dt
     idx, weights = _gauss_legendre_snapped(problem.grid, n_quad)
-    snap = {int(i) for i in idx} | {problem.grid.n_steps}
-    keys = sorted(snap)
+    keys = sorted({int(i) for i in idx} | {problem.grid.n_steps})
+    # T_k sits at prefix k - 1; T_0 = I is written after the gather
+    take = np.maximum(keys, 1) - 1
 
-    def one_side(F, count):
-        T = np.broadcast_to(np.eye(m, dtype=complex), (count, m, m)).copy()
-        out = {}
-        if 0 in snap:
-            out[0] = T.copy()
-        for nu in range(problem.grid.n_steps):
-            T = F[:, nu] @ T
-            if nu + 1 in snap:
-                out[nu + 1] = T.copy()
-        return out
+    def one_side(dW):
+        T = ordered_prefix(step_factors(dW, dt, problem.A, problem.B))
+        nodes = T[:, take]
+        if keys[0] == 0:
+            nodes[:, 0] = np.eye(m)
+        return nodes
 
     def chunk_fn(gen, count):
         dW = sample_increments(problem.grid, max(problem.d, 1), count, gen)
-        F = step_factors(dW, dt, problem.A, problem.B)
-        Fr = step_factors(-dW, dt, problem.A, problem.B)
-        a, b = one_side(F, count), one_side(Fr, count)
         # (count, n_nodes, m, m)
-        return np.stack([0.5 * (a[k] + b[k]) for k in keys], axis=1)
+        return 0.5 * (one_side(dW) + one_side(-dW))
 
     est = _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
                      workers)

@@ -8,10 +8,12 @@ The operator SDE is solved for a batch only: ``step_factors`` builds
 exp(-i dW . A - dt B) for increments of shape (P, n, d) and
 ``ordered_product_tree`` multiplies them, later factors on the left. One
 path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
+``ordered_prefix`` turns the factors into every partial product in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -227,6 +229,58 @@ def ordered_product_tree(F: np.ndarray) -> np.ndarray:
             paired = np.concatenate([paired, F[:, even:]], axis=1)
         F = paired
     return F[:, 0]
+
+
+def _mul_into(L: np.ndarray, R: np.ndarray) -> None:
+    """L <- L @ R on entry-major stacks (m, m, ...); R broadcasts against L.
+
+    For m == 2 each row of L is rebuilt from its two entry arrays,
+    c_a0 = l_a0 r_00 + l_a1 r_10 and c_a1 = l_a0 r_01 + l_a1 r_11.
+    """
+    if L.shape[0] != 2:
+        Lm = np.moveaxis(L, (0, 1), (-2, -1))
+        # matmul reads an input that overlaps out from a copy
+        np.matmul(Lm, np.moveaxis(R, (0, 1), (-2, -1)), out=Lm)
+        return
+    for a in range(2):
+        l0, l1 = L[a, 0], L[a, 1]
+        t = l0 * R[0, 1]
+        l0 *= R[0, 0]
+        l0 += l1 * R[1, 0]
+        l1 *= R[1, 1]
+        l1 += t
+
+
+def ordered_prefix(F: np.ndarray) -> np.ndarray:
+    """Overwrite F (P, n, m, m) with its left-ordered prefix products.
+
+    Afterwards ``F[:, k]`` holds ``F[:, k] @ ... @ F[:, 0]``; F is returned.
+    This is a blocked scan (Blelloch 1990) over blocks of b steps: the
+    local scans of all blocks at once (b - 1 array steps), a sequential
+    carry across the n / b block ends, then one product of every block
+    with the carry of the block before it. For m == 2 the products work on
+    the four entry arrays and b = isqrt(n), so about 3 sqrt(n) array steps
+    do O(n) products. For m > 2 a stacked @ costs per matrix rather than
+    per call, so b = 1 and the carry alone does the n - 1 products. Every
+    product is written into F; no temporary is larger than one (P, n) entry
+    array.
+    """
+    E = np.moveaxis(F, (-2, -1), (0, 1))  # (m, m, P, n), a view
+    m, n = E.shape[0], E.shape[-1]
+    b = max(1, math.isqrt(n)) if m == 2 else 1
+    for j in range(1, b):
+        L = E[..., j::b]
+        _mul_into(L, E[..., j - 1::b][..., :L.shape[-1]])
+    ends = [*range(b - 1, n - 1, b), n - 1]
+    for prev, end in zip(ends, ends[1:]):
+        _mul_into(E[..., end], E[..., prev])
+    full = n // b
+    # splitting one axis in two is always a view, so the writes reach F
+    blocks = E[..., :full * b].reshape(E.shape[:-1] + (full, b))
+    _mul_into(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
+    # the last, partial block; its end was set by the carry
+    _mul_into(E[..., full * b:n - 1], E[..., full * b - 1, None])
+    return F
 
 
 def dyson_series(path: WienerPath, A: Sequence[np.ndarray],

@@ -76,3 +76,17 @@ def loglog_slope(xs, ys) -> float:
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def prefix_loop(F: np.ndarray) -> np.ndarray:
+    """Left-ordered prefixes T_(k+1) = F[:, k] @ T_k, T_0 = I, one step a time.
+
+    Returns (P, n, m, m) with out[:, k] = F[:, k] @ ... @ F[:, 0].
+    """
+    T = np.broadcast_to(np.eye(F.shape[-1], dtype=complex),
+                        (F.shape[0],) + F.shape[2:]).copy()
+    out = np.empty(F.shape, dtype=complex)
+    for k in range(F.shape[1]):
+        T = F[:, k] @ T
+        out[:, k] = T
+    return out

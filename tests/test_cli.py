@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 
@@ -188,6 +189,58 @@ def test_batched_exponential_overflow_exits_3_without_output(tmp_path, capsys):
     assert code == 3
     assert not csv_path.exists()
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("out", ["missing", "file", "unwritable"])
+def test_bad_output_directory_exits_2_before_running(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     out):
+    def must_not_run(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "fk-matrix", dataclasses.replace(
+        cli.EXPERIMENTS["fk-matrix"], run=must_not_run))
+    cfg = write_config(tmp_path, FK_MATRIX_DOC)
+    target = tmp_path / "results"
+    if out == "file":
+        target.write_text("")
+    elif out == "unwritable":
+        target.mkdir()
+        # permission bits do not bind every user, so deny access directly
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    extra = ["--axis", "grid.n_steps", "--values", "8,16"] \
+        if command == "sweep" else []
+    assert main([command, cfg, "--out", str(target), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output directory" in captured.err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_csv_write_exits_4(tmp_path, capsys, command):
+    # a directory in the sidecar's place makes open() raise after the run
+    cfg = write_config(tmp_path, FK_MATRIX_DOC)
+    (tmp_path / ("cfg.csv" if command == "run" else "cfg.sweep.csv")).mkdir()
+    extra = ["--axis", "grid.n_steps", "--values", "8,16"] \
+        if command == "sweep" else []
+    assert main([command, cfg, "--out", str(tmp_path), *extra]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output error" in captured.err
+
+
+def test_harmonic_ground_state_follows_omega(tmp_path, capsys):
+    # psi = (omega/pi)^(1/4) exp(-omega q^2 / 2) is an eigenfunction of
+    # -1/2 d^2/dq^2 + omega^2 q^2 / 2 with eigenvalue omega / 2
+    doc = copy.deepcopy(REDUCED_CONFIGS["fk-semigroup"])
+    doc["params"]["potential"]["omega"] = 2.0
+    code, _ = run_cli(tmp_path, doc)
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert math.isclose(row["target_re"], (2 / math.pi) ** 0.25
+                        * math.exp(-0.5 - 0.04), rel_tol=1e-12)
+    assert code == 0 and row["z"] <= 4.0
 
 
 def _set(doc, path, value):

@@ -1,6 +1,7 @@
 """Monte Carlo verification of the matrix Feynman-Kac identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ import pytest
 from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
                             estimate_generalized_fk, estimate_product_formula,
                             product_formula_target, rhs_generator)
+from fklab.mc import reduce_chunks
+from fklab.opalg import step_factors
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid
+from fklab.wiener import TimeGrid, sample_increments
 
-from oracles import taylor_expm
+from oracles import prefix_loop, taylor_expm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
+JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
 def test_problem_validation():
@@ -96,6 +101,106 @@ def test_duhamel_residual():
     res, err = check_duhamel(prob, 20000, 12, RngStream(8))
     ok = np.where(err > 0, np.abs(res) <= 4 * err, np.abs(res) <= 1e-10)
     assert np.all(ok)
+
+
+def _nov_loop_side(prob, dW):
+    """One antithetic side of the Nov residual, one time step at a time."""
+    T = prefix_loop(step_factors(dW, prob.grid.dt, prob.A, None))
+    m = prob.dim
+    prev = np.eye(m, dtype=complex)
+    stoch = np.zeros((dW.shape[0], prob.d, m, m), dtype=complex)
+    leb = np.zeros((dW.shape[0], m, m), dtype=complex)
+    for nu in range(prob.grid.n_steps):
+        mid = 0.5 * (T[:, nu] + prev)
+        stoch += dW[:, nu, :, None, None] * mid[:, None]
+        leb += prob.grid.dt * mid
+        prev = T[:, nu]
+    for j, Aj in enumerate(prob.A):
+        stoch[:, j] += 0.5j * (Aj @ leb)
+    return stoch
+
+
+def _duhamel_loop_nodes(prob, dW, n_quad):
+    """<T_s> at the snapped Gauss-Legendre nodes and t, from the loop."""
+    T = prefix_loop(step_factors(dW, prob.grid.dt, prob.A, prob.B))
+    T = np.concatenate([np.broadcast_to(np.eye(prob.dim), T[:, :1].shape),
+                        T], axis=1)
+    x = np.polynomial.legendre.leggauss(n_quad)[0]
+    idx = np.rint(0.5 * (x + 1.0) * prob.grid.n_steps).astype(int)
+    return T[:, sorted(set(idx) | {prob.grid.n_steps})]
+
+
+@pytest.mark.parametrize("A, B", [((SX, SY), Z2), ((SX,), SZ), ((JX,), JZ)],
+                         ids=["pauli-xy", "pauli-x-drift", "spin1"])
+def test_nov_and_duhamel_match_per_step_loop(A, B):
+    # the same paths reduced through a per-step loop: only the association
+    # of the products and sums differs
+    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 100))
+    n_pairs, chunk = 96, 40
+    d = max(prob.d, 1)
+
+    def loop_mean(side):
+        def chunk_fn(gen, count):
+            dW = sample_increments(prob.grid, d, count, gen)
+            return 0.5 * (side(dW) + side(-dW)), None
+        return reduce_chunks(chunk_fn, n_pairs, RngStream(12), chunk)[0]
+
+    if not np.any(B):
+        est = check_nov_identity(prob, 2 * n_pairs, RngStream(12), chunk)
+        ref = loop_mean(lambda dW: _nov_loop_side(prob, dW))
+        assert np.allclose(est.mean, ref.mean, rtol=0, atol=1e-13)
+        assert np.allclose(est.stderr, ref.stderr, rtol=1e-10, atol=1e-15)
+        assert np.array_equal(est.stderr == 0, ref.stderr == 0)
+    res, err = check_duhamel(prob, 2 * n_pairs, 12, RngStream(12), chunk)
+    ref = loop_mean(lambda dW: _duhamel_loop_nodes(prob, dW, 12))
+    # the residual is a fixed linear map of the node means and stderrs
+    x, w = np.polynomial.legendre.leggauss(12)
+    idx = np.rint(0.5 * (x + 1.0) * prob.grid.n_steps).astype(int)
+    keys = sorted(set(idx) | {prob.grid.n_steps})
+    Asq = sum(Aj @ Aj for Aj in prob.A)
+    res_ref = ref.mean[-1] - taylor_expm(-0.5 * Asq)
+    err_ref = ref.stderr[-1].copy()
+    for i, wi in zip(idx, 0.5 * w):
+        prop = taylor_expm(-0.5 * (1.0 - i * prob.grid.dt) * Asq) @ prob.B
+        res_ref = res_ref + wi * prop @ ref.mean[keys.index(i)]
+        err_ref = err_ref + abs(wi) * np.abs(prop) @ ref.stderr[keys.index(i)]
+    assert np.allclose(res, res_ref, rtol=0, atol=1e-12)
+    assert np.allclose(err, err_ref, rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("chunk", [16, 50, 256])
+def test_nov_and_duhamel_worker_invariance_bitwise(chunk):
+    nov = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 64))
+    duh = FKProblem((SX,), SZ, 1.0, TimeGrid(1.0, 64))
+    runs = []
+    for workers in (1, 2):
+        est = check_nov_identity(nov, 512, RngStream(13), chunk, workers)
+        res, err = check_duhamel(duh, 512, 12, RngStream(13), chunk, workers)
+        runs.append((est.mean, est.stderr, res, err))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_prefix_checks_hold_one_factor_array():
+    # the prefixes overwrite the step factors, one antithetic side at a
+    # time, so a chunk never holds two factor arrays at once
+    prob = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 256))
+    count = 128
+    dW = sample_increments(prob.grid, 2, count, RngStream(14).generator())
+    factor_bytes = count * 256 * 4 * 16
+    tracemalloc.start()
+    try:
+        step_factors(dW, prob.grid.dt, prob.A, None)
+        build = tracemalloc.get_traced_memory()[1]
+        for check in (lambda: check_nov_identity(prob, 2 * count,
+                                                 RngStream(14), count),
+                      lambda: check_duhamel(prob, 2 * count, 12,
+                                            RngStream(14), count)):
+            tracemalloc.reset_peak()
+            check()
+            assert tracemalloc.get_traced_memory()[1] < build + factor_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_product_formula_ladder():

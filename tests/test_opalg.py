@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
                          dyson_series, expm, expm_batch, generator_probe,
-                         ordered_product_tree, step_factors, trotter_product)
+                         ordered_prefix, ordered_product_tree, step_factors,
+                         trotter_product)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid, WienerPath, sample_increments, sample_paths
 
-from oracles import taylor_expm
+from oracles import prefix_loop, taylor_expm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -162,6 +163,57 @@ def test_ordered_product_tree_2x2_noncontiguous_input():
     before = F.copy()
     assert np.allclose(ordered_product_tree(F), _left_loop(F), rtol=0, atol=1e-13)
     assert np.array_equal(F, before)
+
+
+JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 511, 512, 513])
+@pytest.mark.parametrize("A, B", [((SX, SY), 1j * SZ), ((JX,), 1j * JZ)],
+                         ids=["m2", "m3"])
+def test_ordered_prefix_matches_loop(n, A, B):
+    # unitary factors keep every prefix of norm 1, so an absolute bound
+    # holds at any n; n = 7 and 513 end in a partial block
+    dW = 0.2 * RngStream(25).generator().standard_normal((3, n, len(A)))
+    F = step_factors(dW, 0.05, A, B)
+    expected = prefix_loop(F)
+    out = ordered_prefix(F)
+    assert out is F  # written in place
+    assert np.allclose(F, expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ordered_prefix_keeps_exact_zeros(m):
+    # upper-triangular factors: the strictly lower entries are exactly zero
+    # in every factor and in every product
+    gen = RngStream(26).generator()
+    F = np.triu(gen.standard_normal((4, 40, m, m))
+                + 1j * gen.standard_normal((4, 40, m, m)))
+    F = 0.5 * F + np.eye(m)
+    lower = np.tril(np.ones((m, m), dtype=bool), -1)
+    ordered_prefix(F)
+    assert np.all(F[..., lower] == 0)
+    # diagonal generators give diagonal step factors
+    diag = np.diag(np.arange(1.0, m + 1)).astype(complex)
+    dW = gen.standard_normal((4, 40, 1))
+    F = ordered_prefix(step_factors(dW, 0.1, (diag,), 0.3 * diag))
+    assert np.all(F[..., ~np.eye(m, dtype=bool)] == 0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ordered_prefix_strided_input(m):
+    gen = RngStream(27).generator()
+    G = 0.3 * (gen.standard_normal((6, 70, m, m))
+               + 1j * gen.standard_normal((6, 70, m, m)))
+    before = G.copy()
+    F = G[::2, 1::3]  # 3 paths, 23 factors, not contiguous
+    expected = prefix_loop(F)
+    ordered_prefix(F)
+    assert np.allclose(G[::2, 1::3], expected, rtol=0, atol=1e-13)
+    untouched = np.ones(G.shape[:2], dtype=bool)
+    untouched[::2, 1::3] = False
+    assert np.array_equal(G[untouched], before[untouched])
 
 
 def test_step_factor_definition():

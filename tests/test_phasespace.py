@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.opalg import expm, generator_probe, trotter_product
 from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
@@ -65,6 +67,26 @@ def test_roundtrip_exact_all_alpha(alpha):
     H = gen.standard_normal((32, 32)) + 1j * gen.standard_normal((32, 32))
     back = alpha_quantize(alpha_symbol(H, GRID, alpha))
     assert np.abs(back - H).max() <= 1e-10
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(half_n=st.integers(1, 32), log_length=st.floats(-1.0, 2.0),
+       alpha=st.floats(0.0, 1.0), log_scale=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_roundtrip_for_any_alpha_and_operator(half_n, log_length, alpha,
+                                               log_scale, seed):
+    # both directions: quantize(symbol(H)) = H and symbol(quantize(S)) = S;
+    # the FFTs and the N x N phase matrices give errors near N eps |H|
+    grid = PeriodicGrid(2 * half_n, 10.0**log_length)
+    n = grid.n_points
+    gen = RngStream(seed).generator()
+    H = 10.0**log_scale * (gen.standard_normal((n, n))
+                           + 1j * gen.standard_normal((n, n)))
+    bound = 1e-14 * n * np.abs(H).max()
+    back = alpha_quantize(alpha_symbol(H, grid, alpha))
+    assert np.abs(back - H).max() <= bound
+    again = alpha_symbol(alpha_quantize(Symbol(grid, H, alpha)), grid, alpha)
+    assert np.abs(again.values - H).max() <= bound
 
 
 def test_linearity_of_transform():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
@@ -58,6 +60,22 @@ def test_bridge_endpoint_bit_exact():
     assert np.all(batch.values[:, 0, :] == 0.0)
     single = sample_bridges(g, 2, endpoint, 1, RngStream(4))
     assert np.all(single.values[0, -1] == endpoint)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n_steps=st.integers(1, 64),
+       log_t=st.floats(-3.0, 2.0), n_paths=st.integers(1, 5),
+       data=st.data())
+def test_bridge_endpoint_pinned_for_any_grid(d, n_steps, log_t, n_paths, data):
+    endpoint = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d,
+                                  max_size=d))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    batch = sample_bridges(TimeGrid(10.0**log_t, n_steps), d, endpoint,
+                           n_paths, RngStream(seed))
+    assert batch.values.shape == (n_paths, n_steps + 1, d)
+    assert np.all(batch.values[:, -1, :] == np.asarray(endpoint))
+    assert np.all(batch.values[:, 0, :] == 0.0)
+    assert np.all(np.isfinite(batch.values))
 
 
 def test_bridge_midpoint_variance():
