@@ -10,7 +10,7 @@ runner (:mod:`fklab.cli`).
 
 from .mc import MCEstimate, mc_run
 from .streams import RngStream
-from .wiener import PathBatch, TimeGrid, WienerPath
+from .wiener import PathBatch, TimeGrid
 
 __all__ = [
     "MCEstimate",
@@ -18,7 +18,6 @@ __all__ = [
     "RngStream",
     "PathBatch",
     "TimeGrid",
-    "WienerPath",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ from ``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, or an
-``--out`` that is not a writable directory; nothing is run), 3 numerical
+``--out`` that is not a writable directory; nothing is written, and a sweep
+checks the table for every point before the first one runs), 3 numerical
 failure, 4 the CSV sidecar could not be written after the run.
 """
 
@@ -48,7 +49,10 @@ from .streams import RngStream
 from .wiener import (PathBatch, TimeGrid, estimate_covariance,
                      paths_from_increments, sample_increments)
 
-ATOL = 1e-12  # roundoff floor below which z-tests are meaningless
+# roundoff floor below which a test is meaningless; the z-tests and the
+# Frobenius row scale it by max(1, |target|), since a mean of identical
+# samples still differs from the target by rounding relative to its size
+ATOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -90,8 +94,9 @@ class Row:
 def _zrow(quantity: str, component: str, mean, stderr, target,
           zmax: float) -> Row:
     diff = abs(complex(mean) - complex(target))
+    floor = ATOL * max(1.0, abs(complex(target)))
     return Row(quantity, component, complex(mean), float(stderr),
-               complex(target), diff <= max(zmax * float(stderr), ATOL))
+               complex(target), diff <= max(zmax * float(stderr), floor))
 
 
 def _inforow(quantity: str, component: str, mean, stderr=0.0) -> Row:
@@ -356,8 +361,9 @@ def _matrix_rows(name: str, est: MCEstimate, target: np.ndarray,
                               est.stderr[i, j], target[i, j], zmax))
     frob = float(np.linalg.norm(est.mean - target))
     frob_err = float(np.linalg.norm(est.stderr))
+    floor = ATOL * max(1.0, float(np.linalg.norm(target)))
     rows.append(Row("frobenius_error", "-", frob, frob_err, 0.0,
-                    frob <= max(3 * frob_err, frob_tol)))
+                    frob <= max(3 * frob_err, frob_tol, floor)))
     return rows
 
 
@@ -477,11 +483,12 @@ def _run_kato(cfg: ExperimentConfig) -> list[Row]:
                        KatoQuadSpec(p["n_space"], p["n_time"]),
                        pot.config.box_halfwidth)
     # a well wide enough that no Gaussian escapes it from the central probe
-    # acts as a constant potential: kappa_t = c * t exactly
+    # acts as a constant potential: kappa_t = c * t exactly (a negative
+    # height is a barrier, whose negative part vanishes)
     well = pot.preset
     if well["name"] == "constant-well" \
             and well["halfwidth"] >= 8 * math.sqrt(t):
-        target = well["height"] * t
+        target = max(well["height"], 0.0) * t
         return [Row("kappa", "-", kappa, 0.0, target,
                     abs(kappa - target) <= 1e-4)]
     return [_inforow("kappa", "-", kappa)]
@@ -726,15 +733,18 @@ def cmd_sweep(args) -> int:
     _resolve_axis(doc, args.axis)  # validate path before any run
     experiment = parse_config(doc).experiment
     slope = EXPERIMENTS[experiment].slope
-
-    all_rows: list[Row] = []
-    decaying: list[tuple[float, float]] = []
-    start = time.monotonic()
+    # every point is parsed before the first one runs
+    configs = []
     for value in values:
         point = copy.deepcopy(doc)
         node, key = _resolve_axis(point, args.axis)
         node[key] = value
-        cfg = parse_config(point)
+        configs.append(parse_config(point))
+
+    all_rows: list[Row] = []
+    decaying: list[tuple[float, float]] = []
+    start = time.monotonic()
+    for value, cfg in zip(values, configs):
         rows = EXPERIMENTS[experiment].run(cfg)
         for r in rows:
             all_rows.append(

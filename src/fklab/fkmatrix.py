@@ -9,7 +9,6 @@ is licensed by the reflection invariance of the measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mc import (DEFAULT_CHUNK, MCEstimate,  # noqa: F401 (re-exported)
-                 PathRejectionOverflow, reduce_chunks)
+from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
+from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
 from .wiener import TimeGrid, bridge_from_free, paths_from_increments, \
     sample_increments
@@ -27,92 +27,32 @@ from .wiener import TimeGrid, bridge_from_free, paths_from_increments, \
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Scalar potential, its positive/negative parts, and the vector potential.
+    """Scalar potential v, vector potential a and an optional gauge chi.
 
-    Any evaluator may be None (treated as identically zero). ``box_halfwidth``
-    declares the region outside which the scalar potential is negligible; it
-    is used by the deterministic Kato-class quadrature.
+    Any evaluator may be None (treated as identically zero). The negative
+    part V_- = max(-v, 0) follows from v. ``box_halfwidth`` declares the
+    region outside which the scalar potential is negligible; it is used by
+    the deterministic Kato-class quadrature.
     """
 
     d: int
     v: Callable | None = None
-    v_plus: Callable | None = None
-    v_minus: Callable | None = None
     a: Callable | None = None
-    div_a: Callable | None = None
     chi: Callable | None = None
     grad_chi: Callable | None = None
     box_halfwidth: float = 8.0
 
     def eval_v(self, x: np.ndarray) -> np.ndarray:
-        shape = x.shape[:-1]
-        if self.v is not None:
-            return np.broadcast_to(np.asarray(self.v(x), dtype=float), shape)
-        vp = self.v_plus(x) if self.v_plus is not None else 0.0
-        vm = self.v_minus(x) if self.v_minus is not None else 0.0
-        return np.broadcast_to(
-            np.asarray(vp, dtype=float) - np.asarray(vm, dtype=float), shape)
+        v = 0.0 if self.v is None else np.asarray(self.v(x), dtype=float)
+        return np.broadcast_to(v, x.shape[:-1])
 
     def eval_v_minus(self, x: np.ndarray) -> np.ndarray:
-        if self.v_minus is not None:
-            return np.asarray(self.v_minus(x), dtype=float)
-        if self.v is not None:
-            return np.maximum(-np.asarray(self.v(x), dtype=float), 0.0)
-        return np.zeros(x.shape[:-1])
-
-    def check_consistency(self, probes: np.ndarray, step: float = 1e-5,
-                          tol: float = 1e-6) -> None:
-        """Finite-difference checks of the declared parts at probe points."""
-        probes = np.atleast_2d(probes)
-        if self.v is not None and (self.v_plus is not None
-                                   or self.v_minus is not None):
-            vp = np.asarray(self.v_plus(probes)) if self.v_plus else 0.0
-            vm = np.asarray(self.v_minus(probes)) if self.v_minus else 0.0
-            if np.any(np.asarray(vp) < -tol) or np.any(np.asarray(vm) < -tol):
-                raise ValueError("v_plus and v_minus must be non-negative")
-            if np.abs(self.eval_v(probes) - (vp - vm)).max() > tol:
-                raise ValueError("v_plus - v_minus inconsistent with v")
-        if self.a is not None and self.div_a is not None:
-            div_fd = np.zeros(probes.shape[0])
-            for j in range(self.d):
-                e = np.zeros(self.d)
-                e[j] = step
-                div_fd += (np.asarray(self.a(probes + e))[:, j]
-                           - np.asarray(self.a(probes - e))[:, j]) / (2 * step)
-            if np.abs(div_fd - np.asarray(self.div_a(probes))).max() > tol:
-                raise ValueError("declared div_a inconsistent with a")
-
-
-@dataclass(frozen=True)
-class MagneticField:
-    """Antisymmetric field matrix b_jk(q) = da_j/dq_k - da_k/dq_j."""
-
-    b: Callable[[np.ndarray], np.ndarray]
+        return np.maximum(-self.eval_v(x), 0.0)
 
 
 @dataclass(frozen=True)
 class WaveFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
-    norm_hint: float | None = None
-
-
-def magnetic_field(pot: PotentialConfig, step: float = 1e-5) -> MagneticField:
-    """Central finite differences of a; antisymmetry holds by construction."""
-    if pot.a is None:
-        return MagneticField(lambda q: np.zeros(q.shape[:-1] + (pot.d, pot.d)))
-
-    def b(q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        out = np.zeros(q.shape[:-1] + (pot.d, pot.d))
-        for k in range(pot.d):
-            e = np.zeros(pot.d)
-            e[k] = step
-            da_dk = (np.asarray(pot.a(q + e)) - np.asarray(pot.a(q - e))) / (2 * step)
-            out[..., :, k] += da_dk
-            out[..., k, :] -= da_dk
-        return out
-
-    return MagneticField(b)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +353,15 @@ def preset_potential(name: str, **params) -> PotentialConfig:
     if name == "free":
         return PotentialConfig(d=p["d"])
     if name == "constant-well":
-        def v_minus(x):
+        def v(x):
             inside = np.all(np.abs(x) <= p["halfwidth"], axis=-1)
-            return p["height"] * inside.astype(float)
+            return np.where(inside, -p["height"], 0.0)
 
-        return PotentialConfig(d=p["d"], v_minus=v_minus,
-                               v_plus=lambda x: np.zeros(x.shape[:-1]),
+        return PotentialConfig(d=p["d"], v=v,
                                box_halfwidth=max(4.0, 4 * p["halfwidth"]))
     if name == "harmonic":
         return PotentialConfig(
-            d=p["d"],
-            v=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1),
-            v_plus=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1),
-            v_minus=lambda x: np.zeros(x.shape[:-1]))
+            d=p["d"], v=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1))
     if name == "coulomb-3d":
         def v(x):
             r = np.sqrt(np.sum(x**2, axis=-1))
@@ -437,8 +373,7 @@ def preset_potential(name: str, **params) -> PotentialConfig:
         def a(x):
             return 0.5 * p["b0"] * np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
-        return PotentialConfig(d=2, a=a,
-                               div_a=lambda x: np.zeros(x.shape[:-1]))
+        return PotentialConfig(d=2, a=a)
     return PotentialConfig(  # gauge-linear
         d=p["d"],
         chi=lambda x: p["c"] * np.sum(x, axis=-1),

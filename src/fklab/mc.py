@@ -40,15 +40,6 @@ class MCEstimate:
     stderr: np.ndarray | float
     n_samples: int
 
-    def z(self, target) -> np.ndarray | float:
-        """Entrywise |mean - target| / stderr (0 where both vanish)."""
-        diff = np.abs(np.asarray(self.mean) - np.asarray(target))
-        err = np.asarray(self.stderr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(err > 0, diff / np.where(err > 0, err, 1.0),
-                         np.where(diff > 0, np.inf, 0.0))
-        return z if z.shape else float(z)
-
 
 def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
     if n_samples < 1:

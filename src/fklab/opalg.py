@@ -1,8 +1,10 @@
 """Dense complex operator algebra on finite-dimensional spaces.
 
 Provides the matrix exponential (single and batched), the product-integral
-solver for the Stratonovich operator SDE, truncated Dyson series, and the
-generalized Lie-Trotter product engine. Operators are plain complex ndarrays.
+solver for the Stratonovich operator SDE and the generalized Lie-Trotter
+product engine. Operators are plain complex ndarrays. The truncated Dyson
+series and the finite-difference generator probe that the tests compare
+against live in ``tests/oracles.py``.
 
 The operator SDE is solved for a batch only: ``step_factors`` builds
 exp(-i dW . A - dt B) for increments of shape (P, n, d) and
@@ -19,8 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-
-from .wiener import WienerPath
 
 _EXPM_NORM_LIMIT = 500.0
 
@@ -169,27 +169,21 @@ def _generator2(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
     return np.moveaxis(M, (0, 1), (-2, -1))
 
 
-def _generator(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
-               B: np.ndarray | None) -> np.ndarray:
-    """-i dW . A - dt B for stacked increments dW of shape (..., d)."""
+def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
+                 B: np.ndarray | None) -> np.ndarray:
+    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
     A = as_operator_tuple(A)
     m = A[0].shape[0] if A else as_operator(B).shape[0]
     if B is not None:
         B = as_operator(B)
     if m == 2:
-        return _generator2(dW, dt, A, B)
+        return expm_batch(_generator2(dW, dt, A, B))
     M = np.zeros(dW.shape[:-1] + (m, m), dtype=complex)
     for j, Aj in enumerate(A):
         M += -1j * dW[..., j, None, None] * Aj
     if B is not None:
         M -= dt * B
-    return M
-
-
-def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
-                 B: np.ndarray | None) -> np.ndarray:
-    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
-    return expm_batch(_generator(dW, dt, A, B))
+    return expm_batch(M)
 
 
 def _tree2(F: np.ndarray) -> np.ndarray:
@@ -283,49 +277,11 @@ def ordered_prefix(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def dyson_series(path: WienerPath, A: Sequence[np.ndarray],
-                 B: np.ndarray | None, order: int) -> np.ndarray:
-    """Truncated iterated-integral series on the grid.
-
-    Increments replace w-dot ds and same-index coincidences use the midpoint
-    convention, so the truncation is Stratonovich-consistent; the remainder
-    is O(t^(order+1)) for a fixed path as t -> 0.
-    """
-    if not 0 <= order <= 6:
-        raise ValueError("order must lie in [0, 6]")
-    if len(A) not in (0, path.d):
-        raise ValueError("path dimension must match the operator tuple")
-    n = path.grid.n_steps
-    dF = _generator(np.diff(path.values, axis=0), path.grid.dt, A, B)
-    m = dF.shape[-1]
-
-    total = np.eye(m, dtype=complex)
-    # level-by-level cumulative iterated sums; G[nu] holds the value up to node nu
-    G = np.broadcast_to(np.eye(m, dtype=complex), (n + 1, m, m)).copy()
-    for _ in range(order):
-        nxt = np.zeros((n + 1, m, m), dtype=complex)
-        acc = np.zeros((m, m), dtype=complex)
-        for nu in range(1, n + 1):
-            mid = 0.5 * (G[nu] + G[nu - 1])
-            acc = acc + dF[nu - 1] @ mid
-            nxt[nu] = acc
-        G = nxt
-        total = total + G[n]
-    return total
-
-
 def trotter_product(family: ApproximantFamily, t: float, n: int) -> np.ndarray:
-    """[F(t/n)]^n by repeated squaring-free multiplication."""
+    """[F(t/n)]^n by ``np.linalg.matrix_power`` (binary powering)."""
     if n < 1:
         raise ValueError("n must be positive")
     if t < 0:
         raise ValueError("t must be non-negative")
     F = as_operator(family.evaluator(t / n))
     return np.linalg.matrix_power(F, n)
-
-
-def generator_probe(family: ApproximantFamily, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference estimate of -dF/dt at 0 (candidate generator)."""
-    Fp = as_operator(family.evaluator(step))
-    Fm = as_operator(family.evaluator(-step))
-    return -(Fp - Fm) / (2 * step)

@@ -13,6 +13,11 @@ Matrix elements are related to continuum kernels by K(q_j, q_k) = H[j, k]/dq;
 with that identification the discrete transforms are the lattice truncations
 of H_alpha(p, q) = int dx e^{ipx} K(q - (1-alpha) x, q + alpha x) and of the
 inverse (1/L) sum_k e^{ip_k (q - q')} H(p_k, alpha q + (1-alpha) q').
+
+The Lie-Trotter reconstruction has one short-time step, the quantized
+pointwise exponential of :func:`short_time_family`, and one matrix power,
+:func:`fklab.opalg.trotter_product`. The ordering-mismatch demo that the
+tests compare quantizations with lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mc import ordered_map
-from .opalg import ApproximantFamily, as_operator, expm
+from .opalg import ApproximantFamily, as_operator, expm, trotter_product
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,12 @@ def _fractional_shift(rows: np.ndarray, delta: np.ndarray,
     return np.fft.ifft(np.fft.ifftshift(spectra, axes=-1), axis=-1)
 
 
+def _offset_diagonals(n: int, ms: np.ndarray) -> tuple:
+    """Index arrays whose entry [i, j] addresses H[j, (j + ms[i]) % n]."""
+    j = np.arange(n)[None, :]
+    return j, (j + ms[:, None]) % n
+
+
 def alpha_symbol(H: np.ndarray, grid: PeriodicGrid, alpha: float) -> Symbol:
     """Forward transform of an operator matrix to its alpha-symbol.
 
@@ -98,8 +109,7 @@ def alpha_symbol(H: np.ndarray, grid: PeriodicGrid, alpha: float) -> Symbol:
     if H.shape[0] != n:
         raise ValueError("operator dimension must match the grid")
     ms = grid.k_indices  # offsets x = m dq, centered
-    j = np.arange(n)
-    diagonals = np.stack([H[j, (j + m) % n] for m in ms])
+    diagonals = H[_offset_diagonals(n, ms)]
     centered = _fractional_shift(diagonals, (1 - alpha) * ms, grid.k_indices)
     W = np.exp(1j * np.outer(grid.p, grid.dq * ms))
     return Symbol(grid, W @ centered, alpha)
@@ -114,10 +124,8 @@ def alpha_quantize(sym: Symbol) -> np.ndarray:
     centered = (W @ sym.values) / n
     diagonals = _fractional_shift(centered, -(1 - sym.alpha) * ms,
                                   grid.k_indices)
-    H = np.zeros((n, n), dtype=complex)
-    j = np.arange(n)
-    for mi, m in enumerate(ms):
-        H[j, (j + m) % n] = diagonals[mi]
+    H = np.empty((n, n), dtype=complex)
+    H[_offset_diagonals(n, ms)] = diagonals  # every entry exactly once
     return H
 
 
@@ -179,41 +187,18 @@ def standard_symbol_target(grid: PeriodicGrid, a: Callable | None,
     return Symbol(grid, values, alpha)
 
 
-def wraparound_leak(H: np.ndarray, grid: PeriodicGrid) -> float:
-    """Largest matrix element coupling sites more than a quarter period apart.
-
-    A compactly supported operator reaches such separations only through the
-    periodic wraparound, so this bounds the error of using L as a stand-in
-    for the whole line.
-    """
-    H = as_operator(H)
-    n = grid.n_points
-    j = np.arange(n)
-    sep = np.abs(j[:, None] - j[None, :])
-    sep = np.minimum(sep, n - sep)
-    far = sep > n // 4
-    return float(np.abs(H[far]).max()) if far.any() else 0.0
-
-
 # ---------------------------------------------------------------------------
 # short-time approximant and Trotter reconstruction
 
 
-def short_time_R(H: np.ndarray, grid: PeriodicGrid, alpha: float,
-                 t: float) -> np.ndarray:
-    """Quantization of the pointwise exponential of the alpha-symbol.
-
-    The scalar exponential is applied entrywise to H_alpha(p, q), complex
-    values included, and then quantized at the same alpha; R(0) is the
-    identity and -dR/dt at 0 recovers H.
-    """
-    sym = alpha_symbol(H, grid, alpha)
-    return alpha_quantize(Symbol(grid, np.exp(-t * sym.values), alpha))
-
-
 def short_time_family(H: np.ndarray, grid: PeriodicGrid,
                       alpha: float) -> ApproximantFamily:
-    """Approximant family t -> R_alpha(t) for the Lie-Trotter engine."""
+    """Approximant family t -> R_alpha(t) for the Lie-Trotter engine.
+
+    R_alpha(t) applies the scalar exponential entrywise to H_alpha(p, q),
+    complex values included, and quantizes the result at the same alpha;
+    R(0) is the identity and -dR/dt at 0 recovers H.
+    """
     sym = alpha_symbol(H, grid, alpha)
 
     def evaluator(t: float) -> np.ndarray:
@@ -234,50 +219,10 @@ def trotter_reconstruct(H: np.ndarray, grid: PeriodicGrid, alpha: float,
     if t < 0:
         raise ValueError("t must be non-negative")
     target = expm(-t * as_operator(H))
-    sym = alpha_symbol(H, grid, alpha)
+    family = short_time_family(H, grid, alpha)
 
     def one(n: int) -> tuple[int, float]:
-        if n < 1:
-            raise ValueError("n must be positive")
-        step = alpha_quantize(Symbol(grid, np.exp(-(t / n) * sym.values), alpha))
-        err = np.linalg.matrix_power(step, n) - target
+        err = trotter_product(family, t, n) - target
         return n, float(np.linalg.norm(err))
 
     return ordered_map(one, n_list, workers)
-
-
-def ordering_mismatch_demo(sym_values: np.ndarray, grid: PeriodicGrid,
-                           alpha_sym: float, alpha_quant: float) -> np.ndarray:
-    """Operator gap from quantizing a classical symbol at the wrong alpha.
-
-    Returns {S}_alpha_quant - {S}_alpha_sym. For symbols with a p g(q) cross
-    term the gap realizes the ordering ambiguity i (alpha_q - alpha_s) g'(q)
-    in the weak sense (interior, smooth test vectors); symbols depending on p
-    alone or q alone give a zero gap.
-    """
-    mismatched = alpha_quantize(Symbol(grid, sym_values, alpha_quant))
-    matched = alpha_quantize(Symbol(grid, sym_values, alpha_sym))
-    return mismatched - matched
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def symbol_to_csv(sym: Symbol, path: str) -> None:
-    """Row-major CSV with interleaved re/im columns and a grid header."""
-    _matrix_to_csv(sym.values, sym.grid, sym.alpha, path)
-
-
-def operator_to_csv(H: np.ndarray, grid: PeriodicGrid, path: str,
-                    alpha: float = float("nan")) -> None:
-    _matrix_to_csv(as_operator(H), grid, alpha, path)
-
-
-def _matrix_to_csv(values: np.ndarray, grid: PeriodicGrid, alpha: float,
-                   path: str) -> None:
-    interleaved = np.empty((values.shape[0], 2 * values.shape[1]))
-    interleaved[:, 0::2] = values.real
-    interleaved[:, 1::2] = values.imag
-    header = f"n_points={grid.n_points},length={grid.length!r},alpha={alpha!r}"
-    np.savetxt(path, interleaved, delimiter=",", header=header, fmt="%.17g")

@@ -43,23 +43,6 @@ class FieldWithDivergence:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     div_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def check_divergence(self, probes: np.ndarray, s: float = 0.0,
-                         step: float = 1e-5, tol: float = 1e-6) -> float:
-        """Central-difference consistency check at probe points; returns max gap."""
-        probes = np.atleast_2d(probes)
-        d = probes.shape[1]
-        div_fd = np.zeros(probes.shape[0])
-        s_arr = np.full(probes.shape[0], s)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            div_fd += (self.g(probes + e, s_arr)[:, j]
-                       - self.g(probes - e, s_arr)[:, j]) / (2 * step)
-        gap = float(np.abs(div_fd - self.div_g(probes, s_arr)).max())
-        if gap > tol:
-            raise ValueError(f"declared divergence inconsistent with g: {gap:.2e}")
-        return gap
-
 
 def alpha_integral_batch(batch: PathBatch, field: FieldWithDivergence,
                          scheme: AlphaScheme) -> np.ndarray:

@@ -45,26 +45,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class WienerPath:
-    """One discretized d-component path, values[0] = 0."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (n_steps + 1, d)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.n_steps + 1:
-            raise ValueError("values must have shape (n_steps + 1, d)")
-        if not np.all(v[0] == 0.0):
-            raise ValueError("paths start at the origin")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class PathBatch:
     """A stack of paths sharing one grid; values has shape (n_paths, n+1, d)."""
 

@@ -1,8 +1,11 @@
 """Independent reference computations used by the test suite.
 
 Everything here is deliberately implemented with different algorithms than
-the package: Taylor-series matrix exponentials, dense-grid quadrature,
-finite-difference eigensolvers, and error-function integrals.
+the package: Taylor-series matrix exponentials, truncated Dyson series,
+dense-grid quadrature, finite-difference eigensolvers and generator probes,
+error-function integrals and step-by-step ordered products. The
+ordering-mismatch demo quantizes one symbol at two orderings through the
+package's public transform.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ import math
 
 import numpy as np
 from scipy.special import ndtr
+
+from fklab.opalg import as_operator
+from fklab.phasespace import Symbol, alpha_quantize
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -90,3 +96,61 @@ def prefix_loop(F: np.ndarray) -> np.ndarray:
         T = F[:, k] @ T
         out[:, k] = T
     return out
+
+
+def dyson_series(values: np.ndarray, dt: float, A, B, order: int) -> np.ndarray:
+    """Truncated iterated-integral series along one path of shape (n+1, d).
+
+    The generator -i dW . A - dt B is built here, not taken from the
+    package. Increments replace w-dot ds and same-index coincidences use
+    the midpoint convention, so the truncation is Stratonovich-consistent;
+    the remainder is O(t^(order+1)) for a fixed path as t -> 0.
+    """
+    if not 0 <= order <= 6:
+        raise ValueError("order must lie in [0, 6]")
+    values = np.asarray(values, dtype=float)
+    if len(A) not in (0, values.shape[1]):
+        raise ValueError("path dimension must match the operator tuple")
+    dW = np.diff(values, axis=0)
+    n = dW.shape[0]
+    m = (A[0] if len(A) else B).shape[0]
+    dF = np.zeros((n, m, m), dtype=complex)
+    for j, Aj in enumerate(A):
+        dF += -1j * dW[:, j, None, None] * Aj
+    if B is not None:
+        dF -= dt * B
+
+    total = np.eye(m, dtype=complex)
+    # level-by-level cumulative iterated sums; G[nu] holds the value up to node nu
+    G = np.broadcast_to(np.eye(m, dtype=complex), (n + 1, m, m)).copy()
+    for _ in range(order):
+        nxt = np.zeros((n + 1, m, m), dtype=complex)
+        acc = np.zeros((m, m), dtype=complex)
+        for nu in range(1, n + 1):
+            mid = 0.5 * (G[nu] + G[nu - 1])
+            acc = acc + dF[nu - 1] @ mid
+            nxt[nu] = acc
+        G = nxt
+        total = total + G[n]
+    return total
+
+
+def generator_probe(family, step: float = 1e-5) -> np.ndarray:
+    """Central finite-difference estimate of -dF/dt at 0 (candidate generator)."""
+    Fp = as_operator(family.evaluator(step))
+    Fm = as_operator(family.evaluator(-step))
+    return -(Fp - Fm) / (2 * step)
+
+
+def ordering_mismatch_demo(sym_values: np.ndarray, grid, alpha_sym: float,
+                           alpha_quant: float) -> np.ndarray:
+    """Operator gap from quantizing a classical symbol at the wrong alpha.
+
+    Returns {S}_alpha_quant - {S}_alpha_sym. For symbols with a p g(q) cross
+    term the gap realizes the ordering ambiguity i (alpha_q - alpha_s) g'(q)
+    in the weak sense (interior, smooth test vectors); symbols depending on p
+    alone or q alone give a zero gap.
+    """
+    mismatched = alpha_quantize(Symbol(grid, sym_values, alpha_quant))
+    matched = alpha_quantize(Symbol(grid, sym_values, alpha_sym))
+    return mismatched - matched

@@ -231,6 +231,26 @@ def test_failed_csv_write_exits_4(tmp_path, capsys, command):
     assert "output error" in captured.err
 
 
+@pytest.mark.parametrize("b", [-10, -20, -30, -60])
+def test_rounding_floor_scales_with_the_target(tmp_path, capsys, b):
+    # with A = 0 every path gives the same product; the mean differs from
+    # expm(-tB) by rounding only, far beyond zmax * stderr when |target| is
+    # large
+    zero = [0, 0]
+    doc = {
+        "experiment": "fk-matrix",
+        "seed": 1,
+        "n_paths": 64,
+        "grid": {"t_end": 1.0, "n_steps": 16},
+        "params": {"A": [[[zero, zero], [zero, zero]]],
+                   "B": [[[b, 0], zero], [zero, zero]]},
+    }
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 0
+    assert csv_path.exists()
+    capsys.readouterr()
+
+
 def test_harmonic_ground_state_follows_omega(tmp_path, capsys):
     # psi = (omega/pi)^(1/4) exp(-omega q^2 / 2) is an eigenfunction of
     # -1/2 d^2/dq^2 + omega^2 q^2 / 2 with eigenvalue omega / 2
@@ -462,6 +482,33 @@ def test_sweep_kato_decay(tmp_path, capsys):
     slope_rows = [r for r in report["rows"] if r["quantity"] == "slope(kappa)"]
     assert len(slope_rows) == 1 and slope_rows[0]["pass"]
     assert slope_rows[0]["mean_re"] > 0  # kappa vanishes as t -> 0
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+    row = cli.EXPERIMENTS["stochint-convergence"]
+
+    def counted(cfg):
+        calls.append(cfg)
+        return row.run(cfg)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "stochint-convergence",
+                        dataclasses.replace(row, run=counted))
+    doc = {
+        "experiment": "stochint-convergence",
+        "seed": 13,
+        "n_paths": 64,
+        "grid": {"t_end": 1.0, "n_steps": 8},
+        "params": {"alpha": 0.0},
+    }
+    cfg = write_config(tmp_path, doc, "sweep.json")
+    code = main(["sweep", cfg, "--axis", "grid.n_steps",
+                 "--values", "8,16,32,2.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):

@@ -6,13 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fklab.fkschrodinger import (KatoQuadSpec, MagneticField,
+from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
                                  PathRejectionOverflow, PotentialConfig,
                                  WaveFunction, apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
-                                 magnetic_field, mehler_kernel,
-                                 preset_potential)
+                                 mehler_kernel, preset_potential)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -42,26 +41,6 @@ def test_preset_unknown_name_and_params():
         preset_potential("harmonic", omega=1.0, typo=3)
 
 
-def test_consistency_check_flags_bad_split():
-    pot = PotentialConfig(
-        d=1,
-        v=lambda x: np.sum(x**2, axis=-1),
-        v_plus=lambda x: np.zeros(x.shape[:-1]),
-        v_minus=lambda x: np.zeros(x.shape[:-1]))
-    with pytest.raises(ValueError):
-        pot.check_consistency(np.array([[0.7]]))
-    preset_potential("harmonic").check_consistency(np.array([[0.3], [-1.1]]))
-
-
-def test_consistency_check_flags_bad_divergence():
-    pot = PotentialConfig(
-        d=2,
-        a=lambda x: x,
-        div_a=lambda x: np.zeros(x.shape[:-1]))  # true divergence is 2
-    with pytest.raises(ValueError):
-        pot.check_consistency(np.array([[0.1, 0.2]]))
-
-
 def test_eval_v_from_parts_and_free():
     well = preset_potential("constant-well", height=0.5, halfwidth=1.0)
     x = np.array([[0.0], [2.0]])
@@ -70,20 +49,14 @@ def test_eval_v_from_parts_and_free():
     free = preset_potential("free", d=2)
     assert free.eval_v(np.zeros((4, 2))).shape == (4,)
     assert np.all(free.eval_v(np.zeros((4, 2))) == 0.0)
-
-
-def test_magnetic_field_constant_case():
-    pot = preset_potential("constant-magnetic-2d", b0=1.0)
-    fld = magnetic_field(pot)
-    assert isinstance(fld, MagneticField)
-    b = fld.b(np.array([0.3, -0.7]))
-    assert np.allclose(b, [[0.0, -1.0], [1.0, 0.0]], atol=1e-8)
-    assert np.allclose(b + np.swapaxes(b, -1, -2), 0.0, atol=1e-12)
-
-
-def test_magnetic_field_zero_without_a():
-    fld = magnetic_field(preset_potential("free", d=3))
-    assert np.all(fld.b(np.zeros((5, 3))) == 0.0)
+    # the negative part follows from v alone, for every preset
+    for name in POTENTIAL_PRESETS:
+        pot = preset_potential(name)
+        axis = np.linspace(-3.0, 3.0, 7)
+        probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
+                          axis=-1).reshape(-1, pot.d)
+        expected = np.maximum(-pot.eval_v(probes), 0)
+        assert pot.eval_v_minus(probes).tobytes() == expected.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.opalg import expm, generator_probe, trotter_product
+from fklab.opalg import expm, trotter_product
 from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
                               alpha_symbol, kinetic_operator,
                               momentum_operator, multiplication_operator,
-                              operator_to_csv, ordering_mismatch_demo,
-                              short_time_R, short_time_family,
-                              spectral_operator, standard_hamiltonian,
-                              standard_symbol_target, symbol_to_csv,
-                              trotter_reconstruct, wraparound_leak)
+                              short_time_family, spectral_operator,
+                              standard_hamiltonian, standard_symbol_target,
+                              trotter_reconstruct)
 from fklab.streams import RngStream
 
-from oracles import loglog_slope
+from oracles import generator_probe, loglog_slope, ordering_mismatch_demo
 
 GRID = PeriodicGrid(32, 12.0)
 
@@ -218,7 +216,8 @@ def test_ordering_mismatch_cross_term():
 def test_short_time_identity_and_generator():
     a, da, v = smooth_fields(GRID.length)
     H = standard_hamiltonian(GRID, a, v)
-    assert np.abs(short_time_R(H, GRID, 0.5, 0.0) - np.eye(32)).max() <= 1e-10
+    R0 = short_time_family(H, GRID, 0.5).evaluator(0.0)
+    assert np.abs(R0 - np.eye(32)).max() <= 1e-10
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         fam = short_time_family(H, GRID, alpha)
         probe = generator_probe(fam, step=1e-6)
@@ -228,13 +227,13 @@ def test_short_time_identity_and_generator():
 def test_short_time_exact_for_diagonal_operator():
     v = np.cos(2 * math.pi * GRID.q / GRID.length)
     H = np.diag(v.astype(complex))
-    R = short_time_R(H, GRID, 0.7, 0.9)
+    R = short_time_family(H, GRID, 0.7).evaluator(0.9)
     assert np.abs(R - np.diag(np.exp(-0.9 * v))).max() <= 1e-10
 
 
 def test_short_time_exact_for_free_laplacian():
     H = kinetic_operator(GRID)
-    R = short_time_R(H, GRID, 0.5, 0.4)
+    R = short_time_family(H, GRID, 0.5).evaluator(0.4)
     exact = spectral_operator(GRID, lambda p: np.exp(-0.4 * 0.5 * p**2))
     assert np.abs(R - exact).max() <= 1e-8
 
@@ -268,25 +267,3 @@ def test_trotter_reconstruct_rejects_negative_time():
     H = standard_hamiltonian(GRID, None, lambda q: 0.5 * q**2)
     with pytest.raises(ValueError, match="non-negative"):
         trotter_reconstruct(H, GRID, 0.5, -1.0, [4])
-
-
-def test_wraparound_leak_detects_long_range_coupling():
-    band = np.eye(32, k=1) + np.eye(32, k=-1)
-    assert wraparound_leak(band, GRID) == 0.0
-    full = np.ones((32, 32))
-    assert wraparound_leak(full, GRID) == 1.0
-
-
-def test_csv_roundtrip(tmp_path):
-    gen = RngStream(42).generator()
-    H = gen.standard_normal((32, 32)) + 1j * gen.standard_normal((32, 32))
-    sym = alpha_symbol(H, GRID, 0.5)
-    f1 = tmp_path / "symbol.csv"
-    f2 = tmp_path / "operator.csv"
-    symbol_to_csv(sym, str(f1))
-    operator_to_csv(H, GRID, str(f2))
-    raw = np.loadtxt(f1, delimiter=",", skiprows=1)
-    back = raw[:, 0::2] + 1j * raw[:, 1::2]
-    assert np.array_equal(back, sym.values)
-    header = f1.read_text().splitlines()[0]
-    assert "n_points=32" in header and "alpha=0.5" in header

@@ -23,15 +23,6 @@ def test_alpha_range_enforced():
     assert AlphaScheme(0.5).alpha == STRATONOVICH
 
 
-def test_divergence_consistency_guard():
-    good = LINEAR.check_divergence(np.array([[0.2], [1.5]]))
-    assert good < 1e-6
-    bad = FieldWithDivergence(lambda x, s: x**2,
-                              lambda x, s: np.full(x.shape[:-1], 1.0))
-    with pytest.raises(ValueError):
-        bad.check_divergence(np.array([[1.0]]))
-
-
 def test_ito_sum_linear_field_closed_form():
     # sum w_{v-1} (w_v - w_{v-1}) = (w_n^2 - sum dw^2) / 2
     g = TimeGrid(1.0, 128)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.mc import (MCEstimate, PathRejectionOverflow, _estimate, _merge,
-                      _moments, mc_run, reduce_chunks)
+from fklab.cli import Row
+from fklab.mc import (PathRejectionOverflow, _estimate, _merge, _moments,
+                      mc_run, reduce_chunks)
 from fklab.streams import RngStream
 
 
@@ -137,8 +138,7 @@ def test_reduce_chunks_counts_rejections():
 
 
 def test_z_conventions():
-    est = MCEstimate(np.array([1.0, 2.0]), np.array([0.5, 0.0]), 10)
-    z = est.z(np.array([2.0, 2.0]))
-    assert z[0] == pytest.approx(2.0)
-    assert z[1] == 0.0
-    assert MCEstimate(1.0, 0.0, 10).z(0.0) == np.inf
+    # the z the CSV prints: |mean - target| / stderr, 0 where both vanish
+    assert Row("q", "-", 1.0, 0.5, 2.0, True).z == pytest.approx(2.0)
+    assert Row("q", "-", 2.0, 0.0, 2.0, True).z == 0.0
+    assert Row("q", "-", 1.0, 0.0, 0.0, True).z == np.inf

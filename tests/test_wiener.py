@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
-from fklab.wiener import (PathBatch, TimeGrid, WienerPath,
-                          bridge_from_free, estimate_char_functional,
-                          estimate_covariance,
+from fklab.wiener import (PathBatch, TimeGrid, bridge_from_free,
+                          estimate_char_functional, estimate_covariance,
                           estimate_white_noise_functional,
                           paths_from_increments, sample_bridges,
                           sample_increments, sample_paths)
@@ -27,14 +26,6 @@ def test_grid_validation():
     g = TimeGrid(2.0, 8)
     assert g.dt == 0.25
     assert np.allclose(g.times(), 0.25 * np.arange(9))
-
-
-def test_path_must_start_at_origin():
-    g = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        WienerPath(g, np.ones((5, 1)))
-    with pytest.raises(ValueError):
-        WienerPath(g, np.zeros((3, 1)))
 
 
 def test_increment_statistics():
