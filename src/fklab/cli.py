@@ -124,10 +124,20 @@ def _num(value, name: str, d=None) -> float:
     return float(value)
 
 
-def _positive(value, name: str, d=None) -> float:
-    if _num(value, name) <= 0:
-        raise ConfigError(f"{name} must be positive")
-    return float(value)
+def _ranged(convert, rule: str, ok):
+    """``convert``, then the range check ``ok`` on every resolved value."""
+    def check(value, name: str, d=None):
+        out = convert(value, name, d)
+        if not np.all(ok(out)):
+            raise ConfigError(f"{name} must be {rule}")
+        return out
+
+    return check
+
+
+_positive = _ranged(_num, "positive", lambda x: x > 0)
+# the library checks the same ranges, but only once a sweep point runs
+_UNIT = ("in [0, 1]", lambda x: (0 <= x) & (x <= 1))
 
 
 def _is_numeric_nest(value) -> bool:
@@ -572,7 +582,9 @@ class Experiment:
 
 _ZMAX = (_num, 4.0)
 _MATRIX_TOLS = {"B": (_matrix, None), "frob_tol": (_num, 1e-2), "zmax": _ZMAX}
-_LATTICE = {"n_points": (_int, 64), "length": (_num, 16.0)}
+_LATTICE = {"n_points": (_ranged(functools.partial(_int, minimum=2), "even",
+                                  lambda n: n % 2 == 0), 64),
+            "length": (_positive, 16.0)}
 _HARMONIC = (_operator, {"name": "harmonic"})
 
 # a potential comes before the points that take its dimension
@@ -581,7 +593,8 @@ EXPERIMENTS = {
         "d": (_int, 2), "node_fractions": (_vector, [0.25, 0.5, 0.75]),
         "zmax": _ZMAX}),
     "stochint-convergence": Experiment(
-        _run_stochint_convergence, {"alpha": (_num, REQUIRED)},
+        _run_stochint_convergence,
+        {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
         slope=("ms_residual", -1.0, 0.3)),
     "fk-matrix": Experiment(_run_fk_matrix, {
         "A": (_matrices, REQUIRED), **_MATRIX_TOLS}),
@@ -605,10 +618,12 @@ EXPERIMENTS = {
     "diamagnetic": Experiment(_run_diamagnetic, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN}),
     "phasespace-roundtrip": Experiment(_run_phasespace_roundtrip, {
-        **_LATTICE, "alpha_values": (_vector, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        **_LATTICE, "alpha_values": (_ranged(_vector, *_UNIT),
+                                     [0.0, 0.25, 0.5, 0.75, 1.0]),
         "operator": _HARMONIC}, needs=()),
     "trotter": Experiment(_run_trotter, {
-        **_LATTICE, "alpha": (_num, 0.5), "t": (_num, 1.0),
+        **_LATTICE, "alpha": (_ranged(_num, *_UNIT), 0.5),
+        "t": (_ranged(_num, "non-negative", lambda t: t >= 0), 1.0),
         "n": (_int, REQUIRED), "hamiltonian": _HARMONIC},
         needs=(), slope=("trotter_error", -1.0, 0.3)),
 }

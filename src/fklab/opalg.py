@@ -90,38 +90,50 @@ def _expm2_batch(M: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-# Pade-13 coefficients for scaling-and-squaring.
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
+# theta_k bounds the norm at which the degree-k Pade approximant to exp is
+# accurate to double precision (Higham 2005); above theta_9 the stack is
+# scaled to theta_13. The coefficients are b_j = (2k - j)! / (j! (k - j)!).
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.37}
+_PADE = {k: tuple(math.factorial(2 * k - j)
+                  / (math.factorial(j) * math.factorial(k - j))
+                  for j in range(k + 1)) for k in _THETA}
 
 
 def expm_batch(M: np.ndarray) -> np.ndarray:
     """Exponentials of a stack (..., m, m).
 
     For m == 2 the exact closed form runs on the four entry arrays and the
-    result is an entry-major view of shape (..., 2, 2). Larger m use
-    Pade-13 scaling-and-squaring and raise ``OverflowError`` instead of
-    returning non-finite entries.
+    result is an entry-major view of shape (..., 2, 2). Larger m use Pade
+    3/5/7/9 or scaled Pade-13, chosen by the stack's largest row-sum norm
+    (Higham 2005), and raise ``OverflowError`` instead of returning
+    non-finite entries.
     """
     M = np.asarray(M, dtype=complex)
     m = M.shape[-1]
     if m == 2:
         return _expm2_batch(M)
-    norm = np.abs(M).sum(axis=-1).max(axis=-1)
-    theta13 = 5.37
-    s = max(0, int(np.ceil(np.log2(max(float(norm.max()), 1e-300) / theta13))))
-    A = M / (2.0**s)
+    norm = float(np.abs(M).sum(axis=-1).max())
+    k = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
+    s = 0 if k < 13 else max(0, int(np.ceil(np.log2(norm / _THETA[k]))))
+    A = M / (2.0**s) if s else M
     ident = np.broadcast_to(np.eye(m, dtype=complex), A.shape)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    b = _PADE13
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    b = _PADE[k]
+    if k < 13:
+        # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
+        powers = [ident, A @ A]
+        while len(powers) <= k // 2:
+            powers.append(powers[-1] @ powers[1])
+        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    else:
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A2 @ A4
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):

@@ -7,6 +7,9 @@ H[j, j+m] sits at center q_j + (1-alpha) m dq, so each fixed-offset diagonal
 is resampled onto the integer lattice by a band-limited fractional shift
 before the Fourier sum over x. The inverse reverses both steps exactly, so
 quantize(symbol(H)) = H to machine precision for every alpha in [0, 1].
+The Fourier sum over x and its inverse over p_k are centred FFTs along
+axis 0 (``norm="forward"`` puts the 1/N on the inverse); no N x N DFT
+matrix is formed.
 
 alpha = 0, 1/2, 1 give anti-standard, Weyl-Wigner, and standard ordering.
 Matrix elements are related to continuum kernels by K(q_j, q_k) = H[j, k]/dq;
@@ -111,8 +114,9 @@ def alpha_symbol(H: np.ndarray, grid: PeriodicGrid, alpha: float) -> Symbol:
     ms = grid.k_indices  # offsets x = m dq, centered
     diagonals = H[_offset_diagonals(n, ms)]
     centered = _fractional_shift(diagonals, (1 - alpha) * ms, grid.k_indices)
-    W = np.exp(1j * np.outer(grid.p, grid.dq * ms))
-    return Symbol(grid, W @ centered, alpha)
+    values = np.fft.ifft(np.fft.ifftshift(centered, axes=0), axis=0,
+                         norm="forward")
+    return Symbol(grid, np.fft.fftshift(values, axes=0), alpha)
 
 
 def alpha_quantize(sym: Symbol) -> np.ndarray:
@@ -120,10 +124,10 @@ def alpha_quantize(sym: Symbol) -> np.ndarray:
     grid = sym.grid
     n = grid.n_points
     ms = grid.k_indices
-    W = np.exp(-1j * np.outer(grid.dq * ms, grid.p))
-    centered = (W @ sym.values) / n
-    diagonals = _fractional_shift(centered, -(1 - sym.alpha) * ms,
-                                  grid.k_indices)
+    centered = np.fft.fft(np.fft.ifftshift(sym.values, axes=0), axis=0,
+                          norm="forward")
+    diagonals = _fractional_shift(np.fft.fftshift(centered, axes=0),
+                                  -(1 - sym.alpha) * ms, grid.k_indices)
     H = np.empty((n, n), dtype=complex)
     H[_offset_diagonals(n, ms)] = diagonals  # every entry exactly once
     return H
@@ -135,10 +139,11 @@ def alpha_quantize(sym: Symbol) -> np.ndarray:
 
 def spectral_operator(grid: PeriodicGrid, f: Callable[[np.ndarray], np.ndarray]
                       ) -> np.ndarray:
-    """f(p-hat) via the discrete Fourier diagonalization."""
-    E = np.exp(-1j * np.outer(grid.p, grid.q))
-    F = np.exp(1j * np.outer(grid.q, grid.p))
-    return (F * np.asarray(f(grid.p))[None, :]) @ E / grid.n_points
+    """f(p-hat), circulant on the lattice: entry [j, l] is c[(j - l) % N],
+    c the inverse FFT of f(p_k); no N x N DFT matrix is formed."""
+    c = np.fft.ifft(np.fft.ifftshift(np.asarray(f(grid.p), dtype=complex)))
+    j = np.arange(grid.n_points)
+    return c[(j[:, None] - j) % grid.n_points]
 
 
 def momentum_operator(grid: PeriodicGrid) -> np.ndarray:

@@ -3,9 +3,10 @@
 Everything here is deliberately implemented with different algorithms than
 the package: Taylor-series matrix exponentials, truncated Dyson series,
 dense-grid quadrature, finite-difference eigensolvers and generator probes,
-error-function integrals and step-by-step ordered products. The
-ordering-mismatch demo quantizes one symbol at two orderings through the
-package's public transform.
+error-function integrals, step-by-step ordered products and the
+phase-space transforms with their Fourier sums as dense N x N DFT matrices.
+The ordering-mismatch demo quantizes one symbol at two orderings through
+the package's public transform.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from fklab.opalg import as_operator
-from fklab.phasespace import Symbol, alpha_quantize
+from fklab.phasespace import (Symbol, _fractional_shift, _offset_diagonals,
+                              alpha_quantize)
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -154,3 +156,32 @@ def ordering_mismatch_demo(sym_values: np.ndarray, grid, alpha_sym: float,
     mismatched = alpha_quantize(Symbol(grid, sym_values, alpha_quant))
     matched = alpha_quantize(Symbol(grid, sym_values, alpha_sym))
     return mismatched - matched
+
+
+def dense_alpha_symbol(H: np.ndarray, grid, alpha: float) -> np.ndarray:
+    """alpha-symbol values with the sum over offsets as a dense DFT matrix."""
+    H = as_operator(H)
+    ms = grid.k_indices
+    diagonals = H[_offset_diagonals(grid.n_points, ms)]
+    centered = _fractional_shift(diagonals, (1 - alpha) * ms, grid.k_indices)
+    W = np.exp(1j * np.outer(grid.p, grid.dq * ms))
+    return W @ centered
+
+
+def dense_alpha_quantize(values: np.ndarray, grid, alpha: float) -> np.ndarray:
+    """alpha-quantization with the sum over momenta as a dense DFT matrix."""
+    n = grid.n_points
+    ms = grid.k_indices
+    W = np.exp(-1j * np.outer(grid.dq * ms, grid.p))
+    centered = (W @ np.asarray(values, dtype=complex)) / n
+    diagonals = _fractional_shift(centered, -(1 - alpha) * ms, grid.k_indices)
+    H = np.empty((n, n), dtype=complex)
+    H[_offset_diagonals(n, ms)] = diagonals
+    return H
+
+
+def dense_spectral_operator(grid, f) -> np.ndarray:
+    """f(p-hat) as F diag(f(p)) E / N with both DFT matrices formed."""
+    E = np.exp(-1j * np.outer(grid.p, grid.q))
+    F = np.exp(1j * np.outer(grid.q, grid.p))
+    return (F * np.asarray(f(grid.p))[None, :]) @ E / grid.n_points

@@ -484,17 +484,25 @@ def test_sweep_kato_decay(tmp_path, capsys):
     assert slope_rows[0]["mean_re"] > 0  # kappa vanishes as t -> 0
 
 
-def test_sweep_checks_every_point_before_running(tmp_path, capsys,
-                                                monkeypatch):
+def _counted_sweep(monkeypatch, tmp_path, doc, axis, values):
+    """Exit code of a sweep of ``doc`` and the configs its runner got."""
     calls = []
-    row = cli.EXPERIMENTS["stochint-convergence"]
+    row = cli.EXPERIMENTS[doc["experiment"]]
 
     def counted(cfg):
         calls.append(cfg)
         return row.run(cfg)
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "stochint-convergence",
+    monkeypatch.setitem(cli.EXPERIMENTS, doc["experiment"],
                         dataclasses.replace(row, run=counted))
+    cfg = write_config(tmp_path, doc, "sweep.json")
+    code = main(["sweep", cfg, "--axis", axis, "--values", values,
+                 "--out", str(tmp_path)])
+    return code, calls
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, capsys,
+                                                monkeypatch):
     doc = {
         "experiment": "stochint-convergence",
         "seed": 13,
@@ -502,9 +510,35 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
         "grid": {"t_end": 1.0, "n_steps": 8},
         "params": {"alpha": 0.0},
     }
-    cfg = write_config(tmp_path, doc, "sweep.json")
-    code = main(["sweep", cfg, "--axis", "grid.n_steps",
-                 "--values", "8,16,32,2.5", "--out", str(tmp_path)])
+    code, calls = _counted_sweep(monkeypatch, tmp_path, doc, "grid.n_steps",
+                                 "8,16,32,2.5")
+    assert code == 2
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
+    assert "config error" in capsys.readouterr().err
+
+
+# the documented ranges fail in the table, so a bad last point runs nothing
+RANGE_SWEEPS = {
+    "stochint-alpha": ("stochint-convergence", [], "params.alpha",
+                       "0,0.5,1.5"),
+    "trotter-alpha": ("trotter", [("params.alpha", 0.5)], "params.alpha",
+                      "0.5,1,2"),
+    "trotter-negative-t": ("trotter", [("params.t", 1.0)], "params.t",
+                           "0.5,1,-1"),
+    "odd-n_points": ("phasespace-roundtrip", [], "params.n_points", "8,16,7"),
+    "zero-length": ("phasespace-roundtrip", [], "params.length", "4,8,0"),
+    "alpha_values-entry": ("phasespace-roundtrip",
+                           [("params.alpha_values", [0.5, 1.5])],
+                           "params.n_points", "8,16"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_SWEEPS))
+def test_sweep_range_rule_runs_no_point(tmp_path, capsys, monkeypatch, case):
+    name, overrides, axis, values = RANGE_SWEEPS[case]
+    code, calls = _counted_sweep(monkeypatch, tmp_path,
+                                 _shrunk(name, overrides), axis, values)
     assert code == 2
     assert calls == []
     assert not list(tmp_path.rglob("*.csv"))

@@ -98,6 +98,30 @@ def test_expm_batch_matches_taylor_across_norms(m, log_norms, seed):
         assert err <= 2e-14 * math.exp(norm), (m, norm, err)
 
 
+# Higham's theta_3, theta_5, theta_7, theta_9 and theta_13
+PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1,
+               9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_expm_batch_pade_degree_boundaries(m):
+    # largest norm just inside and just past each low degree's theta, and
+    # 2 theta_13 on the scaled Pade-13 path
+    gen = RngStream(70 + m).generator()
+    tops = [theta * f for theta in PADE_THETAS[:4] for f in (0.999, 1.001)]
+    for top in tops + [2 * PADE_THETAS[4]]:
+        norms = top * np.array([1.0, 0.3, 1e-4])
+        shape = (len(norms), m, m)
+        M = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        M *= (norms / np.abs(M).sum(axis=-1).max(axis=-1))[:, None, None]
+        out = expm_batch(M)
+        for k, norm in enumerate(norms):
+            err = np.abs(out[k] - taylor_expm(M[k])).max()
+            assert err <= 2e-14 * math.exp(norm), (top, norm, err)
+    zero = expm_batch(np.zeros((5, m, m), dtype=complex))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(m), zero.shape))
+
+
 def test_expm_batch_pade_overflow_raises():
     with pytest.raises(OverflowError):
         expm_batch(np.full((1, 3, 3), 1e306 + 0j))

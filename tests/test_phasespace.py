@@ -16,7 +16,9 @@ from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
                               trotter_reconstruct)
 from fklab.streams import RngStream
 
-from oracles import generator_probe, loglog_slope, ordering_mismatch_demo
+from oracles import (dense_alpha_quantize, dense_alpha_symbol,
+                     dense_spectral_operator, generator_probe, loglog_slope,
+                     ordering_mismatch_demo)
 
 GRID = PeriodicGrid(32, 12.0)
 
@@ -85,6 +87,25 @@ def test_roundtrip_for_any_alpha_and_operator(half_n, log_length, alpha,
     assert np.abs(back - H).max() <= bound
     again = alpha_symbol(alpha_quantize(Symbol(grid, H, alpha)), grid, alpha)
     assert np.abs(again.values - H).max() <= bound
+
+
+@pytest.mark.parametrize("n", [2, 6, 16, 512])
+def test_fft_transforms_match_dense_dft(n):
+    # N = 6 is not a power of two; N = 512 is the benchmark lattice
+    grid = PeriodicGrid(n, 7.0)
+    gen = RngStream(50 + n).generator()
+    H = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    bound = 1e-14 * n * np.abs(H).max()
+    for alpha in (0.0, 0.3, 0.5, 1.0):
+        sym = alpha_symbol(H, grid, alpha).values
+        assert np.abs(sym - dense_alpha_symbol(H, grid, alpha)).max() <= bound
+        back = alpha_quantize(Symbol(grid, H, alpha))
+        dense = dense_alpha_quantize(H, grid, alpha)
+        assert np.abs(back - dense).max() <= bound
+    for f in (lambda p: p, lambda p: p**2 / 2, lambda p: np.exp(-0.2 * p**2)):
+        dense = dense_spectral_operator(grid, f)
+        err = np.abs(spectral_operator(grid, f) - dense).max()
+        assert err <= 1e-14 * n * np.abs(dense).max()
 
 
 def test_linearity_of_transform():
