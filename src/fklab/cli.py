@@ -8,12 +8,12 @@ the way the ``csv`` module quotes it. Results are bit-identical for a
 fixed (seed, config) regardless of the worker count.
 
 A valid config and its defaults are written once, in :data:`EXPERIMENTS`:
-each row holds a runner, the required top-level keys, a sweep slope rule
-and a params spec ``{key: (converter, default)}``. :func:`_fields` checks
-each block (top level, grid, params, and the potential, psi, chi and
-operator sub-blocks) against its spec and fills in defaults, so runners and
-oracles read only resolved values. Potential parameters and defaults come
-from ``fkschrodinger.POTENTIAL_PRESETS``.
+each row holds a runner, the required top-level keys, a sweep slope rule,
+a params spec ``{key: (converter, default)}`` and a check across blocks.
+:func:`_fields` checks each block (top level, grid, params, and the
+potential, psi, chi and operator sub-blocks) against its spec and fills in
+defaults, so runners and oracles read only resolved values. Potential
+parameters and defaults come from ``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, or an
@@ -41,8 +41,8 @@ import numpy as np
 
 from . import fkmatrix, fkschrodinger, phasespace
 from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
-                            PathRejectionOverflow, WaveFunction, kato_kappa,
-                            mehler_kernel, preset_potential)
+                            PathRejectionOverflow, kato_kappa, mehler_kernel,
+                            preset_potential)
 from .mc import MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
@@ -302,21 +302,36 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "params": (lambda value, name, d: _fields(value, row.params, name),
                    {}),
     }, "")
-    return ExperimentConfig(experiment, top["seed"], top["workers"],
-                            top["n_paths"], top["grid"], top["params"],
-                            copy.deepcopy(doc))
+    cfg = ExperimentConfig(experiment, top["seed"], top["workers"],
+                           top["n_paths"], top["grid"], top["params"],
+                           copy.deepcopy(doc))
+    row.check(cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations (each returns a list of Rows)
 
 
+def _node_indices(cfg: ExperimentConfig) -> np.ndarray:
+    """The grid nodes nearest the node fractions, each in 1 .. n_steps."""
+    n = cfg.grid.n_steps
+    idx = np.rint(cfg.params["node_fractions"] * n).astype(int)
+    if np.any(idx < 1) or np.any(idx > n):
+        raise ConfigError(f"node_fractions must round to grid nodes 1 .. {n}")
+    return idx
+
+
+def _even_paths(cfg: ExperimentConfig) -> None:
+    if cfg.n_paths % 2:  # the estimators average antithetic pairs (w, -w)
+        raise ConfigError(
+            f"antithetic pairs need an even n_paths: {cfg.n_paths}")
+
+
 def _run_wiener_stats(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     d, zmax, grid = p["d"], p["zmax"], cfg.grid
-    idx = np.rint(p["node_fractions"] * grid.n_steps).astype(int)
-    if np.any(idx < 1) or np.any(idx > grid.n_steps):
-        raise ConfigError("node_fractions must lie in (0, 1]")
+    idx = _node_indices(cfg)
     times = idx * grid.dt
     est = estimate_covariance(grid, d, cfg.n_paths, RngStream(cfg.seed),
                               idx, workers=cfg.workers)
@@ -403,18 +418,18 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     return _matrix_rows("T", est, target, p["frob_tol"], p["zmax"])
 
 
-def _wavefunction(psi: dict, pot: Potential) -> WaveFunction:
+def _wavefunction(psi: dict, pot: Potential) -> Callable:
     """The psi block as a function; ``harmonic-ground`` is the ground state
     (omega/pi)^(d/4) exp(-omega |x|^2 / 2) of the potential's oscillator
     (omega = 1 unless the potential sets it)."""
     if psi["name"] == "harmonic-ground":
         d, omega = pot.config.d, pot.preset.get("omega", 1.0)
         # written so that omega = 1 gives the same bits as pi^(-d/4) e^(-x^2/2)
-        return WaveFunction(lambda x: omega ** (d / 4) * math.pi ** (-d / 4)
-                            * np.exp(-0.5 * omega * np.sum(x**2, axis=-1)))
+        return lambda x: (omega ** (d / 4) * math.pi ** (-d / 4)
+                          * np.exp(-0.5 * omega * np.sum(x**2, axis=-1)))
     width, center = psi["width"], psi["center"]  # gaussian
-    return WaveFunction(lambda x: np.exp(
-        -np.sum((x - center)**2, axis=-1) / (2 * width**2)))
+    return lambda x: np.exp(-np.sum((x - center)**2, axis=-1)
+                            / (2 * width**2))
 
 
 def _semigroup_target(pot: Potential, psi: dict, q: np.ndarray, t: float):
@@ -578,6 +593,9 @@ class Experiment:
     # sweep CSVs get a fitted log-log slope row: quantity, slope target,
     # tolerance (target None = require a positive slope only)
     slope: tuple | None = None
+    # a rule across blocks, raising ConfigError; parse_config runs it, so a
+    # sweep rejects a bad point before any point runs
+    check: Callable[[ExperimentConfig], object] = lambda cfg: None
 
 
 _ZMAX = (_num, 4.0)
@@ -591,16 +609,16 @@ _HARMONIC = (_operator, {"name": "harmonic"})
 EXPERIMENTS = {
     "wiener-stats": Experiment(_run_wiener_stats, {
         "d": (_int, 2), "node_fractions": (_vector, [0.25, 0.5, 0.75]),
-        "zmax": _ZMAX}),
+        "zmax": _ZMAX}, check=_node_indices),
     "stochint-convergence": Experiment(
         _run_stochint_convergence,
         {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
         slope=("ms_residual", -1.0, 0.3)),
     "fk-matrix": Experiment(_run_fk_matrix, {
-        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}),
+        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}, check=_even_paths),
     "fk-product": Experiment(_run_fk_product, {
         "Aplus": (_matrix, REQUIRED), "Aminus": (_matrix, REQUIRED),
-        **_MATRIX_TOLS}),
+        **_MATRIX_TOLS}, check=_even_paths),
     "fk-semigroup": Experiment(_run_fk_semigroup, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN,
         "zmax": _ZMAX}),

@@ -3,7 +3,9 @@
 The ensemble average of the path-ordered exponential driven by d Gaussian
 increments and a drift operator B is compared with exp(-t (A^2/2 + B)).
 Antithetic pairing (w, -w) is applied throughout; it reduces variance and
-is licensed by the reflection invariance of the measure.
+is licensed by the reflection invariance of the measure. Each estimator is
+one side's functional of the increments, averaged over pairs by
+:func:`_matrix_mc`, which also requires an even ``n_paths``.
 """
 
 from __future__ import annotations
@@ -55,38 +57,35 @@ def rhs_generator(problem: FKProblem) -> np.ndarray:
     return expm(-problem.t * gen)
 
 
-def _matrix_mc(chunk_fn, n_pairs: int, stream: RngStream, chunk_size: int,
-               workers: int) -> MCEstimate:
-    """Reduce ``chunk_fn(gen, count) -> (count, ...)`` antithetic pair means.
+def _matrix_mc(one_side, problem: FKProblem, n_paths: int, rng: RngStream,
+               chunk_size: int, workers: int) -> MCEstimate:
+    """Antithetic Monte Carlo mean of ``one_side(dW) -> (count, ...)``.
 
-    One sample per pair, so ``n_samples`` counts pairs; nothing is rejected.
+    Each pair draws one increment batch dW of ``problem.grid`` and averages
+    ``one_side`` over dW and its reflection -dW. One sample per pair, so
+    ``n_samples`` counts pairs; nothing is rejected.
     """
-    return reduce_chunks(lambda gen, count: (chunk_fn(gen, count), None),
-                         n_pairs, stream, chunk_size, workers)[0]
-
-
-def _pair_count(n_paths: int) -> int:
     if n_paths < 2:
         raise ValueError("need at least two paths")
     if n_paths % 2:
         raise ValueError(f"antithetic pairs need an even n_paths: {n_paths}")
-    return n_paths // 2
+
+    def chunk_fn(gen, count):
+        dW = sample_increments(problem.grid, max(problem.d, 1), count, gen)
+        return 0.5 * (one_side(dW) + one_side(-dW)), None
+
+    return reduce_chunks(chunk_fn, n_paths // 2, rng, chunk_size, workers)[0]
 
 
 def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    dt = problem.grid.dt
+    def one_side(dW):
+        return ordered_product_tree(
+            step_factors(dW, problem.grid.dt, problem.A, problem.B))
 
-    def chunk_fn(gen, count):
-        dW = sample_increments(problem.grid, max(problem.d, 1), count, gen)
-        T = ordered_product_tree(step_factors(dW, dt, problem.A, problem.B))
-        Tr = ordered_product_tree(step_factors(-dW, dt, problem.A, problem.B))
-        return 0.5 * (T + Tr)
-
-    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
-                      workers)
+    return _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
 
 
 def _contract(dW: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -133,12 +132,7 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
         return (0.5 * stoch.reshape(count, d, m, m)
                 + 0.5j * np.einsum("jab,pbc->pjac", A, leb))
 
-    def chunk_fn(gen, count):
-        dW = sample_increments(problem.grid, d, count, gen)
-        return 0.5 * (one_side(dW) + one_side(-dW))
-
-    return _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
-                      workers)
+    return _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
 
 
 def _gauss_legendre_snapped(grid: TimeGrid, n_quad: int):
@@ -176,14 +170,8 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
             nodes[:, 0] = np.eye(m)
         return nodes
 
-    def chunk_fn(gen, count):
-        dW = sample_increments(problem.grid, max(problem.d, 1), count, gen)
-        # (count, n_nodes, m, m)
-        return 0.5 * (one_side(dW) + one_side(-dW))
-
-    est = _matrix_mc(chunk_fn, _pair_count(n_paths), rng, chunk_size,
-                     workers)
-    pos = {k: i for i, k in enumerate(keys)}
+    est = _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
+    pos = {k: i for i, k in enumerate(keys)}  # est.mean[pos[k]] = <T_k>
 
     Asq = np.zeros((m, m), dtype=complex)
     for Aj in problem.A:

@@ -5,8 +5,10 @@ propagator kernels via Brownian-bridge averages, gauge-covariance and
 diamagnetic comparisons with common random paths, and Kato-class /
 Khas'minskii diagnostics for the scalar potential.
 
-Potential, gauge and wavefunction evaluators are vectorized: positions are
-arrays of shape (..., d); scalar fields return (...), vector fields (..., d).
+Potential, gauge and wavefunction evaluators are plain vectorized callables:
+positions are arrays of shape (..., d); scalar fields return (...), vector
+fields (..., d). Each path estimator averages exp(-int v ds) exp(-i int a o dw)
+psi(endpoint) from :func:`_path_functionals`, which requires t = grid horizon.
 """
 
 from __future__ import annotations
@@ -50,76 +52,59 @@ class PotentialConfig:
         return np.maximum(-self.eval_v(x), 0.0)
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-
 # ---------------------------------------------------------------------------
 # path functionals
 
 
-def _functional_columns(pot: PotentialConfig, grid: TimeGrid,
-                        positions: np.ndarray, variants: Sequence[dict]):
-    """Evaluate FK path functionals on shifted paths (P, n+1, d).
+def _functional_columns(v: Callable, grid: TimeGrid, positions: np.ndarray,
+                        variants: Sequence[tuple]):
+    """FK path functionals on shifted paths (P, n+1, d), one column each.
 
-    Each variant selects {"a": callable | None, "weight": callable | None}
-    where ``weight`` maps the endpoint positions to a complex factor (the
-    wavefunction, or 1 for kernels). Returns (columns (P, k), finite mask).
+    A variant ``(a, weight)`` multiplies the damping exp(-int v ds), computed
+    once per path, by the phase exp(-i int a o dw) and by ``weight`` of the
+    endpoints; None skips either. Returns (columns (P, k), finite mask).
     """
-    dt = grid.dt
     dW = np.diff(positions, axis=1)
     mid = 0.5 * (positions[:, 1:, :] + positions[:, :-1, :])
-    trap = np.full(grid.n_steps + 1, dt)
-    trap[0] = trap[-1] = dt / 2
-
+    trap = np.full(grid.n_steps + 1, grid.dt)  # trapezoid weights
+    trap[[0, -1]] /= 2
+    integral = np.asarray(v(positions), dtype=float) @ trap
+    # a finite but large -int v overflows the weight; such paths and
+    # any non-finite column value are rejected, not averaged
+    finite = np.isfinite(integral)
     cols = []
-    finite = np.ones(positions.shape[0], dtype=bool)
-    cache: dict[int, np.ndarray] = {}
-
-    def damping(vfun) -> np.ndarray:
-        key = id(vfun)
-        if key not in cache:
-            vv = np.asarray(vfun(positions), dtype=float)
-            integral = vv @ trap
-            cache[key] = integral
-        return cache[key]
-
-    for spec in variants:
-        a_fun = spec.get("a")
-        v_fun = spec.get("v", pot.eval_v)
-        weight = spec.get("weight")
-        integral = damping(v_fun)
-        ok = np.isfinite(integral)
-        # a finite but large -int v overflows the weight; such paths and
-        # any non-finite column value are rejected, not averaged
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = np.exp(-np.where(ok, integral, 0.0)).astype(complex)
-            if a_fun is not None:
-                av = np.asarray(a_fun(mid))
-                strat = np.einsum("pkd,pkd->p", av, dW)
+    with np.errstate(over="ignore", invalid="ignore"):
+        damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
+        for a, weight in variants:
+            value = damping
+            if a is not None:
+                strat = np.einsum("pkd,pkd->p", np.asarray(a(mid)), dW)
                 value = value * np.exp(-1j * strat)
             if weight is not None:
                 value = value * np.asarray(weight(positions[:, -1, :]))
-        finite &= ok & np.isfinite(value)
-        cols.append(value)
+            finite &= np.isfinite(value)
+            cols.append(value)
     return np.stack(cols, axis=1), finite
 
 
 def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
-                      q: Sequence[float], variants: Sequence[dict],
-                      endpoint=None):
+                      q: Sequence[float], t: float, variants: Sequence[tuple],
+                      endpoint=None, v: Callable | None = None):
     """Chunk function of :func:`_functional_columns` on the paths q + w.
 
-    w is a free Wiener path, or a bridge to ``endpoint`` when one is given.
+    w is a free Wiener path, or a bridge to ``endpoint`` when one is given;
+    ``v`` defaults to the scalar potential. t must be the grid horizon.
     """
+    if not t > 0 or abs(grid.t_end - t) > 1e-12:
+        raise ValueError("t must be positive and equal the grid horizon")
     q = np.asarray(q, dtype=float).reshape(-1)
+    v = pot.eval_v if v is None else v
 
     def chunk_fn(gen, count):
         w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
         if endpoint is not None:
             w = bridge_from_free(grid, w, endpoint)
-        return _functional_columns(pot, grid, q + w, variants)
+        return _functional_columns(v, grid, q + w, variants)
 
     return chunk_fn
 
@@ -135,7 +120,7 @@ def _columns_mc(chunk_fn, n_samples: int, stream: RngStream,
             for m, e in zip(est.mean, est.stderr)]
 
 
-def apply_semigroup(pot: PotentialConfig, psi: WaveFunction, q: Sequence[float],
+def apply_semigroup(pot: PotentialConfig, psi: Callable, q: Sequence[float],
                     t: float, n_paths: int, grid: TimeGrid, rng: RngStream,
                     chunk_size: int = DEFAULT_CHUNK,
                     workers: int = 1) -> MCEstimate:
@@ -145,10 +130,7 @@ def apply_semigroup(pot: PotentialConfig, psi: WaveFunction, q: Sequence[float],
     over free Wiener paths; paths that evaluate the potential to a
     non-finite value are rejected and counted.
     """
-    if not t > 0 or abs(grid.t_end - t) > 1e-12:
-        raise ValueError("t must be positive and equal the grid horizon")
-    chunk_fn = _path_functionals(pot, grid, q,
-                                 [{"a": pot.a, "weight": psi.evaluator}])
+    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, psi)])
     return _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
 
 
@@ -165,13 +147,10 @@ def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     The delta-function constraint is realized exactly: the free heat kernel
     multiplies the bridge average of the phase and damping functionals.
     """
-    if not t > 0 or abs(grid.t_end - t) > 1e-12:
-        raise ValueError("t must be positive and equal the grid horizon")
     q = np.asarray(q, dtype=float).reshape(-1)
-    qp = np.asarray(qp, dtype=float).reshape(-1)
-    endpoint = qp - q
+    endpoint = np.asarray(qp, dtype=float).reshape(-1) - q
+    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, None)], endpoint)
     prefactor = free_kernel(pot.d, endpoint, t)
-    chunk_fn = _path_functionals(pot, grid, q, [{"a": pot.a}], endpoint)
     est = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return MCEstimate(prefactor * est.mean, prefactor * est.stderr,
                       est.n_samples)
@@ -191,17 +170,15 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
         raise ValueError("gauge check needs chi with an analytic gradient")
     q = np.asarray(q, dtype=float).reshape(-1)
     qp = np.asarray(qp, dtype=float).reshape(-1)
-    endpoint = qp - q
-    base_a = pot.a
 
     def shifted_a(x):
         g = np.asarray(pot.grad_chi(x))
-        return g if base_a is None else np.asarray(base_a(x)) + g
+        return g if pot.a is None else np.asarray(pot.a(x)) + g
 
     phase = np.exp(1j * (float(np.asarray(pot.chi(q[None, :]))[0])
                          - float(np.asarray(pot.chi(qp[None, :]))[0])))
-    variants = [{"a": shifted_a}, {"a": base_a}]
-    bridged = _path_functionals(pot, grid, q, variants, endpoint)
+    bridged = _path_functionals(pot, grid, q, t,
+                                [(shifted_a, None), (pot.a, None)], qp - q)
 
     def chunk_fn(gen, count):
         cols, finite = bridged(gen, count)
@@ -210,7 +187,7 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     return _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
 
 
-def diamagnetic_check(pot: PotentialConfig, psi: WaveFunction,
+def diamagnetic_check(pot: PotentialConfig, psi: Callable,
                       q: Sequence[float], t: float, n_paths: int,
                       grid: TimeGrid, rng: RngStream,
                       chunk_size: int = DEFAULT_CHUNK,
@@ -220,14 +197,9 @@ def diamagnetic_check(pot: PotentialConfig, psi: WaveFunction,
     Uses common random paths; the diamagnetic inequality asserts
     |first.mean| <= second.mean up to Monte Carlo error.
     """
-    variants = [
-        {"a": pot.a, "weight": psi.evaluator},
-        {"a": None, "weight": lambda x: np.abs(psi.evaluator(x))},
-    ]
-    chunk_fn = _path_functionals(pot, grid, q, variants)
-    with_a, without_a = _columns_mc(chunk_fn, n_paths, rng, chunk_size,
-                                    workers)
-    return with_a, without_a
+    variants = [(pot.a, psi), (None, lambda x: np.abs(psi(x)))]
+    chunk_fn = _path_functionals(pot, grid, q, t, variants)
+    return tuple(_columns_mc(chunk_fn, n_paths, rng, chunk_size, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +287,13 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
     Returns the MC estimate of <exp(+int v_-(q + w(s)) ds)> and the bound
     (1 - kappa_t(v_-))^(-1); requires kappa_t(v_-) < 1.
     """
+    chunk_fn = _path_functionals(pot, grid, q, t, [(None, None)],
+                                 v=lambda x: -pot.eval_v_minus(x))
     kappa = kato_kappa(pot.eval_v_minus, t, box_probes(pot, n_probe_grid),
                        quad, pot.box_halfwidth)
     if kappa >= 1.0:
         raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
     bound = 1.0 / (1.0 - kappa)
-
-    chunk_fn = _path_functionals(pot, grid, q,
-                                 [{"v": lambda x: -pot.eval_v_minus(x)}])
     lhs = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return lhs, bound
 

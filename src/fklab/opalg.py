@@ -119,21 +119,12 @@ def expm_batch(M: np.ndarray) -> np.ndarray:
     A = M / (2.0**s) if s else M
     ident = np.broadcast_to(np.eye(m, dtype=complex), A.shape)
     b = _PADE[k]
-    if k < 13:
-        # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
-        powers = [ident, A @ A]
-        while len(powers) <= k // 2:
-            powers.append(powers[-1] @ powers[1])
-        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
-        V = sum(b[2 * j] * P for j, P in enumerate(powers))
-    else:
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
+    powers = [ident, A @ A]
+    while len(powers) <= k // 2:
+        powers.append(powers[-1] @ powers[1])
+    U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+    V = sum(b[2 * j] * P for j, P in enumerate(powers))
     R = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):

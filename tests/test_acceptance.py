@@ -18,7 +18,7 @@ from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
 from fklab.fkschrodinger import (diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
                                  mehler_kernel, preset_potential,
-                                 PotentialConfig, WaveFunction)
+                                 PotentialConfig)
 from fklab.opalg import expm, trotter_product
 from fklab.phasespace import (PeriodicGrid, alpha_quantize, alpha_symbol,
                               short_time_family, standard_hamiltonian,
@@ -238,7 +238,10 @@ def test_criterion_8_gauge_and_diamagnetic():
     # diamagnetic inequality at 20 random probes
     gen = RngStream(113).generator()
     pot = preset_potential("constant-magnetic-2d", b0=1.5)
-    psi = WaveFunction(lambda x: np.exp(-np.sum(x**2, axis=-1) / 2))
+
+    def psi(x):
+        return np.exp(-np.sum(x**2, axis=-1) / 2)
+
     dia_ok = True
     for i in range(20):
         q = 2.0 * gen.standard_normal(2)

@@ -510,12 +510,19 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
         "grid": {"t_end": 1.0, "n_steps": 8},
         "params": {"alpha": 0.0},
     }
-    code, calls = _counted_sweep(monkeypatch, tmp_path, doc, "grid.n_steps",
-                                 "8,16,32,2.5")
-    assert code == 2
-    assert calls == []
-    assert not list(tmp_path.rglob("*.csv"))
-    assert "config error" in capsys.readouterr().err
+    # a bad type, an odd antithetic path count, and node fractions that
+    # round to node 0 on a one-step grid
+    sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
+              (_shrunk("fk-matrix"), "n_paths", "8,9"),
+              (_shrunk("wiener-stats"), "grid.n_steps", "8,1")]
+    for i, (point, axis, values) in enumerate(sweeps):
+        out = tmp_path / str(i)
+        out.mkdir()
+        code, calls = _counted_sweep(monkeypatch, out, point, axis, values)
+        assert code == 2, axis
+        assert calls == []
+        assert not list(out.rglob("*.csv"))
+        assert "config error" in capsys.readouterr().err
 
 
 # the documented ranges fail in the table, so a bad last point runs nothing

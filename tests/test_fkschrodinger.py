@@ -2,16 +2,17 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
                                  PathRejectionOverflow, PotentialConfig,
-                                 WaveFunction, apply_semigroup,
-                                 diamagnetic_check, free_kernel, gauge_check,
-                                 kato_kappa, kernel, khasminskii_check,
-                                 mehler_kernel, preset_potential)
+                                 apply_semigroup, diamagnetic_check,
+                                 free_kernel, gauge_check, kato_kappa, kernel,
+                                 khasminskii_check, mehler_kernel,
+                                 preset_potential)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -21,13 +22,13 @@ from oracles import harmonic_grid_kernel, well_kato_oracle
 def gauss_psi(width=1.0, center=0.0):
     def f(x):
         return np.exp(-np.sum((x - center) ** 2, axis=-1) / (2 * width**2))
-    return WaveFunction(f)
+    return f
 
 
 def harmonic_ground(d=1):
     def f(x):
         return math.pi ** (-d / 4) * np.exp(-0.5 * np.sum(x**2, axis=-1))
-    return WaveFunction(f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +80,7 @@ def test_harmonic_ground_state_decay():
     t = 0.8
     est = apply_semigroup(pot, harmonic_ground(), [0.3], t, 40000,
                           TimeGrid(t, 128), RngStream(21))
-    target = math.exp(-0.5 * t) * harmonic_ground().evaluator(
-        np.array([[0.3]]))[0]
+    target = math.exp(-0.5 * t) * harmonic_ground()(np.array([[0.3]]))[0]
     assert abs(est.mean - target) <= 4 * est.stderr
 
 
@@ -103,10 +103,28 @@ def test_harmonic_kernel_mehler_and_grid_oracle():
     assert abs(est.mean - closed) <= max(4 * est.stderr, 0.01 * closed)
 
 
-def test_kernel_horizon_mismatch_rejected():
-    pot = preset_potential("free", d=1)
-    with pytest.raises(ValueError):
-        kernel(pot, [0.0], [1.0], 2.0, 100, TimeGrid(1.0, 16), RngStream(24))
+# each scalar path estimator, called with (pot, t, grid, rng)
+SCALAR_ESTIMATORS = {
+    "apply_semigroup": lambda pot, t, grid, rng: apply_semigroup(
+        pot, gauss_psi(), [0.0], t, 100, grid, rng),
+    "kernel": lambda pot, t, grid, rng: kernel(
+        pot, [0.0], [1.0], t, 100, grid, rng),
+    "gauge_check": lambda pot, t, grid, rng: gauge_check(
+        pot, [0.0], [1.0], t, 100, grid, rng),
+    "diamagnetic_check": lambda pot, t, grid, rng: diamagnetic_check(
+        pot, gauss_psi(), [0.0], t, 100, grid, rng),
+    "khasminskii_check": lambda pot, t, grid, rng: khasminskii_check(
+        pot, [0.0], t, 100, grid, rng),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
+def test_kernel_horizon_mismatch_rejected(estimator):
+    # the paths live on the grid, so a t off its horizon is an input error
+    pot = preset_potential("gauge-linear", d=1)  # gauge_check needs chi
+    with pytest.raises(ValueError, match="horizon"):
+        SCALAR_ESTIMATORS[estimator](pot, 2.0, TimeGrid(1.0, 16),
+                                     RngStream(24))
 
 
 def test_singular_potential_rejects_paths():
@@ -166,6 +184,21 @@ def test_gauge_check_requires_chi():
         gauge_check(pot, [0.0], [1.0], 1.0, 10, TimeGrid(1.0, 8), RngStream(29))
 
 
+@pytest.mark.parametrize("estimator", ["gauge_check", "diamagnetic_check"])
+def test_one_potential_evaluation_per_chunk(estimator):
+    # the damping exp(-int v ds) is shared by every column of a chunk
+    calls = []
+
+    def v(x):
+        calls.append(x.shape)
+        return 0.1 * np.sum(x**2, axis=-1)
+
+    pot = replace(preset_potential("gauge-linear", d=1), v=v)
+    # 100 paths are one chunk
+    SCALAR_ESTIMATORS[estimator](pot, 1.0, TimeGrid(1.0, 8), RngStream(34))
+    assert calls == [(100, 9, 1)]
+
+
 def test_diamagnetic_inequality():
     pot = preset_potential("constant-magnetic-2d", b0=1.5)
     with_a, without_a = diamagnetic_check(pot, gauss_psi(), [0.4, 0.1], 1.0,
@@ -177,7 +210,10 @@ def test_diamagnetic_inequality():
 
 def test_diamagnetic_equality_without_field():
     pot = preset_potential("free", d=1)
-    psi = WaveFunction(lambda x: np.exp(-np.sum(x**2, axis=-1)))
+
+    def psi(x):
+        return np.exp(-np.sum(x**2, axis=-1))
+
     with_a, without_a = diamagnetic_check(pot, psi, [0.0], 0.5, 500,
                                           TimeGrid(0.5, 16), RngStream(31))
     assert with_a.mean == pytest.approx(without_a.mean, abs=1e-14)

@@ -1,4 +1,5 @@
-"""Every name a fklab module imports is used in that module."""
+"""Every name a fklab module imports is used in that module, and every
+parameter a fklab function takes is read in its body."""
 
 import ast
 from pathlib import Path
@@ -36,5 +37,40 @@ def test_no_unused_imports_in_src():
     assert _unused_imports("import os\nimport sys\nsys.exit\n") \
         == ["os (line 1)"]
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in unused.items() if v}
+
+
+# the CLI converters share the signature (value, name, d); d, the point
+# dimension, matters only to some of them
+EXEMPT_PARAMETERS = {"d"}
+
+
+def _unused_parameters(source: str) -> list[str]:
+    """Parameters of a def that no Name node in its body reads.
+
+    A lambda is not checked: each one in src/fklab fills a fixed calling
+    protocol, such as a field f(x, s) that does not depend on s.
+    """
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{node.name}.{p} (line {node.lineno})" for p in params
+                   if p not in read and p not in EXEMPT_PARAMETERS]
+    return unused
+
+
+def test_every_parameter_is_read_in_src():
+    assert _unused_parameters(
+        "def f(a, b, *, c, d=1):\n"
+        "    def g(x, y):\n        return c\n    return a + g\n") \
+        == ["f.b (line 1)", "g.x (line 2)", "g.y (line 2)"]
+    unused = {path.name: _unused_parameters(path.read_text(encoding="utf-8"))
               for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in unused.items() if v}
