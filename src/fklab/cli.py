@@ -519,6 +519,14 @@ def _run_kato(cfg: ExperimentConfig) -> list[Row]:
     return [_inforow("kappa", "-", kappa)]
 
 
+def _khasminskii_bound(cfg: ExperimentConfig) -> float:
+    """Reject kappa_t(v_minus) >= 1 when the config is parsed, so a sweep
+    with such a point runs none; the quadrature takes milliseconds in d = 1."""
+    with _config_errors():
+        return fkschrodinger.khasminskii_bound(cfg.params["potential"].config,
+                                               cfg.grid.t_end)
+
+
 def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     lhs, bound = fkschrodinger.khasminskii_check(
@@ -632,7 +640,7 @@ EXPERIMENTS = {
         "potential": _POTENTIAL, "n_space": (_int, 96), "n_time": (_int, 64),
         "n_probes": (_int, 33)}, needs=("grid",), slope=("kappa", None, None)),
     "khasminskii": Experiment(_run_khasminskii, {
-        "potential": _POTENTIAL, "q": _ORIGIN}),
+        "potential": _POTENTIAL, "q": _ORIGIN}, check=_khasminskii_bound),
     "diamagnetic": Experiment(_run_diamagnetic, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN}),
     "phasespace-roundtrip": Experiment(_run_phasespace_roundtrip, {

@@ -23,8 +23,7 @@ import numpy as np
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
-from .wiener import TimeGrid, bridge_from_free, paths_from_increments, \
-    sample_increments
+from .wiener import TimeGrid, path_blocks, sample_increments
 
 
 @dataclass(frozen=True)
@@ -56,32 +55,74 @@ class PotentialConfig:
 # path functionals
 
 
-def _functional_columns(v: Callable, grid: TimeGrid, positions: np.ndarray,
-                        variants: Sequence[tuple]):
-    """FK path functionals on shifted paths (P, n+1, d), one column each.
+# time steps per block of the path walk: beside its increments a chunk holds
+# O(n_paths * _BLOCK * d) floats of positions and integrands, whatever n_steps
+_BLOCK = 16
 
-    A variant ``(a, weight)`` multiplies the damping exp(-int v ds), computed
-    once per path, by the phase exp(-i int a o dw) and by ``weight`` of the
-    endpoints; None skips either. Returns (columns (P, k), finite mask).
+
+def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
+                        dw: np.ndarray, variants: Sequence[tuple],
+                        endpoint: np.ndarray | None = None):
+    """FK path functionals on the paths q + w, one column each.
+
+    w is the free path of the increments ``dw`` (P, n, d), or its bridge to
+    ``endpoint``. A variant ``(a, weight)`` multiplies the damping
+    exp(-int v ds), computed once per path, by the phase exp(-i int a o dw)
+    and by ``weight`` of the endpoints; None skips either. Time is walked
+    in blocks of :data:`_BLOCK` steps that add to the trapezoid sum and the
+    Stratonovich sums; positions are bit-identical to the full-path
+    ``bridge_from_free(paths_from_increments(dw))``. Returns (columns (P, k),
+    finite mask).
     """
-    dW = np.diff(positions, axis=1)
-    mid = 0.5 * (positions[:, 1:, :] + positions[:, :-1, :])
-    trap = np.full(grid.n_steps + 1, grid.dt)  # trapezoid weights
-    trap[[0, -1]] /= 2
-    integral = np.asarray(v(positions), dtype=float) @ trap
+    count, n, d = dw.shape
+    if endpoint is not None:
+        for _, w in path_blocks(dw, _BLOCK):  # the free endpoint first
+            pass
+        correction = w[:, -1] - endpoint
+    phased = [i for i, (a, _) in enumerate(variants) if a is not None]
+    strat = np.zeros((len(variants), count))
+    integral = np.zeros(count)
+    x = np.empty((count, _BLOCK + 1, d))  # row 0 the position before
+    for k0, w in path_blocks(dw, _BLOCK):
+        m = w.shape[1] - 1
+        xb = x[:, :m + 1]
+        if endpoint is None:
+            np.add(q, w, out=xb)
+        else:  # bridge_from_free's linear drift, s = t_k / t_end
+            s = grid.dt * np.arange(k0, k0 + m + 1) / grid.t_end
+            np.add(q, w - s[:, None] * correction[:, None, :], out=xb)
+            if k0 + m == n:
+                xb[:, -1] = q + endpoint  # exact pinning
+        lo = 0 if k0 == 0 else 1  # later blocks repeat the row before
+        trap = np.full(m + 1 - lo, grid.dt)
+        if lo == 0:
+            trap[0] /= 2
+        if k0 + m == n:
+            trap[-1] /= 2
+        part = np.asarray(v(xb[:, lo:]), dtype=float) @ trap
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral += part  # inf - inf, like an overflow, rejects the path
+        if phased:
+            step = np.diff(xb, axis=1)
+            mid = 0.5 * (xb[:, 1:] + xb[:, :-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in phased:
+                    strat[i] += np.einsum("pkd,pkd->p",
+                                          np.asarray(variants[i][0](mid)),
+                                          step)
+    end = xb[:, -1]
     # a finite but large -int v overflows the weight; such paths and
     # any non-finite column value are rejected, not averaged
     finite = np.isfinite(integral)
     cols = []
     with np.errstate(over="ignore", invalid="ignore"):
         damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
-        for a, weight in variants:
+        for (a, weight), phase in zip(variants, strat):
             value = damping
             if a is not None:
-                strat = np.einsum("pkd,pkd->p", np.asarray(a(mid)), dW)
-                value = value * np.exp(-1j * strat)
+                value = value * np.exp(-1j * phase)
             if weight is not None:
-                value = value * np.asarray(weight(positions[:, -1, :]))
+                value = value * np.asarray(weight(end))
             finite &= np.isfinite(value)
             cols.append(value)
     return np.stack(cols, axis=1), finite
@@ -101,10 +142,9 @@ def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
     v = pot.eval_v if v is None else v
 
     def chunk_fn(gen, count):
-        w = paths_from_increments(grid, sample_increments(grid, pot.d, count, gen))
-        if endpoint is not None:
-            w = bridge_from_free(grid, w, endpoint)
-        return _functional_columns(v, grid, q + w, variants)
+        return _functional_columns(
+            v, grid, q, sample_increments(grid, pot.d, count, gen), variants,
+            endpoint)
 
     return chunk_fn
 
@@ -276,6 +316,20 @@ def box_probes(pot: PotentialConfig, n_per_axis: int) -> np.ndarray:
                     axis=-1).reshape(-1, pot.d)
 
 
+def khasminskii_bound(pot: PotentialConfig, t: float,
+                      quad: KatoQuadSpec = KatoQuadSpec(),
+                      n_probe_grid: int = 33) -> float:
+    """The Khas'minskii bound (1 - kappa_t(v_-))^(-1) over the box probes.
+
+    Raises ValueError when kappa_t(v_-) >= 1, where the bound is undefined.
+    """
+    kappa = kato_kappa(pot.eval_v_minus, t, box_probes(pot, n_probe_grid),
+                       quad, pot.box_halfwidth)
+    if kappa >= 1.0:
+        raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
+    return 1.0 / (1.0 - kappa)
+
+
 def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
                       n_paths: int, grid: TimeGrid, rng: RngStream,
                       quad: KatoQuadSpec = KatoQuadSpec(),
@@ -289,11 +343,7 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
     """
     chunk_fn = _path_functionals(pot, grid, q, t, [(None, None)],
                                  v=lambda x: -pot.eval_v_minus(x))
-    kappa = kato_kappa(pot.eval_v_minus, t, box_probes(pot, n_probe_grid),
-                       quad, pot.box_halfwidth)
-    if kappa >= 1.0:
-        raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
-    bound = 1.0 / (1.0 - kappa)
+    bound = khasminskii_bound(pot, t, quad, n_probe_grid)
     lhs = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return lhs, bound
 

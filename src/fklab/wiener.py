@@ -72,12 +72,30 @@ class TestFunction:
     support_end: float
 
 
+# largest increment array one sample_increments call may allocate: every
+# chunk holds its increments whole, so a larger chunk is an input error
+# (exit 2 in the CLI) instead of an out-of-memory failure
+MAX_INCREMENT_BYTES = 2**30
+
+
 def sample_increments(grid: TimeGrid, d: int, n_paths: int,
                       gen: np.random.Generator) -> np.ndarray:
-    """Gaussian increments with component variance dt, shape (n_paths, n, d)."""
+    """Gaussian increments with component variance dt, shape (n_paths, n, d).
+
+    Raises ValueError, before allocating, when the array would exceed
+    :data:`MAX_INCREMENT_BYTES`.
+    """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return gen.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
+    size = n_paths * grid.n_steps * d * 8
+    if size > MAX_INCREMENT_BYTES:
+        raise ValueError(
+            f"the increments of {n_paths} paths x {grid.n_steps} steps in "
+            f"d = {d} take {size / 2**20:.0f} MiB, over the "
+            f"{MAX_INCREMENT_BYTES // 2**20} MiB budget of one chunk")
+    out = gen.standard_normal((n_paths, grid.n_steps, d))
+    out *= np.sqrt(grid.dt)
+    return out
 
 
 def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
@@ -87,6 +105,29 @@ def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     out[:, 0] = 0.0
     np.cumsum(dw, axis=1, out=out[:, 1:])
     return out
+
+
+def path_blocks(dw: np.ndarray, block: int):
+    """:func:`paths_from_increments` one block of time steps at a time.
+
+    Yields ``(k0, w)`` with w (n_paths, m+1, d) the free path at steps
+    k0 .. k0+m, m <= ``block``; row 0 repeats the last row of the block
+    before (zero for the first). Each block is a sequential cumsum that
+    starts from that carried row, so the values are bit-identical to the
+    full path. ``w`` is a view into one reused buffer, valid until the next
+    block is drawn.
+    """
+    n_paths, n, d = dw.shape
+    buf = np.zeros((n_paths, block + 1, d))
+    for k0 in range(0, n, block):
+        m = min(block, n - k0)
+        steps = buf[:, 1:m + 1]
+        steps[...] = dw[:, k0:k0 + m]
+        if k0:
+            steps[:, 0] += buf[:, 0]
+        np.cumsum(steps, axis=1, out=steps)
+        yield k0, buf[:, :m + 1]
+        buf[:, 0] = buf[:, m]
 
 
 def sample_paths(grid: TimeGrid, d: int, n_paths: int, rng: RngStream) -> PathBatch:

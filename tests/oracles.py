@@ -3,8 +3,9 @@
 Everything here is deliberately implemented with different algorithms than
 the package: Taylor-series matrix exponentials, truncated Dyson series,
 dense-grid quadrature, finite-difference eigensolvers and generator probes,
-error-function integrals, step-by-step ordered products and the
-phase-space transforms with their Fourier sums as dense N x N DFT matrices.
+error-function integrals, step-by-step ordered products, whole-path
+Feynman-Kac functionals and the phase-space transforms with their Fourier
+sums as dense N x N DFT matrices.
 The ordering-mismatch demo quantizes one symbol at two orderings through
 the package's public transform.
 """
@@ -98,6 +99,35 @@ def prefix_loop(F: np.ndarray) -> np.ndarray:
         T = F[:, k] @ T
         out[:, k] = T
     return out
+
+
+def full_path_columns(v, grid, positions: np.ndarray, variants):
+    """FK path functionals on whole shifted paths (P, n+1, d), one column each.
+
+    The full-path form of ``fkschrodinger._functional_columns``: the
+    trapezoid sum of v over all n+1 rows as one matrix-vector product, the
+    Stratonovich sums from the whole increment and midpoint arrays, and
+    ``weight`` of the last row. Returns (columns (P, k), finite mask).
+    """
+    dW = np.diff(positions, axis=1)
+    mid = 0.5 * (positions[:, 1:, :] + positions[:, :-1, :])
+    trap = np.full(grid.n_steps + 1, grid.dt)
+    trap[[0, -1]] /= 2
+    integral = np.asarray(v(positions), dtype=float) @ trap
+    finite = np.isfinite(integral)
+    cols = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
+        for a, weight in variants:
+            value = damping
+            if a is not None:
+                strat = np.einsum("pkd,pkd->p", np.asarray(a(mid)), dW)
+                value = value * np.exp(-1j * strat)
+            if weight is not None:
+                value = value * np.asarray(weight(positions[:, -1, :]))
+            finite &= np.isfinite(value)
+            cols.append(value)
+    return np.stack(cols, axis=1), finite
 
 
 def dyson_series(values: np.ndarray, dt: float, A, B, order: int) -> np.ndarray:

@@ -312,6 +312,11 @@ BAD_INPUTS = {
     "zmax-nan": ("wiener-stats", [("params.zmax", math.nan)]),
     "length-inf": ("phasespace-roundtrip", [("params.length", math.inf)]),
     "rel_tol-beyond-float": ("fk-kernel", [("params.rel_tol", 10**400)]),
+    # one chunk's increments over wiener.MAX_INCREMENT_BYTES, found before
+    # anything of that size is allocated
+    "semigroup-increments-over-budget": ("fk-semigroup",
+                                         [("grid.n_steps", 10**9)]),
+    "matrix-increments-over-budget": ("fk-matrix", [("grid.n_steps", 10**9)]),
 }
 
 
@@ -510,11 +515,13 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
         "grid": {"t_end": 1.0, "n_steps": 8},
         "params": {"alpha": 0.0},
     }
-    # a bad type, an odd antithetic path count, and node fractions that
-    # round to node 0 on a one-step grid
+    # a bad type, an odd antithetic path count, node fractions that round
+    # to node 0 on a one-step grid, and a well with kappa_t >= 1
     sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
               (_shrunk("fk-matrix"), "n_paths", "8,9"),
-              (_shrunk("wiener-stats"), "grid.n_steps", "8,1")]
+              (_shrunk("wiener-stats"), "grid.n_steps", "8,1"),
+              (_shrunk("khasminskii", [("params.potential.height", 0.3)]),
+               "params.potential.height", "0.3,5.0")]
     for i, (point, axis, values) in enumerate(sweeps):
         out = tmp_path / str(i)
         out.mkdir()

@@ -1,22 +1,26 @@
 """Schroedinger-semigroup estimators, kernels, and Kato-class diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
+from fklab.fkschrodinger import (_BLOCK, POTENTIAL_PRESETS, KatoQuadSpec,
                                  PathRejectionOverflow, PotentialConfig,
-                                 apply_semigroup, diamagnetic_check,
-                                 free_kernel, gauge_check, kato_kappa, kernel,
-                                 khasminskii_check, mehler_kernel,
-                                 preset_potential)
+                                 _functional_columns, apply_semigroup,
+                                 diamagnetic_check, free_kernel, gauge_check,
+                                 kato_kappa, kernel, khasminskii_check,
+                                 mehler_kernel, preset_potential)
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid
+from fklab.wiener import (TimeGrid, bridge_from_free, paths_from_increments,
+                          sample_increments)
 
-from oracles import harmonic_grid_kernel, well_kato_oracle
+from oracles import full_path_columns, harmonic_grid_kernel, well_kato_oracle
 
 
 def gauss_psi(width=1.0, center=0.0):
@@ -103,18 +107,19 @@ def test_harmonic_kernel_mehler_and_grid_oracle():
     assert abs(est.mean - closed) <= max(4 * est.stderr, 0.01 * closed)
 
 
-# each scalar path estimator, called with (pot, t, grid, rng)
+# each scalar path estimator on 100 paths, called with (pot, t, grid, rng)
+# and optional chunk_size / workers keywords
 SCALAR_ESTIMATORS = {
-    "apply_semigroup": lambda pot, t, grid, rng: apply_semigroup(
-        pot, gauss_psi(), [0.0], t, 100, grid, rng),
-    "kernel": lambda pot, t, grid, rng: kernel(
-        pot, [0.0], [1.0], t, 100, grid, rng),
-    "gauge_check": lambda pot, t, grid, rng: gauge_check(
-        pot, [0.0], [1.0], t, 100, grid, rng),
-    "diamagnetic_check": lambda pot, t, grid, rng: diamagnetic_check(
-        pot, gauss_psi(), [0.0], t, 100, grid, rng),
-    "khasminskii_check": lambda pot, t, grid, rng: khasminskii_check(
-        pot, [0.0], t, 100, grid, rng),
+    "apply_semigroup": lambda pot, t, grid, rng, **kw: apply_semigroup(
+        pot, gauss_psi(), [0.0], t, 100, grid, rng, **kw),
+    "kernel": lambda pot, t, grid, rng, **kw: kernel(
+        pot, [0.0], [1.0], t, 100, grid, rng, **kw),
+    "gauge_check": lambda pot, t, grid, rng, **kw: gauge_check(
+        pot, [0.0], [1.0], t, 100, grid, rng, **kw),
+    "diamagnetic_check": lambda pot, t, grid, rng, **kw: diamagnetic_check(
+        pot, gauss_psi(), [0.0], t, 100, grid, rng, **kw),
+    "khasminskii_check": lambda pot, t, grid, rng, **kw: khasminskii_check(
+        pot, [0.0], t, 100, grid, rng, **kw),
 }
 
 
@@ -125,6 +130,104 @@ def test_kernel_horizon_mismatch_rejected(estimator):
     with pytest.raises(ValueError, match="horizon"):
         SCALAR_ESTIMATORS[estimator](pot, 2.0, TimeGrid(1.0, 16),
                                      RngStream(24))
+
+
+@pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
+def test_estimates_do_not_depend_on_workers(estimator):
+    # chunks of 32 of the 100 paths, the last one partial, and 37 steps,
+    # so the time walk ends mid-block
+    pot = replace(preset_potential("gauge-linear", d=1, c=0.4),
+                  v=lambda x: 0.1 * np.sum(x**2, axis=-1) - 0.2,
+                  a=lambda x: 0.5 * np.sin(x))
+    grid = TimeGrid(1.0, 2 * _BLOCK + 5)
+    runs = [SCALAR_ESTIMATORS[estimator](pot, 1.0, grid, RngStream(37),
+                                         chunk_size=32, workers=workers)
+            for workers in (1, 2)]
+    assert repr(runs[0]) == repr(runs[1])
+
+
+def _peak_beyond_increments(call, n_paths: int, n_steps: int, d: int) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - n_paths * n_steps * d * 8
+
+
+MAGNETIC_SINE_GAUGE = replace(
+    preset_potential("constant-magnetic-2d"),
+    v=lambda x: 0.1 * np.sum(x**2, axis=-1),
+    chi=lambda x: 0.3 * np.sum(np.sin(0.5 * x), axis=-1),
+    grad_chi=lambda x: 0.15 * np.cos(0.5 * x))
+
+# estimator, dimension and call on 256 paths of a grid
+MEMORY_CASES = {
+    "apply_semigroup": (3, lambda grid: apply_semigroup(
+        preset_potential("harmonic", d=3), gauss_psi(), [0.1, 0.0, -0.2],
+        1.0, 256, grid, RngStream(38))),
+    "kernel": (1, lambda grid: kernel(
+        preset_potential("harmonic"), [0.2], [-0.5], 1.0, 256, grid,
+        RngStream(39))),
+    "gauge_check": (2, lambda grid: gauge_check(
+        MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 1.0, 256, grid,
+        RngStream(40))),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(MEMORY_CASES))
+def test_chunk_memory_does_not_grow_with_steps(estimator):
+    # the walk holds a few blocks of positions beside the increments, so
+    # 16 times the steps adds nothing beyond the increment array
+    d, call = MEMORY_CASES[estimator]
+    short, long = (_peak_beyond_increments(
+        lambda: call(TimeGrid(1.0, n)), 256, n, d) for n in (64, 1024))
+    assert long <= 1.1 * short + 2**16, (short, long)
+
+
+def _overflowing_v(x):
+    """Harmonic, with an overflowing -int v for x_0 > 1.2 and v = inf for
+    x_0 < -1.2."""
+    v = 0.5 * np.sum(x**2, axis=-1) - 0.2
+    v = np.where(x[..., 0] > 1.2, -1e6, v)
+    return np.where(x[..., 0] < -1.2, np.inf, v)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_steps=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                3 * _BLOCK + 5]),
+       d=st.integers(1, 3), bridge=st.booleans(), with_a=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
+                                                    with_a, seed):
+    grid = TimeGrid(0.7, n_steps)
+    draw = np.random.default_rng(seed)
+    q = draw.uniform(-0.5, 0.5, d)
+    endpoint = draw.uniform(-1.0, 1.0, d) if bridge else None
+    dw = sample_increments(grid, d, 64, RngStream(seed).generator())
+    seen = []
+
+    def psi(x):
+        seen.append(x.copy())
+        return np.exp(-np.sum(x**2, axis=-1))
+
+    a = (lambda x: 0.7 * np.sin(x[..., ::-1]) + 0.2 * x) if with_a else None
+    variants = [(a, psi), (None, None)]
+    cols, finite = _functional_columns(_overflowing_v, grid, q, dw, variants,
+                                       endpoint)
+    w = paths_from_increments(grid, dw)
+    if bridge:
+        w = bridge_from_free(grid, w, endpoint)
+    ref, ref_finite = full_path_columns(_overflowing_v, grid, q + w, variants)
+    assert finite.tobytes() == ref_finite.tobytes()
+    assert np.all(np.abs(cols[finite] - ref[finite])
+                  <= 1e-13 * np.abs(ref[finite]))
+    # psi sees the oracle's endpoints bit for bit, q + endpoint on bridges
+    assert seen[0].tobytes() == seen[1].tobytes()
+    if bridge:
+        assert seen[0].tobytes() == np.broadcast_to(
+            q + endpoint, seen[0].shape).tobytes()
 
 
 def test_singular_potential_rejects_paths():

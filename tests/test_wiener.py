@@ -1,6 +1,7 @@
 """Wiener-measure sampling, bridges, and characteristic functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
-from fklab.wiener import (PathBatch, TimeGrid, bridge_from_free,
-                          estimate_char_functional, estimate_covariance,
-                          estimate_white_noise_functional,
+from fklab.wiener import (MAX_INCREMENT_BYTES, PathBatch, TimeGrid,
+                          bridge_from_free, estimate_char_functional,
+                          estimate_covariance,
+                          estimate_white_noise_functional, path_blocks,
                           paths_from_increments, sample_bridges,
                           sample_increments, sample_paths)
 
@@ -41,6 +43,35 @@ def test_paths_from_increments_cumsum():
     dw = np.array([[[1.0], [2.0], [-1.0]]])
     vals = paths_from_increments(g, dw)
     assert np.allclose(vals[0, :, 0], [0.0, 1.0, 3.0, 2.0])
+
+
+def test_increment_budget_rejected_before_allocating():
+    # 10**9 steps of one path would take 8 GB: the check comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            sample_increments(TimeGrid(1.0, 10**9), 1, 1,
+                              RngStream(0).generator())
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="budget"):
+        sample_increments(TimeGrid(1.0, MAX_INCREMENT_BYTES // 24 + 1), 3, 1,
+                          RngStream(0).generator())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_steps=st.integers(1, 70), block=st.integers(1, 20),
+       d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_path_blocks_are_the_full_paths_bitwise(n_steps, block, d, seed):
+    g = TimeGrid(1.0, n_steps)
+    dw = sample_increments(g, d, 5, RngStream(seed).generator())
+    rows = []
+    for k0, w in path_blocks(dw, block):
+        assert 2 <= w.shape[1] <= block + 1
+        rows.append((w[:, 1:] if k0 else w).copy())  # the buffer is reused
+    full = paths_from_increments(g, dw)
+    assert np.concatenate(rows, axis=1).tobytes() == full.tobytes()
 
 
 def test_bridge_endpoint_bit_exact():
