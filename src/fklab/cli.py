@@ -9,17 +9,19 @@ fixed (seed, config) regardless of the worker count.
 
 A valid config and its defaults are written once, in :data:`EXPERIMENTS`:
 each row holds a runner, the required top-level keys, a sweep slope rule,
-a params spec ``{key: (converter, default)}`` and a check across blocks.
-:func:`_fields` checks each block (top level, grid, params, and the
-potential, psi, chi and operator sub-blocks) against its spec and fills in
-defaults, so runners and oracles read only resolved values. Potential
-parameters and defaults come from ``fkschrodinger.POTENTIAL_PRESETS``.
+a params spec ``{key: (converter, default)}``, a check across blocks and
+the increments a run draws. :func:`_fields` checks each block against its
+spec and fills in defaults; a preset block (potential, psi, chi, operator)
+resolves to what the run uses, with the closed forms its preset knows, so
+runners read only resolved objects and compare no preset name. Potential
+presets come from ``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
-(a failed table check, a ``ValueError`` from a library input check, or an
-``--out`` that is not a writable directory; nothing is written, and a sweep
-checks the table for every point before the first one runs), 3 numerical
-failure, 4 the CSV sidecar could not be written after the run.
+(a failed table check, a ``ValueError`` from a library input check, an
+array over ``wiener.MAX_INCREMENT_BYTES``, or an ``--out`` that is not a
+writable directory; nothing is written, and a sweep checks the table for
+every point before the first one runs), 3 numerical failure, 4 the CSV
+sidecar could not be written after the run.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import fkmatrix, fkschrodinger, phasespace
 from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
-                            PathRejectionOverflow, kato_kappa, mehler_kernel,
-                            preset_potential)
-from .mc import MCEstimate, mc_run
+                            PathRejectionOverflow, linear_gauge)
+from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
-from .wiener import (PathBatch, TimeGrid, estimate_covariance,
-                     paths_from_increments, sample_increments)
+from .wiener import (MAX_INCREMENT_BYTES, PathBatch, TimeGrid, check_budget,
+                     estimate_covariance, paths_from_increments,
+                     sample_increments)
 
 # roundoff floor below which a test is meaningless; the z-tests and the
 # Frobenius row scale it by max(1, |target|), since a mean of identical
@@ -104,19 +106,20 @@ def _inforow(quantity: str, component: str, mean, stderr=0.0) -> Row:
 
 
 # ---------------------------------------------------------------------------
-# converters: (value, name, d) -> resolved value, d the point dimension
+# converters: (value, name, pot) -> resolved value, pot the potential
+# resolved before the value, if any
 
 REQUIRED = object()  # spec default of a key the config must give
 
 
-def _int(value, name: str, d=None, minimum: int = 1) -> int:
+def _int(value, name: str, pot=None, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool) \
             or not minimum <= value < 2**64:
         raise ConfigError(f"{name} must be an integer in [{minimum}, 2**64)")
     return value
 
 
-def _num(value, name: str, d=None) -> float:
+def _num(value, name: str, pot=None) -> float:
     # the comparison also rejects NaN and integers beyond the float range
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not abs(value) <= sys.float_info.max:
@@ -126,8 +129,8 @@ def _num(value, name: str, d=None) -> float:
 
 def _ranged(convert, rule: str, ok):
     """``convert``, then the range check ``ok`` on every resolved value."""
-    def check(value, name: str, d=None):
-        out = convert(value, name, d)
+    def check(value, name: str, pot=None):
+        out = convert(value, name, pot)
         if not np.all(ok(out)):
             raise ConfigError(f"{name} must be {rule}")
         return out
@@ -159,21 +162,21 @@ def _array(value) -> np.ndarray | None:
     return arr if np.all(np.isfinite(arr)) else None
 
 
-def _vector(value, name: str, d=None) -> np.ndarray:
+def _vector(value, name: str, pot=None) -> np.ndarray:
     arr = _array(value)
     if arr is None or arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{name} must be a non-empty list of finite numbers")
     return arr
 
 
-def _point(value, name: str, d: int) -> np.ndarray:
+def _point(value, name: str, pot) -> np.ndarray:
     arr = _vector(value, name)
-    if arr.shape != (d,):
-        raise ConfigError(f"{name} must have the potential dimension {d}")
+    if arr.shape != (pot.d,):
+        raise ConfigError(f"{name} must have the potential dimension {pot.d}")
     return arr
 
 
-def _matrix(value, name: str, d=None) -> np.ndarray:
+def _matrix(value, name: str, pot=None) -> np.ndarray:
     """Nested arrays with innermost [re, im] pairs -> complex square matrix."""
     arr = _array(value)
     if arr is None or arr.ndim != 3 or arr.shape[2] != 2 \
@@ -183,24 +186,24 @@ def _matrix(value, name: str, d=None) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _matrices(value, name: str, d=None) -> tuple:
+def _matrices(value, name: str, pot=None) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a list of matrices")
     return tuple(_matrix(a, f"{name}[{i}]") for i, a in enumerate(value))
 
 
-def _grid(value, name: str, d=None) -> TimeGrid:
+def _grid(value, name: str, pot=None) -> TimeGrid:
     return TimeGrid(**_fields(value, {"t_end": (_num, REQUIRED),
                                       "n_steps": (_int, REQUIRED)}, name))
 
 
-def _fields(block, spec: dict, context: str, d: int | None = None) -> dict:
+def _fields(block, spec: dict, context: str, pot=None) -> dict:
     """Check ``block`` against ``spec`` and return its resolved values.
 
     A missing key takes its default, which the converter resolves like a
-    given value. A default that is a function is called with the point
-    dimension ``d``; a ``potential`` key sets ``d`` for the keys after it.
-    A key given as null passes only where its default is None.
+    given value. A default that is a function is called with the potential
+    ``pot``; a ``potential`` key sets ``pot`` for the keys after it. A key
+    given as null passes only where its default is None.
     """
     where = context or "config"
     if not isinstance(block, dict):
@@ -215,61 +218,87 @@ def _fields(block, spec: dict, context: str, d: int | None = None) -> dict:
         if value is REQUIRED:
             raise ConfigError(f"missing required key: {name}")
         if callable(value):
-            value = value(d)
+            value = value(pot)
         if value is None and default is None:
             out[key] = None
         else:
-            out[key] = convert(value, name, d)
+            out[key] = convert(value, name, pot)
         if key == "potential":
-            d = out[key].config.d
+            pot = out[key]
     return out
 
 
-def _presets(specs: dict):
-    """Converter of a sub-block ``{"name": preset, **fields}``, checked
-    against ``specs[preset]``; it resolves to the name and resolved fields."""
-    def convert(block, name: str, d=None) -> dict:
+def _presets(table: dict):
+    """Converter of a sub-block ``{"name": preset, **fields}``: with
+    ``table[preset] = (spec, build)`` the fields are checked against
+    ``spec`` and the block resolves to ``build(**fields)``."""
+    def convert(block, name: str, pot=None):
         if not isinstance(block, dict):
             raise ConfigError(f"{name} must be an object with a preset name")
         preset = block.get("name")
-        if not isinstance(preset, str) or preset not in specs:
+        if not isinstance(preset, str) or preset not in table:
             raise ConfigError(f"{name}: unknown preset {preset!r}")
+        spec, build = table[preset]
         fields = {k: v for k, v in block.items() if k != "name"}
-        return {"name": preset, **_fields(fields, specs[preset], name, d)}
+        return build(**_fields(fields, spec, name, pot))
 
     return convert
 
 
-class Potential(NamedTuple):
-    preset: dict  # the resolved block: name and every preset parameter
-    config: fkschrodinger.PotentialConfig
-
-
 # an int default is an integer >= 1, a float default a finite number
-_potential_block = _presets({
-    name: {key: (_int if isinstance(v, int) else _num, v)
-           for key, v in defaults.items()}
-    for name, defaults in POTENTIAL_PRESETS.items()})
+_POTENTIAL = (_presets({
+    name: ({key: (_int if isinstance(v, int) else _num, v)
+            for key, v in defaults.items()}, build)
+    for name, (defaults, build) in POTENTIAL_PRESETS.items()}), REQUIRED)
+_ORIGIN = (_point, lambda pot: [0.0] * pot.d)
 
 
-def _potential(value, name: str, d=None) -> Potential:
-    preset = _potential_block(value, name)
-    return Potential(preset, preset_potential(**preset))
+def _psi(value, name: str, pot):
+    """A psi block as the pair (psi, evolved): evolved(q, t) is exp(-tH) psi
+    at q where the potential knows it in closed form, else None. The ground
+    state is that of the potential's oscillator, omega = 1 when it is none."""
+    d, omega = pot.d, 1.0 if pot.closed.omega is None else pot.closed.omega
+    return _presets({
+        # written so that omega = 1 gives the bits of pi^(-d/4) e^(-x^2/2)
+        "harmonic-ground": ({}, lambda: (
+            lambda x: (omega ** (d / 4) * math.pi ** (-d / 4)
+                       * np.exp(-0.5 * omega * np.sum(x**2, axis=-1))),
+            pot.closed.ground)),
+        "gaussian": (
+            {"width": (_positive, 1.0), "center": _ORIGIN},
+            lambda width, center: (
+                lambda x: np.exp(-np.sum((x - center)**2, axis=-1)
+                                 / (2 * width**2)),
+                lambda q, t: pot.closed.gaussian(width, center, q, t))),
+    })(value, name, pot)
 
 
-_POTENTIAL = (_potential, REQUIRED)
-_ORIGIN = (_point, lambda d: [0.0] * d)
-_psi = _presets({
-    "harmonic-ground": {},
-    "gaussian": {"width": (_positive, 1.0), "center": _ORIGIN},
-})
+# a chi block resolves to the PotentialConfig fields chi and grad_chi
 _chi = _presets({
-    "linear": {"c": (_num, 1.0)},
-    "sine": {"amplitude": (_num, 1.0), "wavenumber": (_num, 1.0)},
+    "linear": ({"c": (_num, 1.0)}, linear_gauge),
+    "sine": ({"amplitude": (_num, 1.0), "wavenumber": (_num, 1.0)},
+             lambda amplitude, wavenumber: {
+                 "chi": lambda x: amplitude * np.sum(np.sin(wavenumber * x),
+                                                     axis=-1),
+                 "grad_chi": lambda x: (amplitude * wavenumber
+                                        * np.cos(wavenumber * x))}),
 })
+
+
+def _random_hermitian(grid: phasespace.PeriodicGrid, seed: int) -> np.ndarray:
+    gen = RngStream(seed, 1).generator()
+    n = grid.n_points
+    raw = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return raw + raw.conj().T
+
+
+# an operator block resolves to (build, real): build(lattice, seed) makes H
+# when the run starts, and real tells whether its alpha = 1/2 symbol is real
 _operator = _presets({
-    "harmonic": {"omega": (_num, 1.0)},
-    "random-hermitian": {},
+    "harmonic": ({"omega": (_num, 1.0)}, lambda omega: (
+        lambda grid, seed: phasespace.standard_hamiltonian(
+            grid, None, lambda q: 0.5 * omega**2 * q**2), True)),
+    "random-hermitian": ({}, lambda: (_random_hermitian, False)),
 })
 
 
@@ -293,19 +322,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     row = EXPERIMENTS[experiment]
 
     top = _fields(doc, {
-        "experiment": (lambda value, name, d: value, REQUIRED),
+        "experiment": (lambda value, name, pot: value, REQUIRED),
         "seed": (functools.partial(_int, minimum=0), REQUIRED),
         "workers": (_int, 1),
         "n_paths": (functools.partial(_int, minimum=2),
                     REQUIRED if "n_paths" in row.needs else None),
         "grid": (_grid, REQUIRED if "grid" in row.needs else None),
-        "params": (lambda value, name, d: _fields(value, row.params, name),
+        "params": (lambda value, name, pot: _fields(value, row.params, name),
                    {}),
     }, "")
-    cfg = ExperimentConfig(experiment, top["seed"], top["workers"],
-                           top["n_paths"], top["grid"], top["params"],
-                           copy.deepcopy(doc))
-    row.check(cfg)
+    cfg = ExperimentConfig(**top, raw=copy.deepcopy(doc))
+    with _config_errors():  # the checks call library input checks
+        if "n_paths" in row.needs:
+            samples, d = row.draws(cfg)
+            check_budget("one chunk's increments",
+                         min(samples, DEFAULT_CHUNK), cfg.grid.n_steps, d)
+        row.check(cfg)
     return cfg
 
 
@@ -418,44 +450,13 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     return _matrix_rows("T", est, target, p["frob_tol"], p["zmax"])
 
 
-def _wavefunction(psi: dict, pot: Potential) -> Callable:
-    """The psi block as a function; ``harmonic-ground`` is the ground state
-    (omega/pi)^(d/4) exp(-omega |x|^2 / 2) of the potential's oscillator
-    (omega = 1 unless the potential sets it)."""
-    if psi["name"] == "harmonic-ground":
-        d, omega = pot.config.d, pot.preset.get("omega", 1.0)
-        # written so that omega = 1 gives the same bits as pi^(-d/4) e^(-x^2/2)
-        return lambda x: (omega ** (d / 4) * math.pi ** (-d / 4)
-                          * np.exp(-0.5 * omega * np.sum(x**2, axis=-1)))
-    width, center = psi["width"], psi["center"]  # gaussian
-    return lambda x: np.exp(-np.sum((x - center)**2, axis=-1)
-                            / (2 * width**2))
-
-
-def _semigroup_target(pot: Potential, psi: dict, q: np.ndarray, t: float):
-    d = pot.config.d
-    if pot.preset["name"] == "harmonic" and psi["name"] == "harmonic-ground":
-        # an eigenfunction with eigenvalue d omega / 2
-        omega = pot.preset["omega"]
-        return (math.exp(-t * d * omega / 2) * omega ** (d / 4)
-                * math.pi ** (-d / 4) * math.exp(-0.5 * omega * float(q @ q)))
-    if pot.preset["name"] == "free" and psi["name"] == "gaussian":
-        w, c = psi["width"], psi["center"]
-        s = w**2 + t
-        return ((w**2 / s) ** (d / 2)
-                * math.exp(-float((q - c) @ (q - c)) / (2 * s)))
-    return None
-
-
 def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot, psi, q = p["potential"], p["psi"], p["q"]
-    est = fkschrodinger.apply_semigroup(pot.config,
-                                        _wavefunction(psi, pot), q,
-                                        cfg.grid.t_end, cfg.n_paths, cfg.grid,
-                                        RngStream(cfg.seed),
+    (psi, evolved), q, t = p["psi"], p["q"], cfg.grid.t_end
+    est = fkschrodinger.apply_semigroup(p["potential"], psi, q, t, cfg.n_paths,
+                                        cfg.grid, RngStream(cfg.seed),
                                         workers=cfg.workers)
-    target = _semigroup_target(pot, psi, q, cfg.grid.t_end)
+    target = evolved(q, t)
     if target is None:
         return [_inforow("psi_t", "-", est.mean, est.stderr)]
     return [_zrow("psi_t", "-", est.mean, est.stderr, target, p["zmax"])]
@@ -463,74 +464,48 @@ def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
 
 def _run_fk_kernel(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot, q, qp = p["potential"], p["q"], p["q_prime"]
-    t = cfg.grid.t_end
-    est = fkschrodinger.kernel(pot.config, q, qp, t, cfg.n_paths, cfg.grid,
+    pot, q, qp, t = p["potential"], p["q"], p["q_prime"], cfg.grid.t_end
+    est = fkschrodinger.kernel(pot, q, qp, t, cfg.n_paths, cfg.grid,
                                RngStream(cfg.seed), workers=cfg.workers)
-    name = pot.preset["name"]
-    if name == "free":
-        target = fkschrodinger.free_kernel(pot.config.d, qp - q, t)
-    elif name == "harmonic" and pot.config.d == 1:
-        target = mehler_kernel(float(q[0]), float(qp[0]), t,
-                               pot.preset["omega"])
-    else:
+    target = pot.closed.kernel(q, qp, t)
+    if target is None:
         return [_inforow("kernel", "-", est.mean, est.stderr)]
     diff = abs(est.mean - target)
     passed = diff <= max(3 * est.stderr, p["rel_tol"] * abs(target))
     return [Row("kernel", "-", est.mean, est.stderr, complex(target), passed)]
 
 
-def _with_chi(pot: fkschrodinger.PotentialConfig,
-              chi: dict) -> fkschrodinger.PotentialConfig:
-    if chi["name"] == "linear":
-        c = chi["c"]
-        return replace(pot, chi=lambda x: c * np.sum(x, axis=-1),
-                       grad_chi=lambda x: np.full_like(x, c))
-    amp, k = chi["amplitude"], chi["wavenumber"]  # sine
-    return replace(pot, chi=lambda x: amp * np.sum(np.sin(k * x), axis=-1),
-                   grad_chi=lambda x: amp * k * np.cos(k * x))
-
-
 def _run_gauge(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot = _with_chi(p["potential"].config, p["chi"])
+    pot = replace(p["potential"], **p["chi"])
     est = fkschrodinger.gauge_check(pot, p["q"], p["q_prime"], cfg.grid.t_end,
                                     cfg.n_paths, cfg.grid, RngStream(cfg.seed),
                                     workers=cfg.workers)
     return [_zrow("gauge_residual", "-", est.mean, est.stderr, 0.0, p["zmax"])]
 
 
+def _kato_nodes(cfg: ExperimentConfig) -> None:
+    # one time step of the quadrature: n_probes^d x n_space^d points in R^d
+    p, d = cfg.params, cfg.params["potential"].d
+    check_budget("the Kato nodes", p["n_probes"] ** d, p["n_space"] ** d, d)
+
+
 def _run_kato(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     pot, t = p["potential"], cfg.grid.t_end
-    kappa = kato_kappa(pot.config.eval_v_minus, t,
-                       fkschrodinger.box_probes(pot.config, p["n_probes"]),
-                       KatoQuadSpec(p["n_space"], p["n_time"]),
-                       pot.config.box_halfwidth)
-    # a well wide enough that no Gaussian escapes it from the central probe
-    # acts as a constant potential: kappa_t = c * t exactly (a negative
-    # height is a barrier, whose negative part vanishes)
-    well = pot.preset
-    if well["name"] == "constant-well" \
-            and well["halfwidth"] >= 8 * math.sqrt(t):
-        target = max(well["height"], 0.0) * t
-        return [Row("kappa", "-", kappa, 0.0, target,
-                    abs(kappa - target) <= 1e-4)]
-    return [_inforow("kappa", "-", kappa)]
-
-
-def _khasminskii_bound(cfg: ExperimentConfig) -> float:
-    """Reject kappa_t(v_minus) >= 1 when the config is parsed, so a sweep
-    with such a point runs none; the quadrature takes milliseconds in d = 1."""
-    with _config_errors():
-        return fkschrodinger.khasminskii_bound(cfg.params["potential"].config,
-                                               cfg.grid.t_end)
+    kappa = fkschrodinger.box_kappa(pot, t, p["n_probes"],
+                                    KatoQuadSpec(p["n_space"], p["n_time"]))
+    target = pot.closed.kappa(t)
+    if target is None:
+        return [_inforow("kappa", "-", kappa)]
+    return [Row("kappa", "-", kappa, 0.0, target,
+                abs(kappa - target) <= 1e-4)]
 
 
 def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     lhs, bound = fkschrodinger.khasminskii_check(
-        p["potential"].config, p["q"], cfg.grid.t_end, cfg.n_paths, cfg.grid,
+        p["potential"], p["q"], cfg.grid.t_end, cfg.n_paths, cfg.grid,
         RngStream(cfg.seed), workers=cfg.workers)
     # one-sided: the exponential moment must not exceed the bound
     excess = lhs.mean.real - bound
@@ -540,9 +515,8 @@ def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
 
 def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot = p["potential"]
     with_a, without_a = fkschrodinger.diamagnetic_check(
-        pot.config, _wavefunction(p["psi"], pot), p["q"], cfg.grid.t_end,
+        p["potential"], p["psi"][0], p["q"], cfg.grid.t_end,
         cfg.n_paths, cfg.grid, RngStream(cfg.seed), workers=cfg.workers)
     gap = abs(with_a.mean) - without_a.mean.real
     err = math.hypot(with_a.stderr, without_a.stderr)
@@ -553,29 +527,18 @@ def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
     ]
 
 
-def _phasespace_operator(op: dict, grid: phasespace.PeriodicGrid,
-                         seed: int) -> np.ndarray:
-    if op["name"] == "harmonic":
-        omega = op["omega"]
-        return phasespace.standard_hamiltonian(
-            grid, None, lambda q: 0.5 * omega**2 * q**2)
-    gen = RngStream(seed, 1).generator()  # random-hermitian
-    n = grid.n_points
-    raw = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    return raw + raw.conj().T
-
-
 def _run_phasespace_roundtrip(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     grid = phasespace.PeriodicGrid(p["n_points"], p["length"])
-    H = _phasespace_operator(p["operator"], grid, cfg.seed)
+    build, real_symbol = p["operator"]
+    H = build(grid, cfg.seed)
     rows = []
     for alpha in p["alpha_values"]:
         sym = phasespace.alpha_symbol(H, grid, float(alpha))
         err = float(np.abs(phasespace.alpha_quantize(sym) - H).max())
         rows.append(Row("roundtrip_error", f"alpha={alpha:g}", err, 0.0,
                         0.0, err <= 1e-10))
-        if alpha == 0.5 and p["operator"]["name"] == "harmonic":
+        if alpha == 0.5 and real_symbol:
             im = float(np.abs(sym.values.imag).max())
             rows.append(Row("imag_part", f"alpha={alpha:g}", im, 0.0,
                             0.0, im <= 1e-10))
@@ -585,7 +548,7 @@ def _run_phasespace_roundtrip(cfg: ExperimentConfig) -> list[Row]:
 def _run_trotter(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     grid = phasespace.PeriodicGrid(p["n_points"], p["length"])
-    H = _phasespace_operator(p["hamiltonian"], grid, cfg.seed)
+    H = p["hamiltonian"][0](grid, cfg.seed)
     table = phasespace.trotter_reconstruct(H, grid, p["alpha"], p["t"],
                                            [p["n"]], workers=cfg.workers)
     return [_inforow("trotter_error", f"n={p['n']}", table[0][1])]
@@ -601,15 +564,22 @@ class Experiment:
     # sweep CSVs get a fitted log-log slope row: quantity, slope target,
     # tolerance (target None = require a positive slope only)
     slope: tuple | None = None
-    # a rule across blocks, raising ConfigError; parse_config runs it, so a
+    # a rule across blocks, raising ValueError; parse_config runs it, so a
     # sweep rejects a bad point before any point runs
     check: Callable[[ExperimentConfig], object] = lambda cfg: None
+    # (samples, d): a run with n_paths draws increments for this many paths
+    # or antithetic pairs in d dimensions, by default n_paths in the
+    # potential's d; the parse checks one chunk of them against the budget
+    draws: Callable[[ExperimentConfig], tuple] = \
+        lambda cfg: (cfg.n_paths, cfg.params["potential"].d)
 
 
 _ZMAX = (_num, 4.0)
 _MATRIX_TOLS = {"B": (_matrix, None), "frob_tol": (_num, 1e-2), "zmax": _ZMAX}
-_LATTICE = {"n_points": (_ranged(functools.partial(_int, minimum=2), "even",
-                                  lambda n: n % 2 == 0), 64),
+_MAX_POINTS = math.isqrt(MAX_INCREMENT_BYTES // 16)  # N x N complex fits
+_LATTICE = {"n_points": (_ranged(
+    functools.partial(_int, minimum=2), f"even and at most {_MAX_POINTS}",
+    lambda n: n % 2 == 0 and n <= _MAX_POINTS), 64),
             "length": (_positive, 16.0)}
 _HARMONIC = (_operator, {"name": "harmonic"})
 
@@ -617,16 +587,19 @@ _HARMONIC = (_operator, {"name": "harmonic"})
 EXPERIMENTS = {
     "wiener-stats": Experiment(_run_wiener_stats, {
         "d": (_int, 2), "node_fractions": (_vector, [0.25, 0.5, 0.75]),
-        "zmax": _ZMAX}, check=_node_indices),
+        "zmax": _ZMAX}, check=_node_indices,
+        draws=lambda cfg: (cfg.n_paths, cfg.params["d"])),
     "stochint-convergence": Experiment(
         _run_stochint_convergence,
         {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
-        slope=("ms_residual", -1.0, 0.3)),
+        slope=("ms_residual", -1.0, 0.3), draws=lambda cfg: (cfg.n_paths, 1)),
     "fk-matrix": Experiment(_run_fk_matrix, {
-        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}, check=_even_paths),
+        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}, check=_even_paths,
+        draws=lambda cfg: (cfg.n_paths // 2, len(cfg.params["A"]))),
     "fk-product": Experiment(_run_fk_product, {
         "Aplus": (_matrix, REQUIRED), "Aminus": (_matrix, REQUIRED),
-        **_MATRIX_TOLS}, check=_even_paths),
+        **_MATRIX_TOLS}, check=_even_paths,
+        draws=lambda cfg: (cfg.n_paths // 2, 2)),
     "fk-semigroup": Experiment(_run_fk_semigroup, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN,
         "zmax": _ZMAX}),
@@ -635,12 +608,17 @@ EXPERIMENTS = {
         "rel_tol": (_num, 0.02)}),
     "gauge": Experiment(_run_gauge, {
         "potential": _POTENTIAL, "chi": (_chi, REQUIRED), "q": _ORIGIN,
-        "q_prime": (_point, lambda d: [0.5] * d), "zmax": _ZMAX}),
+        "q_prime": (_point, lambda pot: [0.5] * pot.d), "zmax": _ZMAX}),
     "kato": Experiment(_run_kato, {
         "potential": _POTENTIAL, "n_space": (_int, 96), "n_time": (_int, 64),
-        "n_probes": (_int, 33)}, needs=("grid",), slope=("kappa", None, None)),
+        "n_probes": (_int, 33)}, needs=("grid",), slope=("kappa", None, None),
+        check=_kato_nodes),
     "khasminskii": Experiment(_run_khasminskii, {
-        "potential": _POTENTIAL, "q": _ORIGIN}, check=_khasminskii_bound),
+        "potential": _POTENTIAL, "q": _ORIGIN},
+        # kappa_t(v_-) >= 1 fails in the parse, so a sweep with such a
+        # point runs none; the run reuses the memoized bound
+        check=lambda cfg: fkschrodinger.khasminskii_bound(
+            cfg.params["potential"], cfg.grid.t_end)),
     "diamagnetic": Experiment(_run_diamagnetic, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN}),
     "phasespace-roundtrip": Experiment(_run_phasespace_roundtrip, {
@@ -695,16 +673,12 @@ def _json_rows(rows: list[Row]) -> list[dict]:
 
 def _resolve_axis(doc: dict, axis: str):
     """Return (container, key) for a dotted path into the raw config."""
-    parts = axis.split(".")
-    node = doc
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
+    value = doc
+    for key in axis.split("."):
+        if not isinstance(value, dict) or key not in value:
             raise ConfigError(f"axis path not found: {axis}")
-        node = node[part]
-    key = parts[-1]
-    if not isinstance(node, dict) or key not in node:
-        raise ConfigError(f"axis path not found: {axis}")
-    if isinstance(node[key], bool) or not isinstance(node[key], (int, float)):
+        node, value = value, value[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"axis {axis} must name a numeric scalar")
     return node, key
 
@@ -728,10 +702,8 @@ def _load(args) -> dict:
     for key, var in (("seed", "FKLAB_SEED"), ("workers", "FKLAB_WORKERS")):
         if var in os.environ:
             doc[key] = int(os.environ[var])
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.workers is not None:
-        doc["workers"] = args.workers
+        if getattr(args, key) is not None:  # the flag wins
+            doc[key] = getattr(args, key)
     return doc
 
 
@@ -771,9 +743,6 @@ def cmd_sweep(args) -> int:
     if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
                          for v in values):
         raise ConfigError(f"sweep values must be numbers: {args.values!r}")
-    _resolve_axis(doc, args.axis)  # validate path before any run
-    experiment = parse_config(doc).experiment
-    slope = EXPERIMENTS[experiment].slope
     # every point is parsed before the first one runs
     configs = []
     for value in values:
@@ -781,6 +750,8 @@ def cmd_sweep(args) -> int:
         node, key = _resolve_axis(point, args.axis)
         node[key] = value
         configs.append(parse_config(point))
+    experiment = configs[0].experiment
+    slope = EXPERIMENTS[experiment].slope
 
     all_rows: list[Row] = []
     decaying: list[tuple[float, float]] = []

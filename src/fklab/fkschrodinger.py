@@ -13,17 +13,31 @@ psi(endpoint) from :func:`_path_functionals`, which requires t = grid horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
-from .wiener import TimeGrid, path_blocks, sample_increments
+from .wiener import TimeGrid, check_budget, path_blocks, sample_increments
+
+
+class ClosedForms(NamedTuple):
+    """What a preset potential knows in closed form, None where it does not:
+    the kernel <q| exp(-tH) |q'>, exp(-tH) at q of a Gaussian exp(-|x - c|^2
+    / (2 w^2)) and of the ground state (omega/pi)^(d/4) exp(-omega |x|^2 / 2)
+    of an oscillator of frequency omega, and kappa_t(v_-)."""
+
+    kernel: Callable = lambda q, qp, t: None
+    gaussian: Callable = lambda width, center, q, t: None
+    ground: Callable = lambda q, t: None
+    omega: float | None = None
+    kappa: Callable = lambda t: None
 
 
 @dataclass(frozen=True)
@@ -33,7 +47,8 @@ class PotentialConfig:
     Any evaluator may be None (treated as identically zero). The negative
     part V_- = max(-v, 0) follows from v. ``box_halfwidth`` declares the
     region outside which the scalar potential is negligible; it is used by
-    the deterministic Kato-class quadrature.
+    the deterministic Kato-class quadrature. ``closed`` holds what a preset
+    knows in closed form.
     """
 
     d: int
@@ -42,6 +57,7 @@ class PotentialConfig:
     chi: Callable | None = None
     grad_chi: Callable | None = None
     box_halfwidth: float = 8.0
+    closed: ClosedForms = ClosedForms()
 
     def eval_v(self, x: np.ndarray) -> np.ndarray:
         v = 0.0 if self.v is None else np.asarray(self.v(x), dtype=float)
@@ -267,10 +283,12 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     [-8, 8]^d, so the kernel stays resolved uniformly in s; the time
     integral uses the trapezoid rule with the s = 0 value u(x).
     ``box_halfwidth`` declares where u is negligible: a warning is raised
-    when sampled points outside the box carry non-negligible u.
+    when sampled points outside the box carry non-negligible u, and a
+    ValueError, before allocating, when one time step's nodes are too many.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
+    check_budget("the Kato nodes", probes.shape[0], quad.n_space**d, d)
     x1, w1 = np.polynomial.legendre.leggauss(quad.n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
@@ -309,22 +327,24 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     return float(kappa.max())
 
 
-def box_probes(pot: PotentialConfig, n_per_axis: int) -> np.ndarray:
-    """Tensor grid of n_per_axis**d probe points spanning the declared box."""
+def box_kappa(pot: PotentialConfig, t: float, n_per_axis: int,
+              quad: KatoQuadSpec) -> float:
+    """kappa_t(v_-) over a tensor grid of n_per_axis**d probe points
+    spanning the declared box."""
     axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_per_axis)
-    return np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
-                    axis=-1).reshape(-1, pot.d)
+    probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
+                      axis=-1).reshape(-1, pot.d)
+    return kato_kappa(pot.eval_v_minus, t, probes, quad, pot.box_halfwidth)
 
 
-def khasminskii_bound(pot: PotentialConfig, t: float,
-                      quad: KatoQuadSpec = KatoQuadSpec(),
-                      n_probe_grid: int = 33) -> float:
+# a frozen potential and t fix the bound: the CLI's check and run share it
+@functools.lru_cache(maxsize=64)
+def khasminskii_bound(pot: PotentialConfig, t: float) -> float:
     """The Khas'minskii bound (1 - kappa_t(v_-))^(-1) over the box probes.
 
     Raises ValueError when kappa_t(v_-) >= 1, where the bound is undefined.
     """
-    kappa = kato_kappa(pot.eval_v_minus, t, box_probes(pot, n_probe_grid),
-                       quad, pot.box_halfwidth)
+    kappa = box_kappa(pot, t, 33, KatoQuadSpec())
     if kappa >= 1.0:
         raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
     return 1.0 / (1.0 - kappa)
@@ -332,8 +352,6 @@ def khasminskii_bound(pot: PotentialConfig, t: float,
 
 def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
                       n_paths: int, grid: TimeGrid, rng: RngStream,
-                      quad: KatoQuadSpec = KatoQuadSpec(),
-                      n_probe_grid: int = 33,
                       chunk_size: int = DEFAULT_CHUNK,
                       workers: int = 1) -> tuple[MCEstimate, float]:
     """Exponential moment of the negative part vs. the Khas'minskii bound.
@@ -343,7 +361,7 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
     """
     chunk_fn = _path_functionals(pot, grid, q, t, [(None, None)],
                                  v=lambda x: -pot.eval_v_minus(x))
-    bound = khasminskii_bound(pot, t, quad, n_probe_grid)
+    bound = khasminskii_bound(pot, t)
     lhs = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return lhs, bound
 
@@ -352,53 +370,77 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
 # presets addressable from the CLI
 
 
-# name -> default parameters; a preset takes no other parameters
+def linear_gauge(c: float) -> dict:
+    """PotentialConfig fields of the gauge chi(x) = c sum_j x_j."""
+    return {"chi": lambda x: c * np.sum(x, axis=-1),
+            "grad_chi": lambda x: np.full_like(x, c)}
+
+
+def _free(d):
+    def gaussian(width, center, q, t):
+        s = width**2 + t  # the heat flow adds t to the variance
+        return ((width**2 / s) ** (d / 2)
+                * math.exp(-float((q - center) @ (q - center)) / (2 * s)))
+
+    return PotentialConfig(d=d, closed=ClosedForms(
+        kernel=lambda q, qp, t: free_kernel(d, qp - q, t), gaussian=gaussian))
+
+
+def _constant_well(d, height, halfwidth):
+    # a well wide enough that no Gaussian escapes it from the central probe
+    # acts as a constant potential: kappa_t = c t exactly (a negative height
+    # is a barrier, whose negative part vanishes)
+    return PotentialConfig(
+        d=d, v=lambda x: np.where(np.all(np.abs(x) <= halfwidth, axis=-1),
+                                  -height, 0.0),
+        box_halfwidth=max(4.0, 4 * halfwidth),
+        closed=ClosedForms(kappa=lambda t: max(height, 0.0) * t
+                           if halfwidth >= 8 * math.sqrt(t) else None))
+
+
+def _harmonic(d, omega):
+    def ground(q, t):  # an eigenfunction with eigenvalue d omega / 2
+        return (math.exp(-t * d * omega / 2) * omega ** (d / 4)
+                * math.pi ** (-d / 4) * math.exp(-0.5 * omega * float(q @ q)))
+
+    return PotentialConfig(
+        d=d, v=lambda x: 0.5 * omega**2 * np.sum(x**2, axis=-1),
+        closed=ClosedForms(kernel=lambda q, qp, t: mehler_kernel(
+            float(q[0]), float(qp[0]), t, omega) if d == 1 else None,
+            ground=ground, omega=omega))
+
+
+def _coulomb_3d(gamma):
+    def v(x):
+        r = np.sqrt(np.sum(x**2, axis=-1))
+        with np.errstate(divide="ignore"):
+            return -gamma / r
+
+    return PotentialConfig(d=3, v=v, box_halfwidth=10.0)
+
+
+# name -> (default parameters, builder); a preset takes no other parameters
 POTENTIAL_PRESETS = {
-    "free": {"d": 1},
-    "constant-well": {"d": 1, "height": 0.3, "halfwidth": 1.0},
-    "harmonic": {"d": 1, "omega": 1.0},
-    "coulomb-3d": {"gamma": 1.0},
-    "constant-magnetic-2d": {"b0": 1.0},
-    "gauge-linear": {"d": 1, "c": 1.0},
+    "free": ({"d": 1}, _free),
+    "constant-well": ({"d": 1, "height": 0.3, "halfwidth": 1.0},
+                      _constant_well),
+    "harmonic": ({"d": 1, "omega": 1.0}, _harmonic),
+    "coulomb-3d": ({"gamma": 1.0}, _coulomb_3d),
+    "constant-magnetic-2d": ({"b0": 1.0}, lambda b0: PotentialConfig(
+        d=2, a=lambda x: 0.5 * b0 * np.stack([-x[..., 1], x[..., 0]],
+                                             axis=-1))),
+    "gauge-linear": ({"d": 1, "c": 1.0},
+                     lambda d, c: PotentialConfig(d=d, **linear_gauge(c))),
 }
 
 
 def preset_potential(name: str, **params) -> PotentialConfig:
     """Named potential configurations, see :data:`POTENTIAL_PRESETS`."""
-    if name not in POTENTIAL_PRESETS:
-        raise ValueError(f"unknown potential preset: {name}")
-    unknown = sorted(set(params) - set(POTENTIAL_PRESETS[name]))
-    if unknown:
-        raise ValueError(f"unknown parameters for preset {name}: {unknown}")
-    p = {**POTENTIAL_PRESETS[name], **params}
-    if name == "free":
-        return PotentialConfig(d=p["d"])
-    if name == "constant-well":
-        def v(x):
-            inside = np.all(np.abs(x) <= p["halfwidth"], axis=-1)
-            return np.where(inside, -p["height"], 0.0)
-
-        return PotentialConfig(d=p["d"], v=v,
-                               box_halfwidth=max(4.0, 4 * p["halfwidth"]))
-    if name == "harmonic":
-        return PotentialConfig(
-            d=p["d"], v=lambda x: 0.5 * p["omega"]**2 * np.sum(x**2, axis=-1))
-    if name == "coulomb-3d":
-        def v(x):
-            r = np.sqrt(np.sum(x**2, axis=-1))
-            with np.errstate(divide="ignore"):
-                return -p["gamma"] / r
-
-        return PotentialConfig(d=3, v=v, box_halfwidth=10.0)
-    if name == "constant-magnetic-2d":
-        def a(x):
-            return 0.5 * p["b0"] * np.stack([-x[..., 1], x[..., 0]], axis=-1)
-
-        return PotentialConfig(d=2, a=a)
-    return PotentialConfig(  # gauge-linear
-        d=p["d"],
-        chi=lambda x: p["c"] * np.sum(x, axis=-1),
-        grad_chi=lambda x: np.full_like(x, p["c"]))
+    defaults, build = POTENTIAL_PRESETS.get(name, ({}, None))
+    if build is None or not set(params) <= set(defaults):
+        raise ValueError(f"unknown potential preset {name!r} or parameters "
+                         f"{sorted(set(params) - set(defaults))}")
+    return build(**{**defaults, **params})
 
 
 def mehler_kernel(q: float, qp: float, t: float, omega: float = 1.0) -> float:

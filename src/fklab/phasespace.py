@@ -19,8 +19,9 @@ inverse (1/L) sum_k e^{ip_k (q - q')} H(p_k, alpha q + (1-alpha) q').
 
 The Lie-Trotter reconstruction has one short-time step, the quantized
 pointwise exponential of :func:`short_time_family`, and one matrix power,
-:func:`fklab.opalg.trotter_product`. The ordering-mismatch demo that the
-tests compare quantizations with lives in ``tests/oracles.py``.
+:func:`fklab.opalg.trotter_product`. The ordering-mismatch demo and the
+closed-form symbol of the standard Hamiltonian, which the tests compare
+with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -170,26 +171,6 @@ def standard_hamiltonian(grid: PeriodicGrid, a: Callable | None,
     if v is not None:
         H = H + multiplication_operator(grid, v)
     return H
-
-
-def standard_symbol_target(grid: PeriodicGrid, a: Callable | None,
-                           div_a: Callable | None, v: Callable | None,
-                           alpha: float) -> Symbol:
-    """Closed-form alpha-symbol of the symmetrized magnetic Hamiltonian.
-
-    (p - a(q))^2 / 2 + i (alpha - 1/2) a'(q) + v(q): the only ordering
-    correction is first order because the operator is quadratic in p-hat.
-    """
-    q = grid.q
-    p = grid.p
-    av = np.asarray(a(q), dtype=float) if a is not None else np.zeros_like(q)
-    vv = np.asarray(v(q), dtype=float) if v is not None else np.zeros_like(q)
-    dav = np.asarray(div_a(q), dtype=float) if div_a is not None \
-        else np.zeros_like(q)
-    values = (0.5 * (p[:, None] - av[None, :]) ** 2
-              + vv[None, :]
-              + 1j * (alpha - 0.5) * dav[None, :])
-    return Symbol(grid, values, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Estimators end in :mod:`fklab.mc`: ``estimate_covariance`` through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -72,10 +73,18 @@ class TestFunction:
     support_end: float
 
 
-# largest increment array one sample_increments call may allocate: every
-# chunk holds its increments whole, so a larger chunk is an input error
-# (exit 2 in the CLI) instead of an out-of-memory failure
+# largest array one chunk may allocate: every chunk holds its increments
+# whole, so a larger chunk is an input error (exit 2 in the CLI) instead of
+# an out-of-memory failure; Kato nodes and lattice operators share it
 MAX_INCREMENT_BYTES = 2**30
+
+
+def check_budget(what: str, *shape: int) -> None:
+    """Raise ValueError when ``what``, an array of doubles of ``shape``,
+    would exceed :data:`MAX_INCREMENT_BYTES`."""
+    if 8 * math.prod(shape) > MAX_INCREMENT_BYTES:
+        raise ValueError(f"{what}, {' x '.join(map(str, shape))} doubles, are "
+                         f"over the {MAX_INCREMENT_BYTES >> 20} MiB budget")
 
 
 def sample_increments(grid: TimeGrid, d: int, n_paths: int,
@@ -87,12 +96,7 @@ def sample_increments(grid: TimeGrid, d: int, n_paths: int,
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    size = n_paths * grid.n_steps * d * 8
-    if size > MAX_INCREMENT_BYTES:
-        raise ValueError(
-            f"the increments of {n_paths} paths x {grid.n_steps} steps in "
-            f"d = {d} take {size / 2**20:.0f} MiB, over the "
-            f"{MAX_INCREMENT_BYTES // 2**20} MiB budget of one chunk")
+    check_budget("the increments", n_paths, grid.n_steps, d)
     out = gen.standard_normal((n_paths, grid.n_steps, d))
     out *= np.sqrt(grid.dt)
     return out

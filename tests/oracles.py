@@ -7,19 +7,21 @@ error-function integrals, step-by-step ordered products, whole-path
 Feynman-Kac functionals and the phase-space transforms with their Fourier
 sums as dense N x N DFT matrices.
 The ordering-mismatch demo quantizes one symbol at two orderings through
-the package's public transform.
+the package's public transform; the standard Hamiltonian's alpha-symbol is
+its closed form.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
 from fklab.opalg import as_operator
-from fklab.phasespace import (Symbol, _fractional_shift, _offset_diagonals,
-                              alpha_quantize)
+from fklab.phasespace import (PeriodicGrid, Symbol, _fractional_shift,
+                              _offset_diagonals, alpha_quantize)
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -215,3 +217,23 @@ def dense_spectral_operator(grid, f) -> np.ndarray:
     E = np.exp(-1j * np.outer(grid.p, grid.q))
     F = np.exp(1j * np.outer(grid.q, grid.p))
     return (F * np.asarray(f(grid.p))[None, :]) @ E / grid.n_points
+
+
+def standard_symbol_target(grid: PeriodicGrid, a: Callable | None,
+                           div_a: Callable | None, v: Callable | None,
+                           alpha: float) -> Symbol:
+    """Closed-form alpha-symbol of the symmetrized magnetic Hamiltonian.
+
+    (p - a(q))^2 / 2 + i (alpha - 1/2) a'(q) + v(q): the only ordering
+    correction is first order because the operator is quadratic in p-hat.
+    """
+    q = grid.q
+    p = grid.p
+    av = np.asarray(a(q), dtype=float) if a is not None else np.zeros_like(q)
+    vv = np.asarray(v(q), dtype=float) if v is not None else np.zeros_like(q)
+    dav = np.asarray(div_a(q), dtype=float) if div_a is not None \
+        else np.zeros_like(q)
+    values = (0.5 * (p[:, None] - av[None, :]) ** 2
+              + vv[None, :]
+              + 1j * (alpha - 0.5) * dav[None, :])
+    return Symbol(grid, values, alpha)

@@ -22,7 +22,7 @@ from fklab.fkschrodinger import (diamagnetic_check, free_kernel, gauge_check,
 from fklab.opalg import expm, trotter_product
 from fklab.phasespace import (PeriodicGrid, alpha_quantize, alpha_symbol,
                               short_time_family, standard_hamiltonian,
-                              standard_symbol_target, trotter_reconstruct)
+                              trotter_reconstruct)
 from fklab.stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
@@ -31,7 +31,7 @@ from fklab.wiener import (TimeGrid, estimate_char_functional,
                           estimate_white_noise_functional, sample_paths)
 
 from oracles import (double_min_integral, harmonic_grid_kernel, loglog_slope,
-                     taylor_expm, well_kato_oracle)
+                     standard_symbol_target, taylor_expm, well_kato_oracle)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

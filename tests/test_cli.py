@@ -8,8 +8,9 @@ import math
 
 import pytest
 
-from fklab import cli
+from fklab import cli, fkschrodinger
 from fklab.cli import ConfigError, main, parse_config
+from fklab.fkschrodinger import kato_kappa
 
 from test_acceptance import REDUCED_CONFIGS
 
@@ -263,6 +264,125 @@ def test_harmonic_ground_state_follows_omega(tmp_path, capsys):
     assert code == 0 and row["z"] <= 4.0
 
 
+# ---------------------------------------------------------------------------
+# presets
+
+
+def _preset_doc(case: str) -> dict:
+    """The config of a PRESET_RUNS case ``"experiment preset..."``: 8 paths x
+    4 steps, an 8-point lattice, and Kato sizes 3 x 48 x 4 at t = 1/64, where
+    the default constant well is wide enough for its closed-form kappa."""
+    experiment, *names = case.split()
+    blocks = {"gauge": ("chi",), "phasespace-roundtrip": ("operator",),
+              "trotter": ("hamiltonian",)}.get(experiment, ("potential", "psi"))
+    params = {key: {"name": name} for key, name in zip(blocks, names)}
+    doc = {"experiment": experiment, "seed": 3, "params": params}
+    if experiment == "phasespace-roundtrip":
+        params.update(n_points=8, length=8.0, alpha_values=[0.5])
+    elif experiment == "trotter":
+        params.update(n_points=8, length=8.0, n=4)
+    elif experiment == "kato":
+        doc["grid"] = {"t_end": 1 / 64, "n_steps": 1}
+        params.update(n_probes=3, n_space=48, n_time=4)
+    else:
+        doc.update(n_paths=8, grid={"t_end": 0.5, "n_steps": 4})
+        params.setdefault("potential", {"name": "free"})
+    return doc
+
+
+PRESET_CASES = (
+    [f"{e} {v} {psi}" for e in ("fk-semigroup", "diamagnetic")
+     for v in fkschrodinger.POTENTIAL_PRESETS
+     for psi in ("harmonic-ground", "gaussian")]
+    + [f"{e} {v}" for e in ("fk-kernel", "kato", "khasminskii")
+       for v in fkschrodinger.POTENTIAL_PRESETS]
+    + ["gauge linear", "gauge sine"]
+    + [f"{e} {op}" for e in ("phasespace-roundtrip", "trotter")
+       for op in ("harmonic", "random-hermitian")])
+# case -> (exit code, the quantity of each row, starred where it has a
+# target); khasminskii in d = 3 asks for 211 GiB of Kato nodes
+PRESET_RUNS = {
+    'fk-semigroup free harmonic-ground': (0, 'psi_t'),
+    'fk-semigroup free gaussian': (0, 'psi_t*'),
+    'fk-semigroup constant-well harmonic-ground': (0, 'psi_t'),
+    'fk-semigroup constant-well gaussian': (0, 'psi_t'),
+    'fk-semigroup harmonic harmonic-ground': (0, 'psi_t*'),
+    'fk-semigroup harmonic gaussian': (0, 'psi_t'),
+    'fk-semigroup coulomb-3d harmonic-ground': (3, ''),
+    'fk-semigroup coulomb-3d gaussian': (3, ''),
+    'fk-semigroup constant-magnetic-2d harmonic-ground': (0, 'psi_t'),
+    'fk-semigroup constant-magnetic-2d gaussian': (0, 'psi_t'),
+    'fk-semigroup gauge-linear harmonic-ground': (0, 'psi_t'),
+    'fk-semigroup gauge-linear gaussian': (0, 'psi_t'),
+    'diamagnetic free harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic free gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic constant-well harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic constant-well gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic harmonic harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic harmonic gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic coulomb-3d harmonic-ground': (3, ''),
+    'diamagnetic coulomb-3d gaussian': (3, ''),
+    'diamagnetic constant-magnetic-2d harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic constant-magnetic-2d gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic gauge-linear harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'diamagnetic gauge-linear gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
+    'fk-kernel free': (0, 'kernel*'),
+    'fk-kernel constant-well': (0, 'kernel'),
+    'fk-kernel harmonic': (0, 'kernel*'),
+    'fk-kernel coulomb-3d': (3, ''),
+    'fk-kernel constant-magnetic-2d': (0, 'kernel'),
+    'fk-kernel gauge-linear': (0, 'kernel'),
+    'kato free': (0, 'kappa'),
+    'kato constant-well': (0, 'kappa*'),
+    'kato harmonic': (0, 'kappa'),
+    'kato coulomb-3d': (0, 'kappa'),
+    'kato constant-magnetic-2d': (0, 'kappa'),
+    'kato gauge-linear': (0, 'kappa'),
+    'khasminskii free': (0, 'exp_moment*'),
+    'khasminskii constant-well': (0, 'exp_moment*'),
+    'khasminskii harmonic': (0, 'exp_moment*'),
+    'khasminskii coulomb-3d': (2, ''),
+    'khasminskii constant-magnetic-2d': (0, 'exp_moment*'),
+    'khasminskii gauge-linear': (0, 'exp_moment*'),
+    'gauge linear': (0, 'gauge_residual*'),
+    'gauge sine': (0, 'gauge_residual*'),
+    'phasespace-roundtrip harmonic': (0, 'roundtrip_error* imag_part*'),
+    'phasespace-roundtrip random-hermitian': (0, 'roundtrip_error*'),
+    'trotter harmonic': (0, 'trotter_error'),
+    'trotter random-hermitian': (0, 'trotter_error'),
+}
+
+
+# overflow warnings of the singular coulomb-3d runs are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", PRESET_CASES)
+def test_each_preset_runs_with_its_closed_forms(tmp_path, capsys, case):
+    code, csv_path = run_cli(tmp_path, _preset_doc(case))
+    out = capsys.readouterr().out
+    rows = json.loads(out)["rows"] if out else []
+    assert (code, " ".join(r["quantity"] + "*" * (r["target_re"] is not None)
+                           for r in rows)) == PRESET_RUNS[case]
+    assert csv_path.exists() == (code in (0, 1))
+
+
+# each preset's closed form against an independent expression (q = q' = 0)
+CLOSED_FORMS = {
+    "fk-semigroup free gaussian": (1 / 1.5) ** 0.5,  # width^2 -> 1 + t
+    "fk-semigroup harmonic harmonic-ground":
+        math.exp(-0.25) * math.pi ** -0.25,
+    "fk-kernel free": (2 * math.pi * 0.5) ** -0.5,
+    "fk-kernel harmonic": (2 * math.pi * math.sinh(0.5)) ** -0.5,
+    "kato constant-well": 0.3 / 64,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+def test_preset_closed_forms_are_the_targets(tmp_path, capsys, case):
+    run_cli(tmp_path, _preset_doc(case))
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert math.isclose(row["target_re"], CLOSED_FORMS[case], rel_tol=1e-13)
+
+
 def _set(doc, path, value):
     node = doc
     for key in path[:-1]:
@@ -317,6 +437,15 @@ BAD_INPUTS = {
     "semigroup-increments-over-budget": ("fk-semigroup",
                                          [("grid.n_steps", 10**9)]),
     "matrix-increments-over-budget": ("fk-matrix", [("grid.n_steps", 10**9)]),
+    # one time step's Kato nodes or an N x N lattice operator over the same
+    # budget: 711 GiB, 211 GiB (khasminskii in d = 3) and 16 TiB
+    "kato-nodes-over-budget": ("kato", [
+        ("params.potential", {"name": "coulomb-3d"}),
+        ("params.n_probes", 33), ("params.n_space", 96)]),
+    "khasminskii-nodes-over-budget": ("khasminskii", [
+        ("params.potential", {"name": "coulomb-3d"})]),
+    "lattice-over-budget": ("phasespace-roundtrip",
+                            [("params.n_points", 2**20)]),
 }
 
 
@@ -516,12 +645,20 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
         "params": {"alpha": 0.0},
     }
     # a bad type, an odd antithetic path count, node fractions that round
-    # to node 0 on a one-step grid, and a well with kappa_t >= 1
+    # to node 0 on a one-step grid, a well with kappa_t >= 1, increments
+    # over the budget of one chunk, and Kato nodes over it in d = 3
     sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
               (_shrunk("fk-matrix"), "n_paths", "8,9"),
               (_shrunk("wiener-stats"), "grid.n_steps", "8,1"),
               (_shrunk("khasminskii", [("params.potential.height", 0.3)]),
-               "params.potential.height", "0.3,5.0")]
+               "params.potential.height", "0.3,5.0"),
+              (_shrunk("fk-semigroup"), "grid.n_steps", "4,1000000000"),
+              (_shrunk("fk-matrix"), "grid.n_steps", "4,1000000000"),
+              (_shrunk("khasminskii", [("params.potential.d", 1)]),
+               "params.potential.d", "1,3"),
+              (_shrunk("kato", [("params.potential", {"name": "coulomb-3d"}),
+                                ("params.n_probes", 3)]),
+               "params.n_probes", "3,33")]
     for i, (point, axis, values) in enumerate(sweeps):
         out = tmp_path / str(i)
         out.mkdir()
@@ -545,6 +682,8 @@ RANGE_SWEEPS = {
     "alpha_values-entry": ("phasespace-roundtrip",
                            [("params.alpha_values", [0.5, 1.5])],
                            "params.n_points", "8,16"),
+    "lattice-over-budget": ("phasespace-roundtrip", [], "params.n_points",
+                            "8,1048576"),
 }
 
 
@@ -557,6 +696,22 @@ def test_sweep_range_rule_runs_no_point(tmp_path, capsys, monkeypatch, case):
     assert calls == []
     assert not list(tmp_path.rglob("*.csv"))
     assert "config error" in capsys.readouterr().err
+
+
+def test_khasminskii_run_computes_one_quadrature(tmp_path, capsys,
+                                                monkeypatch):
+    # the parse-time check and the run share one memoized bound
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kato_kappa(*args, **kwargs)
+
+    monkeypatch.setattr(fkschrodinger, "kato_kappa", counted)
+    code, _ = run_cli(tmp_path, _shrunk("khasminskii"))
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):

@@ -17,8 +17,8 @@ from fklab.fkschrodinger import (_BLOCK, POTENTIAL_PRESETS, KatoQuadSpec,
                                  kato_kappa, kernel, khasminskii_check,
                                  mehler_kernel, preset_potential)
 from fklab.streams import RngStream
-from fklab.wiener import (TimeGrid, bridge_from_free, paths_from_increments,
-                          sample_increments)
+from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, bridge_from_free,
+                          paths_from_increments, sample_increments)
 
 from oracles import full_path_columns, harmonic_grid_kernel, well_kato_oracle
 
@@ -370,6 +370,24 @@ def test_kato_box_leak_warning():
         kato_kappa(lambda x: np.ones(x.shape[:-1]), 0.5,
                    np.zeros((1, 1)), box_halfwidth=0.5)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_kato_nodes_rejected_before_allocating():
+    # one time step of 1024^3 nodes in R^3 would take 24 GiB: the check
+    # comes before the quadrature nodes and before any call of u
+    def u(x):
+        raise AssertionError("u was evaluated")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            kato_kappa(u, 0.5, np.zeros((1, 3)), KatoQuadSpec(n_space=1024))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="budget"):
+        kato_kappa(u, 0.5, np.zeros((1, 1)),
+                   KatoQuadSpec(n_space=MAX_INCREMENT_BYTES // 8 + 1))
 
 
 def test_khasminskii_bound_holds():

@@ -41,9 +41,9 @@ def test_no_unused_imports_in_src():
     assert not {k: v for k, v in unused.items() if v}
 
 
-# the CLI converters share the signature (value, name, d); d, the point
-# dimension, matters only to some of them
-EXEMPT_PARAMETERS = {"d"}
+# the CLI converters share the signature (value, name, pot); pot, the
+# potential resolved before the value, matters only to some of them
+EXEMPT_PARAMETERS = {"pot"}
 
 
 def _unused_parameters(source: str) -> list[str]:
@@ -68,9 +68,49 @@ def _unused_parameters(source: str) -> list[str]:
 
 def test_every_parameter_is_read_in_src():
     assert _unused_parameters(
-        "def f(a, b, *, c, d=1):\n"
+        "def f(a, b, *, c, pot=1):\n"
         "    def g(x, y):\n        return c\n    return a + g\n") \
         == ["f.b (line 1)", "g.x (line 2)", "g.y (line 2)"]
     unused = {path.name: _unused_parameters(path.read_text(encoding="utf-8"))
               for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in unused.items() if v}
+
+
+def _preset_names() -> set[str]:
+    """Every preset name: the keys of POTENTIAL_PRESETS and of each dict
+    literal handed to ``cli._presets``."""
+    from fklab.fkschrodinger import POTENTIAL_PRESETS
+
+    names = set(POTENTIAL_PRESETS)
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text("utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") \
+                == "_presets" and isinstance(node.args[0], ast.Dict):
+            names.update(k.value for k in node.args[0].keys
+                         if isinstance(k, ast.Constant))
+    return names
+
+
+def _preset_comparisons(source: str, names: set[str]) -> list[str]:
+    """Compare nodes with a preset-name string constant as an operand, bare
+    or inside a tuple, list or set literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            elts = operand.elts if isinstance(
+                operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+            found += [f"{e.value} (line {node.lineno})" for e in elts
+                      if isinstance(e, ast.Constant) and e.value in names]
+    return found
+
+
+def test_no_preset_name_is_compared_in_src():
+    names = _preset_names()
+    assert {"free", "gaussian", "linear", "random-hermitian"} <= names
+    assert _preset_comparisons(
+        'if p["name"] == "free" or k in ("sine", "x") or k == "d":\n'
+        '    pass\n', names) == ["free (line 1)", "sine (line 1)"]
+    found = {path.name: _preset_comparisons(path.read_text("utf-8"), names)
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}

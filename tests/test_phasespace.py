@@ -12,13 +12,12 @@ from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
                               alpha_symbol, kinetic_operator,
                               momentum_operator, multiplication_operator,
                               short_time_family, spectral_operator,
-                              standard_hamiltonian, standard_symbol_target,
-                              trotter_reconstruct)
+                              standard_hamiltonian, trotter_reconstruct)
 from fklab.streams import RngStream
 
 from oracles import (dense_alpha_quantize, dense_alpha_symbol,
                      dense_spectral_operator, generator_probe, loglog_slope,
-                     ordering_mismatch_demo)
+                     ordering_mismatch_demo, standard_symbol_target)
 
 GRID = PeriodicGrid(32, 12.0)
 
