@@ -346,11 +346,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def _node_indices(cfg: ExperimentConfig) -> np.ndarray:
-    """The grid nodes nearest the node fractions, each in 1 .. n_steps."""
-    n = cfg.grid.n_steps
+    """The grid nodes nearest the node fractions, each in 1 .. n_steps;
+    raises when one chunk's second moments at them are over the budget."""
+    n, d = cfg.grid.n_steps, cfg.params["d"]
     idx = np.rint(cfg.params["node_fractions"] * n).astype(int)
     if np.any(idx < 1) or np.any(idx > n):
         raise ConfigError(f"node_fractions must round to grid nodes 1 .. {n}")
+    check_budget("one chunk's second moments", min(cfg.n_paths, DEFAULT_CHUNK),
+                 len(idx), len(idx), d, d)
     return idx
 
 

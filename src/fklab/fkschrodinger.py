@@ -289,7 +289,9 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
     check_budget("the Kato nodes", probes.shape[0], quad.n_space**d, d)
-    x1, w1 = np.polynomial.legendre.leggauss(quad.n_space)
+    # nodes in O(n_space) memory; scipy.special loads only when one runs
+    from scipy.special import roots_legendre
+    x1, w1 = roots_legendre(quad.n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
     znodes = np.stack([g.ravel() for g in grids], axis=-1)   # (M, d)
@@ -331,6 +333,8 @@ def box_kappa(pot: PotentialConfig, t: float, n_per_axis: int,
               quad: KatoQuadSpec) -> float:
     """kappa_t(v_-) over a tensor grid of n_per_axis**d probe points
     spanning the declared box."""
+    if pot.v is None:  # v_- = 0, and so is kappa, with no quadrature
+        return 0.0
     axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_per_axis)
     probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
                       axis=-1).reshape(-1, pot.d)

@@ -11,6 +11,10 @@ exp(-i dW . A - dt B) for increments of shape (P, n, d) and
 ``ordered_product_tree`` multiplies them, later factors on the left. One
 path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
 ``ordered_prefix`` turns the factors into every partial product in place.
+One kernel set serves every m. It works on the m^2 entry arrays of
+entry-major (m, m, ...) buffers, seen as (..., m, m): a product is m^3
+array products c_ab += l_ak r_kb, not a stacked ``@`` that pays per
+matrix. The only branch on m is the exact 2x2 exponential.
 """
 
 from __future__ import annotations
@@ -60,13 +64,8 @@ def expm(X: np.ndarray) -> np.ndarray:
 
 
 def _expm2_batch(M: np.ndarray) -> np.ndarray:
-    """Closed-form exponential for stacked 2x2 matrices, entry by entry.
-
-    Each of the four output entries is computed as its own array and then
-    scaled by exp(tr/2) in place. The result is entry-major: a (2, 2, ...)
-    buffer returned through ``np.moveaxis``, so each ``out[..., a, b]`` is
-    a contiguous array for the ordered product.
-    """
+    """Closed-form exponential for stacked 2x2 matrices, entry by entry:
+    each entry of the entry-major result is scaled by exp(tr/2) in place."""
     m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
@@ -103,35 +102,36 @@ _PADE = {k: tuple(math.factorial(2 * k - j)
 def expm_batch(M: np.ndarray) -> np.ndarray:
     """Exponentials of a stack (..., m, m).
 
-    For m == 2 the exact closed form runs on the four entry arrays and the
-    result is an entry-major view of shape (..., 2, 2). Larger m use Pade
-    3/5/7/9 or scaled Pade-13, chosen by the stack's largest row-sum norm
-    (Higham 2005), and raise ``OverflowError`` instead of returning
-    non-finite entries.
+    m == 2 takes the exact closed form. Other m use Pade 3/5/7/9 or scaled
+    Pade-13, chosen by the stack's largest row-sum norm (Higham 2005): the
+    powers, U and the squarings are entry products, (V - U) R = V + U goes
+    to ``np.linalg.solve`` with pivoting, and non-finite entries raise
+    ``OverflowError``.
     """
     M = np.asarray(M, dtype=complex)
-    m = M.shape[-1]
-    if m == 2:
+    if M.shape[-1] == 2:
         return _expm2_batch(M)
     norm = float(np.abs(M).sum(axis=-1).max())
     k = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
     s = 0 if k < 13 else max(0, int(np.ceil(np.log2(norm / _THETA[k]))))
-    A = M / (2.0**s) if s else M
-    ident = np.broadcast_to(np.eye(m, dtype=complex), A.shape)
+    A = np.moveaxis(M / 2.0**s if s else M, (-2, -1), (0, 1))
+    ident = np.eye(len(A), dtype=complex)[(...,) + (None,) * (A.ndim - 2)]
     b = _PADE[k]
     # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
-    powers = [ident, A @ A]
+    powers = [ident, _mul(A, A)]
     while len(powers) <= k // 2:
-        powers.append(powers[-1] @ powers[1])
-    U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        powers.append(_mul(powers[-1], powers[1]))
+    U = _mul(A, sum(b[2 * j + 1] * P for j, P in enumerate(powers)))
     V = sum(b[2 * j] * P for j, P in enumerate(powers))
-    R = np.linalg.solve(V - U, V + U)
+    R = np.linalg.solve(*(np.moveaxis(X, (0, 1), (-2, -1))
+                          for X in (V - U, V + U)))
+    R = np.moveaxis(R, (-2, -1), (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            R = R @ R
+            R = _mul(R, R)
     if not np.all(np.isfinite(R)):
         raise OverflowError("batched matrix exponential overflowed")
-    return R
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -149,17 +149,17 @@ class ApproximantFamily:
             raise ValueError("family must satisfy F(0) = identity")
 
 
-def _generator2(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
-                B: np.ndarray | None) -> np.ndarray:
-    """-i dW . A - dt B for m = 2, built entry by entry.
+def _generator(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
+               B: np.ndarray | None, m: int) -> np.ndarray:
+    """-i dW . A - dt B, built entry by entry.
 
     -i dW_j (x + iy) = dW_j y - i dW_j x, so each real and imaginary part
     of each entry is a sum over the nonzero coefficients only. The buffer
-    is entry-major, (2, 2, ...), returned as a (..., 2, 2) view.
+    is entry-major, (m, m, ...), returned as a (..., m, m) view.
     """
-    M = np.zeros((2, 2) + dW.shape[:-1], dtype=complex)
-    drift = np.zeros((2, 2), dtype=complex) if B is None else dt * B
-    for a, b in np.ndindex(2, 2):
+    M = np.zeros((m, m) + dW.shape[:-1], dtype=complex)
+    drift = np.zeros((m, m), dtype=complex) if B is None else dt * B
+    for a, b in np.ndindex(m, m):
         entry = M[a, b, ...]
         for out, coefs, shift in (
                 (entry.real, [Aj[a, b].imag for Aj in A], drift[a, b].real),
@@ -176,36 +176,23 @@ def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
                  B: np.ndarray | None) -> np.ndarray:
     """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
     A = as_operator_tuple(A)
-    m = A[0].shape[0] if A else as_operator(B).shape[0]
-    if B is not None:
-        B = as_operator(B)
-    if m == 2:
-        return expm_batch(_generator2(dW, dt, A, B))
-    M = np.zeros(dW.shape[:-1] + (m, m), dtype=complex)
-    for j, Aj in enumerate(A):
-        M += -1j * dW[..., j, None, None] * Aj
-    if B is not None:
-        M -= dt * B
-    return expm_batch(M)
+    B = None if B is None else as_operator(B)
+    return expm_batch(_generator(dW, dt, A, B, (A[0] if A else B).shape[0]))
 
 
-def _tree2(F: np.ndarray) -> np.ndarray:
-    """ordered_product_tree for m = 2 on the four (P, n) entry arrays."""
-    E = np.moveaxis(F, (-2, -1), (0, 1))
-    paths, n = F.shape[:2]
-    while n > 1:
-        half, odd = divmod(n, 2)
-        later, earlier = E[..., 1:2 * half:2], E[..., 0:2 * half:2]
-        out = np.empty((2, 2, paths, half + odd), dtype=complex)
-        tmp = np.empty((paths, half), dtype=complex)
-        for a, b in np.ndindex(2, 2):
-            c = out[a, b, :, :half]
-            np.multiply(later[a, 0], earlier[0, b], out=c)
-            c += np.multiply(later[a, 1], earlier[1, b], out=tmp)
-        if odd:
-            out[..., half] = E[..., n - 1]
-        E, n = out, half + odd
-    return np.ascontiguousarray(np.moveaxis(E[..., 0], (0, 1), (-2, -1)))
+def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
+    """L @ R on entry-major stacks (m, m, ...) that broadcast, into out:
+    c_ab = l_a0 r_0b + l_a1 r_1b + ..., one product temporary for all."""
+    m = L.shape[0]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(L.shape, R.shape), dtype=complex)
+    tmp = np.empty(out.shape[2:], dtype=complex)
+    for a, b in np.ndindex(m, m):
+        c = out[a, b, ...]
+        np.multiply(L[a, 0], R[0, b], out=c)
+        for k in range(1, m):
+            c += np.multiply(L[a, k], R[k, b], out=tmp)
+    return out
 
 
 def ordered_product_tree(F: np.ndarray) -> np.ndarray:
@@ -213,58 +200,58 @@ def ordered_product_tree(F: np.ndarray) -> np.ndarray:
 
     Adjacent factors are multiplied in place of a sequential loop; the
     association changes but the operand order (later leftmost) does not.
-    For m == 2 each level works on the four entry arrays,
-    c00 = l00 r00 + l01 r10 and so on, instead of stacked 2x2 matmuls;
-    an odd level carries its last factor to the next level unchanged.
+    Each level is one entry product of the later factors with the earlier
+    ones; an odd level carries its last factor to the next one unchanged.
     """
-    if F.shape[-1] == 2:
-        return _tree2(F)
-    while F.shape[1] > 1:
-        even = F.shape[1] - F.shape[1] % 2
-        paired = F[:, 1:even:2] @ F[:, 0:even:2]
-        if even != F.shape[1]:
-            paired = np.concatenate([paired, F[:, even:]], axis=1)
-        F = paired
-    return F[:, 0]
+    E = np.moveaxis(F, (-2, -1), (0, 1))
+    n = E.shape[-1]
+    while n > 1:
+        half, odd = divmod(n, 2)
+        out = np.empty(E.shape[:-1] + (half + odd,), dtype=complex)
+        _mul(E[..., 1:2 * half:2], E[..., 0:2 * half:2], out[..., :half])
+        if odd:
+            out[..., half] = E[..., n - 1]
+        E, n = out, half + odd
+    return np.ascontiguousarray(np.moveaxis(E[..., 0], (0, 1), (-2, -1)))
 
 
 def _mul_into(L: np.ndarray, R: np.ndarray) -> None:
     """L <- L @ R on entry-major stacks (m, m, ...); R broadcasts against L.
 
-    For m == 2 each row of L is rebuilt from its two entry arrays,
-    c_a0 = l_a0 r_00 + l_a1 r_10 and c_a1 = l_a0 r_01 + l_a1 r_11.
+    Each row is rebuilt in place, entry b after entry b - 1, as
+    c_ab = l_ab r_bb + sum_(k > b) l_ak r_kb + t_b; t_b sums the terms of
+    the entries k < b before they are overwritten. For m == 2 that is
+    t = l_a0 r_01, c_a0 = l_a0 r_00 + l_a1 r_10, c_a1 = l_a1 r_11 + t.
     """
-    if L.shape[0] != 2:
-        Lm = np.moveaxis(L, (0, 1), (-2, -1))
-        # matmul reads an input that overlaps out from a copy
-        np.matmul(Lm, np.moveaxis(R, (0, 1), (-2, -1)), out=Lm)
-        return
-    for a in range(2):
-        l0, l1 = L[a, 0], L[a, 1]
-        t = l0 * R[0, 1]
-        l0 *= R[0, 0]
-        l0 += l1 * R[1, 0]
-        l1 *= R[1, 1]
-        l1 += t
+    m = L.shape[0]
+    for a in range(m):
+        row, t = L[a], [None] * m
+        for b in range(m):
+            lb = row[b]
+            for c in range(b + 1, m):
+                p = lb * R[b, c]
+                t[c] = p if t[c] is None else t[c] + p
+            lb *= R[b, b]
+            for k in range(b + 1, m):
+                lb += row[k] * R[k, b]
+            if t[b] is not None:
+                lb += t[b]
 
 
 def ordered_prefix(F: np.ndarray) -> np.ndarray:
     """Overwrite F (P, n, m, m) with its left-ordered prefix products.
 
     Afterwards ``F[:, k]`` holds ``F[:, k] @ ... @ F[:, 0]``; F is returned.
-    This is a blocked scan (Blelloch 1990) over blocks of b steps: the
-    local scans of all blocks at once (b - 1 array steps), a sequential
-    carry across the n / b block ends, then one product of every block
-    with the carry of the block before it. For m == 2 the products work on
-    the four entry arrays and b = isqrt(n), so about 3 sqrt(n) array steps
-    do O(n) products. For m > 2 a stacked @ costs per matrix rather than
-    per call, so b = 1 and the carry alone does the n - 1 products. Every
-    product is written into F; no temporary is larger than one (P, n) entry
-    array.
+    This is a blocked scan (Blelloch 1990) over blocks of b = isqrt(n)
+    steps: the local scans of all blocks at once, a sequential carry across
+    the block ends, then one product of every block with the carry of the
+    block before it, so about 3 sqrt(n) entry products do O(n) matrix
+    products, each written into F; no temporary is larger than one (P, n)
+    entry array.
     """
     E = np.moveaxis(F, (-2, -1), (0, 1))  # (m, m, P, n), a view
-    m, n = E.shape[0], E.shape[-1]
-    b = max(1, math.isqrt(n)) if m == 2 else 1
+    n = E.shape[-1]
+    b = max(1, math.isqrt(n))
     for j in range(1, b):
         L = E[..., j::b]
         _mul_into(L, E[..., j - 1::b][..., :L.shape[-1]])

@@ -163,11 +163,13 @@ def multiplication_operator(grid: PeriodicGrid,
 
 def standard_hamiltonian(grid: PeriodicGrid, a: Callable | None,
                          v: Callable | None) -> np.ndarray:
-    """Symmetrized magnetic Schroedinger operator (p-hat - a(q-hat))^2 / 2 + v."""
-    P = momentum_operator(grid)
+    """Symmetrized magnetic Schroedinger operator (p-hat - a(q-hat))^2 / 2 + v,
+    as p^2/2 - (p a + a p)/2 + a^2/2 + v: p a and a p scale the columns and
+    the rows of p-hat, so no N x N product is formed."""
+    H = kinetic_operator(grid)
     if a is not None:
-        P = P - multiplication_operator(grid, a)
-    H = 0.5 * (P @ P)
+        P, aq = momentum_operator(grid), np.asarray(a(grid.q), dtype=complex)
+        H += np.diag(0.5 * aq * aq) - 0.5 * (P * aq + aq[:, None] * P)
     if v is not None:
         H = H + multiplication_operator(grid, v)
     return H

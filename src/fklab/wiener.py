@@ -212,9 +212,12 @@ def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,
 
     Returns an estimate whose mean stacks [w_j(s_a)] and [w_j(s_a) w_k(s_b)]
     as a flat vector: first d * len(nodes) first-moment entries, then the
-    full (node, node, j, k) second-moment block.
+    full (node, node, j, k) second-moment block. Raises ValueError, before
+    sampling, when one chunk's second moments would exceed the budget.
     """
     idx = np.asarray(node_indices, dtype=int)
+    check_budget("one chunk's second moments", min(n_paths, chunk_size),
+                 len(idx), len(idx), d, d)
 
     def func(gen: np.random.Generator, count: int) -> np.ndarray:
         vals = paths_from_increments(grid, sample_increments(grid, d, count, gen))

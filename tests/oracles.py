@@ -21,7 +21,8 @@ from scipy.special import ndtr
 
 from fklab.opalg import as_operator
 from fklab.phasespace import (PeriodicGrid, Symbol, _fractional_shift,
-                              _offset_diagonals, alpha_quantize)
+                              _offset_diagonals, alpha_quantize,
+                              momentum_operator, multiplication_operator)
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -217,6 +218,18 @@ def dense_spectral_operator(grid, f) -> np.ndarray:
     E = np.exp(-1j * np.outer(grid.p, grid.q))
     F = np.exp(1j * np.outer(grid.q, grid.p))
     return (F * np.asarray(f(grid.p))[None, :]) @ E / grid.n_points
+
+
+def dense_standard_hamiltonian(grid: PeriodicGrid, a: Callable | None,
+                               v: Callable | None) -> np.ndarray:
+    """(p-hat - a(q-hat))^2 / 2 + v with the N x N product formed."""
+    P = momentum_operator(grid)
+    if a is not None:
+        P = P - multiplication_operator(grid, a)
+    H = 0.5 * (P @ P)
+    if v is not None:
+        H = H + multiplication_operator(grid, v)
+    return H
 
 
 def standard_symbol_target(grid: PeriodicGrid, a: Callable | None,

@@ -446,6 +446,9 @@ BAD_INPUTS = {
         ("params.potential", {"name": "coulomb-3d"})]),
     "lattice-over-budget": ("phasespace-roundtrip",
                             [("params.n_points", 2**20)]),
+    # one chunk's (count, nodes, nodes, d, d) second moments: 4.5 GiB
+    "wiener-moments-over-budget": ("wiener-stats", [
+        ("n_paths", 16384), ("params.d", 64)]),
 }
 
 
@@ -646,7 +649,8 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
     }
     # a bad type, an odd antithetic path count, node fractions that round
     # to node 0 on a one-step grid, a well with kappa_t >= 1, increments
-    # over the budget of one chunk, and Kato nodes over it in d = 3
+    # over the budget of one chunk, Kato nodes over it in d = 3 and one
+    # chunk's wiener-stats second moments over it at d = 64
     sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
               (_shrunk("fk-matrix"), "n_paths", "8,9"),
               (_shrunk("wiener-stats"), "grid.n_steps", "8,1"),
@@ -658,7 +662,9 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
                "params.potential.d", "1,3"),
               (_shrunk("kato", [("params.potential", {"name": "coulomb-3d"}),
                                 ("params.n_probes", 3)]),
-               "params.n_probes", "3,33")]
+               "params.n_probes", "3,33"),
+              (_shrunk("wiener-stats", [("n_paths", 16384)]), "params.d",
+               "2,64")]
     for i, (point, axis, values) in enumerate(sweeps):
         out = tmp_path / str(i)
         out.mkdir()
@@ -712,6 +718,19 @@ def test_khasminskii_run_computes_one_quadrature(tmp_path, capsys,
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 1
+
+
+def test_khasminskii_without_v_runs_no_quadrature(tmp_path, capsys,
+                                                  monkeypatch):
+    # with no scalar v, v_- and so kappa are exactly 0
+    calls = []
+    monkeypatch.setattr(fkschrodinger, "kato_kappa",
+                        lambda *args, **kwargs: calls.append(args))
+    code, _ = run_cli(tmp_path, _shrunk("khasminskii", [(
+        "params.potential", {"name": "constant-magnetic-2d"})]))
+    capsys.readouterr()
+    assert code == 0
+    assert calls == []
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):

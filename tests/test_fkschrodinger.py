@@ -390,6 +390,19 @@ def test_kato_nodes_rejected_before_allocating():
                    KatoQuadSpec(n_space=MAX_INCREMENT_BYTES // 8 + 1))
 
 
+def test_kato_nodes_take_linear_memory():
+    # 2000 Gauss-Legendre nodes on one probe: no n_space x n_space matrix
+    tracemalloc.start()
+    try:
+        kappa = kato_kappa(lambda x: np.ones(x.shape[:-1]), 0.5,
+                           np.zeros((1, 1)), KatoQuadSpec(n_space=2000,
+                                                          n_time=2))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert abs(kappa - 0.5) <= 1e-12
+
+
 def test_khasminskii_bound_holds():
     pot = preset_potential("constant-well", height=0.3, halfwidth=1.0)
     lhs, bound = khasminskii_check(pot, [0.0], 1.0, 40000, TimeGrid(1.0, 64),

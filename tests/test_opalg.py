@@ -80,7 +80,7 @@ def test_expm_batch_pade_path():
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(m=st.sampled_from([2, 3, 4]),
+@given(m=st.sampled_from([2, 3, 4, 5]),
        log_norms=st.lists(st.floats(-8.0, 1.0), min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1))
 def test_expm_batch_matches_taylor_across_norms(m, log_norms, seed):
@@ -139,74 +139,91 @@ def test_expm_batch_2x2_entry_path_against_taylor():
         assert np.allclose(out[idx], taylor_expm(M[idx]), rtol=0, atol=1e-14)
 
 
+SIZES = [1, 2, 3, 4, 5]
+
+
 def _generator(dW, dt, A, B):
     M = sum(-1j * dW[..., j, None, None] * Aj for j, Aj in enumerate(A))
     return M - dt * B if B is not None else M
 
 
-@pytest.mark.parametrize("A, B", [
-    ((SX, SY), SZ),  # SX, SY and SZ each hold zero entries
-    ((SX + 0.5j * SZ, SY), None),
-    ((SY,), SX + 0.25 * SZ),
-])
-def test_step_factors_2x2_entry_path_exact(A, B):
-    dW = 0.1 * RngStream(22).generator().standard_normal((3, 17, len(A)))
+def _sparse(gen, m):
+    # each entry zero, real, imaginary or complex, so that every coefficient
+    # test of the entry-wise generator is taken
+    kind = gen.integers(0, 4, (m, m))
+    return (gen.standard_normal((m, m)) * (kind & 1)
+            + 1j * gen.standard_normal((m, m)) * (kind >> 1))
+
+
+@pytest.mark.parametrize("n_A, drift", [(2, True), (2, False), (1, True)],
+                         ids=["A2-B", "A2", "A1-B"])
+@pytest.mark.parametrize("m", SIZES, ids=lambda m: f"m{m}")
+def test_step_factors_entry_path_exact(m, n_A, drift):
+    gen = RngStream(22 + m).generator()
+    A = tuple(_sparse(gen, m) for _ in range(n_A))
+    B = _sparse(gen, m) if drift else None
+    dW = 0.1 * gen.standard_normal((3, 17, n_A))
     F = step_factors(dW, 0.01, A, B)
-    assert F.shape == (3, 17, 2, 2)
+    assert F.shape == (3, 17, m, m)
     assert np.array_equal(F, expm_batch(_generator(dW, 0.01, A, B)))
 
 
 def _left_loop(F):
     out = []
     for p in range(F.shape[0]):
-        T = np.eye(2, dtype=complex)
+        T = np.eye(F.shape[-1], dtype=complex)
         for nu in range(F.shape[1]):
             T = F[p, nu] @ T
         out.append(T)
     return np.array(out)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 513])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 513])
 @pytest.mark.parametrize("paths", [1, 4])
-def test_ordered_product_tree_2x2_matches_loop(n, paths):
+@pytest.mark.parametrize("m", SIZES, ids=lambda m: f"m{m}")
+def test_ordered_product_tree_matches_loop(m, paths, n):
     gen = RngStream(23).generator()
-    H = gen.standard_normal((paths, n, 2, 2)) + 1j * gen.standard_normal((paths, n, 2, 2))
+    shape = (paths, n, m, m)
+    H = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     F = expm_batch(-0.1j * (H + np.conj(np.swapaxes(H, -1, -2))))  # unitary
     tree = ordered_product_tree(F)
-    assert tree.shape == (paths, 2, 2)
+    assert tree.shape == (paths, m, m)
     assert np.allclose(tree, _left_loop(F), rtol=0, atol=1e-13)
 
 
-def test_ordered_product_tree_2x2_noncontiguous_input():
+@pytest.mark.parametrize("m", SIZES)
+def test_ordered_product_tree_noncontiguous_input(m):
     gen = RngStream(24).generator()
-    G = gen.standard_normal((6, 22, 2, 2)) + 1j * gen.standard_normal((6, 22, 2, 2))
+    G = gen.standard_normal((6, 22, m, m)) + 1j * gen.standard_normal((6, 22, m, m))
     # strided slice with reversed rows, 7 factors per path
-    F = (0.6 * G)[::2, 1::3, ::-1, :]
-    assert not F.flags.c_contiguous
+    F = (0.6 / m * G)[::2, 1::3, ::-1, :]
+    assert m == 1 or not F.flags.c_contiguous
     before = F.copy()
     assert np.allclose(ordered_product_tree(F), _left_loop(F), rtol=0, atol=1e-13)
     assert np.array_equal(F, before)
 
 
-JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
-JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+def _hermitian(gen, m):
+    H = gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m))
+    return (H + H.conj().T) / (2 * m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 511, 512, 513])
-@pytest.mark.parametrize("A, B", [((SX, SY), 1j * SZ), ((JX,), 1j * JZ)],
-                         ids=["m2", "m3"])
-def test_ordered_prefix_matches_loop(n, A, B):
+@pytest.mark.parametrize("m", SIZES, ids=lambda m: f"m{m}")
+def test_ordered_prefix_matches_loop(n, m):
     # unitary factors keep every prefix of norm 1, so an absolute bound
     # holds at any n; n = 7 and 513 end in a partial block
-    dW = 0.2 * RngStream(25).generator().standard_normal((3, n, len(A)))
-    F = step_factors(dW, 0.05, A, B)
+    gen = RngStream(25).generator()
+    A = (_hermitian(gen, m), _hermitian(gen, m))
+    dW = 0.2 * gen.standard_normal((3, n, len(A)))
+    F = step_factors(dW, 0.05, A, 1j * _hermitian(gen, m))
     expected = prefix_loop(F)
     out = ordered_prefix(F)
     assert out is F  # written in place
     assert np.allclose(F, expected, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", SIZES)
 def test_ordered_prefix_keeps_exact_zeros(m):
     # upper-triangular factors: the strictly lower entries are exactly zero
     # in every factor and in every product
@@ -224,7 +241,7 @@ def test_ordered_prefix_keeps_exact_zeros(m):
     assert np.all(F[..., ~np.eye(m, dtype=bool)] == 0)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", SIZES)
 def test_ordered_prefix_strided_input(m):
     gen = RngStream(27).generator()
     G = 0.3 * (gen.standard_normal((6, 70, m, m))
@@ -262,17 +279,6 @@ def test_ordered_exp_unitary_when_hermitian():
     dW = sample_increments(g, 2, 1, RngStream(4).generator())
     T = ordered_product_tree(step_factors(dW, g.dt, (SX, SY), None))[0]
     assert np.allclose(T @ T.conj().T, np.eye(2), atol=1e-12)
-
-
-def test_ordered_product_tree_matches_loop():
-    gen = RngStream(5).generator()
-    F = gen.standard_normal((3, 7, 2, 2)) + 1j * gen.standard_normal((3, 7, 2, 2))
-    tree = ordered_product_tree(F.copy())
-    for p in range(3):
-        loop = np.eye(2, dtype=complex)
-        for nu in range(7):
-            loop = F[p, nu] @ loop
-        assert np.allclose(tree[p], loop, atol=1e-12)
 
 
 def test_dyson_first_order_drift_only():

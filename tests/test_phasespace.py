@@ -16,8 +16,9 @@ from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
 from fklab.streams import RngStream
 
 from oracles import (dense_alpha_quantize, dense_alpha_symbol,
-                     dense_spectral_operator, generator_probe, loglog_slope,
-                     ordering_mismatch_demo, standard_symbol_target)
+                     dense_spectral_operator, dense_standard_hamiltonian,
+                     generator_probe, loglog_slope, ordering_mismatch_demo,
+                     standard_symbol_target)
 
 GRID = PeriodicGrid(32, 12.0)
 
@@ -143,6 +144,17 @@ def test_weyl_symbol_of_hermitian_operator_is_real():
     H = kinetic_operator(GRID) + multiplication_operator(GRID, lambda q: v)
     sym = alpha_symbol(H, GRID, 0.5)
     assert np.abs(sym.values.imag).max() <= 1e-10
+
+
+@pytest.mark.parametrize("with_a", [False, True])
+def test_standard_hamiltonian_matches_dense_product(with_a):
+    # p a and a p as column and row scalings against (P - A) @ (P - A)
+    for grid in (GRID, PeriodicGrid(256, 16.0)):
+        a, _, v = smooth_fields(grid.length)
+        a = a if with_a else None
+        ref = dense_standard_hamiltonian(grid, a, v)
+        err = np.abs(standard_hamiltonian(grid, a, v) - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max()
 
 
 def test_standard_symbol_imaginary_part():

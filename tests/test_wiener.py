@@ -46,12 +46,16 @@ def test_paths_from_increments_cumsum():
 
 
 def test_increment_budget_rejected_before_allocating():
-    # 10**9 steps of one path would take 8 GB: the check comes first
+    # 10**9 steps of one path would take 8 GB, and one chunk's second
+    # moments at three nodes in d = 64 4.5 GiB: the check comes first
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
             sample_increments(TimeGrid(1.0, 10**9), 1, 1,
                               RngStream(0).generator())
+        with pytest.raises(ValueError, match="second moments"):
+            estimate_covariance(TimeGrid(1.0, 4), 64, 16384, RngStream(0),
+                                [1, 2, 3])
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
