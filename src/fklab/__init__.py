@@ -10,13 +10,12 @@ runner (:mod:`fklab.cli`).
 
 from .mc import MCEstimate, mc_run
 from .streams import RngStream
-from .wiener import PathBatch, TimeGrid
+from .wiener import TimeGrid
 
 __all__ = [
     "MCEstimate",
     "mc_run",
     "RngStream",
-    "PathBatch",
     "TimeGrid",
 ]
 

@@ -47,9 +47,8 @@ from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
 from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
-from .wiener import (MAX_INCREMENT_BYTES, PathBatch, TimeGrid, check_budget,
-                     estimate_covariance, paths_from_increments,
-                     sample_increments)
+from .wiener import (MAX_INCREMENT_BYTES, TimeGrid, check_budget,
+                     estimate_covariance, sample_increments)
 
 # roundoff floor below which a test is meaningless; the z-tests and the
 # Frobenius row scale it by max(1, |target|), since a mean of identical
@@ -375,20 +374,14 @@ def _run_wiener_stats(cfg: ExperimentConfig) -> list[Row]:
     first_err = est.stderr[:n_nodes * d].reshape(n_nodes, d)
     second = est.mean[n_nodes * d:].reshape(n_nodes, n_nodes, d, d)
     second_err = est.stderr[n_nodes * d:].reshape(n_nodes, n_nodes, d, d)
-    rows = []
-    for a in range(n_nodes):
-        for j in range(d):
-            rows.append(_zrow("mean", f"s={times[a]:g},j={j}",
-                              first[a, j], first_err[a, j], 0.0, zmax))
-    for a in range(n_nodes):
-        for b in range(n_nodes):
-            for j in range(d):
-                for k in range(d):
-                    target = min(times[a], times[b]) if j == k else 0.0
-                    rows.append(_zrow(
-                        "cov", f"r={times[a]:g},s={times[b]:g},j={j},k={k}",
-                        second[a, b, j, k], second_err[a, b, j, k],
-                        target, zmax))
+    rows = [_zrow("mean", f"s={times[a]:g},j={j}", first[a, j],
+                  first_err[a, j], 0.0, zmax)
+            for a, j in np.ndindex(n_nodes, d)]
+    for a, b, j, k in np.ndindex(n_nodes, n_nodes, d, d):
+        target = min(times[a], times[b]) if j == k else 0.0
+        rows.append(_zrow("cov", f"r={times[a]:g},s={times[b]:g},j={j},k={k}",
+                          second[a, b, j, k], second_err[a, b, j, k],
+                          target, zmax))
     return rows
 
 
@@ -400,9 +393,8 @@ def _run_stochint_convergence(cfg: ExperimentConfig) -> list[Row]:
     grid = cfg.grid
 
     def func(gen, count):
-        vals = paths_from_increments(grid, sample_increments(grid, 1, count, gen))
-        r = convert_check_batch(PathBatch(grid, vals), field, scheme)
-        return r**2
+        dw = sample_increments(grid, 1, count, gen)
+        return convert_check_batch(grid, dw, field, scheme) ** 2
 
     est = mc_run(func, cfg.n_paths, RngStream(cfg.seed), workers=cfg.workers)
     if alpha == 0.5:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
-from .opalg import (as_operator, as_operator_tuple, expm, ordered_prefix,
-                    ordered_product_tree, step_factors)
+from .opalg import (as_operator, as_operator_tuple, expm, gauss_legendre,
+                    ordered_prefix, ordered_product_tree, step_factors)
 from .streams import RngStream
 from .wiener import TimeGrid, sample_increments
 
@@ -137,12 +137,9 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
 
 def _gauss_legendre_snapped(grid: TimeGrid, n_quad: int):
     """Gauss-Legendre nodes on [0, t] snapped to the nearest grid times."""
-    x, w = np.polynomial.legendre.leggauss(n_quad)
-    t = grid.t_end
-    nodes = 0.5 * t * (x + 1.0)
-    weights = 0.5 * t * w
-    idx = np.rint(nodes / grid.dt).astype(int)
-    return idx, weights
+    x, w = gauss_legendre(n_quad)
+    nodes = 0.5 * grid.t_end * (x + 1.0)
+    return np.rint(nodes / grid.dt).astype(int), 0.5 * grid.t_end * w
 
 
 def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,

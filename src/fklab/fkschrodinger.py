@@ -24,7 +24,9 @@ import numpy as np
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
-from .wiener import TimeGrid, check_budget, path_blocks, sample_increments
+from .opalg import gauss_legendre
+from .wiener import (BLOCK, TimeGrid, block_trapezoid, check_budget,
+                     path_blocks, sample_increments)
 
 
 class ClosedForms(NamedTuple):
@@ -71,11 +73,6 @@ class PotentialConfig:
 # path functionals
 
 
-# time steps per block of the path walk: beside its increments a chunk holds
-# O(n_paths * _BLOCK * d) floats of positions and integrands, whatever n_steps
-_BLOCK = 16
-
-
 def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
                         dw: np.ndarray, variants: Sequence[tuple],
                         endpoint: np.ndarray | None = None):
@@ -85,21 +82,21 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
     ``endpoint``. A variant ``(a, weight)`` multiplies the damping
     exp(-int v ds), computed once per path, by the phase exp(-i int a o dw)
     and by ``weight`` of the endpoints; None skips either. Time is walked
-    in blocks of :data:`_BLOCK` steps that add to the trapezoid sum and the
-    Stratonovich sums; positions are bit-identical to the full-path
+    in blocks of ``wiener.BLOCK`` steps that add to the trapezoid sum and
+    the Stratonovich sums; positions are bit-identical to the full-path
     ``bridge_from_free(paths_from_increments(dw))``. Returns (columns (P, k),
     finite mask).
     """
     count, n, d = dw.shape
     if endpoint is not None:
-        for _, w in path_blocks(dw, _BLOCK):  # the free endpoint first
+        for _, w in path_blocks(dw):  # the free endpoint first
             pass
         correction = w[:, -1] - endpoint
     phased = [i for i, (a, _) in enumerate(variants) if a is not None]
     strat = np.zeros((len(variants), count))
     integral = np.zeros(count)
-    x = np.empty((count, _BLOCK + 1, d))  # row 0 the position before
-    for k0, w in path_blocks(dw, _BLOCK):
+    x = np.empty((count, BLOCK + 1, d))  # row 0 the position before
+    for k0, w in path_blocks(dw):
         m = w.shape[1] - 1
         xb = x[:, :m + 1]
         if endpoint is None:
@@ -109,12 +106,7 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
             np.add(q, w - s[:, None] * correction[:, None, :], out=xb)
             if k0 + m == n:
                 xb[:, -1] = q + endpoint  # exact pinning
-        lo = 0 if k0 == 0 else 1  # later blocks repeat the row before
-        trap = np.full(m + 1 - lo, grid.dt)
-        if lo == 0:
-            trap[0] /= 2
-        if k0 + m == n:
-            trap[-1] /= 2
+        lo, trap = block_trapezoid(grid, k0, m)
         part = np.asarray(v(xb[:, lo:]), dtype=float) @ trap
         with np.errstate(over="ignore", invalid="ignore"):
             integral += part  # inf - inf, like an overflow, rejects the path
@@ -144,17 +136,28 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
     return np.stack(cols, axis=1), finite
 
 
+def _position(pot: PotentialConfig, x: Sequence[float], name: str):
+    """``x`` as a float vector, which must have the potential's length."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (pot.d,):
+        raise ValueError(f"{name} has length {x.size}, not d = {pot.d}")
+    return x
+
+
 def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
                       q: Sequence[float], t: float, variants: Sequence[tuple],
-                      endpoint=None, v: Callable | None = None):
+                      qp: Sequence[float] | None = None,
+                      v: Callable | None = None):
     """Chunk function of :func:`_functional_columns` on the paths q + w.
 
-    w is a free Wiener path, or a bridge to ``endpoint`` when one is given;
-    ``v`` defaults to the scalar potential. t must be the grid horizon.
+    w is a free Wiener path, or the bridge to ``qp - q`` when ``qp`` is
+    given; ``v`` defaults to the scalar potential. t must be the grid
+    horizon, and q and qp must have length ``pot.d``.
     """
     if not t > 0 or abs(grid.t_end - t) > 1e-12:
         raise ValueError("t must be positive and equal the grid horizon")
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = _position(pot, q, "q")
+    endpoint = None if qp is None else _position(pot, qp, "q'") - q
     v = pot.eval_v if v is None else v
 
     def chunk_fn(gen, count):
@@ -203,10 +206,9 @@ def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     The delta-function constraint is realized exactly: the free heat kernel
     multiplies the bridge average of the phase and damping functionals.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    endpoint = np.asarray(qp, dtype=float).reshape(-1) - q
-    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, None)], endpoint)
-    prefactor = free_kernel(pot.d, endpoint, t)
+    q, qp = _position(pot, q, "q"), _position(pot, qp, "q'")
+    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, None)], qp)
+    prefactor = free_kernel(pot.d, qp - q, t)
     est = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return MCEstimate(prefactor * est.mean, prefactor * est.stderr,
                       est.n_samples)
@@ -224,8 +226,7 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     """
     if pot.chi is None or pot.grad_chi is None:
         raise ValueError("gauge check needs chi with an analytic gradient")
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qp = np.asarray(qp, dtype=float).reshape(-1)
+    q, qp = _position(pot, q, "q"), _position(pot, qp, "q'")
 
     def shifted_a(x):
         g = np.asarray(pot.grad_chi(x))
@@ -234,7 +235,7 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     phase = np.exp(1j * (float(np.asarray(pot.chi(q[None, :]))[0])
                          - float(np.asarray(pot.chi(qp[None, :]))[0])))
     bridged = _path_functionals(pot, grid, q, t,
-                                [(shifted_a, None), (pot.a, None)], qp - q)
+                                [(shifted_a, None), (pot.a, None)], qp)
 
     def chunk_fn(gen, count):
         cols, finite = bridged(gen, count)
@@ -289,9 +290,7 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
     check_budget("the Kato nodes", probes.shape[0], quad.n_space**d, d)
-    # nodes in O(n_space) memory; scipy.special loads only when one runs
-    from scipy.special import roots_legendre
-    x1, w1 = roots_legendre(quad.n_space)
+    x1, w1 = gauss_legendre(quad.n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
     znodes = np.stack([g.ravel() for g in grids], axis=-1)   # (M, d)

@@ -117,11 +117,6 @@ def reduce_chunks(chunk_fn: Callable, n_samples: int, stream: RngStream,
     return _estimate(moments), rejected
 
 
-def sample_mean(samples: np.ndarray) -> MCEstimate:
-    """Estimate from one in-memory (n, ...) sample array, as a single chunk."""
-    return _estimate(_moments(np.asarray(samples)))
-
-
 def mc_run(
     func: Callable[[np.random.Generator, int], np.ndarray],
     n_samples: int,

@@ -275,3 +275,25 @@ def trotter_product(family: ApproximantFamily, t: float, n: int) -> np.ndarray:
         raise ValueError("t must be non-negative")
     F = as_operator(family.evaluator(t / n))
     return np.linalg.matrix_power(F, n)
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, x inside (-1, 1)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] in O(n) memory: the
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix), symmetrized and
+    polished by one Newton step, and weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    k = np.arange(1.0, n)
+    x = scipy.linalg.eigvalsh_tridiagonal(np.zeros(n),
+                                          k / np.sqrt(4 * k * k - 1))
+    x = 0.5 * (x - x[::-1])
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    dp = _legendre(n, x)[1]
+    return x, 2 / ((1 - x * x) * dp * dp)

@@ -5,8 +5,9 @@ x = alpha * w(s_v) + (1 - alpha) * w(s_{v-1}), so alpha = 0 is the Ito sum
 and alpha = 1/2 the Stratonovich (midpoint-position) sum. Only pointwise
 fields g(x, s) are supported; path-history dependence is out of scope.
 
-Every function takes a :class:`~fklab.wiener.PathBatch` and returns one
-value per path; a single path is a batch of one.
+Every function takes one chunk's increments ``dw`` (n_paths, n, d) on a
+grid, walks the paths with :func:`~fklab.wiener.path_blocks` and sums block
+by block, returning one value per path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wiener import PathBatch
+from .wiener import TimeGrid, block_trapezoid, path_blocks
 
 STRATONOVICH = 0.5
 
@@ -44,42 +45,48 @@ class FieldWithDivergence:
     div_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def alpha_integral_batch(batch: PathBatch, field: FieldWithDivergence,
+def alpha_integral_batch(grid: TimeGrid, dw: np.ndarray,
+                         field: FieldWithDivergence,
                          scheme: AlphaScheme) -> np.ndarray:
-    """Alpha-point stochastic sums for every path in the batch, shape (n_paths,)."""
+    """Alpha-point stochastic sums for every path, shape (n_paths,)."""
     a = scheme.alpha
-    w = batch.values
-    times = batch.grid.times()
-    x = a * w[:, 1:, :] + (1 - a) * w[:, :-1, :]
-    s = a * times[1:] + (1 - a) * times[:-1]
-    gv = np.asarray(field.g(x, np.broadcast_to(s[None, :], x.shape[:2])))
-    dw = np.diff(w, axis=1)
-    return np.einsum("pkd,pkd->p", gv, dw)
+    total = np.zeros(dw.shape[0])
+    for k0, w in path_blocks(dw):
+        times = grid.dt * np.arange(k0, k0 + w.shape[1])
+        x = a * w[:, 1:] + (1 - a) * w[:, :-1]
+        s = a * times[1:] + (1 - a) * times[:-1]
+        gv = np.asarray(field.g(x, np.broadcast_to(s, x.shape[:2])))
+        total += np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
+    return total
 
 
-def time_integral_batch(batch: PathBatch,
+def time_integral_batch(grid: TimeGrid, dw: np.ndarray,
                         u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
-    grid = batch.grid
-    times = np.broadcast_to(grid.times()[None, :], batch.values.shape[:2])
-    uv = np.asarray(u(batch.values, times))
-    if not np.all(np.isfinite(uv)):
-        raise FloatingPointError("integrand evaluated to a non-finite value")
-    weights = np.full(grid.n_steps + 1, grid.dt)
-    weights[0] = weights[-1] = grid.dt / 2
-    return uv @ weights
+    total = np.zeros(dw.shape[0])
+    for k0, w in path_blocks(dw):
+        lo, weights = block_trapezoid(grid, k0, w.shape[1] - 1)
+        x = w[:, lo:]
+        s = grid.dt * np.arange(k0 + lo, k0 + w.shape[1])
+        uv = np.asarray(u(x, np.broadcast_to(s, x.shape[:2])))
+        if not np.all(np.isfinite(uv)):
+            raise FloatingPointError("non-finite value of the integrand")
+        total += uv @ weights
+    return total
 
 
-def convert_check_batch(batch: PathBatch, field: FieldWithDivergence,
+def convert_check_batch(grid: TimeGrid, dw: np.ndarray,
+                        field: FieldWithDivergence,
                         scheme: AlphaScheme) -> np.ndarray:
     """Residual of the Ito/Stratonovich conversion formula per path.
 
     residual = Stratonovich sum - [alpha sum + (1/2 - alpha) * trapz(div g)].
     The mean-square residual vanishes linearly in dt under refinement.
     """
-    strat = alpha_integral_batch(batch, field, AlphaScheme(STRATONOVICH))
     if scheme.alpha == STRATONOVICH:
-        return np.zeros_like(strat)
-    asum = alpha_integral_batch(batch, field, scheme)
-    correction = (0.5 - scheme.alpha) * time_integral_batch(batch, field.div_g)
+        return np.zeros(dw.shape[0])
+    strat = alpha_integral_batch(grid, dw, field, AlphaScheme(STRATONOVICH))
+    asum = alpha_integral_batch(grid, dw, field, scheme)
+    correction = (0.5 - scheme.alpha) * time_integral_batch(grid, dw,
+                                                            field.div_g)
     return strat - (asum + correction)

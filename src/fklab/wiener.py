@@ -1,15 +1,13 @@
 """Wiener-measure sampling on uniform time grids.
 
-Paths are represented at grid points only; integrals along paths use the
-trapezoidal rule and stochastic sums use increment-based rules from
-:mod:`fklab.stochint`. Brownian bridges are built from free paths by the
-linear-drift transform, which pins the endpoint bit-exactly.
-
-The API is batch-only: samplers return a :class:`PathBatch` of shape
-(n_paths, n+1, d), and one path is a batch with ``n_paths = 1``.
-Estimators end in :mod:`fklab.mc`: ``estimate_covariance`` through
-``mc_run``, the characteristic functionals of an in-memory batch through
-``sample_mean``.
+Every path quantity is a functional of one chunk's increments ``dw``
+(n_paths, n, d). :func:`path_blocks` is the one way from increments to
+positions: it walks :data:`BLOCK` time steps at a time, so a chunk holds
+O(n_paths * BLOCK * d) floats beside its increments whatever n. Estimators
+are chunked through :func:`fklab.mc.mc_run`. ``paths_from_increments`` and
+``bridge_from_free`` (the linear-drift bridge, which pins the endpoint
+bit-exactly) are the whole-path forms, kept as the references of the
+blocked walk; no fklab module calls them.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mc import DEFAULT_CHUNK, MCEstimate, mc_run, sample_mean
+from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .streams import RngStream
 
 
@@ -46,22 +44,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class PathBatch:
-    """A stack of paths sharing one grid; values has shape (n_paths, n+1, d)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[2]
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """Deterministic R_+ -> R^d integrand with compact support.
 
@@ -77,6 +59,9 @@ class TestFunction:
 # whole, so a larger chunk is an input error (exit 2 in the CLI) instead of
 # an out-of-memory failure; Kato nodes and lattice operators share it
 MAX_INCREMENT_BYTES = 2**30
+
+# time steps per block of the path walk
+BLOCK = 16
 
 
 def check_budget(what: str, *shape: int) -> None:
@@ -111,7 +96,7 @@ def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_blocks(dw: np.ndarray, block: int):
+def path_blocks(dw: np.ndarray, block: int = BLOCK):
     """:func:`paths_from_increments` one block of time steps at a time.
 
     Yields ``(k0, w)`` with w (n_paths, m+1, d) the free path at steps
@@ -134,11 +119,20 @@ def path_blocks(dw: np.ndarray, block: int):
         buf[:, 0] = buf[:, m]
 
 
-def sample_paths(grid: TimeGrid, d: int, n_paths: int, rng: RngStream) -> PathBatch:
-    """Draw an ensemble of independent Wiener paths as one batch."""
-    gen = rng.generator()
-    return PathBatch(grid, paths_from_increments(
-        grid, sample_increments(grid, d, n_paths, gen)))
+def block_trapezoid(grid: TimeGrid, k0: int, m: int) -> tuple[int, np.ndarray]:
+    """Trapezoid weights of the :func:`path_blocks` block at steps k0 .. k0+m.
+
+    Returns ``(lo, weights)``: the block adds its rows lo .. m to the sum
+    (a later block skips row 0, the last row of the block before), with
+    weight dt, halved at the two ends of the grid.
+    """
+    lo = 0 if k0 == 0 else 1
+    weights = np.full(m + 1 - lo, grid.dt)
+    if lo == 0:
+        weights[0] /= 2
+    if k0 + m == grid.n_steps:
+        weights[-1] /= 2
+    return lo, weights
 
 
 def bridge_from_free(grid: TimeGrid, values: np.ndarray,
@@ -151,57 +145,45 @@ def bridge_from_free(grid: TimeGrid, values: np.ndarray,
     return pinned
 
 
-def sample_bridges(grid: TimeGrid, d: int, endpoint: Sequence[float],
-                   n_paths: int, rng: RngStream) -> PathBatch:
-    """Brownian bridges from 0 to ``endpoint`` over [0, t_end], as one batch."""
-    endpoint = np.asarray(endpoint, dtype=float).reshape(-1)
-    if endpoint.shape[0] != d:
-        raise ValueError("endpoint dimension does not match d")
-    free = sample_paths(grid, d, n_paths, rng).values
-    return PathBatch(grid, bridge_from_free(grid, free, endpoint))
-
-
-def _check_support(grid: TimeGrid, f: TestFunction) -> None:
+def _linear_functional(grid: TimeGrid, f: TestFunction, G: np.ndarray,
+                       n_paths: int, rng: RngStream, chunk_size: int,
+                       workers: int) -> MCEstimate:
+    """Mean of exp(-i sum_k dw_k . G_k) over Wiener increments, G (n, d)."""
     if f.support_end > grid.t_end + 1e-12:
         raise ValueError("test function support exceeds the time horizon")
 
+    def func(gen: np.random.Generator, count: int) -> np.ndarray:
+        dw = sample_increments(grid, G.shape[1], count, gen)
+        return np.exp(-1j * (dw.reshape(count, -1) @ G.ravel()))
 
-def char_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndarray:
-    """Per-path exp(-i * trapz(w(s) . f(s) ds)), shape (n_paths,)."""
-    grid = batch.grid
-    fv = np.asarray(f.evaluator(grid.times()))  # (n+1, d)
-    weights = np.full(grid.n_steps + 1, grid.dt)
-    weights[0] = weights[-1] = grid.dt / 2
-    integrand = np.einsum("pkd,kd,k->p", batch.values, fv, weights)
-    return np.exp(-1j * integrand)
+    return mc_run(func, n_paths, rng, chunk_size, workers)
 
 
-def estimate_char_functional(batch: PathBatch, f: TestFunction) -> MCEstimate:
-    """Monte Carlo functional Fourier transform of the ensemble at f.
+def estimate_char_functional(grid: TimeGrid, f: TestFunction, n_paths: int,
+                             rng: RngStream, chunk_size: int = DEFAULT_CHUNK,
+                             workers: int = 1) -> MCEstimate:
+    """Monte Carlo functional Fourier transform <exp(-i trapz(w . f ds))>.
 
-    The target for Wiener statistics is
+    The trapezoid sum over nodes s_j with weights c_j is linear in the
+    increments, sum_k dw_k . G_k with G_k = sum_{j>k} c_j f(s_j), so no path
+    is built. The target for Wiener statistics is
     exp(-1/2 * integral integral min(r, s) f(r) . f(s) dr ds).
     """
-    _check_support(batch.grid, f)
-    return sample_mean(char_functional_samples(batch, f))
+    _, weights = block_trapezoid(grid, 0, grid.n_steps)
+    cf = weights[:, None] * np.asarray(f.evaluator(grid.times()))
+    G = np.cumsum(cf[:0:-1], axis=0)[::-1]  # (n, d): G_k sums j > k
+    return _linear_functional(grid, f, G, n_paths, rng, chunk_size, workers)
 
 
-def white_noise_functional_samples(batch: PathBatch, f: TestFunction) -> np.ndarray:
-    """Per-path exp(-i * Stratonovich sum of f(s) . dw(s))."""
-    grid = batch.grid
+def estimate_white_noise_functional(grid: TimeGrid, f: TestFunction,
+                                    n_paths: int, rng: RngStream,
+                                    chunk_size: int = DEFAULT_CHUNK,
+                                    workers: int = 1) -> MCEstimate:
+    """White-noise characteristic functional <exp(-i sum_k f(mid_k) . dw_k)>,
+    the Stratonovich sum; target exp(-1/2 * integral f^2)."""
     times = grid.times()
-    mid = 0.5 * (times[1:] + times[:-1])
-    fv = np.asarray(f.evaluator(mid))  # (n, d)
-    dw = np.diff(batch.values, axis=1)
-    integrand = np.einsum("pkd,kd->p", dw, fv)
-    return np.exp(-1j * integrand)
-
-
-def estimate_white_noise_functional(batch: PathBatch,
-                                    f: TestFunction) -> MCEstimate:
-    """White-noise characteristic functional; target exp(-1/2 * integral f^2)."""
-    _check_support(batch.grid, f)
-    return sample_mean(white_noise_functional_samples(batch, f))
+    G = np.asarray(f.evaluator(0.5 * (times[1:] + times[:-1])))
+    return _linear_functional(grid, f, G, n_paths, rng, chunk_size, workers)
 
 
 def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,
@@ -212,18 +194,24 @@ def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,
 
     Returns an estimate whose mean stacks [w_j(s_a)] and [w_j(s_a) w_k(s_b)]
     as a flat vector: first d * len(nodes) first-moment entries, then the
-    full (node, node, j, k) second-moment block. Raises ValueError, before
-    sampling, when one chunk's second moments would exceed the budget.
+    full (node, node, j, k) second-moment block. The nodes are picked out
+    of :func:`path_blocks` as the blocks pass. Raises ValueError, before
+    sampling, on a node outside 0 .. n_steps and when one chunk's second
+    moments would exceed the budget.
     """
-    idx = np.asarray(node_indices, dtype=int)
+    idx = np.asarray(node_indices, dtype=int).reshape(-1)
+    if np.any(idx < 0) or np.any(idx > grid.n_steps):
+        raise ValueError(f"node indices must lie in 0 .. {grid.n_steps}")
     check_budget("one chunk's second moments", min(n_paths, chunk_size),
                  len(idx), len(idx), d, d)
 
     def func(gen: np.random.Generator, count: int) -> np.ndarray:
-        vals = paths_from_increments(grid, sample_increments(grid, d, count, gen))
-        at = vals[:, idx, :]  # (count, a, d)
-        first = at.reshape(count, -1)
+        dw = sample_increments(grid, d, count, gen)
+        at = np.empty((count, len(idx), d))  # (count, a, d)
+        for k0, w in path_blocks(dw):
+            here = (idx >= k0) & (idx < k0 + w.shape[1])
+            at[:, here] = w[:, idx[here] - k0]
         second = np.einsum("paj,pbk->pabjk", at, at).reshape(count, -1)
-        return np.concatenate([first, second], axis=1)
+        return np.concatenate([at.reshape(count, -1), second], axis=1)
 
     return mc_run(func, n_paths, rng, chunk_size=chunk_size, workers=workers)

@@ -4,8 +4,9 @@ Everything here is deliberately implemented with different algorithms than
 the package: Taylor-series matrix exponentials, truncated Dyson series,
 dense-grid quadrature, finite-difference eigensolvers and generator probes,
 error-function integrals, step-by-step ordered products, whole-path
-Feynman-Kac functionals and the phase-space transforms with their Fourier
-sums as dense N x N DFT matrices.
+Feynman-Kac functionals, stochastic sums, characteristic functionals and
+node moments, and the phase-space transforms with their Fourier sums as
+dense N x N DFT matrices.
 The ordering-mismatch demo quantizes one symbol at two orderings through
 the package's public transform; the standard Hamiltonian's alpha-symbol is
 its closed form.
@@ -23,6 +24,7 @@ from fklab.opalg import as_operator
 from fklab.phasespace import (PeriodicGrid, Symbol, _fractional_shift,
                               _offset_diagonals, alpha_quantize,
                               momentum_operator, multiplication_operator)
+from fklab.wiener import paths_from_increments, sample_increments
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -131,6 +133,58 @@ def full_path_columns(v, grid, positions: np.ndarray, variants):
             finite &= np.isfinite(value)
             cols.append(value)
     return np.stack(cols, axis=1), finite
+
+
+def _trapezoid(grid) -> np.ndarray:
+    weights = np.full(grid.n_steps + 1, grid.dt)
+    weights[[0, -1]] /= 2
+    return weights
+
+
+def full_alpha_sum(grid, w: np.ndarray, g, alpha: float) -> np.ndarray:
+    """Alpha-point sums on whole paths w (P, n+1, d): the field at the
+    alpha-points of every step at once, dotted with the position steps."""
+    times = grid.times()
+    x = alpha * w[:, 1:, :] + (1 - alpha) * w[:, :-1, :]
+    s = alpha * times[1:] + (1 - alpha) * times[:-1]
+    gv = np.asarray(g(x, np.broadcast_to(s[None, :], x.shape[:2])))
+    return np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
+
+
+def full_time_integral(grid, w: np.ndarray, u) -> np.ndarray:
+    """Trapezoid sum of u(w(s), s) over all n+1 rows of whole paths."""
+    times = np.broadcast_to(grid.times()[None, :], w.shape[:2])
+    return np.asarray(u(w, times)) @ _trapezoid(grid)
+
+
+def full_char_samples(grid, w: np.ndarray, f) -> np.ndarray:
+    """Per-path exp(-i trapz(w(s) . f(s) ds)) on whole paths (P, n+1, d)."""
+    fv = np.asarray(f.evaluator(grid.times()))
+    return np.exp(-1j * np.einsum("pkd,kd,k->p", w, fv, _trapezoid(grid)))
+
+
+def full_white_noise_samples(grid, w: np.ndarray, f) -> np.ndarray:
+    """Per-path exp(-i sum_k f(mid_k) . (w_(k+1) - w_k)) on whole paths."""
+    times = grid.times()
+    fv = np.asarray(f.evaluator(0.5 * (times[1:] + times[:-1])))
+    return np.exp(-1j * np.einsum("pkd,kd->p", np.diff(w, axis=1), fv))
+
+
+def full_covariance_chunk(grid, d: int, idx):
+    """Chunk function of ``wiener.estimate_covariance`` that builds whole
+    paths and indexes its nodes out of them.
+
+    The samples are returned row-major: numpy may lay a fancy-indexed
+    small chunk out column-major, and the chunk sum, hence the estimate's
+    rounding, follows the layout.
+    """
+    def func(gen, count):
+        w = paths_from_increments(grid, sample_increments(grid, d, count, gen))
+        at = w[:, idx, :]
+        second = np.einsum("paj,pbk->pabjk", at, at).reshape(count, -1)
+        return np.ascontiguousarray(
+            np.concatenate([at.reshape(count, -1), second], axis=1))
+    return func
 
 
 def dyson_series(values: np.ndarray, dt: float, A, B, order: int) -> np.ndarray:

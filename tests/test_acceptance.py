@@ -28,7 +28,7 @@ from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
 from fklab.wiener import (TimeGrid, estimate_char_functional,
                           estimate_covariance,
-                          estimate_white_noise_functional, sample_paths)
+                          estimate_white_noise_functional, sample_increments)
 
 from oracles import (double_min_integral, harmonic_grid_kernel, loglog_slope,
                      standard_symbol_target, taylor_expm, well_kato_oracle)
@@ -79,16 +79,17 @@ def test_criterion_1_wiener_moments():
 
 def test_criterion_2_functional_fourier_and_white_noise():
     grid = TimeGrid(1.0, 512)
-    batch = sample_paths(grid, 1, 100_000, RngStream(102))
     c = math.sqrt(2.0)
     f_char = PathTestFunction(lambda s: np.full((len(s), 1), c), 1.0)
-    est_char = estimate_char_functional(batch, f_char)
+    est_char = estimate_char_functional(grid, f_char, 100_000,
+                                        RngStream(102), workers=2)
     target_char = math.exp(-0.5 * c * c * double_min_integral(1.0))
     assert abs(target_char - math.exp(-1 / 3)) < 1e-6
     z1 = abs(est_char.mean - target_char) / est_char.stderr
 
     f_white = PathTestFunction(lambda s: np.ones((len(s), 1)), 1.0)
-    est_white = estimate_white_noise_functional(batch, f_white)
+    est_white = estimate_white_noise_functional(grid, f_white, 100_000,
+                                                RngStream(102), workers=2)
     z2 = abs(est_white.mean - math.exp(-0.5)) / est_white.stderr
     verdict(2, max(z1, z2) <= 3.0,
             f"exp(-1/3) and exp(-1/2) identities, |z| = {z1:.2f}, {z2:.2f}")
@@ -103,13 +104,15 @@ def test_criterion_3_conversion_slope():
     for alpha in (0.0, 1.0):
         ms = []
         for n in steps:
-            batch = sample_paths(TimeGrid(1.0, n), 1, 4000, RngStream(103))
-            r = convert_check_batch(batch, field, AlphaScheme(alpha))
+            grid = TimeGrid(1.0, n)
+            dw = sample_increments(grid, 1, 4000, RngStream(103).generator())
+            r = convert_check_batch(grid, dw, field, AlphaScheme(alpha))
             ms.append(float((r**2).mean()))
         slopes[alpha] = loglog_slope(steps, ms)
-    batch = sample_paths(TimeGrid(1.0, 256), 1, 4000, RngStream(103))
-    exact_half = bool(
-        np.all(convert_check_batch(batch, field, AlphaScheme(0.5)) == 0.0))
+    grid = TimeGrid(1.0, 256)
+    dw = sample_increments(grid, 1, 4000, RngStream(103).generator())
+    exact_half = bool(np.all(
+        convert_check_batch(grid, dw, field, AlphaScheme(0.5)) == 0.0))
     ok = exact_half and all(abs(s + 1.0) <= 0.3 for s in slopes.values())
     verdict(3, ok, "mean-square residual slopes "
             f"{slopes[0.0]:.2f}, {slopes[1.0]:.2f} (target -1 +/- 0.3), "

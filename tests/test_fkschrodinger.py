@@ -10,14 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.fkschrodinger import (_BLOCK, POTENTIAL_PRESETS, KatoQuadSpec,
+from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
                                  PathRejectionOverflow, PotentialConfig,
                                  _functional_columns, apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
                                  mehler_kernel, preset_potential)
+from fklab.stochint import (AlphaScheme, FieldWithDivergence,
+                            convert_check_batch)
 from fklab.streams import RngStream
+from fklab.wiener import BLOCK as _BLOCK
+from fklab.wiener import TestFunction as PathTestFunction
 from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, bridge_from_free,
+                          estimate_char_functional, estimate_covariance,
+                          estimate_white_noise_functional,
                           paths_from_increments, sample_increments)
 
 from oracles import full_path_columns, harmonic_grid_kernel, well_kato_oracle
@@ -133,6 +139,24 @@ def test_kernel_horizon_mismatch_rejected(estimator):
 
 
 @pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
+def test_points_off_the_dimension_rejected(estimator):
+    # each estimator starts its paths at q = [0.0], of length 1, in d = 2
+    pot = preset_potential("gauge-linear", d=2)
+    with pytest.raises(ValueError, match="not d = 2"):
+        SCALAR_ESTIMATORS[estimator](pot, 1.0, TimeGrid(1.0, 16),
+                                     RngStream(24))
+
+
+@pytest.mark.parametrize("q, qp", [([0.0], [0.5]), ([0.0] * 3, [0.5]),
+                                   ([0.0], [0.5] * 3)])
+def test_kernel_endpoints_off_the_dimension_rejected(q, qp):
+    # q = [0], q' = [0.5] used to broadcast over d = 3 paths and give 0.0387
+    pot = preset_potential("harmonic", d=3)
+    with pytest.raises(ValueError, match="not d = 3"):
+        kernel(pot, q, qp, 1.0, 100, TimeGrid(1.0, 16), RngStream(24))
+
+
+@pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
 def test_estimates_do_not_depend_on_workers(estimator):
     # chunks of 32 of the 100 paths, the last one partial, and 37 steps,
     # so the time walk ends mid-block
@@ -173,6 +197,23 @@ MEMORY_CASES = {
     "gauge_check": (2, lambda grid: gauge_check(
         MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 1.0, 256, grid,
         RngStream(40))),
+    # the other path experiments: one stochint-convergence chunk, the
+    # covariance at three nodes and the two linear functionals
+    "convert_check_batch": (1, lambda grid: convert_check_batch(
+        grid, sample_increments(grid, 1, 256, RngStream(41).generator()),
+        FieldWithDivergence(lambda x, s: x,
+                            lambda x, s: np.ones(x.shape[:-1])),
+        AlphaScheme(0.0))),
+    "estimate_covariance": (2, lambda grid: estimate_covariance(
+        grid, 2, 256, RngStream(42),
+        [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps])),
+    "estimate_char_functional": (2, lambda grid: estimate_char_functional(
+        grid, PathTestFunction(lambda s: np.ones((len(s), 2)), 1.0), 256,
+        RngStream(43))),
+    "estimate_white_noise_functional": (2, lambda grid:
+        estimate_white_noise_functional(
+            grid, PathTestFunction(lambda s: np.ones((len(s), 2)), 1.0), 256,
+            RngStream(44))),
 }
 
 

@@ -1,5 +1,6 @@
-"""Every name a fklab module imports is used in that module, and every
-parameter a fklab function takes is read in its body."""
+"""Every name a fklab module imports is used in that module, every
+parameter a fklab function takes is read in its body, no preset name is
+compared, and no module builds whole paths."""
 
 import ast
 from pathlib import Path
@@ -112,5 +113,31 @@ def test_no_preset_name_is_compared_in_src():
         'if p["name"] == "free" or k in ("sine", "x") or k == "d":\n'
         '    pass\n', names) == ["free (line 1)", "sine (line 1)"]
     found = {path.name: _preset_comparisons(path.read_text("utf-8"), names)
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}
+
+
+# the whole-path forms stay in wiener as the references of path_blocks
+FULL_PATH_BUILDERS = {"paths_from_increments", "bridge_from_free"}
+
+
+def _full_path_calls(source: str) -> list[str]:
+    """Calls of a whole-path builder, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in FULL_PATH_BUILDERS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_no_module_builds_whole_paths_in_src():
+    assert _full_path_calls(
+        "w = paths_from_increments(g, dw)\n"
+        "b = wiener.bridge_from_free(g, w, e)\n"
+        "f = paths_from_increments\n") \
+        == ["paths_from_increments (line 1)", "bridge_from_free (line 2)"]
+    found = {path.name: _full_path_calls(path.read_text("utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
-                         expm, expm_batch, ordered_prefix,
+                         expm, expm_batch, gauss_legendre, ordered_prefix,
                          ordered_product_tree, step_factors, trotter_product)
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid, sample_increments, sample_paths
+from fklab.wiener import TimeGrid, paths_from_increments, sample_increments
 
 from oracles import dyson_series, generator_probe, prefix_loop, taylor_expm
 
@@ -290,7 +290,8 @@ def test_dyson_first_order_drift_only():
 
 def test_dyson_converges_to_ordered_exp():
     g = TimeGrid(0.05, 32)
-    path = sample_paths(g, 1, 1, RngStream(7)).values[0]
+    path = paths_from_increments(
+        g, sample_increments(g, 1, 1, RngStream(7).generator()))[0]
     dW = np.diff(path, axis=0)
     exact = ordered_product_tree(step_factors(dW[None], g.dt, (SX,), SZ))[0]
     errs = [np.abs(dyson_series(path, g.dt, (SX,), SZ, k) - exact).max()
@@ -345,3 +346,16 @@ def test_generator_probe_recovers_generator():
     fam = ApproximantFamily(lambda t: expm(-t * H), 2)
     probe = generator_probe(fam)
     assert np.allclose(probe, H, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 47, 64, 96])
+def test_gauss_legendre_matches_companion_rule(n):
+    # numpy's leggauss takes the nodes from the n x n companion matrix
+    x, w = gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+    assert np.abs(x - xr).max() <= 2.3e-16
+    assert np.abs(w / wr - 1).max() <= 5e-12
+    # exact for polynomials up to degree 2n - 1
+    for k in range(0, 2 * n, 2):
+        assert w @ x**k == pytest.approx(2 / (k + 1), rel=1e-13, abs=1e-15)

@@ -8,16 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fklab import wiener
+from fklab.mc import mc_run
 from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
-from fklab.wiener import (MAX_INCREMENT_BYTES, PathBatch, TimeGrid,
+from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, block_trapezoid,
                           bridge_from_free, estimate_char_functional,
                           estimate_covariance,
                           estimate_white_noise_functional, path_blocks,
-                          paths_from_increments, sample_bridges,
-                          sample_increments, sample_paths)
+                          paths_from_increments, sample_increments)
 
-from oracles import double_min_integral
+from oracles import (double_min_integral, full_char_samples,
+                     full_covariance_chunk, full_white_noise_samples)
+
+
+def bridges(grid, d, endpoint, n_paths, seed):
+    """Whole bridges to ``endpoint`` from the increments of stream ``seed``."""
+    dw = sample_increments(grid, d, n_paths, RngStream(seed).generator())
+    return bridge_from_free(grid, paths_from_increments(grid, dw),
+                            np.asarray(endpoint, dtype=float))
 
 
 def test_grid_validation():
@@ -81,11 +90,11 @@ def test_path_blocks_are_the_full_paths_bitwise(n_steps, block, d, seed):
 def test_bridge_endpoint_bit_exact():
     g = TimeGrid(1.5, 37)
     endpoint = np.array([0.3, -1.7])
-    batch = sample_bridges(g, 2, endpoint, 50, RngStream(3))
-    assert np.all(batch.values[:, -1, :] == endpoint)
-    assert np.all(batch.values[:, 0, :] == 0.0)
-    single = sample_bridges(g, 2, endpoint, 1, RngStream(4))
-    assert np.all(single.values[0, -1] == endpoint)
+    batch = bridges(g, 2, endpoint, 50, 3)
+    assert np.all(batch[:, -1, :] == endpoint)
+    assert np.all(batch[:, 0, :] == 0.0)
+    single = bridges(g, 2, endpoint, 1, 4)
+    assert np.all(single[0, -1] == endpoint)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -96,19 +105,18 @@ def test_bridge_endpoint_pinned_for_any_grid(d, n_steps, log_t, n_paths, data):
     endpoint = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d,
                                   max_size=d))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    batch = sample_bridges(TimeGrid(10.0**log_t, n_steps), d, endpoint,
-                           n_paths, RngStream(seed))
-    assert batch.values.shape == (n_paths, n_steps + 1, d)
-    assert np.all(batch.values[:, -1, :] == np.asarray(endpoint))
-    assert np.all(batch.values[:, 0, :] == 0.0)
-    assert np.all(np.isfinite(batch.values))
+    batch = bridges(TimeGrid(10.0**log_t, n_steps), d, endpoint, n_paths,
+                    seed)
+    assert batch.shape == (n_paths, n_steps + 1, d)
+    assert np.all(batch[:, -1, :] == np.asarray(endpoint))
+    assert np.all(batch[:, 0, :] == 0.0)
+    assert np.all(np.isfinite(batch))
 
 
 def test_bridge_midpoint_variance():
     # Var of a standard bridge at t/2 is t/4
     g = TimeGrid(1.0, 64)
-    batch = sample_bridges(g, 1, [0.0], 40000, RngStream(5))
-    mid = batch.values[:, 32, 0]
+    mid = bridges(g, 1, [0.0], 40000, 5)[:, 32, 0]
     assert mid.mean() == pytest.approx(0.0, abs=4 * 0.5 / 200)
     assert mid.var() == pytest.approx(0.25, rel=0.05)
 
@@ -127,10 +135,9 @@ def test_covariance_matches_min():
 
 def test_char_functional_indicator_oracle():
     g = TimeGrid(1.0, 256)
-    batch = sample_paths(g, 1, 20000, RngStream(8))
     c = math.sqrt(2.0)
     f = PathTestFunction(lambda s: np.full((len(s), 1), c), 1.0)
-    est = estimate_char_functional(batch, f)
+    est = estimate_char_functional(g, f, 20000, RngStream(8))
     target = math.exp(-0.5 * c**2 * double_min_integral(1.0))
     assert target == pytest.approx(math.exp(-1 / 3), abs=1e-5)
     assert abs(est.mean - target) <= 4 * est.stderr
@@ -138,20 +145,18 @@ def test_char_functional_indicator_oracle():
 
 def test_white_noise_functional_indicator():
     g = TimeGrid(1.0, 256)
-    batch = sample_paths(g, 1, 20000, RngStream(9))
     f = PathTestFunction(lambda s: np.ones((len(s), 1)), 1.0)
-    est = estimate_white_noise_functional(batch, f)
+    est = estimate_white_noise_functional(g, f, 20000, RngStream(9))
     assert abs(est.mean - math.exp(-0.5)) <= 4 * est.stderr
 
 
 def test_support_beyond_horizon_rejected():
     g = TimeGrid(1.0, 16)
-    batch = sample_paths(g, 1, 10, RngStream(10))
     f = PathTestFunction(lambda s: np.ones((len(s), 1)), 2.0)
     with pytest.raises(ValueError):
-        estimate_char_functional(batch, f)
+        estimate_char_functional(g, f, 10, RngStream(10))
     with pytest.raises(ValueError):
-        estimate_white_noise_functional(batch, f)
+        estimate_white_noise_functional(g, f, 10, RngStream(10))
 
 
 def test_bridge_linear_drift_transform():
@@ -161,3 +166,95 @@ def test_bridge_linear_drift_transform():
     free[0, :, 0] = [0.0, 1.0, 1.0, 1.0, 2.0]
     pinned = bridge_from_free(g, free, np.array([0.0]))
     assert np.allclose(pinned[0, :, 0], [0.0, 0.5, 0.0, -0.5, 0.0])
+
+
+def test_block_trapezoid_weights_sum_to_the_grid_rule():
+    g = TimeGrid(1.0, 37)
+    blocks = [block_trapezoid(g, k0, w.shape[1] - 1)
+              for k0, w in path_blocks(np.zeros((1, 37, 1)), 16)]
+    assert [lo for lo, _ in blocks] == [0, 1, 1]
+    weights = np.concatenate([w for _, w in blocks])
+    expected = np.full(38, g.dt)
+    expected[[0, -1]] /= 2
+    assert weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [[-1], [65], [0, 65]])
+def test_covariance_rejects_nodes_off_the_grid(nodes, monkeypatch):
+    # -1 read the endpoint and 65 failed inside a chunk; now both are
+    # input errors found before any increment is drawn
+    def sample(*args):
+        raise AssertionError("increments were drawn")
+
+    monkeypatch.setattr(wiener, "sample_increments", sample)
+    with pytest.raises(ValueError, match="node indices"):
+        estimate_covariance(TimeGrid(1.0, 64), 2, 100, RngStream(11), nodes)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n_steps=st.sampled_from([1, 15, 16, 17, 53]), d=st.integers(1, 3),
+       n_nodes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_covariance_is_the_full_path_oracle_bitwise(n_steps, d, n_nodes,
+                                                     seed):
+    g = TimeGrid(1.0, n_steps)
+    idx = np.random.default_rng(seed).integers(0, n_steps + 1, n_nodes)
+    est = estimate_covariance(g, d, 40, RngStream(seed), idx, chunk_size=16)
+    ref = mc_run(full_covariance_chunk(g, d, idx), 40, RngStream(seed), 16)
+    assert est.mean.tobytes() == ref.mean.tobytes()
+    assert est.stderr.tobytes() == ref.stderr.tobytes()
+
+
+def _test_function(d, seed):
+    k = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, d))
+    return PathTestFunction(
+        lambda s: np.cos(np.outer(s, k[0])) + np.outer(s, k[1]), 1.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_steps=st.sampled_from([1, 15, 16, 17, 53]), d=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_linear_functionals_match_full_path_oracle(n_steps, d, seed):
+    # one path per estimate, so the estimate is that path's sample
+    g = TimeGrid(1.0, n_steps)
+    f = _test_function(d, seed)
+    w = paths_from_increments(g, sample_increments(
+        g, d, 1, RngStream(seed).generator()))
+    for estimate, oracle in ((estimate_char_functional, full_char_samples),
+                             (estimate_white_noise_functional,
+                              full_white_noise_samples)):
+        value = estimate(g, f, 1, RngStream(seed)).mean
+        ref = oracle(g, w, f)[0]
+        assert abs(value - ref) <= 1e-13
+
+
+# each chunked path estimator of this module on 100 paths of 37 steps in
+# d = 2, called with (rng, chunk_size, workers)
+_G37 = TimeGrid(1.0, 37)
+PATH_ESTIMATORS = {
+    "covariance": lambda rng, c, w: estimate_covariance(
+        _G37, 2, 100, rng, [5, 16, 37], chunk_size=c, workers=w),
+    "char_functional": lambda rng, c, w: estimate_char_functional(
+        _G37, _test_function(2, 0), 100, rng, c, w),
+    "white_noise_functional": lambda rng, c, w:
+        estimate_white_noise_functional(_G37, _test_function(2, 0), 100, rng,
+                                        c, w),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(PATH_ESTIMATORS))
+def test_path_estimates_do_not_depend_on_workers(estimator):
+    runs = [PATH_ESTIMATORS[estimator](RngStream(43), 32, workers)
+            for workers in (1, 2)]
+    assert repr(runs[0]) == repr(runs[1])
+
+
+def test_char_and_white_noise_draw_the_same_increments():
+    # f = 1 makes the white-noise sum w(1), and so does a char-functional
+    # f that puts 2 / dt on the last node, whose trapezoid weight is dt / 2
+    g = TimeGrid(1.0, 8)
+    one = PathTestFunction(lambda s: np.ones((len(s), 1)), 1.0)
+    delta = PathTestFunction(
+        lambda s: np.where(s == 1.0, 2 / g.dt, 0.0)[:, None], 1.0)
+    white = estimate_white_noise_functional(g, one, 50, RngStream(44))
+    char = estimate_char_functional(g, delta, 50, RngStream(44))
+    assert abs(white.mean - char.mean) <= 1e-14
