@@ -3,9 +3,10 @@
 The ensemble average of the path-ordered exponential driven by d Gaussian
 increments and a drift operator B is compared with exp(-t (A^2/2 + B)).
 Antithetic pairing (w, -w) is applied throughout; it reduces variance and
-is licensed by the reflection invariance of the measure. Each estimator is
-one side's functional of the increments, averaged over pairs by
-:func:`_matrix_mc`, which also requires an even ``n_paths``.
+is licensed by the reflection invariance of the measure. Every estimator is
+one time-blocked walk per side, :func:`_matrix_mc`, which carries the
+ordered product T_s across blocks of step factors, so a chunk holds its
+increments and O(paths x block x m^2) more, whatever the step count.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import numpy as np
 
 from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .opalg import (as_operator, as_operator_tuple, expm, gauss_legendre,
-                    ordered_prefix, ordered_product_tree, step_factors)
+                    ordered_prefix, ordered_product_tree, stack_product,
+                    step_factors)
 from .streams import RngStream
 from .wiener import TimeGrid, sample_increments
+
+_BLOCK = 64  # time steps per block of the antithetic walk
 
 
 @dataclass(frozen=True)
@@ -57,22 +61,36 @@ def rhs_generator(problem: FKProblem) -> np.ndarray:
     return expm(-problem.t * gen)
 
 
-def _matrix_mc(one_side, problem: FKProblem, n_paths: int, rng: RngStream,
-               chunk_size: int, workers: int) -> MCEstimate:
-    """Antithetic Monte Carlo mean of ``one_side(dW) -> (count, ...)``.
+def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
+               rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
+    """Antithetic Monte Carlo mean of one time-blocked walk per side.
 
-    Each pair draws one increment batch dW of ``problem.grid`` and averages
-    ``one_side`` over dW and its reflection -dW. One sample per pair, so
-    ``n_samples`` counts pairs; nothing is rejected.
+    A pair draws increments dW; each side, dW and then -dW, walks blocks of
+    ``_BLOCK`` steps, negated one block at a time. ``visit(s0, dWb, F)``
+    returns a block's ordered product and local terms X (count, k, m, m)
+    or None. The walk carries C = T_s0, folds X C into the kept terms by
+    ``keep(kept, X C)``, sets C <- product C, and ``finish(kept, T_n)``
+    gives the side's sample.
     """
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    if n_paths % 2:
-        raise ValueError(f"antithetic pairs need an even n_paths: {n_paths}")
+    if n_paths < 2 or n_paths % 2:
+        raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
+    grid = problem.grid
+
+    def side(dW, sign):
+        C = kept = None
+        for s0 in range(0, grid.n_steps, _BLOCK):
+            dWb = sign * dW[:, s0:s0 + _BLOCK]
+            prod, X = visit(s0, dWb,
+                            step_factors(dWb, grid.dt, problem.A, problem.B))
+            if X is not None:
+                X = X if C is None else stack_product(X, C[:, None])
+                kept = X if kept is None else keep(kept, X)
+            C = prod.copy() if C is None else stack_product(prod, C)
+        return finish(kept, C)
 
     def chunk_fn(gen, count):
-        dW = sample_increments(problem.grid, max(problem.d, 1), count, gen)
-        return 0.5 * (one_side(dW) + one_side(-dW)), None
+        dW = sample_increments(grid, max(problem.d, 1), count, gen)
+        return 0.5 * (side(dW, 1) + side(dW, -1)), None
 
     return reduce_chunks(chunk_fn, n_paths // 2, rng, chunk_size, workers)[0]
 
@@ -81,21 +99,9 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    def one_side(dW):
-        return ordered_product_tree(
-            step_factors(dW, problem.grid.dt, problem.A, problem.B))
-
-    return _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
-
-
-def _contract(dW: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_nu dW[p, nu, j] X[p, nu, k] for real dW and complex X.
-
-    The real and imaginary parts are contracted separately, so the real
-    increments are never cast to a complex copy.
-    """
-    dWt = np.swapaxes(dW, 1, 2)
-    return dWt @ X.real + 1j * (dWt @ X.imag)
+    return _matrix_mc(lambda s0, dWb, F: (ordered_product_tree(F), None),
+                      None, lambda kept, T: T, problem, n_paths, rng,
+                      chunk_size, workers)
 
 
 def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
@@ -106,33 +112,34 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
     Estimates <int dw_j T_s> + (i/2) A_j <int ds T_s> for each j with the
     midpoint rule for the stochastic sum and the trapezoid for the time
     integral; the mean vanishes as the identity holds. Requires B = 0.
-    The prefixes T_1 .. T_n come from ``ordered_prefix`` on the step
-    factors; the stochastic sum is two contractions of the increments with
-    the prefixes and with their shift by one step (T_0 = I), the time
-    integral one sum over the prefixes.
+    T_(s0+k+1) = L_k C for a block's prefixes L_k (L_-1 = I), so the
+    block takes sum_k dW_k (L_k + L_(k-1)) and sum_k L_k, and only these
+    d + 1 sums meet the carry C. The real increments meet the real and
+    imaginary parts apart, so they are never cast to complex.
     """
     if np.abs(problem.B).max() > 0:
         raise ValueError("the identity is stated for B = 0")
-    m = problem.dim
-    d = problem.d
-    n = problem.grid.n_steps
-    dt = problem.grid.dt
+    m, d, dt = problem.dim, problem.d, problem.grid.dt
     A = np.stack(problem.A)
-    diag = slice(None, None, m + 1)  # diagonal of a flattened m x m matrix
 
-    def one_side(dW):
-        count = dW.shape[0]
-        F = ordered_prefix(step_factors(dW, dt, problem.A, None))
-        T = F.reshape(count, n, m * m)  # T[:, nu] = T_(nu+1)
-        stoch = _contract(dW, T) + _contract(dW[:, 1:], T[:, :-1])
-        stoch[..., diag] += dW[:, 0, :, None]
-        leb = 2.0 * T.sum(axis=1) - T[:, -1]
-        leb[..., diag] += 1.0
-        leb = (0.5 * dt * leb).reshape(count, m, m)
-        return (0.5 * stoch.reshape(count, d, m, m)
-                + 0.5j * np.einsum("jab,pbc->pjac", A, leb))
+    def visit(dWb, F):
+        L = ordered_prefix(F)
+        T = L.reshape(len(L), -1, m * m)
+        mid = T.copy()  # L_k + L_(k-1)
+        mid[:, 1:] += T[:, :-1]
+        mid[:, 0, ::m + 1] += 1.0
+        dWt = np.swapaxes(dWb, 1, 2)
+        X = np.empty((len(L), d + 1, m * m), dtype=complex)
+        X[:, :d] = dWt @ mid.real + 1j * (dWt @ mid.imag)
+        T.sum(axis=1, out=X[:, d])
+        return L[:, -1], X.reshape(len(L), d + 1, m, m)
 
-    return _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
+    def finish(X, T):
+        leb = 0.5 * dt * (2.0 * X[:, d] - T + np.eye(m))
+        return 0.5 * X[:, :d] + 0.5j * np.einsum("jab,pbc->pjac", A, leb)
+
+    return _matrix_mc(lambda s0, dWb, F: visit(dWb, F), np.add, finish,
+                      problem, n_paths, rng, chunk_size, workers)
 
 
 def _gauss_legendre_snapped(grid: TimeGrid, n_quad: int):
@@ -149,38 +156,31 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
 
     <T_t> - exp(-t A^2 / 2) + int_0^t ds exp(-(t-s) A^2 / 2) B <T_s>, the
     s-integral on snapped Gauss-Legendre nodes with the <T_s> means taken
-    from path prefixes of the same ensemble: ``ordered_prefix`` turns each
-    side's step factors into T_1 .. T_n in place, and the nodes are read
-    straight out of that array (T_0 = I).
+    from path prefixes of the same ensemble: a block keeps its prefixes at
+    the nodes s0 < k <= s1 for the walk to carry; T_0 = I is exact.
     """
-    m = problem.dim
-    dt = problem.grid.dt
+    m, dt = problem.dim, problem.grid.dt
     idx, weights = _gauss_legendre_snapped(problem.grid, n_quad)
-    keys = sorted({int(i) for i in idx} | {problem.grid.n_steps})
-    # T_k sits at prefix k - 1; T_0 = I is written after the gather
-    take = np.maximum(keys, 1) - 1
+    keys = sorted({int(i) for i in idx if i > 0} | {problem.grid.n_steps})
 
-    def one_side(dW):
-        T = ordered_prefix(step_factors(dW, dt, problem.A, problem.B))
-        nodes = T[:, take]
-        if keys[0] == 0:
-            nodes[:, 0] = np.eye(m)
-        return nodes
+    def visit(s0, dWb, F):
+        L = ordered_prefix(F)
+        ks = [k - s0 - 1 for k in keys if s0 < k <= s0 + dWb.shape[1]]
+        return L[:, -1], L[:, ks]
 
-    est = _matrix_mc(one_side, problem, n_paths, rng, chunk_size, workers)
-    pos = {k: i for i, k in enumerate(keys)}  # est.mean[pos[k]] = <T_k>
-
-    Asq = np.zeros((m, m), dtype=complex)
-    for Aj in problem.A:
-        Asq += Aj @ Aj
-    t = problem.t
-    residual = est.mean[pos[problem.grid.n_steps]] - expm(-0.5 * t * Asq)
-    err = est.stderr[pos[problem.grid.n_steps]].astype(float).copy()
+    est = _matrix_mc(visit, lambda a, b: np.concatenate([a, b], axis=1),
+                     lambda kept, T: kept, problem, n_paths, rng, chunk_size,
+                     workers)
+    Asq = sum((Aj @ Aj for Aj in problem.A), np.zeros((m, m), complex))
+    mean, sd = dict(zip(keys, est.mean)), dict(zip(keys, est.stderr))
+    mean[0], sd[0] = np.eye(m), np.zeros((m, m))
+    t, n = problem.t, problem.grid.n_steps
+    residual = mean[n] - expm(-0.5 * t * Asq)
+    err = sd[n].astype(float)
     for i, w in zip(idx, weights):
-        s = i * dt
-        prop = expm(-0.5 * (t - s) * Asq) @ problem.B
-        residual = residual + w * prop @ est.mean[pos[int(i)]]
-        err += np.abs(w) * np.abs(prop) @ est.stderr[pos[int(i)]]
+        prop = expm(-0.5 * (t - i * dt) * Asq) @ problem.B
+        residual = residual + w * prop @ mean[int(i)]
+        err += np.abs(w) * np.abs(prop) @ sd[int(i)]
     return residual, err
 
 

@@ -10,7 +10,8 @@ The operator SDE is solved for a batch only: ``step_factors`` builds
 exp(-i dW . A - dt B) for increments of shape (P, n, d) and
 ``ordered_product_tree`` multiplies them, later factors on the left. One
 path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
-``ordered_prefix`` turns the factors into every partial product in place.
+``ordered_prefix`` turns the factors into every partial product in place,
+and ``stack_product`` multiplies two stacks of matrices.
 One kernel set serves every m. It works on the m^2 entry arrays of
 entry-major (m, m, ...) buffers, seen as (..., m, m): a product is m^3
 array products c_ab += l_ak r_kb, not a stacked ``@`` that pays per
@@ -65,7 +66,8 @@ def expm(X: np.ndarray) -> np.ndarray:
 
 def _expm2_batch(M: np.ndarray) -> np.ndarray:
     """Closed-form exponential for stacked 2x2 matrices, entry by entry:
-    each entry of the entry-major result is scaled by exp(tr/2) in place."""
+    each entry of the entry-major result is scaled by exp(tr/2) in place,
+    unless every trace is exactly zero and the scale is exactly 1."""
     m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
@@ -78,14 +80,14 @@ def _expm2_batch(M: np.ndarray) -> np.ndarray:
                          np.sinh(dsafe) / dsafe)
     else:
         sinhc = np.sinh(delta) / delta
-    scale = np.exp(tr2)
     sa = sinhc * a
     out = np.empty((2, 2) + M.shape[:-2], dtype=complex)
     np.add(cosh, sa, out=out[0, 0, ...])
     np.multiply(sinhc, m01, out=out[0, 1, ...])
     np.multiply(sinhc, m10, out=out[1, 0, ...])
     np.subtract(cosh, sa, out=out[1, 1, ...])
-    out *= scale
+    if np.any(tr2):
+        out *= np.exp(tr2)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -193,6 +195,12 @@ def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
         for k in range(1, m):
             c += np.multiply(L[a, k], R[k, b], out=tmp)
     return out
+
+
+def stack_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L @ R on stacks (..., m, m) that broadcast, by one entry product."""
+    L, R = (np.moveaxis(X, (-2, -1), (0, 1)) for X in (L, R))
+    return np.moveaxis(_mul(L, R), (0, 1), (-2, -1))
 
 
 def ordered_product_tree(F: np.ndarray) -> np.ndarray:

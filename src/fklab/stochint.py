@@ -45,34 +45,50 @@ class FieldWithDivergence:
     div_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def alpha_integral_batch(grid: TimeGrid, dw: np.ndarray,
-                         field: FieldWithDivergence,
-                         scheme: AlphaScheme) -> np.ndarray:
-    """Alpha-point stochastic sums for every path, shape (n_paths,)."""
-    a = scheme.alpha
-    total = np.zeros(dw.shape[0])
-    for k0, w in path_blocks(dw):
+def _alpha_term(grid: TimeGrid, field: FieldWithDivergence, a: float):
+    """One :func:`path_blocks` block's alpha-point sums per path."""
+    def term(k0, w):
         times = grid.dt * np.arange(k0, k0 + w.shape[1])
         x = a * w[:, 1:] + (1 - a) * w[:, :-1]
         s = a * times[1:] + (1 - a) * times[:-1]
         gv = np.asarray(field.g(x, np.broadcast_to(s, x.shape[:2])))
-        total += np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
-    return total
+        return np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
+    return term
 
 
-def time_integral_batch(grid: TimeGrid, dw: np.ndarray,
-                        u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
-    total = np.zeros(dw.shape[0])
-    for k0, w in path_blocks(dw):
+def _trapezoid_term(grid: TimeGrid, u: Callable):
+    """One :func:`path_blocks` block's trapezoid of u(w(s), s) per path."""
+    def term(k0, w):
         lo, weights = block_trapezoid(grid, k0, w.shape[1] - 1)
         x = w[:, lo:]
         s = grid.dt * np.arange(k0 + lo, k0 + w.shape[1])
         uv = np.asarray(u(x, np.broadcast_to(s, x.shape[:2])))
         if not np.all(np.isfinite(uv)):
             raise FloatingPointError("non-finite value of the integrand")
-        total += uv @ weights
-    return total
+        return uv @ weights
+    return term
+
+
+def _walk(dw: np.ndarray, *terms) -> list[np.ndarray]:
+    """Each term summed over the blocks of one walk, in block order."""
+    totals = [np.zeros(dw.shape[0]) for _ in terms]
+    for k0, w in path_blocks(dw):
+        for total, term in zip(totals, terms):
+            total += term(k0, w)
+    return totals
+
+
+def alpha_integral_batch(grid: TimeGrid, dw: np.ndarray,
+                         field: FieldWithDivergence,
+                         scheme: AlphaScheme) -> np.ndarray:
+    """Alpha-point stochastic sums for every path, shape (n_paths,)."""
+    return _walk(dw, _alpha_term(grid, field, scheme.alpha))[0]
+
+
+def time_integral_batch(grid: TimeGrid, dw: np.ndarray,
+                        u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
+    return _walk(dw, _trapezoid_term(grid, u))[0]
 
 
 def convert_check_batch(grid: TimeGrid, dw: np.ndarray,
@@ -81,12 +97,12 @@ def convert_check_batch(grid: TimeGrid, dw: np.ndarray,
     """Residual of the Ito/Stratonovich conversion formula per path.
 
     residual = Stratonovich sum - [alpha sum + (1/2 - alpha) * trapz(div g)].
-    The mean-square residual vanishes linearly in dt under refinement.
+    The mean-square residual vanishes linearly in dt under refinement. The
+    three sums share one walk of the increments.
     """
     if scheme.alpha == STRATONOVICH:
         return np.zeros(dw.shape[0])
-    strat = alpha_integral_batch(grid, dw, field, AlphaScheme(STRATONOVICH))
-    asum = alpha_integral_batch(grid, dw, field, scheme)
-    correction = (0.5 - scheme.alpha) * time_integral_batch(grid, dw,
-                                                            field.div_g)
-    return strat - (asum + correction)
+    strat, asum, trap = _walk(dw, _alpha_term(grid, field, STRATONOVICH),
+                              _alpha_term(grid, field, scheme.alpha),
+                              _trapezoid_term(grid, field.div_g))
+    return strat - (asum + (0.5 - scheme.alpha) * trap)

@@ -86,6 +86,25 @@ def well_kato_oracle(height: float, halfwidth: float, t: float,
                  - 0.5 * (t / n_time) * conv[-1])
 
 
+def scaled_expm2(M: np.ndarray) -> np.ndarray:
+    """The 2x2 closed form of ``expm_batch`` with its exp(tr/2) scale always
+    applied, operation for operation, on a stack (..., 2, 2)."""
+    m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    tr2 = 0.5 * (m00 + m11)
+    a = m00 - tr2
+    delta = np.sqrt(a * a + m01 * m10 + 0j)
+    small = np.abs(delta) < 1e-6
+    dsafe = np.where(small, 1.0, delta)
+    sinhc = np.where(small, 1.0 + delta * delta / 6.0, np.sinh(dsafe) / dsafe)
+    cosh, scale = np.cosh(delta), np.exp(tr2)
+    out = np.empty(M.shape, dtype=complex)
+    out[..., 0, 0] = (cosh + sinhc * a) * scale
+    out[..., 0, 1] = (sinhc * m01) * scale
+    out[..., 1, 0] = (sinhc * m10) * scale
+    out[..., 1, 1] = (cosh - sinhc * a) * scale
+    return out
+
+
 def loglog_slope(xs, ys) -> float:
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))

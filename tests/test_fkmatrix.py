@@ -130,29 +130,44 @@ def _duhamel_loop_nodes(prob, dW, n_quad):
     return T[:, sorted(set(idx) | {prob.grid.n_steps})]
 
 
-@pytest.mark.parametrize("A, B", [((SX, SY), Z2), ((SX,), SZ), ((JX,), JZ)],
-                         ids=["pauli-xy", "pauli-x-drift", "spin1"])
-def test_nov_and_duhamel_match_per_step_loop(A, B):
+def _loop_mean(prob, side, n_pairs, chunk, seed):
+    """Antithetic mean of ``side(dW)`` on the estimators' increments."""
+    def chunk_fn(gen, count):
+        dW = sample_increments(prob.grid, max(prob.d, 1), count, gen)
+        return 0.5 * (side(dW) + side(-dW)), None
+    return reduce_chunks(chunk_fn, n_pairs, RngStream(seed), chunk)[0]
+
+
+def _assert_matches_loop(est, ref):
+    assert np.allclose(est.mean, ref.mean, rtol=0, atol=1e-13)
+    assert np.allclose(est.stderr, ref.stderr, rtol=1e-10, atol=1e-15)
+    assert np.array_equal(est.stderr == 0, ref.stderr == 0)
+
+
+# n_steps below one block, one whole block, one block and one step, and
+# two blocks and a partial one; a Duhamel node falls on step 0 at 16 and on
+# the first block end at 65
+BLOCK_STEPS = [16, 64, 65, 130]
+CASES = dict(argnames="A, B",
+             argvalues=[((SX, SY), Z2), ((SX,), SZ), ((JX,), JZ)],
+             ids=["pauli-xy", "pauli-x-drift", "spin1"])
+
+
+@pytest.mark.parametrize("n_steps", BLOCK_STEPS)
+@pytest.mark.parametrize(**CASES)
+def test_nov_and_duhamel_match_per_step_loop(A, B, n_steps):
     # the same paths reduced through a per-step loop: only the association
     # of the products and sums differs
-    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 100))
+    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, n_steps))
     n_pairs, chunk = 96, 40
-    d = max(prob.d, 1)
-
-    def loop_mean(side):
-        def chunk_fn(gen, count):
-            dW = sample_increments(prob.grid, d, count, gen)
-            return 0.5 * (side(dW) + side(-dW)), None
-        return reduce_chunks(chunk_fn, n_pairs, RngStream(12), chunk)[0]
-
     if not np.any(B):
         est = check_nov_identity(prob, 2 * n_pairs, RngStream(12), chunk)
-        ref = loop_mean(lambda dW: _nov_loop_side(prob, dW))
-        assert np.allclose(est.mean, ref.mean, rtol=0, atol=1e-13)
-        assert np.allclose(est.stderr, ref.stderr, rtol=1e-10, atol=1e-15)
-        assert np.array_equal(est.stderr == 0, ref.stderr == 0)
+        ref = _loop_mean(prob, lambda dW: _nov_loop_side(prob, dW), n_pairs,
+                         chunk, 12)
+        _assert_matches_loop(est, ref)
     res, err = check_duhamel(prob, 2 * n_pairs, 12, RngStream(12), chunk)
-    ref = loop_mean(lambda dW: _duhamel_loop_nodes(prob, dW, 12))
+    ref = _loop_mean(prob, lambda dW: _duhamel_loop_nodes(prob, dW, 12),
+                     n_pairs, chunk, 12)
     # the residual is a fixed linear map of the node means and stderrs
     x, w = np.polynomial.legendre.leggauss(12)
     idx = np.rint(0.5 * (x + 1.0) * prob.grid.n_steps).astype(int)
@@ -166,6 +181,17 @@ def test_nov_and_duhamel_match_per_step_loop(A, B):
         err_ref = err_ref + abs(wi) * np.abs(prop) @ ref.stderr[keys.index(i)]
     assert np.allclose(res, res_ref, rtol=0, atol=1e-12)
     assert np.allclose(err, err_ref, rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_steps", BLOCK_STEPS)
+@pytest.mark.parametrize(**CASES)
+def test_generalized_fk_matches_per_step_loop(A, B, n_steps):
+    # T_n from the block trees and the carry against T_n from the loop
+    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, n_steps))
+    est = estimate_generalized_fk(prob, 192, RngStream(15), 40)
+    ref = _loop_mean(prob, lambda dW: prefix_loop(
+        step_factors(dW, prob.grid.dt, prob.A, prob.B))[:, -1], 96, 40, 15)
+    _assert_matches_loop(est, ref)
 
 
 @pytest.mark.parametrize("chunk", [16, 50, 256])
@@ -201,6 +227,35 @@ def test_prefix_checks_hold_one_factor_array():
             assert tracemalloc.get_traced_memory()[1] < build + factor_bytes
     finally:
         tracemalloc.stop()
+
+
+# estimator, increment dimension and call on 2 * 128 paths in one chunk
+MATRIX_MEMORY_CASES = {
+    "generalized_fk": (2, lambda grid: estimate_generalized_fk(
+        FKProblem((SX, SY), SZ, 1.0, grid), 256, RngStream(16), 128)),
+    "nov_identity": (2, lambda grid: check_nov_identity(
+        FKProblem((SX, SY), Z2, 1.0, grid), 256, RngStream(16), 128)),
+    "duhamel": (1, lambda grid: check_duhamel(
+        FKProblem((SX,), SZ, 1.0, grid), 256, 12, RngStream(16), 128)),
+}
+
+
+@pytest.mark.parametrize("estimator", MATRIX_MEMORY_CASES)
+def test_matrix_chunk_memory_does_not_grow_with_steps(estimator):
+    # the walk holds one block of factors and the carried products beside
+    # the increments, so 4 times the steps adds nothing beyond them
+    d, call = MATRIX_MEMORY_CASES[estimator]
+    peaks = []
+    for n in (256, 1024):
+        tracemalloc.start()
+        try:
+            call(TimeGrid(1.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - 128 * n * d * 8)
+    short, long = peaks
+    assert long <= 1.1 * short + 2**16, (short, long)
 
 
 def test_product_formula_ladder():

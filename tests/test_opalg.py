@@ -14,7 +14,8 @@ from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid, paths_from_increments, sample_increments
 
-from oracles import dyson_series, generator_probe, prefix_loop, taylor_expm
+from oracles import (dyson_series, generator_probe, prefix_loop, scaled_expm2,
+                     taylor_expm)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -69,6 +70,29 @@ def test_expm_batch_2x2_small_delta_branch():
     N = np.array([[[0.0, 1e-9], [0.0, 0.0]]], dtype=complex)
     out = expm_batch(N)
     assert np.allclose(out[0], np.eye(2) + N[0], atol=1e-15)
+
+
+def test_expm_batch_2x2_traceless_skips_scale_bit_exact():
+    # every trace exactly zero: exp(0) = 1, so leaving the scale out keeps
+    # every bit; one nonzero trace scales the whole stack as before
+    gen = RngStream(24).generator()
+    M = 0.3 * (gen.standard_normal((64, 2, 2))
+               + 1j * gen.standard_normal((64, 2, 2)))
+    M[..., 1, 1] = -M[..., 0, 0]
+    M[0] = 0.0
+    M[1] = [[0.0, 1e-9], [0.0, 0.0]]  # delta = 0: series branch
+    out = np.ascontiguousarray(expm_batch(M))
+    assert out.tobytes() == scaled_expm2(M).tobytes()
+    # the Pauli step factors of the benchmark problems, zero steps included
+    dW = 0.1 * gen.standard_normal((8, 16, 2))
+    dW[0] = 0.0
+    for A in ((SX,), (SX, SY), (SY, SZ)):
+        F = np.ascontiguousarray(step_factors(dW[..., :len(A)], 0.01, A, None))
+        ref = scaled_expm2(_generator(dW[..., :len(A)], 0.01, A, None))
+        assert F.tobytes() == ref.tobytes()
+    M[2, 1, 1] += 0.5
+    out = np.ascontiguousarray(expm_batch(M))
+    assert out.tobytes() == scaled_expm2(M).tobytes()
 
 
 def test_expm_batch_pade_path():

@@ -124,3 +124,18 @@ def test_blocked_sums_match_full_path_oracle(n_steps, d, alpha, seed):
     ]
     for blocked, full in pairs:
         assert np.all(np.abs(blocked - full) <= 1e-13 * (1 + np.abs(full)))
+
+
+@pytest.mark.parametrize("n_steps", [1, 16, 17, 53])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+def test_conversion_walk_matches_separate_sums_bitwise(n_steps, alpha):
+    # one walk adds each block to the three totals in the order that the
+    # three batch functions add them
+    g = TimeGrid(0.8, n_steps)
+    dw = increments(g, 2, 64, 7)
+    strat = alpha_integral_batch(g, dw, SMOOTH, AlphaScheme(STRATONOVICH))
+    asum = alpha_integral_batch(g, dw, SMOOTH, AlphaScheme(alpha))
+    trap = time_integral_batch(g, dw, SMOOTH.div_g)
+    expected = strat - (asum + (0.5 - alpha) * trap)
+    out = convert_check_batch(g, dw, SMOOTH, AlphaScheme(alpha))
+    assert out.tobytes() == expected.tobytes()
