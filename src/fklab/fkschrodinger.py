@@ -274,6 +274,21 @@ class KatoQuadSpec:
 _KATO_Z_CUT = 8.0  # Gaussian mass beyond 8 sigma is below 1e-15
 
 
+def _outside_box(probes: np.ndarray, offsets: np.ndarray,
+                 halfwidth: float) -> np.ndarray:
+    """(probe, node) mask of the tensor nodes probe + offsets^d that leave
+    [-halfwidth, halfwidth]^d: the OR of one (probe, n) mask per axis,
+    broadcast along the node axis it indexes."""
+    n_probe, d = probes.shape
+    outside = np.zeros((n_probe,) + (offsets.size,) * d, dtype=bool)
+    for k in range(d):
+        axis_mask = np.abs(probes[:, k, None] + offsets) > halfwidth
+        shape = [n_probe] + [1] * d
+        shape[k + 1] = offsets.size
+        outside |= axis_mask.reshape(shape)
+    return outside.reshape(n_probe, -1)
+
+
 def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
                quad: KatoQuadSpec = KatoQuadSpec(),
                box_halfwidth: float = 8.0) -> float:
@@ -312,12 +327,13 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     u_scale = max(float(u0.max()), 0.0)
     leak = 0.0
     for i, s in enumerate(s_grid[1:], start=1):
-        pts = probes[:, None, :] + math.sqrt(s) * znodes[None, :, :]
+        root_s = math.sqrt(s)
+        pts = probes[:, None, :] + root_s * znodes[None, :, :]
         uvals = np.asarray(u(pts), dtype=float)
         if np.any(uvals < -1e-12):
             raise ValueError("u must be non-negative")
         u_scale = max(u_scale, float(uvals.max()))
-        outside = np.any(np.abs(pts) > box_halfwidth, axis=-1)
+        outside = _outside_box(probes, root_s * z1, box_halfwidth)
         if outside.any():
             leak = max(leak, float(np.abs(uvals[outside]).max()))
         values[:, i] = uvals @ zweights

@@ -4,12 +4,16 @@ An operator H on the N-point position lattice is mapped to its alpha-symbol
 H_alpha(p_k, q_j) and back. The forward transform reads, per fixed bra-ket
 offset x, the kernel element <q - (1-alpha) x | H | q + alpha x>: the element
 H[j, j+m] sits at center q_j + (1-alpha) m dq, so each fixed-offset diagonal
-is resampled onto the integer lattice by a band-limited fractional shift
-before the Fourier sum over x. The inverse reverses both steps exactly, so
+is shifted by (1-alpha) m sites onto the integer lattice before the Fourier
+sum over x. The integer part of that shift is an exact cyclic roll, folded
+into the index that gathers the diagonals; only the fraction in [0, 1) is
+resampled band-limited, with one phase row per distinct fraction, so each
+phase argument is at most pi. alpha in {0, 1} resamples no diagonal and
+alpha = 1/2 the odd ones. The inverse reverses both steps exactly, so
 quantize(symbol(H)) = H to machine precision for every alpha in [0, 1].
 The Fourier sum over x and its inverse over p_k are centred FFTs along
-axis 0 (``norm="forward"`` puts the 1/N on the inverse); no N x N DFT
-matrix is formed.
+axis 0 (``norm="forward"`` puts the 1/N on the inverse); the gather puts
+the offsets in FFT order, so no N x N DFT matrix or phase is formed.
 
 alpha = 0, 1/2, 1 give anti-standard, Weyl-Wigner, and standard ordering.
 Matrix elements are related to continuum kernels by K(q_j, q_k) = H[j, k]/dq;
@@ -86,19 +90,50 @@ class Symbol:
         object.__setattr__(self, "values", v)
 
 
-def _fractional_shift(rows: np.ndarray, delta: np.ndarray,
-                      kk: np.ndarray) -> np.ndarray:
-    """Band-limited resampling of each row from sites j + delta[i] to sites j."""
+def _offset_diagonals(grid: PeriodicGrid, alpha: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index into H.ravel() of the fixed-offset diagonals, and their
+    fractional shifts.
+
+    Row i holds the offset m = ms[i], with ms the offsets in FFT order, and
+    entry [i, j] addresses H[j - s, j - s + m] (mod N): the diagonal m,
+    rolled by the integer part s = floor((1 - alpha) m) of its shift. The
+    fraction (1 - alpha) m - s in [0, 1) is what is left to resample. Each
+    entry of H is addressed exactly once.
+    """
+    n = grid.n_points
+    ms = np.fft.ifftshift(grid.k_indices)
+    delta = (1 - alpha) * ms
+    shift = np.floor(delta)
+    # ring[c] is arange(N) rolled to start at c - N; both starts below lie
+    # in [N/2, 3N/2] because |s| and |m - s| are at most N/2
+    ring = np.lib.stride_tricks.sliding_window_view(
+        np.tile(np.arange(n), 3), n)
+    starts = n - shift.astype(np.intp)
+    return ring[starts] * n + ring[starts + ms], delta - shift
+
+
+def _fractional_shift(rows: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Band-limited resampling, in place, of row i from sites j + frac[i] to
+    sites j.
+
+    Only the rows with frac != 0 are transformed, and one phase row
+    exp(-2 pi i f k / N), k in FFT order, serves every row with the same
+    fraction f, so |frac| < 1 bounds each phase argument by pi.
+    """
     n = rows.shape[-1]
-    phase = np.exp(-2j * np.pi * np.multiply.outer(delta, kk) / n)
-    spectra = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) * phase
-    return np.fft.ifft(np.fft.ifftshift(spectra, axes=-1), axis=-1)
-
-
-def _offset_diagonals(n: int, ms: np.ndarray) -> tuple:
-    """Index arrays whose entry [i, j] addresses H[j, (j + ms[i]) % n]."""
-    j = np.arange(n)[None, :]
-    return j, (j + ms[:, None]) % n
+    moved = np.flatnonzero(frac)
+    if moved.size == 0:
+        return rows
+    moved = moved[np.argsort(frac[moved], kind="stable")]
+    fracs, starts = np.unique(frac[moved], return_index=True)
+    k = np.fft.ifftshift(np.arange(-(n // 2), n // 2))
+    phases = np.exp(-2j * np.pi * np.multiply.outer(fracs, k) / n)
+    spectra = np.fft.fft(rows[moved], axis=-1)
+    for phase, a, b in zip(phases, starts, [*starts[1:], moved.size]):
+        spectra[a:b] *= phase
+    rows[moved] = np.fft.ifft(spectra, axis=-1)
+    return rows
 
 
 def alpha_symbol(H: np.ndarray, grid: PeriodicGrid, alpha: float) -> Symbol:
@@ -109,29 +144,23 @@ def alpha_symbol(H: np.ndarray, grid: PeriodicGrid, alpha: float) -> Symbol:
     away from the Nyquist edge.
     """
     H = as_operator(H)
-    n = grid.n_points
-    if H.shape[0] != n:
+    if H.shape[0] != grid.n_points:
         raise ValueError("operator dimension must match the grid")
-    ms = grid.k_indices  # offsets x = m dq, centered
-    diagonals = H[_offset_diagonals(n, ms)]
-    centered = _fractional_shift(diagonals, (1 - alpha) * ms, grid.k_indices)
-    values = np.fft.ifft(np.fft.ifftshift(centered, axes=0), axis=0,
-                         norm="forward")
+    flat, frac = _offset_diagonals(grid, alpha)
+    rows = _fractional_shift(np.take(H, flat), frac)
+    values = np.fft.ifft(rows, axis=0, norm="forward")
     return Symbol(grid, np.fft.fftshift(values, axes=0), alpha)
 
 
 def alpha_quantize(sym: Symbol) -> np.ndarray:
     """Inverse transform; exact inverse of :func:`alpha_symbol` at the same alpha."""
-    grid = sym.grid
-    n = grid.n_points
-    ms = grid.k_indices
-    centered = np.fft.fft(np.fft.ifftshift(sym.values, axes=0), axis=0,
-                          norm="forward")
-    diagonals = _fractional_shift(np.fft.fftshift(centered, axes=0),
-                                  -(1 - sym.alpha) * ms, grid.k_indices)
-    H = np.empty((n, n), dtype=complex)
-    H[_offset_diagonals(n, ms)] = diagonals  # every entry exactly once
-    return H
+    n = sym.grid.n_points
+    flat, frac = _offset_diagonals(sym.grid, sym.alpha)
+    rows = np.fft.fft(np.fft.ifftshift(sym.values, axes=0), axis=0,
+                      norm="forward")
+    H = np.empty(n * n, dtype=complex)
+    H[flat] = _fractional_shift(rows, -frac)  # every entry exactly once
+    return H.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

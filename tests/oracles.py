@@ -3,10 +3,12 @@
 Everything here is deliberately implemented with different algorithms than
 the package: Taylor-series matrix exponentials, truncated Dyson series,
 dense-grid quadrature, finite-difference eigensolvers and generator probes,
-error-function integrals, step-by-step ordered products, whole-path
-Feynman-Kac functionals, stochastic sums, characteristic functionals and
-node moments, and the phase-space transforms with their Fourier sums as
-dense N x N DFT matrices.
+error-function integrals, a leak mask from every coordinate of every Kato
+node, step-by-step ordered products, whole-path Feynman-Kac functionals,
+stochastic sums, characteristic functionals and node moments, and the
+phase-space transforms with their Fourier sums as dense N x N DFT
+matrices and each diagonal's whole shift (1 - alpha) m in one N x N phase,
+not split into a roll and a fraction.
 The ordering-mismatch demo quantizes one symbol at two orderings through
 the package's public transform; the standard Hamiltonian's alpha-symbol is
 its closed form.
@@ -21,8 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from fklab.opalg import as_operator
-from fklab.phasespace import (PeriodicGrid, Symbol, _fractional_shift,
-                              _offset_diagonals, alpha_quantize,
+from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
                               momentum_operator, multiplication_operator)
 from fklab.wiener import paths_from_increments, sample_increments
 
@@ -84,6 +85,17 @@ def well_kato_oracle(height: float, halfwidth: float, t: float,
     u0 = height if abs(x) <= halfwidth else 0.0
     return float(0.5 * (t / n_time) * u0 + conv @ w
                  - 0.5 * (t / n_time) * conv[-1])
+
+
+def full_leak_mask(probes: np.ndarray, offsets: np.ndarray,
+                   halfwidth: float) -> np.ndarray:
+    """(probe, node) mask of the tensor nodes probe + offsets^d outside
+    [-halfwidth, halfwidth]^d, from every coordinate of every point."""
+    d = probes.shape[1]
+    grids = np.meshgrid(*([offsets] * d), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = probes[:, None, :] + nodes[None, :, :]
+    return np.any(np.abs(pts) > halfwidth, axis=-1)
 
 
 def scaled_expm2(M: np.ndarray) -> np.ndarray:
@@ -262,6 +274,23 @@ def ordering_mismatch_demo(sym_values: np.ndarray, grid, alpha_sym: float,
     mismatched = alpha_quantize(Symbol(grid, sym_values, alpha_quant))
     matched = alpha_quantize(Symbol(grid, sym_values, alpha_sym))
     return mismatched - matched
+
+
+def _fractional_shift(rows: np.ndarray, delta: np.ndarray,
+                      kk: np.ndarray) -> np.ndarray:
+    """Band-limited resampling of each row from sites j + delta[i] to sites
+    j, with the whole shift delta in one N x N phase exp(-2 pi i delta k / N)
+    over the centred frequencies kk."""
+    n = rows.shape[-1]
+    phase = np.exp(-2j * np.pi * np.multiply.outer(delta, kk) / n)
+    spectra = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) * phase
+    return np.fft.ifft(np.fft.ifftshift(spectra, axes=-1), axis=-1)
+
+
+def _offset_diagonals(n: int, ms: np.ndarray) -> tuple:
+    """Index arrays whose entry [i, j] addresses H[j, (j + ms[i]) % n]."""
+    j = np.arange(n)[None, :]
+    return j, (j + ms[:, None]) % n
 
 
 def dense_alpha_symbol(H: np.ndarray, grid, alpha: float) -> np.ndarray:

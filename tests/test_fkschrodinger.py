@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fklab import fkschrodinger
 from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
                                  PathRejectionOverflow, PotentialConfig,
-                                 _functional_columns, apply_semigroup,
+                                 _functional_columns, _outside_box,
+                                 apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
                                  mehler_kernel, preset_potential)
@@ -26,7 +28,8 @@ from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, bridge_from_free,
                           estimate_white_noise_functional,
                           paths_from_increments, sample_increments)
 
-from oracles import full_path_columns, harmonic_grid_kernel, well_kato_oracle
+from oracles import (full_leak_mask, full_path_columns, harmonic_grid_kernel,
+                     well_kato_oracle)
 
 
 def gauss_psi(width=1.0, center=0.0):
@@ -411,6 +414,46 @@ def test_kato_box_leak_warning():
         kato_kappa(lambda x: np.ones(x.shape[:-1]), 0.5,
                    np.zeros((1, 1)), box_halfwidth=0.5)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_leak_mask_matches_full_mask(d):
+    # the per-axis OR is the every-coordinate mask bit for bit, on and off
+    # the box edge
+    gen = RngStream(60 + d).generator()
+    probes = gen.uniform(-3.0, 3.0, (17, d))
+    probes[0] = 2.0
+    offsets = np.concatenate([gen.normal(0.0, 1.5, 9), [0.0, 1.0, -5.0]])
+    for halfwidth in (0.5, 3.0, np.inf):
+        mask = _outside_box(probes, offsets, halfwidth)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, full_leak_mask(probes, offsets,
+                                                   halfwidth))
+
+
+@pytest.mark.parametrize("halfwidth", [0.5, 8.0])
+def test_kato_leak_matches_full_mask(monkeypatch, halfwidth):
+    # a d = 2 well of halfwidth 1 (v_- = 0.4 inside) leaks past the 0.5 box
+    # and not past the 8 box: kappa and the warning are those of the
+    # every-coordinate mask
+    well = preset_potential("constant-well", d=2, height=0.4, halfwidth=1.0)
+    axis = np.linspace(-halfwidth, halfwidth, 5)
+    probes = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    quad = KatoQuadSpec(n_space=24, n_time=8)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kappa = kato_kappa(well.eval_v_minus, 1.0, probes, quad,
+                               halfwidth)
+        return kappa, [str(w.message) for w in caught]
+
+    kappa, warned = run()
+    monkeypatch.setattr(fkschrodinger, "_outside_box", full_leak_mask)
+    assert run() == (kappa, warned)
+    assert kappa > 0.0
+    assert len(warned) == (1 if halfwidth == 0.5 else 0)
 
 
 def test_kato_nodes_rejected_before_allocating():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fklab.opalg import expm, trotter_product
-from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
-                              alpha_symbol, kinetic_operator,
+from fklab.phasespace import (PeriodicGrid, Symbol, _offset_diagonals,
+                              alpha_quantize, alpha_symbol, kinetic_operator,
                               momentum_operator, multiplication_operator,
                               short_time_family, spectral_operator,
                               standard_hamiltonian, trotter_reconstruct)
@@ -96,7 +96,10 @@ def test_fft_transforms_match_dense_dft(n):
     gen = RngStream(50 + n).generator()
     H = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     bound = 1e-14 * n * np.abs(H).max()
-    for alpha in (0.0, 0.3, 0.5, 1.0):
+    # 1, 4, 2, 4 and 1 distinct fractions; 1/3 and 0.3 (3 and 10 in exact
+    # arithmetic) round to up to 70 at N = 512; against the whole shift in
+    # one phase
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0, 1 / 3, 0.3):
         sym = alpha_symbol(H, grid, alpha).values
         assert np.abs(sym - dense_alpha_symbol(H, grid, alpha)).max() <= bound
         back = alpha_quantize(Symbol(grid, H, alpha))
@@ -106,6 +109,55 @@ def test_fft_transforms_match_dense_dft(n):
         dense = dense_spectral_operator(grid, f)
         err = np.abs(spectral_operator(grid, f) - dense).max()
         assert err <= 1e-14 * n * np.abs(dense).max()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(half_n=st.integers(1, 32), alpha=st.floats(0.0, 1.0))
+def test_offset_index_is_a_permutation(half_n, alpha):
+    # every entry of H is gathered once, so alpha_quantize's np.empty is
+    # fully written; the fractions left to resample lie in [0, 1)
+    n = 2 * half_n
+    flat, frac = _offset_diagonals(PeriodicGrid(n, 3.0), alpha)
+    assert flat.dtype == np.intp and flat.shape == (n, n)
+    assert np.array_equal(np.sort(flat, axis=None), np.arange(n * n))
+    assert frac.shape == (n,) and np.all((0.0 <= frac) & (frac < 1.0))
+
+
+@pytest.mark.parametrize("alpha, moved, phase_rows",
+                         [(0.0, 0, 0), (1.0, 0, 0), (0.5, 32, 1),
+                          (0.25, 48, 3), (0.75, 48, 3)])
+def test_only_fractional_rows_are_resampled(monkeypatch, alpha, moved,
+                                            phase_rows):
+    # integer shifts are rolls in the gather: alpha in {0, 1} runs no row
+    # FFT, alpha = 1/2 resamples the N/2 odd offsets, 1/4 and 3/4 the 3N/4
+    # offsets that are not multiples of 4, each with one phase row per
+    # distinct fraction
+    rows, phases = [], []
+
+    def counted(fn):
+        def wrapper(a, *args, axis=-1, **kwargs):
+            if axis == -1:
+                rows.append(a.shape[0])
+            return fn(a, *args, axis=axis, **kwargs)
+        return wrapper
+
+    def exp(x, *args, **kwargs):
+        if np.iscomplexobj(x) and np.ndim(x) == 2:
+            phases.append(x.shape[0])
+        return np_exp(x, *args, **kwargs)
+
+    grid = PeriodicGrid(64, 8.0)
+    H = standard_hamiltonian(grid, None, lambda q: 0.5 * q**2)
+    np_exp = np.exp
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    monkeypatch.setattr(np, "exp", exp)
+    sym = alpha_symbol(H, grid, alpha)
+    assert rows == [moved] * 2 * (moved > 0)
+    assert phases == [phase_rows] * (phase_rows > 0)
+    alpha_quantize(sym)
+    assert rows == [moved] * 4 * (moved > 0)
+    assert phases == [phase_rows] * 2 * (phase_rows > 0)
 
 
 def test_linearity_of_transform():
