@@ -436,8 +436,6 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     Ap, Am = p["Aplus"], p["Aminus"]
     B = p["B"] if p["B"] is not None else np.zeros_like(Ap)
-    if Ap.shape != Am.shape or Ap.shape != B.shape:
-        raise ConfigError("Aplus, Aminus, B must share one dimension")
     est = fkmatrix.estimate_product_formula(
         Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
         RngStream(cfg.seed), workers=cfg.workers)
@@ -632,38 +630,32 @@ EXPERIMENTS = {
 # reporting
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _record(r: Row) -> dict:
+    """The contract fields of a row, as the JSON report holds them: a
+    missing target and a NaN z are None."""
+    t, z = r.target, r.z
+    return {"quantity": r.quantity, "component": r.component,
+            "mean_re": r.mean.real, "mean_im": r.mean.imag,
+            "stderr": r.stderr,
+            "target_re": None if t is None else t.real,
+            "target_im": None if t is None else t.imag,
+            "z": None if math.isnan(z) else z, "pass": r.passed}
+
+
+def _cell(value) -> str:
+    """One CSV field of a record: None is nan, a flag true or false."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.17g" % (math.nan if value is None else value)
 
 
 def _csv_rows(experiment: str, rows: list[Row]) -> list[list[str]]:
-    out = [["experiment", "quantity", "component", "mean_re", "mean_im",
-            "stderr", "target_re", "target_im", "z", "pass"]]
-    for r in rows:
-        t_re = r.target.real if r.target is not None else math.nan
-        t_im = r.target.imag if r.target is not None else math.nan
-        out.append([
-            experiment, r.quantity, r.component,
-            _fmt(r.mean.real), _fmt(r.mean.imag), _fmt(r.stderr),
-            _fmt(t_re), _fmt(t_im), _fmt(r.z),
-            "true" if r.passed else "false"])
-    return out
-
-
-def _json_rows(rows: list[Row]) -> list[dict]:
-    out = []
-    for r in rows:
-        out.append({
-            "quantity": r.quantity,
-            "component": r.component,
-            "mean_re": r.mean.real, "mean_im": r.mean.imag,
-            "stderr": r.stderr,
-            "target_re": None if r.target is None else r.target.real,
-            "target_im": None if r.target is None else r.target.imag,
-            "z": None if math.isnan(r.z) else r.z,
-            "pass": r.passed,
-        })
-    return out
+    header = ["experiment", "quantity", "component", "mean_re", "mean_im",
+              "stderr", "target_re", "target_im", "z", "pass"]
+    return [header] + [[experiment, *map(_cell, _record(r).values())]
+                       for r in rows]
 
 
 def _resolve_axis(doc: dict, axis: str):
@@ -706,8 +698,8 @@ def _finish(args, report: dict, experiment: str, rows: list[Row],
             start: float, suffix: str) -> int:
     """Complete the report, write the CSV sidecar and return the exit code."""
     passed = all(r.passed for r in rows)
-    report.update(rows=_json_rows(rows), wall_time_s=time.monotonic() - start,
-                  passed=passed)
+    report.update(rows=[_record(r) for r in rows],
+                  wall_time_s=time.monotonic() - start, passed=passed)
     stem = os.path.splitext(os.path.basename(args.config))[0]
     path = os.path.join(args.out, stem + suffix)
     try:
@@ -756,7 +748,9 @@ def cmd_sweep(args) -> int:
         for r in rows:
             all_rows.append(
                 replace(r, component=f"{r.component}[{args.axis}={value:g}]"))
-            if slope and r.quantity == slope[0] and r.mean.real > 0:
+            # a log-log fit takes only positive axis values and means
+            if (slope and r.quantity == slope[0] and value > 0
+                    and r.mean.real > 0):
                 decaying.append((float(value), r.mean.real))
 
     if slope and len(decaying) >= 2:

@@ -66,27 +66,28 @@ def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
     """Antithetic Monte Carlo mean of one time-blocked walk per side.
 
     A pair draws increments dW; each side, dW and then -dW, walks blocks of
-    ``_BLOCK`` steps, negated one block at a time. ``visit(s0, dWb, F)``
-    returns a block's ordered product and local terms X (count, k, m, m)
-    or None. The walk carries C = T_s0, folds X C into the kept terms by
-    ``keep(kept, X C)``, sets C <- product C, and ``finish(kept, T_n)``
-    gives the side's sample.
+    ``_BLOCK`` steps, negated one block at a time. It folds the carried
+    T = T_s0 (T_0 = I) into the block's first step factor F[:, 0], so the
+    block's ordered products are the T_s themselves. ``visit(s0, dWb, F, T)``
+    returns a copy of T at the block's end and the block's terms X
+    (count, k, m, m) or None; ``keep(kept, X)`` folds X into the kept terms
+    and ``finish(kept, T_n)`` gives the side's sample.
     """
     if n_paths < 2 or n_paths % 2:
         raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
-    grid = problem.grid
+    grid, m = problem.grid, problem.dim
 
     def side(dW, sign):
-        C = kept = None
+        T, kept = np.eye(m, dtype=complex)[None], None  # one I, all paths
         for s0 in range(0, grid.n_steps, _BLOCK):
             dWb = sign * dW[:, s0:s0 + _BLOCK]
-            prod, X = visit(s0, dWb,
-                            step_factors(dWb, grid.dt, problem.A, problem.B))
+            F = step_factors(dWb, grid.dt, problem.A, problem.B)
+            F[:, 0] = stack_product(F[:, 0], T)
+            T, X = visit(s0, dWb, F, T)
+            del F  # free this block's factors before the next is built
             if X is not None:
-                X = X if C is None else stack_product(X, C[:, None])
                 kept = X if kept is None else keep(kept, X)
-            C = prod.copy() if C is None else stack_product(prod, C)
-        return finish(kept, C)
+        return finish(kept, T)
 
     def chunk_fn(gen, count):
         dW = sample_increments(grid, max(problem.d, 1), count, gen)
@@ -99,7 +100,7 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    return _matrix_mc(lambda s0, dWb, F: (ordered_product_tree(F), None),
+    return _matrix_mc(lambda s0, dWb, F, T: (ordered_product_tree(F), None),
                       None, lambda kept, T: T, problem, n_paths, rng,
                       chunk_size, workers)
 
@@ -112,34 +113,32 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
     Estimates <int dw_j T_s> + (i/2) A_j <int ds T_s> for each j with the
     midpoint rule for the stochastic sum and the trapezoid for the time
     integral; the mean vanishes as the identity holds. Requires B = 0.
-    T_(s0+k+1) = L_k C for a block's prefixes L_k (L_-1 = I), so the
-    block takes sum_k dW_k (L_k + L_(k-1)) and sum_k L_k, and only these
-    d + 1 sums meet the carry C. The real increments meet the real and
-    imaginary parts apart, so they are never cast to complex.
+    A block's prefixes are the T_(k+1); the real increments meet their
+    real and imaginary parts apart, so they are never cast to complex.
     """
     if np.abs(problem.B).max() > 0:
         raise ValueError("the identity is stated for B = 0")
     m, d, dt = problem.dim, problem.d, problem.grid.dt
     A = np.stack(problem.A)
 
-    def visit(dWb, F):
+    def visit(dWb, F, T0):
         L = ordered_prefix(F)
         T = L.reshape(len(L), -1, m * m)
-        mid = T.copy()  # L_k + L_(k-1)
+        mid = T.copy()  # T_(k+1) + T_k
         mid[:, 1:] += T[:, :-1]
-        mid[:, 0, ::m + 1] += 1.0
+        mid[:, 0] += T0.reshape(-1, m * m)
         dWt = np.swapaxes(dWb, 1, 2)
         X = np.empty((len(L), d + 1, m * m), dtype=complex)
         X[:, :d] = dWt @ mid.real + 1j * (dWt @ mid.imag)
         T.sum(axis=1, out=X[:, d])
-        return L[:, -1], X.reshape(len(L), d + 1, m, m)
+        return L[:, -1].copy(), X.reshape(len(L), d + 1, m, m)
 
     def finish(X, T):
         leb = 0.5 * dt * (2.0 * X[:, d] - T + np.eye(m))
         return 0.5 * X[:, :d] + 0.5j * np.einsum("jab,pbc->pjac", A, leb)
 
-    return _matrix_mc(lambda s0, dWb, F: visit(dWb, F), np.add, finish,
-                      problem, n_paths, rng, chunk_size, workers)
+    return _matrix_mc(lambda s0, dWb, F, T: visit(dWb, F, T), np.add,
+                      finish, problem, n_paths, rng, chunk_size, workers)
 
 
 def _gauss_legendre_snapped(grid: TimeGrid, n_quad: int):
@@ -156,8 +155,8 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
 
     <T_t> - exp(-t A^2 / 2) + int_0^t ds exp(-(t-s) A^2 / 2) B <T_s>, the
     s-integral on snapped Gauss-Legendre nodes with the <T_s> means taken
-    from path prefixes of the same ensemble: a block keeps its prefixes at
-    the nodes s0 < k <= s1 for the walk to carry; T_0 = I is exact.
+    from path prefixes of the same ensemble, the T_k themselves: a block
+    keeps those at the nodes s0 < k <= s1; T_0 = I is exact.
     """
     m, dt = problem.dim, problem.grid.dt
     idx, weights = _gauss_legendre_snapped(problem.grid, n_quad)
@@ -166,9 +165,10 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
     def visit(s0, dWb, F):
         L = ordered_prefix(F)
         ks = [k - s0 - 1 for k in keys if s0 < k <= s0 + dWb.shape[1]]
-        return L[:, -1], L[:, ks]
+        return L[:, -1].copy(), L[:, ks]
 
-    est = _matrix_mc(visit, lambda a, b: np.concatenate([a, b], axis=1),
+    est = _matrix_mc(lambda s0, dWb, F, T: visit(s0, dWb, F),
+                     lambda a, b: np.concatenate([a, b], axis=1),
                      lambda kept, T: kept, problem, n_paths, rng, chunk_size,
                      workers)
     Asq = sum((Aj @ Aj for Aj in problem.A), np.zeros((m, m), complex))
@@ -195,11 +195,12 @@ def estimate_product_formula(Aplus: np.ndarray, Aminus: np.ndarray,
     that is the generalized FK problem with A = (A+ + A-, i (A+ - A-)).
     The target is exp(-t (A+ A- + A- A+ + B)).
     """
-    Aplus, Aminus = as_operator(Aplus), as_operator(Aminus)
+    Aplus, Aminus, B = as_operator_tuple((Aplus, Aminus, B))
     problem = FKProblem((Aplus + Aminus, 1j * (Aplus - Aminus)), B, t, grid)
     return estimate_generalized_fk(problem, n_paths, rng, chunk_size, workers)
 
 
 def product_formula_target(Aplus: np.ndarray, Aminus: np.ndarray,
                            B: np.ndarray, t: float) -> np.ndarray:
-    return expm(-t * (Aplus @ Aminus + Aminus @ Aplus + as_operator(B)))
+    Aplus, Aminus, B = as_operator_tuple((Aplus, Aminus, B))
+    return expm(-t * (Aplus @ Aminus + Aminus @ Aplus + B))

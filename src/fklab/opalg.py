@@ -12,10 +12,11 @@ exp(-i dW . A - dt B) for increments of shape (P, n, d) and
 path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
 ``ordered_prefix`` turns the factors into every partial product in place,
 and ``stack_product`` multiplies two stacks of matrices.
-One kernel set serves every m. It works on the m^2 entry arrays of
-entry-major (m, m, ...) buffers, seen as (..., m, m): a product is m^3
-array products c_ab += l_ak r_kb, not a stacked ``@`` that pays per
-matrix. The only branch on m is the exact 2x2 exponential.
+One kernel set serves every m, and one kernel, ``_mul``, does every matrix
+product. It works on the m^2 entry arrays of entry-major (m, m, ...)
+buffers, seen as (..., m, m): a product is m^3 array products
+c_ab += l_ak r_kb, not a stacked ``@`` that pays per matrix. The only
+branch on m is the exact 2x2 exponential.
 """
 
 from __future__ import annotations
@@ -223,29 +224,6 @@ def ordered_product_tree(F: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(E[..., 0], (0, 1), (-2, -1)))
 
 
-def _mul_into(L: np.ndarray, R: np.ndarray) -> None:
-    """L <- L @ R on entry-major stacks (m, m, ...); R broadcasts against L.
-
-    Each row is rebuilt in place, entry b after entry b - 1, as
-    c_ab = l_ab r_bb + sum_(k > b) l_ak r_kb + t_b; t_b sums the terms of
-    the entries k < b before they are overwritten. For m == 2 that is
-    t = l_a0 r_01, c_a0 = l_a0 r_00 + l_a1 r_10, c_a1 = l_a1 r_11 + t.
-    """
-    m = L.shape[0]
-    for a in range(m):
-        row, t = L[a], [None] * m
-        for b in range(m):
-            lb = row[b]
-            for c in range(b + 1, m):
-                p = lb * R[b, c]
-                t[c] = p if t[c] is None else t[c] + p
-            lb *= R[b, b]
-            for k in range(b + 1, m):
-                lb += row[k] * R[k, b]
-            if t[b] is not None:
-                lb += t[b]
-
-
 def ordered_prefix(F: np.ndarray) -> np.ndarray:
     """Overwrite F (P, n, m, m) with its left-ordered prefix products.
 
@@ -254,24 +232,25 @@ def ordered_prefix(F: np.ndarray) -> np.ndarray:
     steps: the local scans of all blocks at once, a sequential carry across
     the block ends, then one product of every block with the carry of the
     block before it, so about 3 sqrt(n) entry products do O(n) matrix
-    products, each written into F; no temporary is larger than one (P, n)
-    entry array.
+    products, each written back into F. The largest temporary, the
+    product of that broadcast step, is about as large as F.
     """
     E = np.moveaxis(F, (-2, -1), (0, 1))  # (m, m, P, n), a view
     n = E.shape[-1]
     b = max(1, math.isqrt(n))
     for j in range(1, b):
         L = E[..., j::b]
-        _mul_into(L, E[..., j - 1::b][..., :L.shape[-1]])
+        L[...] = _mul(L, E[..., j - 1::b][..., :L.shape[-1]])
     ends = [*range(b - 1, n - 1, b), n - 1]
     for prev, end in zip(ends, ends[1:]):
-        _mul_into(E[..., end], E[..., prev])
+        E[..., end] = _mul(E[..., end], E[..., prev])
     full = n // b
     # splitting one axis in two is always a view, so the writes reach F
     blocks = E[..., :full * b].reshape(E.shape[:-1] + (full, b))
-    _mul_into(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
+    blocks[..., 1:, :-1] = _mul(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
     # the last, partial block; its end was set by the carry
-    _mul_into(E[..., full * b:n - 1], E[..., full * b - 1, None])
+    L = E[..., full * b:n - 1]
+    L[...] = _mul(L, E[..., full * b - 1, None])
     return F
 
 

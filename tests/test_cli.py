@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fklab import cli, fkschrodinger
@@ -169,6 +170,20 @@ def test_odd_path_count_exits_2_without_output(tmp_path, capsys, experiment):
     assert code == 2
     assert not csv_path.exists()
     assert "even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3)])
+def test_product_operands_of_different_sizes_exit_2(tmp_path, capsys, dims):
+    def zeros(n):
+        return [[[0, 0]] * n for _ in range(n)]
+
+    doc = dict(FK_MATRIX_DOC, experiment="fk-product", n_paths=8,
+               params={"Aplus": zeros(dims[0]), "Aminus": zeros(dims[1]),
+                       "B": zeros(dims[1])})
+    code, csv_path = run_cli(tmp_path, doc)
+    assert code == 2
+    assert not csv_path.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_batched_exponential_overflow_exits_3_without_output(tmp_path, capsys):
@@ -599,6 +614,30 @@ def test_sweep_stochint_slope_row(tmp_path, capsys):
     assert slope_rows[0]["pass"]
     assert abs(slope_rows[0]["mean_re"] + 1.0) <= 0.3
     assert (tmp_path / "sweep.sweep.csv").exists()
+
+
+def test_sweep_slope_skips_non_positive_axis_values(tmp_path, capfd):
+    # log(0) would reach the fit: warnings, LAPACK lines on stdout, exit 2
+    doc = {
+        "experiment": "stochint-convergence",
+        "seed": 1,
+        "n_paths": 200,
+        "grid": {"t_end": 1.0, "n_steps": 16},
+        "params": {"alpha": 0.25},
+    }
+    cfg = write_config(tmp_path, doc, "sweep.json")
+    code = main(["sweep", cfg, "--axis", "params.alpha",
+                 "--values", "0,0.25,1", "--out", str(tmp_path)])
+    out, err = capfd.readouterr()
+    assert code in (0, 1), err
+    rows = json.loads(out)["rows"]
+    points = [(alpha, r["mean_re"]) for alpha in (0.25, 1.0)
+              for r in rows if r["quantity"] == "ms_residual"
+              and r["component"] == f"-[params.alpha={alpha:g}]"]
+    fitted = np.polyfit(*np.log(np.asarray(points)).T, 1)[0]
+    slope_rows = [r for r in rows if r["quantity"] == "slope(ms_residual)"]
+    assert len(points) == 2 and len(slope_rows) == 1
+    assert slope_rows[0]["mean_re"] == fitted
 
 
 def test_sweep_kato_decay(tmp_path, capsys):

@@ -240,22 +240,32 @@ MATRIX_MEMORY_CASES = {
 }
 
 
+def _chunk_peak(estimator: str, n_steps: int) -> int:
+    """Traced peak of one chunk of ``estimator``, less its increments."""
+    d, call = MATRIX_MEMORY_CASES[estimator]
+    tracemalloc.start()
+    try:
+        call(TimeGrid(1.0, n_steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - 128 * n_steps * d * 8
+
+
 @pytest.mark.parametrize("estimator", MATRIX_MEMORY_CASES)
 def test_matrix_chunk_memory_does_not_grow_with_steps(estimator):
     # the walk holds one block of factors and the carried products beside
     # the increments, so 4 times the steps adds nothing beyond them
-    d, call = MATRIX_MEMORY_CASES[estimator]
-    peaks = []
-    for n in (256, 1024):
-        tracemalloc.start()
-        try:
-            call(TimeGrid(1.0, n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak - 128 * n * d * 8)
-    short, long = peaks
+    short, long = (_chunk_peak(estimator, n) for n in (256, 1024))
     assert long <= 1.1 * short + 2**16, (short, long)
+
+
+@pytest.mark.parametrize("estimator", ["nov_identity", "duhamel"])
+def test_carried_product_pins_no_block(estimator):
+    # one block against several: a carried T that is a view into a block's
+    # prefixes would keep that block alive while the next one is built
+    one, several = (_chunk_peak(estimator, n) for n in (64, 256))
+    assert several <= 1.1 * one + 2**16, (one, several)
 
 
 def test_product_formula_ladder():
@@ -277,6 +287,19 @@ def test_product_formula_with_drift():
     target = product_formula_target(Ap, Am, 0.4 * SZ, 0.5)
     frob = np.linalg.norm(est.mean - target)
     assert frob <= max(3 * np.linalg.norm(est.stderr), 1e-2)
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3)])
+def test_product_formula_rejects_operands_of_different_sizes(dims):
+    Ap, Am = (np.eye(n, dtype=complex) for n in dims)
+    B = np.zeros((dims[1], dims[1]), dtype=complex)
+    with pytest.raises(ValueError, match="dimension"):
+        estimate_product_formula(Ap, Am, B, 1.0, TimeGrid(1.0, 8), 8,
+                                 RngStream(11))
+    with pytest.raises(ValueError, match="dimension"):
+        product_formula_target(Ap, Am, B, 1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        product_formula_target(Am, Am, np.zeros_like(Ap), 1.0)
 
 
 def test_minimum_path_count():
