@@ -18,10 +18,10 @@ presets come from ``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, an
-array over ``wiener.MAX_INCREMENT_BYTES``, or an ``--out`` that is not a
-writable directory; nothing is written, and a sweep checks the table for
-every point before the first one runs), 3 numerical failure, 4 the CSV
-sidecar could not be written after the run.
+array over ``wiener.MAX_INCREMENT_BYTES``, a repeated sweep value, or an
+``--out`` that is not a writable directory; nothing is written, and a
+sweep checks the table for every point before the first one runs), 3
+numerical failure, 4 the CSV sidecar could not be written after the run.
 """
 
 from __future__ import annotations
@@ -437,8 +437,8 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
     Ap, Am = p["Aplus"], p["Aminus"]
     B = p["B"] if p["B"] is not None else np.zeros_like(Ap)
     est = fkmatrix.estimate_product_formula(
-        Ap, Am, B, cfg.grid.t_end, cfg.grid, cfg.n_paths,
-        RngStream(cfg.seed), workers=cfg.workers)
+        Ap, Am, B, cfg.grid, cfg.n_paths, RngStream(cfg.seed),
+        workers=cfg.workers)
     target = fkmatrix.product_formula_target(Ap, Am, B, cfg.grid.t_end)
     return _matrix_rows("T", est, target, p["frob_tol"], p["zmax"])
 
@@ -446,7 +446,7 @@ def _run_fk_product(cfg: ExperimentConfig) -> list[Row]:
 def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     (psi, evolved), q, t = p["psi"], p["q"], cfg.grid.t_end
-    est = fkschrodinger.apply_semigroup(p["potential"], psi, q, t, cfg.n_paths,
+    est = fkschrodinger.apply_semigroup(p["potential"], psi, q, cfg.n_paths,
                                         cfg.grid, RngStream(cfg.seed),
                                         workers=cfg.workers)
     target = evolved(q, t)
@@ -458,7 +458,7 @@ def _run_fk_semigroup(cfg: ExperimentConfig) -> list[Row]:
 def _run_fk_kernel(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     pot, q, qp, t = p["potential"], p["q"], p["q_prime"], cfg.grid.t_end
-    est = fkschrodinger.kernel(pot, q, qp, t, cfg.n_paths, cfg.grid,
+    est = fkschrodinger.kernel(pot, q, qp, cfg.n_paths, cfg.grid,
                                RngStream(cfg.seed), workers=cfg.workers)
     target = pot.closed.kernel(q, qp, t)
     if target is None:
@@ -471,8 +471,8 @@ def _run_fk_kernel(cfg: ExperimentConfig) -> list[Row]:
 def _run_gauge(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     pot = replace(p["potential"], **p["chi"])
-    est = fkschrodinger.gauge_check(pot, p["q"], p["q_prime"], cfg.grid.t_end,
-                                    cfg.n_paths, cfg.grid, RngStream(cfg.seed),
+    est = fkschrodinger.gauge_check(pot, p["q"], p["q_prime"], cfg.n_paths,
+                                    cfg.grid, RngStream(cfg.seed),
                                     workers=cfg.workers)
     return [_zrow("gauge_residual", "-", est.mean, est.stderr, 0.0, p["zmax"])]
 
@@ -498,8 +498,8 @@ def _run_kato(cfg: ExperimentConfig) -> list[Row]:
 def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     lhs, bound = fkschrodinger.khasminskii_check(
-        p["potential"], p["q"], cfg.grid.t_end, cfg.n_paths, cfg.grid,
-        RngStream(cfg.seed), workers=cfg.workers)
+        p["potential"], p["q"], cfg.n_paths, cfg.grid, RngStream(cfg.seed),
+        workers=cfg.workers)
     # one-sided: the exponential moment must not exceed the bound
     excess = lhs.mean.real - bound
     return [Row("exp_moment", "-", lhs.mean, lhs.stderr, bound,
@@ -509,8 +509,8 @@ def _run_khasminskii(cfg: ExperimentConfig) -> list[Row]:
 def _run_diamagnetic(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
     with_a, without_a = fkschrodinger.diamagnetic_check(
-        p["potential"], p["psi"][0], p["q"], cfg.grid.t_end,
-        cfg.n_paths, cfg.grid, RngStream(cfg.seed), workers=cfg.workers)
+        p["potential"], p["psi"][0], p["q"], cfg.n_paths, cfg.grid,
+        RngStream(cfg.seed), workers=cfg.workers)
     gap = abs(with_a.mean) - without_a.mean.real
     err = math.hypot(with_a.stderr, without_a.stderr)
     return [
@@ -554,8 +554,9 @@ class Experiment:
     run: Callable[[ExperimentConfig], list[Row]]
     params: dict  # key -> (converter, default)
     needs: tuple = ("n_paths", "grid")  # required top-level keys
-    # sweep CSVs get a fitted log-log slope row: quantity, slope target,
-    # tolerance (target None = require a positive slope only)
+    # sweep CSVs along the axis get a fitted log-log slope row: axis,
+    # quantity, slope target, tolerance (target None = require a positive
+    # slope only); a sweep along any other axis gets none
     slope: tuple | None = None
     # a rule across blocks, raising ValueError; parse_config runs it, so a
     # sweep rejects a bad point before any point runs
@@ -585,7 +586,8 @@ EXPERIMENTS = {
     "stochint-convergence": Experiment(
         _run_stochint_convergence,
         {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
-        slope=("ms_residual", -1.0, 0.3), draws=lambda cfg: (cfg.n_paths, 1)),
+        slope=("grid.n_steps", "ms_residual", -1.0, 0.3),
+        draws=lambda cfg: (cfg.n_paths, 1)),
     "fk-matrix": Experiment(_run_fk_matrix, {
         "A": (_matrices, REQUIRED), **_MATRIX_TOLS}, check=_even_paths,
         draws=lambda cfg: (cfg.n_paths // 2, len(cfg.params["A"]))),
@@ -604,8 +606,8 @@ EXPERIMENTS = {
         "q_prime": (_point, lambda pot: [0.5] * pot.d), "zmax": _ZMAX}),
     "kato": Experiment(_run_kato, {
         "potential": _POTENTIAL, "n_space": (_int, 96), "n_time": (_int, 64),
-        "n_probes": (_int, 33)}, needs=("grid",), slope=("kappa", None, None),
-        check=_kato_nodes),
+        "n_probes": (_int, 33)}, needs=("grid",),
+        slope=("grid.t_end", "kappa", None, None), check=_kato_nodes),
     "khasminskii": Experiment(_run_khasminskii, {
         "potential": _POTENTIAL, "q": _ORIGIN},
         # kappa_t(v_-) >= 1 fails in the parse, so a sweep with such a
@@ -622,7 +624,7 @@ EXPERIMENTS = {
         **_LATTICE, "alpha": (_ranged(_num, *_UNIT), 0.5),
         "t": (_ranged(_num, "non-negative", lambda t: t >= 0), 1.0),
         "n": (_int, REQUIRED), "hamiltonian": _HARMONIC},
-        needs=(), slope=("trotter_error", -1.0, 0.3)),
+        needs=(), slope=("params.n", "trotter_error", -1.0, 0.3)),
 }
 
 
@@ -631,15 +633,20 @@ EXPERIMENTS = {
 
 
 def _record(r: Row) -> dict:
-    """The contract fields of a row, as the JSON report holds them: a
-    missing target and a NaN z are None."""
-    t, z = r.target, r.z
+    """The contract fields of a row; a missing target is None."""
+    t = r.target
     return {"quantity": r.quantity, "component": r.component,
             "mean_re": r.mean.real, "mean_im": r.mean.imag,
             "stderr": r.stderr,
             "target_re": None if t is None else t.real,
             "target_im": None if t is None else t.imag,
-            "z": None if math.isnan(z) else z, "pass": r.passed}
+            "z": r.z, "pass": r.passed}
+
+
+def _strict(value):
+    """A record value as strict JSON holds it: a non-finite float is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
 
 
 def _cell(value) -> str:
@@ -698,7 +705,8 @@ def _finish(args, report: dict, experiment: str, rows: list[Row],
             start: float, suffix: str) -> int:
     """Complete the report, write the CSV sidecar and return the exit code."""
     passed = all(r.passed for r in rows)
-    report.update(rows=[_record(r) for r in rows],
+    report.update(rows=[{k: _strict(v) for k, v in _record(r).items()}
+                        for r in rows],
                   wall_time_s=time.monotonic() - start, passed=passed)
     stem = os.path.splitext(os.path.basename(args.config))[0]
     path = os.path.join(args.out, stem + suffix)
@@ -730,6 +738,8 @@ def cmd_sweep(args) -> int:
     if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
                          for v in values):
         raise ConfigError(f"sweep values must be numbers: {args.values!r}")
+    if len(set(values)) < len(values):  # 16 and 16.0 are one point
+        raise ConfigError(f"sweep values repeat: {args.values!r}")
     # every point is parsed before the first one runs
     configs = []
     for value in values:
@@ -739,6 +749,9 @@ def cmd_sweep(args) -> int:
         configs.append(parse_config(point))
     experiment = configs[0].experiment
     slope = EXPERIMENTS[experiment].slope
+    # a rule holds on its own axis only, whose values are all positive
+    _, qname, target, tol = slope if slope and slope[0] == args.axis \
+        else (None,) * 4
 
     all_rows: list[Row] = []
     decaying: list[tuple[float, float]] = []
@@ -748,13 +761,11 @@ def cmd_sweep(args) -> int:
         for r in rows:
             all_rows.append(
                 replace(r, component=f"{r.component}[{args.axis}={value:g}]"))
-            # a log-log fit takes only positive axis values and means
-            if (slope and r.quantity == slope[0] and value > 0
-                    and r.mean.real > 0):
+            # a log-log fit takes positive means only
+            if r.quantity == qname and r.mean.real > 0:
                 decaying.append((float(value), r.mean.real))
 
-    if slope and len(decaying) >= 2:
-        qname, target, tol = slope
+    if len(decaying) >= 2:
         log_x, log_y = np.log(np.asarray(decaying)).T
         fitted = float(np.polyfit(log_x, log_y, 1)[0])
         # with no target the quantity must vanish as the axis value -> 0

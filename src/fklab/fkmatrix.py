@@ -27,7 +27,7 @@ _BLOCK = 64  # time steps per block of the antithetic walk
 
 @dataclass(frozen=True)
 class FKProblem:
-    """Operator tuple A, drift B, horizon t and the matching time grid."""
+    """Operator tuple A, drift B and time grid; t must equal grid.t_end."""
 
     A: tuple[np.ndarray, ...]
     B: np.ndarray
@@ -58,7 +58,7 @@ def rhs_generator(problem: FKProblem) -> np.ndarray:
     gen = problem.B.astype(complex)
     for Aj in problem.A:
         gen = gen + 0.5 * (Aj @ Aj)
-    return expm(-problem.t * gen)
+    return expm(-problem.grid.t_end * gen)
 
 
 def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
@@ -174,7 +174,7 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
     Asq = sum((Aj @ Aj for Aj in problem.A), np.zeros((m, m), complex))
     mean, sd = dict(zip(keys, est.mean)), dict(zip(keys, est.stderr))
     mean[0], sd[0] = np.eye(m), np.zeros((m, m))
-    t, n = problem.t, problem.grid.n_steps
+    t, n = problem.grid.t_end, problem.grid.n_steps
     residual = mean[n] - expm(-0.5 * t * Asq)
     err = sd[n].astype(float)
     for i, w in zip(idx, weights):
@@ -185,18 +185,18 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
 
 
 def estimate_product_formula(Aplus: np.ndarray, Aminus: np.ndarray,
-                             B: np.ndarray, t: float, grid: TimeGrid,
-                             n_paths: int, rng: RngStream,
-                             chunk_size: int = DEFAULT_CHUNK,
+                             B: np.ndarray, grid: TimeGrid, n_paths: int,
+                             rng: RngStream, chunk_size: int = DEFAULT_CHUNK,
                              workers: int = 1) -> MCEstimate:
     """MC mean of the ordered exponential driven by complex-combined noise.
 
     Step factors are exp(-i [z A+ + conj(z) A-] - dt B), z = dw1 + i dw2;
     that is the generalized FK problem with A = (A+ + A-, i (A+ - A-)).
-    The target is exp(-t (A+ A- + A- A+ + B)).
+    The target is exp(-t (A+ A- + A- A+ + B)), t = grid.t_end.
     """
     Aplus, Aminus, B = as_operator_tuple((Aplus, Aminus, B))
-    problem = FKProblem((Aplus + Aminus, 1j * (Aplus - Aminus)), B, t, grid)
+    problem = FKProblem((Aplus + Aminus, 1j * (Aplus - Aminus)), B,
+                        grid.t_end, grid)
     return estimate_generalized_fk(problem, n_paths, rng, chunk_size, workers)
 
 

@@ -8,7 +8,8 @@ Khas'minskii diagnostics for the scalar potential.
 Potential, gauge and wavefunction evaluators are plain vectorized callables:
 positions are arrays of shape (..., d); scalar fields return (...), vector
 fields (..., d). Each path estimator averages exp(-int v ds) exp(-i int a o dw)
-psi(endpoint) from :func:`_path_functionals`, which requires t = grid horizon.
+psi(endpoint) from :func:`_path_functionals` over paths on its time grid, so
+the horizon t is ``grid.t_end``.
 """
 
 from __future__ import annotations
@@ -145,17 +146,15 @@ def _position(pot: PotentialConfig, x: Sequence[float], name: str):
 
 
 def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
-                      q: Sequence[float], t: float, variants: Sequence[tuple],
+                      q: Sequence[float], variants: Sequence[tuple],
                       qp: Sequence[float] | None = None,
                       v: Callable | None = None):
     """Chunk function of :func:`_functional_columns` on the paths q + w.
 
     w is a free Wiener path, or the bridge to ``qp - q`` when ``qp`` is
-    given; ``v`` defaults to the scalar potential. t must be the grid
-    horizon, and q and qp must have length ``pot.d``.
+    given; ``v`` defaults to the scalar potential. q and qp must have
+    length ``pot.d``.
     """
-    if not t > 0 or abs(grid.t_end - t) > 1e-12:
-        raise ValueError("t must be positive and equal the grid horizon")
     q = _position(pot, q, "q")
     endpoint = None if qp is None else _position(pot, qp, "q'") - q
     v = pot.eval_v if v is None else v
@@ -180,7 +179,7 @@ def _columns_mc(chunk_fn, n_samples: int, stream: RngStream,
 
 
 def apply_semigroup(pot: PotentialConfig, psi: Callable, q: Sequence[float],
-                    t: float, n_paths: int, grid: TimeGrid, rng: RngStream,
+                    n_paths: int, grid: TimeGrid, rng: RngStream,
                     chunk_size: int = DEFAULT_CHUNK,
                     workers: int = 1) -> MCEstimate:
     """Monte Carlo image of psi under the Schroedinger semigroup at point q.
@@ -189,7 +188,7 @@ def apply_semigroup(pot: PotentialConfig, psi: Callable, q: Sequence[float],
     over free Wiener paths; paths that evaluate the potential to a
     non-finite value are rejected and counted.
     """
-    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, psi)])
+    chunk_fn = _path_functionals(pot, grid, q, [(pot.a, psi)])
     return _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
 
 
@@ -199,7 +198,7 @@ def free_kernel(d: int, dq: np.ndarray, t: float) -> float:
 
 
 def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
-           t: float, n_paths: int, grid: TimeGrid, rng: RngStream,
+           n_paths: int, grid: TimeGrid, rng: RngStream,
            chunk_size: int = DEFAULT_CHUNK, workers: int = 1) -> MCEstimate:
     """Euclidean propagator <q| exp(-tH) |q'> via the bridge factorization.
 
@@ -207,15 +206,15 @@ def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
     multiplies the bridge average of the phase and damping functionals.
     """
     q, qp = _position(pot, q, "q"), _position(pot, qp, "q'")
-    chunk_fn = _path_functionals(pot, grid, q, t, [(pot.a, None)], qp)
-    prefactor = free_kernel(pot.d, qp - q, t)
+    chunk_fn = _path_functionals(pot, grid, q, [(pot.a, None)], qp)
+    prefactor = free_kernel(pot.d, qp - q, grid.t_end)
     est = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return MCEstimate(prefactor * est.mean, prefactor * est.stderr,
                       est.n_samples)
 
 
 def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
-                t: float, n_paths: int, grid: TimeGrid, rng: RngStream,
+                n_paths: int, grid: TimeGrid, rng: RngStream,
                 chunk_size: int = DEFAULT_CHUNK,
                 workers: int = 1) -> MCEstimate:
     """Per-path gauge-covariance residual with common random bridges.
@@ -234,7 +233,7 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
 
     phase = np.exp(1j * (float(np.asarray(pot.chi(q[None, :]))[0])
                          - float(np.asarray(pot.chi(qp[None, :]))[0])))
-    bridged = _path_functionals(pot, grid, q, t,
+    bridged = _path_functionals(pot, grid, q,
                                 [(shifted_a, None), (pot.a, None)], qp)
 
     def chunk_fn(gen, count):
@@ -245,7 +244,7 @@ def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
 
 
 def diamagnetic_check(pot: PotentialConfig, psi: Callable,
-                      q: Sequence[float], t: float, n_paths: int,
+                      q: Sequence[float], n_paths: int,
                       grid: TimeGrid, rng: RngStream,
                       chunk_size: int = DEFAULT_CHUNK,
                       workers: int = 1) -> tuple[MCEstimate, MCEstimate]:
@@ -255,7 +254,7 @@ def diamagnetic_check(pot: PotentialConfig, psi: Callable,
     |first.mean| <= second.mean up to Monte Carlo error.
     """
     variants = [(pot.a, psi), (None, lambda x: np.abs(psi(x)))]
-    chunk_fn = _path_functionals(pot, grid, q, t, variants)
+    chunk_fn = _path_functionals(pot, grid, q, variants)
     return tuple(_columns_mc(chunk_fn, n_paths, rng, chunk_size, workers))
 
 
@@ -369,18 +368,18 @@ def khasminskii_bound(pot: PotentialConfig, t: float) -> float:
     return 1.0 / (1.0 - kappa)
 
 
-def khasminskii_check(pot: PotentialConfig, q: Sequence[float], t: float,
+def khasminskii_check(pot: PotentialConfig, q: Sequence[float],
                       n_paths: int, grid: TimeGrid, rng: RngStream,
                       chunk_size: int = DEFAULT_CHUNK,
                       workers: int = 1) -> tuple[MCEstimate, float]:
     """Exponential moment of the negative part vs. the Khas'minskii bound.
 
     Returns the MC estimate of <exp(+int v_-(q + w(s)) ds)> and the bound
-    (1 - kappa_t(v_-))^(-1); requires kappa_t(v_-) < 1.
+    (1 - kappa_t(v_-))^(-1), t = ``grid.t_end``; requires kappa_t(v_-) < 1.
     """
-    chunk_fn = _path_functionals(pot, grid, q, t, [(None, None)],
+    chunk_fn = _path_functionals(pot, grid, q, [(None, None)],
                                  v=lambda x: -pot.eval_v_minus(x))
-    bound = khasminskii_bound(pot, t)
+    bound = khasminskii_bound(pot, grid.t_end)
     lhs = _columns_mc(chunk_fn, n_paths, rng, chunk_size, workers)[0]
     return lhs, bound
 

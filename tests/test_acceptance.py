@@ -166,8 +166,8 @@ def test_criterion_6_product_corollary():
     Am = Ap.conj().T.copy()
     target = product_formula_target(Ap, Am, Z2, 1.0)
     assert np.allclose(target, math.exp(-1.0) * np.eye(2), atol=1e-12)
-    est = estimate_product_formula(Ap, Am, Z2, 1.0, TimeGrid(1.0, 256),
-                                   100_000, RngStream(106), workers=2)
+    est = estimate_product_formula(Ap, Am, Z2, TimeGrid(1.0, 256), 100_000,
+                                   RngStream(106), workers=2)
     frob = np.linalg.norm(est.mean - target)
     tol = max(3 * np.linalg.norm(est.stderr), 1e-2)
     verdict(6, frob <= tol,
@@ -177,14 +177,14 @@ def test_criterion_6_product_corollary():
 def test_criterion_7_semigroup_and_kernel():
     # free kernel: exact with zero variance
     free = preset_potential("free", d=2)
-    est_free = kernel(free, [0.0, 0.0], [0.4, -0.2], 0.7, 400,
-                      TimeGrid(0.7, 32), RngStream(107))
+    est_free = kernel(free, [0.0, 0.0], [0.4, -0.2], 400, TimeGrid(0.7, 32),
+                      RngStream(107))
     free_ok = (est_free.stderr == 0.0 and abs(
         est_free.mean - free_kernel(2, np.array([0.4, -0.2]), 0.7)) < 1e-14)
 
     # harmonic kernel at the origin vs the grid-eigendecomposition oracle
     pot = preset_potential("harmonic")
-    est_h = kernel(pot, [0.0], [0.0], 1.0, 40_000, TimeGrid(1.0, 128),
+    est_h = kernel(pot, [0.0], [0.0], 40_000, TimeGrid(1.0, 128),
                    RngStream(108), workers=2)
     oracle = harmonic_grid_kernel(0.0, 0.0, 1.0)
     assert abs(oracle - (2 * math.pi * math.sinh(1.0)) ** -0.5) < 1e-4
@@ -198,7 +198,7 @@ def test_criterion_7_semigroup_and_kernel():
     vals = np.empty(len(ys))
     errs = np.empty(len(ys))
     for i, y in enumerate(ys):
-        e = kernel(pot, [0.0], [y], 0.5, 8000, TimeGrid(0.5, 64),
+        e = kernel(pot, [0.0], [y], 8000, TimeGrid(0.5, 64),
                    RngStream(109, i))
         vals[i] = e.mean.real
         errs[i] = e.stderr
@@ -216,7 +216,7 @@ def test_criterion_7_semigroup_and_kernel():
 def test_criterion_8_gauge_and_diamagnetic():
     # linear gauge: residual is zero pathwise
     lin = preset_potential("gauge-linear", d=1, c=0.8)
-    est_lin = gauge_check(lin, [0.0], [0.5], 1.0, 400, TimeGrid(1.0, 64),
+    est_lin = gauge_check(lin, [0.0], [0.5], 400, TimeGrid(1.0, 64),
                           RngStream(110))
     lin_ok = abs(est_lin.mean) < 1e-13
 
@@ -226,14 +226,14 @@ def test_criterion_8_gauge_and_diamagnetic():
         d=1,
         chi=lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
         grad_chi=lambda x: amp * k * np.cos(k * x))
-    est_sine = gauge_check(sine, [0.0], [0.0], 0.25, 20_000,
-                           TimeGrid(0.25, 256), RngStream(111), workers=2)
+    est_sine = gauge_check(sine, [0.0], [0.0], 20_000, TimeGrid(0.25, 256),
+                           RngStream(111), workers=2)
     z_sine = abs(est_sine.mean) / est_sine.stderr
 
     # the per-path mean residual decays O(dt) under refinement
     biases = []
     for n in (32, 128, 512):
-        e = gauge_check(sine, [0.0], [0.4], 1.0, 40_000, TimeGrid(1.0, n),
+        e = gauge_check(sine, [0.0], [0.4], 40_000, TimeGrid(1.0, n),
                         RngStream(112), workers=2)
         biases.append(abs(e.mean))
     decay_ok = biases[2] < biases[1] < biases[0] and biases[2] < 0.3 * biases[0]
@@ -249,7 +249,7 @@ def test_criterion_8_gauge_and_diamagnetic():
     for i in range(20):
         q = 2.0 * gen.standard_normal(2)
         t = float(gen.uniform(0.2, 1.2))
-        with_a, without_a = diamagnetic_check(pot, psi, q, t, 4000,
+        with_a, without_a = diamagnetic_check(pot, psi, q, 4000,
                                               TimeGrid(t, 48),
                                               RngStream(114, i))
         gap = abs(with_a.mean) - without_a.mean.real
@@ -270,7 +270,7 @@ def test_criterion_9_kato_khasminskii():
     khas_ok = True
     for height in (0.1, 0.3, 0.6):
         pot = preset_potential("constant-well", height=height, halfwidth=1.0)
-        lhs, bound = khasminskii_check(pot, [0.0], 1.0, 20_000,
+        lhs, bound = khasminskii_check(pot, [0.0], 20_000,
                                        TimeGrid(1.0, 64), RngStream(115),
                                        workers=2)
         khas_ok &= lhs.mean.real - bound <= 3 * lhs.stderr

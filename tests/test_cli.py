@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from fklab import cli, fkschrodinger
@@ -616,28 +615,92 @@ def test_sweep_stochint_slope_row(tmp_path, capsys):
     assert (tmp_path / "sweep.sweep.csv").exists()
 
 
-def test_sweep_slope_skips_non_positive_axis_values(tmp_path, capfd):
-    # log(0) would reach the fit: warnings, LAPACK lines on stdout, exit 2
-    doc = {
-        "experiment": "stochint-convergence",
-        "seed": 1,
-        "n_paths": 200,
-        "grid": {"t_end": 1.0, "n_steps": 16},
-        "params": {"alpha": 0.25},
-    }
+STOCHINT_SWEEP_DOC = {
+    "experiment": "stochint-convergence",
+    "seed": 1,
+    "n_paths": 200,
+    "grid": {"t_end": 1.0, "n_steps": 16},
+    "params": {"alpha": 0.25},
+}
+
+
+def _sweep_rows(tmp_path, capfd, doc, axis, values):
+    """Exit code, stderr and JSON rows of a sweep of ``doc``."""
     cfg = write_config(tmp_path, doc, "sweep.json")
-    code = main(["sweep", cfg, "--axis", "params.alpha",
-                 "--values", "0,0.25,1", "--out", str(tmp_path)])
+    code = main(["sweep", cfg, "--axis", axis, "--values", values,
+                 "--out", str(tmp_path)])
     out, err = capfd.readouterr()
-    assert code in (0, 1), err
-    rows = json.loads(out)["rows"]
-    points = [(alpha, r["mean_re"]) for alpha in (0.25, 1.0)
-              for r in rows if r["quantity"] == "ms_residual"
-              and r["component"] == f"-[params.alpha={alpha:g}]"]
-    fitted = np.polyfit(*np.log(np.asarray(points)).T, 1)[0]
-    slope_rows = [r for r in rows if r["quantity"] == "slope(ms_residual)"]
-    assert len(points) == 2 and len(slope_rows) == 1
-    assert slope_rows[0]["mean_re"] == fitted
+    return code, err, json.loads(out)["rows"]
+
+
+def test_sweep_slope_skips_non_positive_axis_values(tmp_path, capfd):
+    # the n_steps rule holds along grid.n_steps only: an alpha sweep, 0
+    # included, fits nothing, and each of its points passes
+    code, err, rows = _sweep_rows(tmp_path, capfd, STOCHINT_SWEEP_DOC,
+                                  "params.alpha", "0,0.25,1")
+    assert code == 0, err
+    assert [r["quantity"] for r in rows] == ["ms_residual"] * 3
+
+
+def test_sweep_of_zero_means_has_no_slope_row(tmp_path, capfd):
+    # at alpha = 1/2 the conversion residual is exactly 0 at every n_steps,
+    # and a log-log fit takes positive means only
+    doc = copy.deepcopy(STOCHINT_SWEEP_DOC)
+    doc["params"]["alpha"] = 0.5
+    code, err, rows = _sweep_rows(tmp_path, capfd, doc, "grid.n_steps",
+                                  "8,16")
+    assert code == 0, err
+    assert [(r["quantity"], r["mean_re"]) for r in rows] \
+        == [("ms_residual", 0.0)] * 2
+
+
+@pytest.mark.parametrize("axis, values", [("grid.n_steps", "16,16"),
+                                          ("grid.t_end", "1,0.5,1.0")])
+def test_sweep_repeated_value_runs_no_point(tmp_path, capsys, monkeypatch,
+                                            axis, values):
+    # a repeated point would make the slope fit rank-deficient
+    code, calls = _counted_sweep(monkeypatch, tmp_path, STOCHINT_SWEEP_DOC,
+                                 axis, values)
+    assert code == 2
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
+    assert "repeat" in capsys.readouterr().err
+
+
+def test_every_slope_axis_resolves_in_its_reduced_config():
+    # a mistyped axis would turn its rule off without a word
+    rules = {name: row.slope[0] for name, row in cli.EXPERIMENTS.items()
+             if row.slope}
+    assert rules == {"stochint-convergence": "grid.n_steps",
+                     "kato": "grid.t_end", "trotter": "params.n"}
+    for name, axis in rules.items():
+        cli._resolve_axis(copy.deepcopy(REDUCED_CONFIGS[name]), axis)
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_report_is_strict_json(tmp_path, capsys):
+    # a roundtrip error of stderr 0 has an infinite z: null in the JSON,
+    # inf in the CSV
+    for name, doc in REDUCED_CONFIGS.items():
+        code, csv_path = run_cli(tmp_path, doc, name=f"{name}.json")
+        rows = _strict_json(capsys.readouterr().out)["rows"]
+        assert code == 0, name
+        if name == "phasespace-roundtrip":
+            assert [r["z"] for r in rows] == [None] * len(rows)
+            assert {line.split(",")[-2] for line in
+                    csv_path.read_text().splitlines()[1:]} == {"inf"}
+    cfg = write_config(tmp_path, REDUCED_CONFIGS["phasespace-roundtrip"],
+                       "sweep.json")
+    assert main(["sweep", cfg, "--axis", "params.n_points", "--values",
+                 "16,32", "--out", str(tmp_path)]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [r["z"] for r in rows] == [None] * len(rows)
 
 
 def test_sweep_kato_decay(tmp_path, capsys):

@@ -273,8 +273,8 @@ def test_product_formula_ladder():
     Am = Ap.conj().T.copy()
     target = product_formula_target(Ap, Am, Z2, 1.0)
     assert np.allclose(target, math.exp(-1.0) * np.eye(2), atol=1e-12)
-    est = estimate_product_formula(Ap, Am, Z2, 1.0, TimeGrid(1.0, 128),
-                                   20000, RngStream(9))
+    est = estimate_product_formula(Ap, Am, Z2, TimeGrid(1.0, 128), 20000,
+                                   RngStream(9))
     frob = np.linalg.norm(est.mean - target)
     assert frob <= max(3 * np.linalg.norm(est.stderr), 1e-2)
 
@@ -282,7 +282,7 @@ def test_product_formula_ladder():
 def test_product_formula_with_drift():
     Ap = np.array([[0, 1], [0, 0]], dtype=complex)
     Am = Ap.conj().T.copy()
-    est = estimate_product_formula(Ap, Am, 0.4 * SZ, 0.5, TimeGrid(0.5, 128),
+    est = estimate_product_formula(Ap, Am, 0.4 * SZ, TimeGrid(0.5, 128),
                                    20000, RngStream(10))
     target = product_formula_target(Ap, Am, 0.4 * SZ, 0.5)
     frob = np.linalg.norm(est.mean - target)
@@ -294,7 +294,7 @@ def test_product_formula_rejects_operands_of_different_sizes(dims):
     Ap, Am = (np.eye(n, dtype=complex) for n in dims)
     B = np.zeros((dims[1], dims[1]), dtype=complex)
     with pytest.raises(ValueError, match="dimension"):
-        estimate_product_formula(Ap, Am, B, 1.0, TimeGrid(1.0, 8), 8,
+        estimate_product_formula(Ap, Am, B, TimeGrid(1.0, 8), 8,
                                  RngStream(11))
     with pytest.raises(ValueError, match="dimension"):
         product_formula_target(Ap, Am, B, 1.0)
@@ -314,5 +314,5 @@ def test_odd_path_count_rejected():
     with pytest.raises(ValueError, match="even"):
         estimate_generalized_fk(prob, 7, RngStream(11))
     with pytest.raises(ValueError, match="even"):
-        estimate_product_formula(SX, Z2, Z2, 1.0, TimeGrid(1.0, 8), 7,
+        estimate_product_formula(SX, Z2, Z2, TimeGrid(1.0, 8), 7,
                                  RngStream(11))

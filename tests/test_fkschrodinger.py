@@ -81,8 +81,8 @@ def test_free_semigroup_gaussian_closed_form():
     # exp(t Lap/2) on exp(-x^2/2) is (1+t)^(-1/2) exp(-x^2/(2(1+t)))
     pot = preset_potential("free", d=1)
     q, t = 0.4, 0.5
-    est = apply_semigroup(pot, gauss_psi(), [q], t, 20000,
-                          TimeGrid(t, 64), RngStream(20))
+    est = apply_semigroup(pot, gauss_psi(), [q], 20000, TimeGrid(t, 64),
+                          RngStream(20))
     target = (1 + t) ** -0.5 * math.exp(-q**2 / (2 * (1 + t)))
     assert abs(est.mean - target) <= 4 * est.stderr
 
@@ -91,7 +91,7 @@ def test_harmonic_ground_state_decay():
     # the ground state decays by exp(-t d/2) under the semigroup
     pot = preset_potential("harmonic")
     t = 0.8
-    est = apply_semigroup(pot, harmonic_ground(), [0.3], t, 40000,
+    est = apply_semigroup(pot, harmonic_ground(), [0.3], 40000,
                           TimeGrid(t, 128), RngStream(21))
     target = math.exp(-0.5 * t) * harmonic_ground()(np.array([[0.3]]))[0]
     assert abs(est.mean - target) <= 4 * est.stderr
@@ -99,8 +99,8 @@ def test_harmonic_ground_state_decay():
 
 def test_free_kernel_zero_variance():
     pot = preset_potential("free", d=2)
-    est = kernel(pot, [0.0, 0.0], [0.5, -0.3], 0.7, 500,
-                 TimeGrid(0.7, 32), RngStream(22))
+    est = kernel(pot, [0.0, 0.0], [0.5, -0.3], 500, TimeGrid(0.7, 32),
+                 RngStream(22))
     target = free_kernel(2, np.array([0.5, -0.3]), 0.7)
     assert est.mean == pytest.approx(target, abs=1e-14)
     assert est.stderr == 0.0
@@ -109,36 +109,27 @@ def test_free_kernel_zero_variance():
 def test_harmonic_kernel_mehler_and_grid_oracle():
     pot = preset_potential("harmonic")
     q, qp, t = 0.2, -0.5, 1.0
-    est = kernel(pot, [q], [qp], t, 40000, TimeGrid(t, 128), RngStream(23))
+    est = kernel(pot, [q], [qp], 40000, TimeGrid(t, 128), RngStream(23))
     closed = mehler_kernel(q, qp, t)
     independent = harmonic_grid_kernel(q, qp, t)
     assert closed == pytest.approx(independent, rel=1e-4)
     assert abs(est.mean - closed) <= max(4 * est.stderr, 0.01 * closed)
 
 
-# each scalar path estimator on 100 paths, called with (pot, t, grid, rng)
-# and optional chunk_size / workers keywords
+# each scalar path estimator on 100 paths, called with (pot, grid, rng)
+# and optional chunk_size / workers keywords; the horizon is grid.t_end
 SCALAR_ESTIMATORS = {
-    "apply_semigroup": lambda pot, t, grid, rng, **kw: apply_semigroup(
-        pot, gauss_psi(), [0.0], t, 100, grid, rng, **kw),
-    "kernel": lambda pot, t, grid, rng, **kw: kernel(
-        pot, [0.0], [1.0], t, 100, grid, rng, **kw),
-    "gauge_check": lambda pot, t, grid, rng, **kw: gauge_check(
-        pot, [0.0], [1.0], t, 100, grid, rng, **kw),
-    "diamagnetic_check": lambda pot, t, grid, rng, **kw: diamagnetic_check(
-        pot, gauss_psi(), [0.0], t, 100, grid, rng, **kw),
-    "khasminskii_check": lambda pot, t, grid, rng, **kw: khasminskii_check(
-        pot, [0.0], t, 100, grid, rng, **kw),
+    "apply_semigroup": lambda pot, grid, rng, **kw: apply_semigroup(
+        pot, gauss_psi(), [0.0], 100, grid, rng, **kw),
+    "kernel": lambda pot, grid, rng, **kw: kernel(
+        pot, [0.0], [1.0], 100, grid, rng, **kw),
+    "gauge_check": lambda pot, grid, rng, **kw: gauge_check(
+        pot, [0.0], [1.0], 100, grid, rng, **kw),
+    "diamagnetic_check": lambda pot, grid, rng, **kw: diamagnetic_check(
+        pot, gauss_psi(), [0.0], 100, grid, rng, **kw),
+    "khasminskii_check": lambda pot, grid, rng, **kw: khasminskii_check(
+        pot, [0.0], 100, grid, rng, **kw),
 }
-
-
-@pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
-def test_kernel_horizon_mismatch_rejected(estimator):
-    # the paths live on the grid, so a t off its horizon is an input error
-    pot = preset_potential("gauge-linear", d=1)  # gauge_check needs chi
-    with pytest.raises(ValueError, match="horizon"):
-        SCALAR_ESTIMATORS[estimator](pot, 2.0, TimeGrid(1.0, 16),
-                                     RngStream(24))
 
 
 @pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
@@ -146,8 +137,7 @@ def test_points_off_the_dimension_rejected(estimator):
     # each estimator starts its paths at q = [0.0], of length 1, in d = 2
     pot = preset_potential("gauge-linear", d=2)
     with pytest.raises(ValueError, match="not d = 2"):
-        SCALAR_ESTIMATORS[estimator](pot, 1.0, TimeGrid(1.0, 16),
-                                     RngStream(24))
+        SCALAR_ESTIMATORS[estimator](pot, TimeGrid(1.0, 16), RngStream(24))
 
 
 @pytest.mark.parametrize("q, qp", [([0.0], [0.5]), ([0.0] * 3, [0.5]),
@@ -156,7 +146,7 @@ def test_kernel_endpoints_off_the_dimension_rejected(q, qp):
     # q = [0], q' = [0.5] used to broadcast over d = 3 paths and give 0.0387
     pot = preset_potential("harmonic", d=3)
     with pytest.raises(ValueError, match="not d = 3"):
-        kernel(pot, q, qp, 1.0, 100, TimeGrid(1.0, 16), RngStream(24))
+        kernel(pot, q, qp, 100, TimeGrid(1.0, 16), RngStream(24))
 
 
 @pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
@@ -167,7 +157,7 @@ def test_estimates_do_not_depend_on_workers(estimator):
                   v=lambda x: 0.1 * np.sum(x**2, axis=-1) - 0.2,
                   a=lambda x: 0.5 * np.sin(x))
     grid = TimeGrid(1.0, 2 * _BLOCK + 5)
-    runs = [SCALAR_ESTIMATORS[estimator](pot, 1.0, grid, RngStream(37),
+    runs = [SCALAR_ESTIMATORS[estimator](pot, grid, RngStream(37),
                                          chunk_size=32, workers=workers)
             for workers in (1, 2)]
     assert repr(runs[0]) == repr(runs[1])
@@ -193,12 +183,12 @@ MAGNETIC_SINE_GAUGE = replace(
 MEMORY_CASES = {
     "apply_semigroup": (3, lambda grid: apply_semigroup(
         preset_potential("harmonic", d=3), gauss_psi(), [0.1, 0.0, -0.2],
-        1.0, 256, grid, RngStream(38))),
+        256, grid, RngStream(38))),
     "kernel": (1, lambda grid: kernel(
-        preset_potential("harmonic"), [0.2], [-0.5], 1.0, 256, grid,
+        preset_potential("harmonic"), [0.2], [-0.5], 256, grid,
         RngStream(39))),
     "gauge_check": (2, lambda grid: gauge_check(
-        MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 1.0, 256, grid,
+        MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 256, grid,
         RngStream(40))),
     # the other path experiments: one stochint-convergence chunk, the
     # covariance at three nodes and the two linear functionals
@@ -279,7 +269,7 @@ def test_singular_potential_rejects_paths():
     bad = PotentialConfig(d=pot.d, v=lambda x: np.where(
         np.sum(x**2, axis=-1) < 10.0, np.inf, 0.0), box_halfwidth=10.0)
     with pytest.raises(PathRejectionOverflow):
-        apply_semigroup(bad, gauss_psi(), [0.0, 0.0, 0.0], 0.5, 2000,
+        apply_semigroup(bad, gauss_psi(), [0.0, 0.0, 0.0], 2000,
                         TimeGrid(0.5, 16), RngStream(25))
 
 
@@ -290,7 +280,7 @@ def test_singular_potential_rejects_paths():
 def test_gauge_linear_chi_residual_is_exactly_zero():
     # linear chi: the Stratonovich midpoint sum telescopes pathwise
     pot = preset_potential("gauge-linear", d=1, c=0.8)
-    est = gauge_check(pot, [0.0], [0.6], 1.0, 400, TimeGrid(1.0, 64),
+    est = gauge_check(pot, [0.0], [0.6], 400, TimeGrid(1.0, 64),
                       RngStream(26))
     assert abs(est.mean) < 1e-13
     assert est.stderr < 1e-13
@@ -304,7 +294,7 @@ def test_gauge_sine_chi_residual_consistent_with_zero():
         grad_chi=lambda x: amp * k * np.cos(k * x))
     # with q' = q = 0 the leading weak bias is odd in the bridge and
     # averages out, leaving the residual noise-dominated
-    est = gauge_check(pot, [0.0], [0.0], 0.25, 20000, TimeGrid(0.25, 256),
+    est = gauge_check(pot, [0.0], [0.0], 20000, TimeGrid(0.25, 256),
                       RngStream(27))
     assert abs(est.mean) <= 4 * est.stderr
 
@@ -318,7 +308,7 @@ def test_gauge_bias_decays_with_refinement():
         grad_chi=lambda x: amp * k * np.cos(k * x))
     biases = []
     for n in (32, 128, 512):
-        est = gauge_check(pot, [0.0], [0.4], 1.0, 60000, TimeGrid(1.0, n),
+        est = gauge_check(pot, [0.0], [0.4], 60000, TimeGrid(1.0, n),
                           RngStream(28))
         biases.append(abs(est.mean))
     assert biases[2] < biases[1] < biases[0]
@@ -328,7 +318,7 @@ def test_gauge_bias_decays_with_refinement():
 def test_gauge_check_requires_chi():
     pot = preset_potential("free", d=1)
     with pytest.raises(ValueError):
-        gauge_check(pot, [0.0], [1.0], 1.0, 10, TimeGrid(1.0, 8), RngStream(29))
+        gauge_check(pot, [0.0], [1.0], 10, TimeGrid(1.0, 8), RngStream(29))
 
 
 @pytest.mark.parametrize("estimator", ["gauge_check", "diamagnetic_check"])
@@ -342,13 +332,13 @@ def test_one_potential_evaluation_per_chunk(estimator):
 
     pot = replace(preset_potential("gauge-linear", d=1), v=v)
     # 100 paths are one chunk
-    SCALAR_ESTIMATORS[estimator](pot, 1.0, TimeGrid(1.0, 8), RngStream(34))
+    SCALAR_ESTIMATORS[estimator](pot, TimeGrid(1.0, 8), RngStream(34))
     assert calls == [(100, 9, 1)]
 
 
 def test_diamagnetic_inequality():
     pot = preset_potential("constant-magnetic-2d", b0=1.5)
-    with_a, without_a = diamagnetic_check(pot, gauss_psi(), [0.4, 0.1], 1.0,
+    with_a, without_a = diamagnetic_check(pot, gauss_psi(), [0.4, 0.1],
                                           20000, TimeGrid(1.0, 64),
                                           RngStream(30))
     gap = abs(with_a.mean) - without_a.mean.real
@@ -361,7 +351,7 @@ def test_diamagnetic_equality_without_field():
     def psi(x):
         return np.exp(-np.sum(x**2, axis=-1))
 
-    with_a, without_a = diamagnetic_check(pot, psi, [0.0], 0.5, 500,
+    with_a, without_a = diamagnetic_check(pot, psi, [0.0], 500,
                                           TimeGrid(0.5, 16), RngStream(31))
     assert with_a.mean == pytest.approx(without_a.mean, abs=1e-14)
 
@@ -489,7 +479,7 @@ def test_kato_nodes_take_linear_memory():
 
 def test_khasminskii_bound_holds():
     pot = preset_potential("constant-well", height=0.3, halfwidth=1.0)
-    lhs, bound = khasminskii_check(pot, [0.0], 1.0, 40000, TimeGrid(1.0, 64),
+    lhs, bound = khasminskii_check(pot, [0.0], 40000, TimeGrid(1.0, 64),
                                    RngStream(32))
     assert bound > 1.0
     assert lhs.mean.real <= bound + 4 * lhs.stderr
@@ -499,5 +489,4 @@ def test_khasminskii_bound_holds():
 def test_khasminskii_rejects_supercritical_kappa():
     pot = preset_potential("constant-well", height=5.0, halfwidth=2.0)
     with pytest.raises(ValueError):
-        khasminskii_check(pot, [0.0], 2.0, 100, TimeGrid(2.0, 8),
-                          RngStream(33))
+        khasminskii_check(pot, [0.0], 100, TimeGrid(2.0, 8), RngStream(33))

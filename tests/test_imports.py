@@ -1,6 +1,7 @@
 """Every name a fklab module imports is used in that module, every
 parameter a fklab function takes is read in its body, no preset name is
-compared, and no module builds whole paths."""
+compared, no module builds whole paths and no def takes a horizon t
+beside its TimeGrid."""
 
 import ast
 from pathlib import Path
@@ -139,5 +140,33 @@ def test_no_module_builds_whole_paths_in_src():
         "f = paths_from_increments\n") \
         == ["paths_from_increments (line 1)", "bridge_from_free (line 2)"]
     found = {path.name: _full_path_calls(path.read_text("utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}
+
+
+def _horizon_twins(source: str) -> list[str]:
+    """Defs that take both a parameter ``t`` and one annotated TimeGrid,
+    whose ``t_end`` is already the horizon."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        grids = [a for a in args if a.annotation is not None and any(
+            getattr(n, "id", getattr(n, "attr", None)) == "TimeGrid"
+            for n in ast.walk(a.annotation))]
+        if grids and any(a.arg == "t" for a in args):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_no_def_takes_t_beside_a_time_grid_in_src():
+    assert _horizon_twins(
+        "def f(t: float, grid: TimeGrid):\n    pass\n"
+        "def g(t, *, grid: wiener.TimeGrid | None = None):\n    pass\n"
+        "def h(grid: TimeGrid, s):\n    pass\n"
+        "def k(t: float, grid):\n    pass\n") \
+        == ["f (line 1)", "g (line 3)"]
+    found = {path.name: _horizon_twins(path.read_text("utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}
