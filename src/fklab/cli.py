@@ -9,19 +9,20 @@ fixed (seed, config) regardless of the worker count.
 
 A valid config and its defaults are written once, in :data:`EXPERIMENTS`:
 each row holds a runner, the required top-level keys, a sweep slope rule,
-a params spec ``{key: (converter, default)}``, a check across blocks and
-the increments a run draws. :func:`_fields` checks each block against its
-spec and fills in defaults; a preset block (potential, psi, chi, operator)
-resolves to what the run uses, with the closed forms its preset knows, so
-runners read only resolved objects and compare no preset name. Potential
-presets come from ``fkschrodinger.POTENTIAL_PRESETS``.
+a params spec ``{key: (converter, default)}`` and a check across blocks.
+:func:`_fields` checks each block against its spec and fills in defaults;
+a preset block (potential, psi, chi, operator) resolves to what the run
+uses, with the closed forms its preset knows, so runners read only
+resolved objects and compare no preset name. Potential presets come from
+``fkschrodinger.POTENTIAL_PRESETS``.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, an
-array over ``wiener.MAX_INCREMENT_BYTES``, a repeated sweep value, or an
-``--out`` that is not a writable directory; nothing is written, and a
-sweep checks the table for every point before the first one runs), 3
-numerical failure, 4 the CSV sidecar could not be written after the run.
+array or a block of increments over ``wiener.MAX_INCREMENT_BYTES``, a
+repeated sweep value, or an ``--out`` that is not a writable directory;
+nothing is written, and a sweep checks the table for every point before
+the first one runs), 3 numerical failure, 4 the CSV sidecar could not be
+written after the run.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
 from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
-from .wiener import (MAX_INCREMENT_BYTES, TimeGrid, check_budget,
-                     estimate_covariance, sample_increments)
+from .wiener import (BLOCK, MAX_INCREMENT_BYTES, TimeGrid, check_budget,
+                     estimate_covariance, increment_blocks)
 
 # roundoff floor below which a test is meaningless; the z-tests and the
 # Frobenius row scale it by max(1, |target|), since a mean of identical
@@ -244,9 +245,17 @@ def _presets(table: dict):
     return convert
 
 
-# an int default is an integer >= 1, a float default a finite number
+def _dimension(convert, block: int, size=lambda x: x):
+    """``convert``, then d = ``size(value)`` within the budget of one block
+    of a full chunk's increments, DEFAULT_CHUNK x block x d doubles."""
+    most = MAX_INCREMENT_BYTES // (8 * DEFAULT_CHUNK * block)
+    return _ranged(convert, f"of dimension d <= {most} (a block of a "
+                   f"chunk's increments, {DEFAULT_CHUNK} x {block} x d "
+                   "doubles, must fit the budget)", lambda x: size(x) <= most)
+
+
 _POTENTIAL = (_presets({
-    name: ({key: (_int if isinstance(v, int) else _num, v)
+    name: ({key: (_dimension(_int, BLOCK) if key == "d" else _num, v)
             for key, v in defaults.items()}, build)
     for name, (defaults, build) in POTENTIAL_PRESETS.items()}), REQUIRED)
 _ORIGIN = (_point, lambda pot: [0.0] * pot.d)
@@ -332,10 +341,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     }, "")
     cfg = ExperimentConfig(**top, raw=copy.deepcopy(doc))
     with _config_errors():  # the checks call library input checks
-        if "n_paths" in row.needs:
-            samples, d = row.draws(cfg)
-            check_budget("one chunk's increments",
-                         min(samples, DEFAULT_CHUNK), cfg.grid.n_steps, d)
         row.check(cfg)
     return cfg
 
@@ -393,8 +398,8 @@ def _run_stochint_convergence(cfg: ExperimentConfig) -> list[Row]:
     grid = cfg.grid
 
     def func(gen, count):
-        dw = sample_increments(grid, 1, count, gen)
-        return convert_check_batch(grid, dw, field, scheme) ** 2
+        return convert_check_batch(grid, increment_blocks(grid, 1, count, gen),
+                                   field, scheme) ** 2
 
     est = mc_run(func, cfg.n_paths, RngStream(cfg.seed), workers=cfg.workers)
     if alpha == 0.5:
@@ -561,11 +566,6 @@ class Experiment:
     # a rule across blocks, raising ValueError; parse_config runs it, so a
     # sweep rejects a bad point before any point runs
     check: Callable[[ExperimentConfig], object] = lambda cfg: None
-    # (samples, d): a run with n_paths draws increments for this many paths
-    # or antithetic pairs in d dimensions, by default n_paths in the
-    # potential's d; the parse checks one chunk of them against the budget
-    draws: Callable[[ExperimentConfig], tuple] = \
-        lambda cfg: (cfg.n_paths, cfg.params["potential"].d)
 
 
 _ZMAX = (_num, 4.0)
@@ -580,21 +580,19 @@ _HARMONIC = (_operator, {"name": "harmonic"})
 # a potential comes before the points that take its dimension
 EXPERIMENTS = {
     "wiener-stats": Experiment(_run_wiener_stats, {
-        "d": (_int, 2), "node_fractions": (_vector, [0.25, 0.5, 0.75]),
-        "zmax": _ZMAX}, check=_node_indices,
-        draws=lambda cfg: (cfg.n_paths, cfg.params["d"])),
+        "d": (_dimension(_int, BLOCK), 2),
+        "node_fractions": (_vector, [0.25, 0.5, 0.75]), "zmax": _ZMAX},
+        check=_node_indices),
     "stochint-convergence": Experiment(
         _run_stochint_convergence,
         {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
-        slope=("grid.n_steps", "ms_residual", -1.0, 0.3),
-        draws=lambda cfg: (cfg.n_paths, 1)),
+        slope=("grid.n_steps", "ms_residual", -1.0, 0.3)),
     "fk-matrix": Experiment(_run_fk_matrix, {
-        "A": (_matrices, REQUIRED), **_MATRIX_TOLS}, check=_even_paths,
-        draws=lambda cfg: (cfg.n_paths // 2, len(cfg.params["A"]))),
+        "A": (_dimension(_matrices, fkmatrix.BLOCK, len), REQUIRED),
+        **_MATRIX_TOLS}, check=_even_paths),
     "fk-product": Experiment(_run_fk_product, {
         "Aplus": (_matrix, REQUIRED), "Aminus": (_matrix, REQUIRED),
-        **_MATRIX_TOLS}, check=_even_paths,
-        draws=lambda cfg: (cfg.n_paths // 2, 2)),
+        **_MATRIX_TOLS}, check=_even_paths),
     "fk-semigroup": Experiment(_run_fk_semigroup, {
         "potential": _POTENTIAL, "psi": (_psi, REQUIRED), "q": _ORIGIN,
         "zmax": _ZMAX}),

@@ -4,9 +4,9 @@ The ensemble average of the path-ordered exponential driven by d Gaussian
 increments and a drift operator B is compared with exp(-t (A^2/2 + B)).
 Antithetic pairing (w, -w) is applied throughout; it reduces variance and
 is licensed by the reflection invariance of the measure. Every estimator is
-one time-blocked walk per side, :func:`_matrix_mc`, which carries the
-ordered product T_s across blocks of step factors, so a chunk holds its
-increments and O(paths x block x m^2) more, whatever the step count.
+one time-blocked walk of both sides, :func:`_matrix_mc`, which carries each
+side's ordered product T_s across blocks of step factors, so a chunk holds
+O(paths x block x (d + m^2)) floats, whatever the step count.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .opalg import (as_operator, as_operator_tuple, expm, gauss_legendre,
                     ordered_prefix, ordered_product_tree, stack_product,
                     step_factors)
 from .streams import RngStream
-from .wiener import TimeGrid, sample_increments
+from .wiener import TimeGrid, increment_blocks
 
-_BLOCK = 64  # time steps per block of the antithetic walk
+BLOCK = 64  # time steps per block of the antithetic walk
 
 
 @dataclass(frozen=True)
@@ -65,33 +65,33 @@ def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
                rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
     """Antithetic Monte Carlo mean of one time-blocked walk per side.
 
-    A pair draws increments dW; each side, dW and then -dW, walks blocks of
-    ``_BLOCK`` steps, negated one block at a time. It folds the carried
-    T = T_s0 (T_0 = I) into the block's first step factor F[:, 0], so the
-    block's ordered products are the T_s themselves. ``visit(s0, dWb, F, T)``
-    returns a copy of T at the block's end and the block's terms X
-    (count, k, m, m) or None; ``keep(kept, X)`` folds X into the kept terms
-    and ``finish(kept, T_n)`` gives the side's sample.
+    The sides walk in lockstep: each block of ``BLOCK`` steps draws dW once,
+    and side +1 walks dW, then side -1 walks -dW, one block of factors
+    alive at a time. Each side folds its carried T = T_s0 (T_0 = I) into
+    the block's first factor F[:, 0], so the block's ordered products are
+    the T_s. ``visit(s0, dWb, F, T)`` returns a copy of T at the block's end
+    and the block's terms X (count, k, m, m) or None; ``keep(kept, X)``
+    folds X into the side's kept terms, ``finish(kept, T_n)`` its sample.
     """
     if n_paths < 2 or n_paths % 2:
         raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
     grid, m = problem.grid, problem.dim
 
-    def side(dW, sign):
-        T, kept = np.eye(m, dtype=complex)[None], None  # one I, all paths
-        for s0 in range(0, grid.n_steps, _BLOCK):
-            dWb = sign * dW[:, s0:s0 + _BLOCK]
-            F = step_factors(dWb, grid.dt, problem.A, problem.B)
-            F[:, 0] = stack_product(F[:, 0], T)
-            T, X = visit(s0, dWb, F, T)
-            del F  # free this block's factors before the next is built
-            if X is not None:
-                kept = X if kept is None else keep(kept, X)
-        return finish(kept, T)
-
     def chunk_fn(gen, count):
-        dW = sample_increments(grid, max(problem.d, 1), count, gen)
-        return 0.5 * (side(dW, 1) + side(dW, -1)), None
+        T = dict.fromkeys((1, -1), np.eye(m, dtype=complex)[None])
+        kept = dict.fromkeys((1, -1))
+        blocks = increment_blocks(grid, max(problem.d, 1), count, gen, BLOCK)
+        for s0, dW in zip(range(0, grid.n_steps, BLOCK), blocks):
+            for sign in (1, -1):  # path-major (count, b, d) increments
+                dWb = np.multiply(sign, np.swapaxes(dW, 0, 1), order="C")
+                F = step_factors(dWb, grid.dt, problem.A, problem.B)
+                F[:, 0] = stack_product(F[:, 0], T[sign])
+                T[sign], X = visit(s0, dWb, F, T[sign])
+                del F  # free these factors before the next are built
+                if X is not None:
+                    kept[sign] = X if kept[sign] is None \
+                        else keep(kept[sign], X)
+        return 0.5 * (finish(kept[1], T[1]) + finish(kept[-1], T[-1])), None
 
     return reduce_chunks(chunk_fn, n_paths // 2, rng, chunk_size, workers)[0]
 

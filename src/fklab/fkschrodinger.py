@@ -26,8 +26,8 @@ from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
 from .opalg import gauss_legendre
-from .wiener import (BLOCK, TimeGrid, block_trapezoid, check_budget,
-                     path_blocks, sample_increments)
+from .wiener import (TimeGrid, block_trapezoid, check_budget,
+                     increment_blocks, path_blocks)
 
 
 class ClosedForms(NamedTuple):
@@ -74,51 +74,35 @@ class PotentialConfig:
 # path functionals
 
 
-def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray,
-                        dw: np.ndarray, variants: Sequence[tuple],
+def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray, blocks,
+                        variants: Sequence[tuple],
                         endpoint: np.ndarray | None = None):
     """FK path functionals on the paths q + w, one column each.
 
-    w is the free path of the increments ``dw`` (P, n, d), or its bridge to
-    ``endpoint``. A variant ``(a, weight)`` multiplies the damping
-    exp(-int v ds), computed once per path, by the phase exp(-i int a o dw)
-    and by ``weight`` of the endpoints; None skips either. Time is walked
-    in blocks of ``wiener.BLOCK`` steps that add to the trapezoid sum and
-    the Stratonovich sums; positions are bit-identical to the full-path
-    ``bridge_from_free(paths_from_increments(dw))``. Returns (columns (P, k),
-    finite mask).
+    w is the free path of the time-major increment ``blocks``, or its
+    bridge to ``endpoint``, walked by ``wiener.path_blocks``. A variant
+    ``(a, weight)`` multiplies the damping exp(-int v ds), computed once per
+    path, by the phase exp(-i int a o dw) and by ``weight`` of the
+    endpoints; None skips either. Each block adds to the trapezoid sum and
+    to the Stratonovich sums. Returns (columns (P, k), finite mask).
     """
-    count, n, d = dw.shape
-    if endpoint is not None:
-        for _, w in path_blocks(dw):  # the free endpoint first
-            pass
-        correction = w[:, -1] - endpoint
     phased = [i for i, (a, _) in enumerate(variants) if a is not None]
-    strat = np.zeros((len(variants), count))
-    integral = np.zeros(count)
-    x = np.empty((count, BLOCK + 1, d))  # row 0 the position before
-    for k0, w in path_blocks(dw):
-        m = w.shape[1] - 1
-        xb = x[:, :m + 1]
-        if endpoint is None:
-            np.add(q, w, out=xb)
-        else:  # bridge_from_free's linear drift, s = t_k / t_end
-            s = grid.dt * np.arange(k0, k0 + m + 1) / grid.t_end
-            np.add(q, w - s[:, None] * correction[:, None, :], out=xb)
-            if k0 + m == n:
-                xb[:, -1] = q + endpoint  # exact pinning
-        lo, trap = block_trapezoid(grid, k0, m)
+    strat = [0.0] * len(variants)
+    integral = 0.0
+    for k0, w in path_blocks(grid, blocks, endpoint):
+        xb = q + w
+        lo, trap = block_trapezoid(grid, k0, w.shape[1] - 1)
         part = np.asarray(v(xb[:, lo:]), dtype=float) @ trap
+        # inf - inf, like an overflow, rejects the path
         with np.errstate(over="ignore", invalid="ignore"):
-            integral += part  # inf - inf, like an overflow, rejects the path
+            integral = integral + part
         if phased:
             step = np.diff(xb, axis=1)
             mid = 0.5 * (xb[:, 1:] + xb[:, :-1])
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in phased:
-                    strat[i] += np.einsum("pkd,pkd->p",
-                                          np.asarray(variants[i][0](mid)),
-                                          step)
+                    strat[i] = strat[i] + np.einsum(
+                        "pkd,pkd->p", np.asarray(variants[i][0](mid)), step)
     end = xb[:, -1]
     # a finite but large -int v overflows the weight; such paths and
     # any non-finite column value are rejected, not averaged
@@ -161,7 +145,7 @@ def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
 
     def chunk_fn(gen, count):
         return _functional_columns(
-            v, grid, q, sample_increments(grid, pot.d, count, gen), variants,
+            v, grid, q, increment_blocks(grid, pot.d, count, gen), variants,
             endpoint)
 
     return chunk_fn

@@ -17,6 +17,7 @@ are bit-identical for a given seed whatever the worker count.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -53,9 +54,10 @@ def _chunk_sizes(n_samples: int, chunk_size: int) -> list[int]:
 
 
 def ordered_map(fn: Callable, items: Iterable, workers: int = 1) -> list:
-    """``[fn(x) for x in items]``, on up to ``workers`` threads, in order."""
+    """``[fn(x) for x in items]`` in order, on min(workers, items, CPUs)."""
     items = list(items)
-    if workers > 1 and len(items) > 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

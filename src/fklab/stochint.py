@@ -5,9 +5,10 @@ x = alpha * w(s_v) + (1 - alpha) * w(s_{v-1}), so alpha = 0 is the Ito sum
 and alpha = 1/2 the Stratonovich (midpoint-position) sum. Only pointwise
 fields g(x, s) are supported; path-history dependence is out of scope.
 
-Every function takes one chunk's increments ``dw`` (n_paths, n, d) on a
-grid, walks the paths with :func:`~fklab.wiener.path_blocks` and sums block
-by block, returning one value per path.
+Every function takes a chunk's time-major increment blocks on a grid (see
+:func:`~fklab.wiener.increment_blocks`), walks the paths with
+:func:`~fklab.wiener.path_blocks` and sums block by block, one value per
+path.
 """
 
 from __future__ import annotations
@@ -69,40 +70,39 @@ def _trapezoid_term(grid: TimeGrid, u: Callable):
     return term
 
 
-def _walk(dw: np.ndarray, *terms) -> list[np.ndarray]:
+def _walk(grid: TimeGrid, blocks, *terms) -> list[np.ndarray]:
     """Each term summed over the blocks of one walk, in block order."""
-    totals = [np.zeros(dw.shape[0]) for _ in terms]
-    for k0, w in path_blocks(dw):
-        for total, term in zip(totals, terms):
-            total += term(k0, w)
+    totals = [0.0] * len(terms)
+    for k0, w in path_blocks(grid, blocks):
+        totals = [total + term(k0, w) for total, term in zip(totals, terms)]
     return totals
 
 
-def alpha_integral_batch(grid: TimeGrid, dw: np.ndarray,
-                         field: FieldWithDivergence,
+def alpha_integral_batch(grid: TimeGrid, blocks, field: FieldWithDivergence,
                          scheme: AlphaScheme) -> np.ndarray:
     """Alpha-point stochastic sums for every path, shape (n_paths,)."""
-    return _walk(dw, _alpha_term(grid, field, scheme.alpha))[0]
+    return _walk(grid, blocks, _alpha_term(grid, field, scheme.alpha))[0]
 
 
-def time_integral_batch(grid: TimeGrid, dw: np.ndarray,
+def time_integral_batch(grid: TimeGrid, blocks,
                         u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
-    return _walk(dw, _trapezoid_term(grid, u))[0]
+    return _walk(grid, blocks, _trapezoid_term(grid, u))[0]
 
 
-def convert_check_batch(grid: TimeGrid, dw: np.ndarray,
-                        field: FieldWithDivergence,
+def convert_check_batch(grid: TimeGrid, blocks, field: FieldWithDivergence,
                         scheme: AlphaScheme) -> np.ndarray:
     """Residual of the Ito/Stratonovich conversion formula per path.
 
     residual = Stratonovich sum - [alpha sum + (1/2 - alpha) * trapz(div g)].
     The mean-square residual vanishes linearly in dt under refinement. The
-    three sums share one walk of the increments.
+    three sums share one walk; at alpha = 1/2 the residual is zero, and
+    only the first block is drawn, for the path count.
     """
     if scheme.alpha == STRATONOVICH:
-        return np.zeros(dw.shape[0])
-    strat, asum, trap = _walk(dw, _alpha_term(grid, field, STRATONOVICH),
+        return np.zeros(next(iter(blocks)).shape[1])
+    strat, asum, trap = _walk(grid, blocks,
+                              _alpha_term(grid, field, STRATONOVICH),
                               _alpha_term(grid, field, scheme.alpha),
                               _trapezoid_term(grid, field.div_g))
     return strat - (asum + (0.5 - scheme.alpha) * trap)

@@ -1,13 +1,10 @@
 """Wiener-measure sampling on uniform time grids.
 
-Every path quantity is a functional of one chunk's increments ``dw``
-(n_paths, n, d). :func:`path_blocks` is the one way from increments to
-positions: it walks :data:`BLOCK` time steps at a time, so a chunk holds
-O(n_paths * BLOCK * d) floats beside its increments whatever n. Estimators
-are chunked through :func:`fklab.mc.mc_run`. ``paths_from_increments`` and
-``bridge_from_free`` (the linear-drift bridge, which pins the endpoint
-bit-exactly) are the whole-path forms, kept as the references of the
-blocked walk; no fklab module calls them.
+Every walk draws its increments a block of steps at a time, time-major,
+from its chunk's generator (:func:`increment_blocks`), so the blocks are
+one (n, n_paths, d) draw whatever their size, and :func:`path_blocks` turns
+them into free paths or bridges: a chunk holds O(n_paths * block * d)
+floats whatever n.
 """
 
 from __future__ import annotations
@@ -55,9 +52,8 @@ class TestFunction:
     support_end: float
 
 
-# largest array one chunk may allocate: every chunk holds its increments
-# whole, so a larger chunk is an input error (exit 2 in the CLI) instead of
-# an out-of-memory failure; Kato nodes and lattice operators share it
+# largest array (a block of increments, second moments, Kato nodes, a
+# lattice operator) one chunk may allocate; more is an input error
 MAX_INCREMENT_BYTES = 2**30
 
 # time steps per block of the path walk
@@ -73,50 +69,68 @@ def check_budget(what: str, *shape: int) -> None:
 
 
 def sample_increments(grid: TimeGrid, d: int, n_paths: int,
-                      gen: np.random.Generator) -> np.ndarray:
-    """Gaussian increments with component variance dt, shape (n_paths, n, d).
-
-    Raises ValueError, before allocating, when the array would exceed
-    :data:`MAX_INCREMENT_BYTES`.
-    """
+                      gen: np.random.Generator, steps: int) -> np.ndarray:
+    """Gaussian increments of variance dt for ``steps`` time steps, shape
+    (steps, n_paths, d); a ValueError, before allocating, over budget."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    check_budget("the increments", n_paths, grid.n_steps, d)
-    out = gen.standard_normal((n_paths, grid.n_steps, d))
-    out *= np.sqrt(grid.dt)
-    return out
+    check_budget("the increments", steps, n_paths, d)
+    return gen.standard_normal((steps, n_paths, d)) * np.sqrt(grid.dt)
+
+
+def increment_blocks(grid: TimeGrid, d: int, n_paths: int,
+                     gen: np.random.Generator, block: int = BLOCK):
+    """Yield the increments of ``n_paths`` paths from ``gen`` in time order,
+    as (m <= ``block``, n_paths, d) blocks of one (n, n_paths, d) draw."""
+    for k0 in range(0, grid.n_steps, block):
+        yield sample_increments(grid, d, n_paths, gen,
+                                min(block, grid.n_steps - k0))
 
 
 def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
-    """Cumulative sums with a zero row prepended, shape (n_paths, n+1, d)."""
-    n_paths, _, d = dw.shape
-    out = np.empty((n_paths, grid.n_steps + 1, d))
-    out[:, 0] = 0.0
+    """Whole free paths (n_paths, n+1, d) of increments (n_paths, n, d);
+    no fklab module calls it, it stays because perfbench/tracer.py wraps it."""
+    out = np.zeros((dw.shape[0], grid.n_steps + 1, dw.shape[2]))
     np.cumsum(dw, axis=1, out=out[:, 1:])
     return out
 
 
-def path_blocks(dw: np.ndarray, block: int = BLOCK):
-    """:func:`paths_from_increments` one block of time steps at a time.
-
-    Yields ``(k0, w)`` with w (n_paths, m+1, d) the free path at steps
-    k0 .. k0+m, m <= ``block``; row 0 repeats the last row of the block
-    before (zero for the first). Each block is a sequential cumsum that
-    starts from that carried row, so the values are bit-identical to the
-    full path. ``w`` is a view into one reused buffer, valid until the next
-    block is drawn.
-    """
-    n_paths, n, d = dw.shape
-    buf = np.zeros((n_paths, block + 1, d))
-    for k0 in range(0, n, block):
-        m = min(block, n - k0)
+def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
+    """Yield ``(k0, w)`` for each time-major increment block (m, P, d) of
+    ``blocks`` (the first the longest): w (P, m+1, d), valid until the next
+    block, is the path at steps k0 .. k0+m, row 0 the last row of the
+    block before. It is the free path, a carried cumsum, or with
+    ``endpoint`` e the Brownian bridge to e at t, built forward (Levy;
+    Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = -e/t,
+    Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)), w_k = e + tau_k Y_k,
+    with w_0 = 0 and w_n = e exact and the last increment unused."""
+    n, k0 = grid.n_steps, 0
+    for dw in blocks:
+        m = dw.shape[0]
+        if k0 == 0:
+            buf = np.zeros((dw.shape[1], m + 1, dw.shape[2]))
+            if endpoint is not None:
+                buf[:, 0] = -endpoint / grid.t_end
         steps = buf[:, 1:m + 1]
-        steps[...] = dw[:, k0:k0 + m]
-        if k0:
-            steps[:, 0] += buf[:, 0]
+        if endpoint is None:
+            steps[...] = np.swapaxes(dw, 0, 1)
+        else:
+            tau = (n - np.arange(k0, k0 + m + 1)) * grid.dt
+            root = np.sqrt(tau[:-1] * tau[1:])
+            root[root == 0] = np.inf  # tau_n = 0: the last step adds 0
+            np.divide(np.swapaxes(dw, 0, 1), root[:, None], out=steps)
+        steps[:, 0] += buf[:, 0]
         np.cumsum(steps, axis=1, out=steps)
-        yield k0, buf[:, :m + 1]
+        w = buf[:, :m + 1]
+        if endpoint is not None:
+            w = endpoint + tau[:, None] * w
+            if k0 == 0:
+                w[:, 0] = 0.0
+            if k0 + m == n:
+                w[:, -1] = endpoint
+        yield k0, w
         buf[:, 0] = buf[:, m]
+        k0 += m
 
 
 def block_trapezoid(grid: TimeGrid, k0: int, m: int) -> tuple[int, np.ndarray]:
@@ -137,7 +151,8 @@ def block_trapezoid(grid: TimeGrid, k0: int, m: int) -> tuple[int, np.ndarray]:
 
 def bridge_from_free(grid: TimeGrid, values: np.ndarray,
                      endpoint: np.ndarray) -> np.ndarray:
-    """Pin free paths (n_paths, n+1, d) to the endpoint by linear drift."""
+    """Pin free paths (n_paths, n+1, d) to the endpoint by linear drift; no
+    fklab module calls it, it stays because perfbench/tracer.py wraps it."""
     s = grid.times() / grid.t_end  # (n+1,)
     correction = values[:, -1:, :] - endpoint[None, None, :]
     pinned = values - s[None, :, None] * correction
@@ -153,8 +168,10 @@ def _linear_functional(grid: TimeGrid, f: TestFunction, G: np.ndarray,
         raise ValueError("test function support exceeds the time horizon")
 
     def func(gen: np.random.Generator, count: int) -> np.ndarray:
-        dw = sample_increments(grid, G.shape[1], count, gen)
-        return np.exp(-1j * (dw.reshape(count, -1) @ G.ravel()))
+        blocks = increment_blocks(grid, G.shape[1], count, gen)
+        Gs = np.split(G, range(BLOCK, grid.n_steps, BLOCK))
+        return np.exp(-1j * sum(np.tensordot(dw, Gb, axes=([0, 2], [0, 1]))
+                                for dw, Gb in zip(blocks, Gs)))
 
     return mc_run(func, n_paths, rng, chunk_size, workers)
 
@@ -206,9 +223,8 @@ def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,
                  len(idx), len(idx), d, d)
 
     def func(gen: np.random.Generator, count: int) -> np.ndarray:
-        dw = sample_increments(grid, d, count, gen)
         at = np.empty((count, len(idx), d))  # (count, a, d)
-        for k0, w in path_blocks(dw):
+        for k0, w in path_blocks(grid, increment_blocks(grid, d, count, gen)):
             here = (idx >= k0) & (idx < k0 + w.shape[1])
             at[:, here] = w[:, idx[here] - k0]
         second = np.einsum("paj,pbk->pabjk", at, at).reshape(count, -1)

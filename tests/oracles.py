@@ -4,8 +4,10 @@ Everything here is deliberately implemented with different algorithms than
 the package: Taylor-series matrix exponentials, truncated Dyson series,
 dense-grid quadrature, finite-difference eigensolvers and generator probes,
 error-function integrals, a leak mask from every coordinate of every Kato
-node, step-by-step ordered products, whole-path Feynman-Kac functionals,
-stochastic sums, characteristic functionals and node moments, and the
+node, step-by-step ordered products, a chunk's increments as one whole
+time-major draw with its free paths and forward bridges built whole,
+whole-path Feynman-Kac functionals, stochastic sums, characteristic
+functionals and node moments, and the
 phase-space transforms with their Fourier sums as dense N x N DFT
 matrices and each diagonal's whole shift (1 - alpha) m in one N x N phase,
 not split into a roll and a fraction.
@@ -25,7 +27,38 @@ from scipy.special import ndtr
 from fklab.opalg import as_operator
 from fklab.phasespace import (PeriodicGrid, Symbol, alpha_quantize,
                               momentum_operator, multiplication_operator)
-from fklab.wiener import paths_from_increments, sample_increments
+
+
+def whole_increments(grid, d: int, n_paths: int,
+                     gen: np.random.Generator) -> np.ndarray:
+    """A chunk's increments as one time-major (n, n_paths, d) draw from
+    ``gen``, scaled by sqrt(dt), transposed to (n_paths, n, d)."""
+    dw = gen.standard_normal((grid.n_steps, n_paths, d)) * np.sqrt(grid.dt)
+    return np.swapaxes(dw, 0, 1)
+
+
+def whole_free_paths(dw: np.ndarray) -> np.ndarray:
+    """Free paths (P, n+1, d) of whole increments (P, n, d): the cumsum of
+    a zero row and the increments."""
+    start = np.zeros((dw.shape[0], 1, dw.shape[2]))
+    return np.cumsum(np.concatenate([start, dw], axis=1), axis=1)
+
+
+def whole_bridges(grid, dw: np.ndarray, endpoint) -> np.ndarray:
+    """Brownian bridges (P, n+1, d) from 0 to ``endpoint`` e at t, built
+    forward on whole increments (P, n, d): with tau_k = (n - k) dt,
+    Y_0 = -e/t, Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)) for k + 1 < n,
+    X_k = e + tau_k Y_k, and X_0 = 0, X_n = e exactly."""
+    n = grid.n_steps
+    e = np.asarray(endpoint, dtype=float)
+    tau = (n - np.arange(n + 1)) * grid.dt
+    start = np.broadcast_to(-e / grid.t_end, (dw.shape[0], 1, dw.shape[2]))
+    steps = dw[:, :n - 1] / np.sqrt(tau[:n - 1] * tau[1:n])[:, None]
+    Y = np.cumsum(np.concatenate([start, steps], axis=1), axis=1)
+    X = np.empty((dw.shape[0], n + 1, dw.shape[2]))
+    X[:, :n] = e + tau[:n, None] * Y
+    X[:, 0], X[:, n] = 0.0, e
+    return X
 
 
 def taylor_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -210,7 +243,7 @@ def full_covariance_chunk(grid, d: int, idx):
     rounding, follows the layout.
     """
     def func(gen, count):
-        w = paths_from_increments(grid, sample_increments(grid, d, count, gen))
+        w = whole_free_paths(whole_increments(grid, d, count, gen))
         at = w[:, idx, :]
         second = np.einsum("paj,pbk->pabjk", at, at).reshape(count, -1)
         return np.ascontiguousarray(

@@ -28,7 +28,7 @@ from fklab.streams import RngStream
 from fklab.wiener import TestFunction as PathTestFunction
 from fklab.wiener import (TimeGrid, estimate_char_functional,
                           estimate_covariance,
-                          estimate_white_noise_functional, sample_increments)
+                          estimate_white_noise_functional, increment_blocks)
 
 from oracles import (double_min_integral, harmonic_grid_kernel, loglog_slope,
                      standard_symbol_target, taylor_expm, well_kato_oracle)
@@ -105,12 +105,12 @@ def test_criterion_3_conversion_slope():
         ms = []
         for n in steps:
             grid = TimeGrid(1.0, n)
-            dw = sample_increments(grid, 1, 4000, RngStream(103).generator())
+            dw = increment_blocks(grid, 1, 4000, RngStream(103).generator())
             r = convert_check_batch(grid, dw, field, AlphaScheme(alpha))
             ms.append(float((r**2).mean()))
         slopes[alpha] = loglog_slope(steps, ms)
     grid = TimeGrid(1.0, 256)
-    dw = sample_increments(grid, 1, 4000, RngStream(103).generator())
+    dw = increment_blocks(grid, 1, 4000, RngStream(103).generator())
     exact_half = bool(np.all(
         convert_check_batch(grid, dw, field, AlphaScheme(0.5)) == 0.0))
     ok = exact_half and all(abs(s + 1.0) <= 0.3 for s in slopes.values())

@@ -446,11 +446,15 @@ BAD_INPUTS = {
     "zmax-nan": ("wiener-stats", [("params.zmax", math.nan)]),
     "length-inf": ("phasespace-roundtrip", [("params.length", math.inf)]),
     "rel_tol-beyond-float": ("fk-kernel", [("params.rel_tol", 10**400)]),
-    # one chunk's increments over wiener.MAX_INCREMENT_BYTES, found before
-    # anything of that size is allocated
-    "semigroup-increments-over-budget": ("fk-semigroup",
-                                         [("grid.n_steps", 10**9)]),
-    "matrix-increments-over-budget": ("fk-matrix", [("grid.n_steps", 10**9)]),
+    # a dimension whose block of a full chunk's increments, 16384 paths x
+    # 16 steps (64 for fk-matrix) x d doubles, is over
+    # wiener.MAX_INCREMENT_BYTES, found before anything of length d is
+    # built: fk-kernel's q and q' default to d zeros after the potential
+    "potential-d-over-budget": ("fk-kernel", [(
+        "params.potential", {"name": "free", "d": 1099511627776})]),
+    "wiener-d-over-budget": ("wiener-stats", [("params.d", 513)]),
+    "matrix-components-over-budget": ("fk-matrix",
+                                      [("params.A", [[[[1, 0]]]] * 129)]),
     # one time step's Kato nodes or an N x N lattice operator over the same
     # budget: 711 GiB, 211 GiB (khasminskii in d = 3) and 16 TiB
     "kato-nodes-over-budget": ("kato", [
@@ -464,6 +468,14 @@ BAD_INPUTS = {
     "wiener-moments-over-budget": ("wiener-stats", [
         ("n_paths", 16384), ("params.d", 64)]),
 }
+
+
+@pytest.mark.parametrize("experiment", ["fk-semigroup", "fk-matrix"])
+def test_any_step_count_parses(experiment):
+    # a walk draws its increments a block at a time, so n_steps has no
+    # budget; the config is only parsed here, not run
+    doc = _shrunk(experiment, [("grid.n_steps", 10**9)])
+    assert cli.parse_config(doc).grid.n_steps == 10**9
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -750,16 +762,17 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
         "params": {"alpha": 0.0},
     }
     # a bad type, an odd antithetic path count, node fractions that round
-    # to node 0 on a one-step grid, a well with kappa_t >= 1, increments
-    # over the budget of one chunk, Kato nodes over it in d = 3 and one
-    # chunk's wiener-stats second moments over it at d = 64
+    # to node 0 on a one-step grid, a well with kappa_t >= 1, a potential
+    # dimension whose block of increments is over the budget, Kato nodes
+    # over it in d = 3 and one chunk's wiener-stats second moments over it
+    # at d = 64
     sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
               (_shrunk("fk-matrix"), "n_paths", "8,9"),
               (_shrunk("wiener-stats"), "grid.n_steps", "8,1"),
               (_shrunk("khasminskii", [("params.potential.height", 0.3)]),
                "params.potential.height", "0.3,5.0"),
-              (_shrunk("fk-semigroup"), "grid.n_steps", "4,1000000000"),
-              (_shrunk("fk-matrix"), "grid.n_steps", "4,1000000000"),
+              (_shrunk("fk-kernel", [("params.potential.d", 1)]),
+               "params.potential.d", "1,1099511627776"),
               (_shrunk("khasminskii", [("params.potential.d", 1)]),
                "params.potential.d", "1,3"),
               (_shrunk("kato", [("params.potential", {"name": "coulomb-3d"}),

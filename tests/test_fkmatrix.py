@@ -12,9 +12,9 @@ from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
 from fklab.mc import reduce_chunks
 from fklab.opalg import step_factors
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid, sample_increments
+from fklab.wiener import TimeGrid
 
-from oracles import prefix_loop, taylor_expm
+from oracles import prefix_loop, taylor_expm, whole_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -131,9 +131,10 @@ def _duhamel_loop_nodes(prob, dW, n_quad):
 
 
 def _loop_mean(prob, side, n_pairs, chunk, seed):
-    """Antithetic mean of ``side(dW)`` on the estimators' increments."""
+    """Antithetic mean of ``side(dW)`` on the estimators' increments, drawn
+    whole: the blocks of the estimators' walk concatenate to this draw."""
     def chunk_fn(gen, count):
-        dW = sample_increments(prob.grid, max(prob.d, 1), count, gen)
+        dW = whole_increments(prob.grid, max(prob.d, 1), count, gen)
         return 0.5 * (side(dW) + side(-dW)), None
     return reduce_chunks(chunk_fn, n_pairs, RngStream(seed), chunk)[0]
 
@@ -212,7 +213,7 @@ def test_prefix_checks_hold_one_factor_array():
     # time, so a chunk never holds two factor arrays at once
     prob = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 256))
     count = 128
-    dW = sample_increments(prob.grid, 2, count, RngStream(14).generator())
+    dW = whole_increments(prob.grid, 2, count, RngStream(14).generator())
     factor_bytes = count * 256 * 4 * 16
     tracemalloc.start()
     try:
@@ -229,33 +230,32 @@ def test_prefix_checks_hold_one_factor_array():
         tracemalloc.stop()
 
 
-# estimator, increment dimension and call on 2 * 128 paths in one chunk
+# estimator and call on 2 * 128 paths in one chunk
 MATRIX_MEMORY_CASES = {
-    "generalized_fk": (2, lambda grid: estimate_generalized_fk(
-        FKProblem((SX, SY), SZ, 1.0, grid), 256, RngStream(16), 128)),
-    "nov_identity": (2, lambda grid: check_nov_identity(
-        FKProblem((SX, SY), Z2, 1.0, grid), 256, RngStream(16), 128)),
-    "duhamel": (1, lambda grid: check_duhamel(
-        FKProblem((SX,), SZ, 1.0, grid), 256, 12, RngStream(16), 128)),
+    "generalized_fk": lambda grid: estimate_generalized_fk(
+        FKProblem((SX, SY), SZ, 1.0, grid), 256, RngStream(16), 128),
+    "nov_identity": lambda grid: check_nov_identity(
+        FKProblem((SX, SY), Z2, 1.0, grid), 256, RngStream(16), 128),
+    "duhamel": lambda grid: check_duhamel(
+        FKProblem((SX,), SZ, 1.0, grid), 256, 12, RngStream(16), 128),
 }
 
 
 def _chunk_peak(estimator: str, n_steps: int) -> int:
-    """Traced peak of one chunk of ``estimator``, less its increments."""
-    d, call = MATRIX_MEMORY_CASES[estimator]
+    """Traced peak of one chunk of ``estimator``, increments included."""
     tracemalloc.start()
     try:
-        call(TimeGrid(1.0, n_steps))
-        peak = tracemalloc.get_traced_memory()[1]
+        MATRIX_MEMORY_CASES[estimator](TimeGrid(1.0, n_steps))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - 128 * n_steps * d * 8
 
 
 @pytest.mark.parametrize("estimator", MATRIX_MEMORY_CASES)
 def test_matrix_chunk_memory_does_not_grow_with_steps(estimator):
-    # the walk holds one block of factors and the carried products beside
-    # the increments, so 4 times the steps adds nothing beyond them
+    # the walk draws one block of increments for both sides and holds one
+    # block of factors and the carried products, so 4 times the steps
+    # adds nothing
     short, long = (_chunk_peak(estimator, n) for n in (256, 1024))
     assert long <= 1.1 * short + 2**16, (short, long)
 

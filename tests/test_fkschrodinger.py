@@ -23,13 +23,13 @@ from fklab.stochint import (AlphaScheme, FieldWithDivergence,
 from fklab.streams import RngStream
 from fklab.wiener import BLOCK as _BLOCK
 from fklab.wiener import TestFunction as PathTestFunction
-from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, bridge_from_free,
+from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid,
                           estimate_char_functional, estimate_covariance,
-                          estimate_white_noise_functional,
-                          paths_from_increments, sample_increments)
+                          estimate_white_noise_functional, increment_blocks)
 
 from oracles import (full_leak_mask, full_path_columns, harmonic_grid_kernel,
-                     well_kato_oracle)
+                     well_kato_oracle, whole_bridges, whole_free_paths,
+                     whole_increments)
 
 
 def gauss_psi(width=1.0, center=0.0):
@@ -163,14 +163,14 @@ def test_estimates_do_not_depend_on_workers(estimator):
     assert repr(runs[0]) == repr(runs[1])
 
 
-def _peak_beyond_increments(call, n_paths: int, n_steps: int, d: int) -> int:
+def _traced_peak(call) -> int:
+    """The traced peak of ``call()``, increments included."""
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - n_paths * n_steps * d * 8
 
 
 MAGNETIC_SINE_GAUGE = replace(
@@ -179,44 +179,54 @@ MAGNETIC_SINE_GAUGE = replace(
     chi=lambda x: 0.3 * np.sum(np.sin(0.5 * x), axis=-1),
     grad_chi=lambda x: 0.15 * np.cos(0.5 * x))
 
-# estimator, dimension and call on 256 paths of a grid
+# estimator and call on 256 paths of a grid
 MEMORY_CASES = {
-    "apply_semigroup": (3, lambda grid: apply_semigroup(
+    "apply_semigroup": lambda grid: apply_semigroup(
         preset_potential("harmonic", d=3), gauss_psi(), [0.1, 0.0, -0.2],
-        256, grid, RngStream(38))),
-    "kernel": (1, lambda grid: kernel(
+        256, grid, RngStream(38)),
+    "kernel": lambda grid: kernel(
         preset_potential("harmonic"), [0.2], [-0.5], 256, grid,
-        RngStream(39))),
-    "gauge_check": (2, lambda grid: gauge_check(
+        RngStream(39)),
+    "gauge_check": lambda grid: gauge_check(
         MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 256, grid,
-        RngStream(40))),
+        RngStream(40)),
     # the other path experiments: one stochint-convergence chunk, the
     # covariance at three nodes and the two linear functionals
-    "convert_check_batch": (1, lambda grid: convert_check_batch(
-        grid, sample_increments(grid, 1, 256, RngStream(41).generator()),
+    "convert_check_batch": lambda grid: convert_check_batch(
+        grid, increment_blocks(grid, 1, 256, RngStream(41).generator()),
         FieldWithDivergence(lambda x, s: x,
                             lambda x, s: np.ones(x.shape[:-1])),
-        AlphaScheme(0.0))),
-    "estimate_covariance": (2, lambda grid: estimate_covariance(
+        AlphaScheme(0.0)),
+    "estimate_covariance": lambda grid: estimate_covariance(
         grid, 2, 256, RngStream(42),
-        [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps])),
-    "estimate_char_functional": (2, lambda grid: estimate_char_functional(
+        [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps]),
+    "estimate_char_functional": lambda grid: estimate_char_functional(
         grid, PathTestFunction(lambda s: np.ones((len(s), 2)), 1.0), 256,
-        RngStream(43))),
-    "estimate_white_noise_functional": (2, lambda grid:
+        RngStream(43)),
+    "estimate_white_noise_functional": lambda grid:
         estimate_white_noise_functional(
             grid, PathTestFunction(lambda s: np.ones((len(s), 2)), 1.0), 256,
-            RngStream(44))),
+            RngStream(44)),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(MEMORY_CASES))
 def test_chunk_memory_does_not_grow_with_steps(estimator):
-    # the walk holds a few blocks of positions beside the increments, so
-    # 16 times the steps adds nothing beyond the increment array
-    d, call = MEMORY_CASES[estimator]
-    short, long = (_peak_beyond_increments(
-        lambda: call(TimeGrid(1.0, n)), 256, n, d) for n in (64, 1024))
+    # the walk draws its increments a block at a time and holds a few
+    # blocks of them and of positions, so 16 times the steps adds nothing
+    # but the linear functionals' (n, d) weights
+    short, long = (_traced_peak(lambda: MEMORY_CASES[estimator](
+        TimeGrid(1.0, n))) for n in (64, 1024))
+    assert long <= 1.1 * short + 2**16, (short, long)
+
+
+@pytest.mark.parametrize("estimator", ["apply_semigroup", "kernel"])
+def test_free_and_bridge_walks_hold_no_whole_increments(estimator):
+    # the increments of 256 paths of 4096 steps would take 24 MiB whole in
+    # d = 3 (the free walk) and 8 MiB in d = 1 (the forward bridge): each
+    # walk holds one block of them
+    short, long = (_traced_peak(lambda: MEMORY_CASES[estimator](
+        TimeGrid(1.0, n))) for n in (256, 4096))
     assert long <= 1.1 * short + 2**16, (short, long)
 
 
@@ -239,7 +249,7 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
     draw = np.random.default_rng(seed)
     q = draw.uniform(-0.5, 0.5, d)
     endpoint = draw.uniform(-1.0, 1.0, d) if bridge else None
-    dw = sample_increments(grid, d, 64, RngStream(seed).generator())
+    blocks = increment_blocks(grid, d, 64, RngStream(seed).generator())
     seen = []
 
     def psi(x):
@@ -248,11 +258,10 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
 
     a = (lambda x: 0.7 * np.sin(x[..., ::-1]) + 0.2 * x) if with_a else None
     variants = [(a, psi), (None, None)]
-    cols, finite = _functional_columns(_overflowing_v, grid, q, dw, variants,
-                                       endpoint)
-    w = paths_from_increments(grid, dw)
-    if bridge:
-        w = bridge_from_free(grid, w, endpoint)
+    cols, finite = _functional_columns(_overflowing_v, grid, q, blocks,
+                                       variants, endpoint)
+    dw = whole_increments(grid, d, 64, RngStream(seed).generator())
+    w = whole_bridges(grid, dw, endpoint) if bridge else whole_free_paths(dw)
     ref, ref_finite = full_path_columns(_overflowing_v, grid, q + w, variants)
     assert finite.tobytes() == ref_finite.tobytes()
     assert np.all(np.abs(cols[finite] - ref[finite])

@@ -1,7 +1,7 @@
 """Every name a fklab module imports is used in that module, every
 parameter a fklab function takes is read in its body, no preset name is
-compared, no module builds whole paths and no def takes a horizon t
-beside its TimeGrid."""
+compared, no module builds whole paths, only the block stream draws
+increments and no def takes a horizon t beside its TimeGrid."""
 
 import ast
 from pathlib import Path
@@ -118,19 +118,36 @@ def test_no_preset_name_is_compared_in_src():
     assert not {k: v for k, v in found.items() if v}
 
 
-# the whole-path forms stay in wiener as the references of path_blocks
+# whole-path forms that stay in wiener only because the benchmark's
+# tracer wraps them by name; the walks build paths with path_blocks
 FULL_PATH_BUILDERS = {"paths_from_increments", "bridge_from_free"}
 
 
-def _full_path_calls(source: str) -> list[str]:
-    """Calls of a whole-path builder, by bare name or as an attribute."""
+def _calls(source: str, names) -> list[tuple[str, str, int]]:
+    """(caller, name, line) of each call of one of ``names``, by bare name
+    or as an attribute; the caller is the innermost enclosing def."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in FULL_PATH_BUILDERS:
-                found.append(f"{name} (line {node.lineno})")
+
+    def visit(node, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in names:
+                    found.append((caller, name, child.lineno))
+            visit(child, caller)
+
+    visit(ast.parse(source), None)
     return found
+
+
+def _full_path_calls(source: str) -> list[str]:
+    """Calls of a whole-path builder."""
+    return [f"{name} (line {line})"
+            for _, name, line in _calls(source, FULL_PATH_BUILDERS)]
 
 
 def test_no_module_builds_whole_paths_in_src():
@@ -142,6 +159,22 @@ def test_no_module_builds_whole_paths_in_src():
     found = {path.name: _full_path_calls(path.read_text("utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}
+
+
+def test_only_the_block_stream_draws_increments_in_src():
+    # every walk draws its increments a block at a time, so no function
+    # but wiener.increment_blocks calls sample_increments
+    assert _calls("def f(g):\n    x = sample_increments(g)\n"
+                  "def increment_blocks(g):\n"
+                  "    yield wiener.sample_increments(g)\n",
+                  {"sample_increments"}) \
+        == [("f", "sample_increments", 2),
+            ("increment_blocks", "sample_increments", 4)]
+    callers = {path.name: {c for c, _, _ in _calls(
+        path.read_text("utf-8"), {"sample_increments"})}
+        for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in callers.items() if v} \
+        == {"wiener.py": {"increment_blocks"}}
 
 
 def _horizon_twins(source: str) -> list[str]:

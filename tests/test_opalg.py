@@ -12,10 +12,10 @@ from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
                          expm, expm_batch, gauss_legendre, ordered_prefix,
                          ordered_product_tree, step_factors, trotter_product)
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid, paths_from_increments, sample_increments
+from fklab.wiener import TimeGrid
 
 from oracles import (dyson_series, generator_probe, prefix_loop, scaled_expm2,
-                     taylor_expm)
+                     taylor_expm, whole_free_paths, whole_increments)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -300,7 +300,7 @@ def test_ordered_exp_left_multiplication_hand_check():
 
 def test_ordered_exp_unitary_when_hermitian():
     g = TimeGrid(1.0, 64)
-    dW = sample_increments(g, 2, 1, RngStream(4).generator())
+    dW = whole_increments(g, 2, 1, RngStream(4).generator())
     T = ordered_product_tree(step_factors(dW, g.dt, (SX, SY), None))[0]
     assert np.allclose(T @ T.conj().T, np.eye(2), atol=1e-12)
 
@@ -314,8 +314,8 @@ def test_dyson_first_order_drift_only():
 
 def test_dyson_converges_to_ordered_exp():
     g = TimeGrid(0.05, 32)
-    path = paths_from_increments(
-        g, sample_increments(g, 1, 1, RngStream(7).generator()))[0]
+    path = whole_free_paths(
+        whole_increments(g, 1, 1, RngStream(7).generator()))[0]
     dW = np.diff(path, axis=0)
     exact = ordered_product_tree(step_factors(dW[None], g.dt, (SX,), SZ))[0]
     errs = [np.abs(dyson_series(path, g.dt, (SX,), SZ, k) - exact).max()

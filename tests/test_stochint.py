@@ -9,16 +9,25 @@ from fklab.stochint import (STRATONOVICH, AlphaScheme, FieldWithDivergence,
                             alpha_integral_batch, convert_check_batch,
                             time_integral_batch)
 from fklab.streams import RngStream
-from fklab.wiener import TimeGrid, paths_from_increments, sample_increments
+from fklab.wiener import TimeGrid, increment_blocks
 
-from oracles import full_alpha_sum, full_time_integral, loglog_slope
+from oracles import (full_alpha_sum, full_time_integral, loglog_slope,
+                     whole_free_paths, whole_increments)
 
 LINEAR = FieldWithDivergence(lambda x, s: x,
                              lambda x, s: np.full(x.shape[:-1], 1.0))
 
 
 def increments(grid, d, n_paths, seed):
-    return sample_increments(grid, d, n_paths, RngStream(seed).generator())
+    """The increment blocks of stream ``seed``, as a list to walk again."""
+    return list(increment_blocks(grid, d, n_paths,
+                                 RngStream(seed).generator()))
+
+
+def whole_paths(grid, d, n_paths, seed):
+    """The same increments' whole free paths (n_paths, n+1, d)."""
+    return whole_free_paths(whole_increments(grid, d, n_paths,
+                                             RngStream(seed).generator()))
 
 
 def test_alpha_range_enforced():
@@ -34,7 +43,7 @@ def test_ito_sum_linear_field_closed_form():
     g = TimeGrid(1.0, 128)
     dw = increments(g, 1, 200, 1)
     ito = alpha_integral_batch(g, dw, LINEAR, AlphaScheme(0.0))
-    w = paths_from_increments(g, dw)[:, :, 0]
+    w = whole_paths(g, 1, 200, 1)[:, :, 0]
     expected = 0.5 * (w[:, -1] ** 2 - (np.diff(w, axis=1) ** 2).sum(axis=1))
     assert np.allclose(ito, expected, atol=1e-12)
 
@@ -44,13 +53,14 @@ def test_stratonovich_sum_linear_field_telescopes():
     g = TimeGrid(1.0, 128)
     dw = increments(g, 1, 200, 2)
     strat = alpha_integral_batch(g, dw, LINEAR, AlphaScheme(0.5))
-    assert np.allclose(strat, 0.5 * dw.sum(axis=1)[:, 0] ** 2, atol=1e-12)
+    end = whole_paths(g, 1, 200, 2)[:, -1, 0]
+    assert np.allclose(strat, 0.5 * end ** 2, atol=1e-12)
 
 
 def test_time_integral_trapezoid():
-    # the path 0, 1, 2, 3, 4 on [0, 1]
+    # the path 0, 1, 2, 3, 4 on [0, 1], one time-major block
     g = TimeGrid(1.0, 4)
-    out = time_integral_batch(g, np.ones((1, 4, 1)), lambda x, s: x[..., 0])
+    out = time_integral_batch(g, [np.ones((4, 1, 1))], lambda x, s: x[..., 0])
     assert out[0] == pytest.approx(2.0)
 
 
@@ -90,9 +100,9 @@ def test_time_integral_of_time_on_one_path():
 
 
 def test_time_dependent_field_uses_alpha_times():
-    # the path 0, 1, 1 on [0, 1]
+    # the path 0, 1, 1 on [0, 1], one time-major block
     g = TimeGrid(1.0, 2)
-    dw = np.array([[[1.0], [0.0]]])
+    dw = [np.array([[[1.0]], [[0.0]]])]
     field = FieldWithDivergence(lambda x, s: s[..., None] * 0 + s[..., None],
                                 lambda x, s: np.zeros(x.shape[:-1]))
     out = alpha_integral_batch(g, dw, field, AlphaScheme(1.0))
@@ -111,7 +121,7 @@ SMOOTH = FieldWithDivergence(
 def test_blocked_sums_match_full_path_oracle(n_steps, d, alpha, seed):
     g = TimeGrid(0.8, n_steps)
     dw = increments(g, d, 32, seed)
-    w = paths_from_increments(g, dw)
+    w = whole_paths(g, d, 32, seed)
     pairs = [
         (alpha_integral_batch(g, dw, SMOOTH, AlphaScheme(alpha)),
          full_alpha_sum(g, w, SMOOTH.g, alpha)),

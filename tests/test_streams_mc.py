@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fklab import mc
 from fklab.cli import Row
 from fklab.mc import (PathRejectionOverflow, _estimate, _merge, _moments,
-                      mc_run, reduce_chunks)
+                      mc_run, ordered_map, reduce_chunks)
 from fklab.streams import RngStream
 
 
@@ -120,6 +121,40 @@ def test_merge_matches_unsplit_for_any_cut_points(cuts, complex_samples):
     assert merged.n_samples == whole.n_samples == len(x)
     np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
     np.testing.assert_allclose(merged.stderr, whole.stderr, rtol=1e-12)
+
+
+class _RecordingPool:
+    """A ThreadPoolExecutor stand-in that records ``max_workers`` and maps
+    in the calling thread, so no thread is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (2**63, 64, 5),     # no more threads than items
+    (2**63, 3, 3),      # nor than CPUs
+    (4, 64, 4),
+    (2**63, None, None),  # an unknown CPU count runs in the caller
+])
+def test_ordered_map_caps_its_threads(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert ordered_map(lambda x: x * x, range(5), workers) \
+        == [0, 1, 4, 9, 16]
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
 
 
 def test_reduce_chunks_counts_rejections():

@@ -15,18 +15,26 @@ from fklab.wiener import TestFunction as PathTestFunction
 from fklab.wiener import (MAX_INCREMENT_BYTES, TimeGrid, block_trapezoid,
                           bridge_from_free, estimate_char_functional,
                           estimate_covariance,
-                          estimate_white_noise_functional, path_blocks,
-                          paths_from_increments, sample_increments)
+                          estimate_white_noise_functional, increment_blocks,
+                          path_blocks, paths_from_increments,
+                          sample_increments)
 
 from oracles import (double_min_integral, full_char_samples,
-                     full_covariance_chunk, full_white_noise_samples)
+                     full_covariance_chunk, full_white_noise_samples,
+                     whole_bridges, whole_free_paths, whole_increments)
 
 
-def bridges(grid, d, endpoint, n_paths, seed):
-    """Whole bridges to ``endpoint`` from the increments of stream ``seed``."""
-    dw = sample_increments(grid, d, n_paths, RngStream(seed).generator())
-    return bridge_from_free(grid, paths_from_increments(grid, dw),
-                            np.asarray(endpoint, dtype=float))
+def walked(grid, d, n_paths, seed, endpoint=None, block=wiener.BLOCK):
+    """Whole paths (n_paths, n+1, d) concatenated from the blocks of
+    ``path_blocks`` on stream ``seed``: free, or bridges to ``endpoint``."""
+    rows = []
+    blocks = increment_blocks(grid, d, n_paths, RngStream(seed).generator(),
+                              block)
+    e = None if endpoint is None else np.asarray(endpoint, dtype=float)
+    for k0, w in path_blocks(grid, blocks, e):
+        assert 2 <= w.shape[1] <= block + 1
+        rows.append((w[:, 1:] if k0 else w).copy())  # the buffer is reused
+    return np.concatenate(rows, axis=1)
 
 
 def test_grid_validation():
@@ -42,8 +50,8 @@ def test_grid_validation():
 def test_increment_statistics():
     g = TimeGrid(2.0, 64)
     gen = RngStream(0).generator()
-    dw = sample_increments(g, 3, 4000, gen)
-    assert dw.shape == (4000, 64, 3)
+    dw = sample_increments(g, 3, 4000, gen, 64)
+    assert dw.shape == (64, 4000, 3)  # time-major
     assert dw.var() == pytest.approx(g.dt, rel=0.05)
 
 
@@ -55,45 +63,83 @@ def test_paths_from_increments_cumsum():
 
 
 def test_increment_budget_rejected_before_allocating():
-    # 10**9 steps of one path would take 8 GB, and one chunk's second
-    # moments at three nodes in d = 64 4.5 GiB: the check comes first
+    # a block of 10**9 steps of one path would take 8 GB, and one chunk's
+    # second moments at three nodes in d = 64 4.5 GiB: the check comes first
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
             sample_increments(TimeGrid(1.0, 10**9), 1, 1,
-                              RngStream(0).generator())
+                              RngStream(0).generator(), 10**9)
         with pytest.raises(ValueError, match="second moments"):
             estimate_covariance(TimeGrid(1.0, 4), 64, 16384, RngStream(0),
                                 [1, 2, 3])
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+    steps = MAX_INCREMENT_BYTES // 24 + 1
     with pytest.raises(ValueError, match="budget"):
-        sample_increments(TimeGrid(1.0, MAX_INCREMENT_BYTES // 24 + 1), 3, 1,
-                          RngStream(0).generator())
+        sample_increments(TimeGrid(1.0, steps), 3, 1,
+                          RngStream(0).generator(), steps)
+
+
+def test_a_walk_of_any_length_draws_one_block_at_a_time():
+    # 10**9 steps are drawn as blocks of BLOCK steps, never as one array
+    blocks = increment_blocks(TimeGrid(1.0, 10**9), 3, 2,
+                              RngStream(0).generator())
+    assert next(blocks).shape == (wiener.BLOCK, 2, 3)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n_steps=st.integers(1, 70), block=st.integers(1, 20),
-       d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_path_blocks_are_the_full_paths_bitwise(n_steps, block, d, seed):
+       d=st.integers(1, 3), bridge=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_path_blocks_are_the_full_paths_bitwise(n_steps, block, d, bridge,
+                                                seed):
     g = TimeGrid(1.0, n_steps)
-    dw = sample_increments(g, d, 5, RngStream(seed).generator())
-    rows = []
-    for k0, w in path_blocks(dw, block):
-        assert 2 <= w.shape[1] <= block + 1
-        rows.append((w[:, 1:] if k0 else w).copy())  # the buffer is reused
-    full = paths_from_increments(g, dw)
-    assert np.concatenate(rows, axis=1).tobytes() == full.tobytes()
+    endpoint = np.random.default_rng(seed).uniform(-2.0, 2.0, d) \
+        if bridge else None
+    dw = whole_increments(g, d, 5, RngStream(seed).generator())
+    full = whole_free_paths(dw) if endpoint is None \
+        else whole_bridges(g, dw, endpoint)
+    assert walked(g, d, 5, seed, endpoint, block).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("bridge", [False, True], ids=["free", "bridge"])
+@pytest.mark.parametrize("block", [1, 7, 16, None], ids=str)
+def test_walk_is_the_whole_draw_oracle_bitwise(block, bridge):
+    # the blocks concatenate to one time-major draw whatever their size,
+    # so the walk is the oracle's whole cumsum, or its forward bridge
+    g = TimeGrid(1.3, 53)
+    endpoint = np.array([0.4, -1.1, 2.0]) if bridge else None
+    dw = whole_increments(g, 3, 17, RngStream(45).generator())
+    full = whole_free_paths(dw) if endpoint is None \
+        else whole_bridges(g, dw, endpoint)
+    got = walked(g, 3, 17, 45, endpoint, block or g.n_steps)
+    assert got.tobytes() == full.tobytes()
+
+
+def test_bridge_moments_at_three_nodes():
+    # mean s e / t and covariance s_j (t - s_k) / t for s_j <= s_k
+    g, e = TimeGrid(1.5, 64), np.array([0.8])
+    nodes = np.array([16, 32, 48])
+    x = walked(g, 1, 40000, 46, e)[:, nodes, 0]
+    s = nodes * g.dt
+    mean_err = np.abs(x.mean(axis=0) - s * e[0] / g.t_end)
+    assert np.all(mean_err <= 4 * x.std(axis=0) / math.sqrt(len(x)))
+    dev = x - x.mean(axis=0)
+    prod = dev[:, :, None] * dev[:, None, :]
+    lo, hi = np.minimum.outer(s, s), np.maximum.outer(s, s)
+    cov_err = np.abs(prod.mean(axis=0) - lo * (g.t_end - hi) / g.t_end)
+    assert np.all(cov_err <= 4 * prod.std(axis=0) / math.sqrt(len(x)))
 
 
 def test_bridge_endpoint_bit_exact():
     g = TimeGrid(1.5, 37)
     endpoint = np.array([0.3, -1.7])
-    batch = bridges(g, 2, endpoint, 50, 3)
+    batch = walked(g, 2, 50, 3, endpoint)
     assert np.all(batch[:, -1, :] == endpoint)
     assert np.all(batch[:, 0, :] == 0.0)
-    single = bridges(g, 2, endpoint, 1, 4)
+    single = walked(g, 2, 1, 4, endpoint)
     assert np.all(single[0, -1] == endpoint)
 
 
@@ -105,8 +151,8 @@ def test_bridge_endpoint_pinned_for_any_grid(d, n_steps, log_t, n_paths, data):
     endpoint = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d,
                                   max_size=d))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    batch = bridges(TimeGrid(10.0**log_t, n_steps), d, endpoint, n_paths,
-                    seed)
+    batch = walked(TimeGrid(10.0**log_t, n_steps), d, n_paths, seed,
+                   endpoint)
     assert batch.shape == (n_paths, n_steps + 1, d)
     assert np.all(batch[:, -1, :] == np.asarray(endpoint))
     assert np.all(batch[:, 0, :] == 0.0)
@@ -116,7 +162,7 @@ def test_bridge_endpoint_pinned_for_any_grid(d, n_steps, log_t, n_paths, data):
 def test_bridge_midpoint_variance():
     # Var of a standard bridge at t/2 is t/4
     g = TimeGrid(1.0, 64)
-    mid = bridges(g, 1, [0.0], 40000, 5)[:, 32, 0]
+    mid = walked(g, 1, 40000, 5, [0.0])[:, 32, 0]
     assert mid.mean() == pytest.approx(0.0, abs=4 * 0.5 / 200)
     assert mid.var() == pytest.approx(0.25, rel=0.05)
 
@@ -170,8 +216,8 @@ def test_bridge_linear_drift_transform():
 
 def test_block_trapezoid_weights_sum_to_the_grid_rule():
     g = TimeGrid(1.0, 37)
-    blocks = [block_trapezoid(g, k0, w.shape[1] - 1)
-              for k0, w in path_blocks(np.zeros((1, 37, 1)), 16)]
+    walk = path_blocks(g, increment_blocks(g, 1, 1, RngStream(0).generator()))
+    blocks = [block_trapezoid(g, k0, w.shape[1] - 1) for k0, w in walk]
     assert [lo for lo, _ in blocks] == [0, 1, 1]
     weights = np.concatenate([w for _, w in blocks])
     expected = np.full(38, g.dt)
@@ -217,8 +263,8 @@ def test_linear_functionals_match_full_path_oracle(n_steps, d, seed):
     # one path per estimate, so the estimate is that path's sample
     g = TimeGrid(1.0, n_steps)
     f = _test_function(d, seed)
-    w = paths_from_increments(g, sample_increments(
-        g, d, 1, RngStream(seed).generator()))
+    w = whole_free_paths(whole_increments(g, d, 1,
+                                          RngStream(seed).generator()))
     for estimate, oracle in ((estimate_char_functional, full_char_samples),
                              (estimate_white_noise_functional,
                               full_white_noise_samples)):
