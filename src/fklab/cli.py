@@ -18,11 +18,11 @@ resolved objects and compare no preset name. Potential presets come from
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, an
-array or a block of increments over ``wiener.MAX_INCREMENT_BYTES``, a
-repeated sweep value, or an ``--out`` that is not a writable directory;
-nothing is written, and a sweep checks the table for every point before
-the first one runs), 3 numerical failure, 4 the CSV sidecar could not be
-written after the run.
+array or a block of increments over ``wiener.MAX_INCREMENT_BYTES``, sweep
+values that print as one ``%g`` label, or an ``--out`` that is not a
+writable directory; nothing is written, and a sweep checks the table for
+every point before the first one runs), 3 numerical failure, 4 the CSV
+sidecar could not be written after the run.
 """
 
 from __future__ import annotations
@@ -736,8 +736,8 @@ def cmd_sweep(args) -> int:
     if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
                          for v in values):
         raise ConfigError(f"sweep values must be numbers: {args.values!r}")
-    if len(set(values)) < len(values):  # 16 and 16.0 are one point
-        raise ConfigError(f"sweep values repeat: {args.values!r}")
+    if len({f"{v:g}" for v in values}) < len(values):  # row labels [axis=v:g]
+        raise ConfigError(f"sweep value labels repeat: {args.values!r}")
     # every point is parsed before the first one runs
     configs = []
     for value in values:

@@ -9,7 +9,8 @@ Potential, gauge and wavefunction evaluators are plain vectorized callables:
 positions are arrays of shape (..., d); scalar fields return (...), vector
 fields (..., d). Each path estimator averages exp(-int v ds) exp(-i int a o dw)
 psi(endpoint) from :func:`_path_functionals` over paths on its time grid, so
-the horizon t is ``grid.t_end``.
+the horizon t is ``grid.t_end``; the two integrals are ``wiener``'s
+trapezoid and Stratonovich terms.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .mc import DEFAULT_CHUNK, MCEstimate, reduce_chunks
 from .mc import PathRejectionOverflow  # noqa: F401 (re-exported)
 from .streams import RngStream
 from .opalg import gauss_legendre
-from .wiener import (TimeGrid, block_trapezoid, check_budget,
-                     increment_blocks, path_blocks)
+from .wiener import (STRATONOVICH, TimeGrid, alpha_term, check_budget,
+                     increment_blocks, path_blocks, trapezoid_term, walk_sums)
 
 
 class ClosedForms(NamedTuple):
@@ -81,39 +82,26 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray, blocks,
 
     w is the free path of the time-major increment ``blocks``, or its
     bridge to ``endpoint``, walked by ``wiener.path_blocks``. A variant
-    ``(a, weight)`` multiplies the damping exp(-int v ds), computed once per
-    path, by the phase exp(-i int a o dw) and by ``weight`` of the
-    endpoints; None skips either. Each block adds to the trapezoid sum and
-    to the Stratonovich sums. Returns (columns (P, k), finite mask).
+    ``(a, weight)`` multiplies the damping exp(-int v ds), one trapezoid
+    term per path, by the phase exp(-i int a o dw), a Stratonovich term,
+    and by ``weight`` of the endpoints; None skips either. Returns
+    (columns (P, k), finite mask).
     """
-    phased = [i for i, (a, _) in enumerate(variants) if a is not None]
-    strat = [0.0] * len(variants)
-    integral = 0.0
-    for k0, w in path_blocks(grid, blocks, endpoint):
-        xb = q + w
-        lo, trap = block_trapezoid(grid, k0, w.shape[1] - 1)
-        part = np.asarray(v(xb[:, lo:]), dtype=float) @ trap
-        # inf - inf, like an overflow, rejects the path
-        with np.errstate(over="ignore", invalid="ignore"):
-            integral = integral + part
-        if phased:
-            step = np.diff(xb, axis=1)
-            mid = 0.5 * (xb[:, 1:] + xb[:, :-1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in phased:
-                    strat[i] = strat[i] + np.einsum(
-                        "pkd,pkd->p", np.asarray(variants[i][0](mid)), step)
-    end = xb[:, -1]
+    (integral, *phases), last = walk_sums(
+        ((k0, q + w) for k0, w in path_blocks(grid, blocks, endpoint)),
+        trapezoid_term(grid, lambda x, s: v(x)),
+        *(alpha_term(grid, lambda x, s, a=a: a(x), STRATONOVICH)
+          for a, _ in variants if a is not None))
+    end, phases, cols = last[:, -1], iter(phases), []
     # a finite but large -int v overflows the weight; such paths and
     # any non-finite column value are rejected, not averaged
     finite = np.isfinite(integral)
-    cols = []
     with np.errstate(over="ignore", invalid="ignore"):
         damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
-        for (a, weight), phase in zip(variants, strat):
+        for a, weight in variants:
             value = damping
             if a is not None:
-                value = value * np.exp(-1j * phase)
+                value = value * np.exp(-1j * next(phases))
             if weight is not None:
                 value = value * np.asarray(weight(end))
             finite &= np.isfinite(value)

@@ -7,8 +7,9 @@ fields g(x, s) are supported; path-history dependence is out of scope.
 
 Every function takes a chunk's time-major increment blocks on a grid (see
 :func:`~fklab.wiener.increment_blocks`), walks the paths with
-:func:`~fklab.wiener.path_blocks` and sums block by block, one value per
-path.
+:func:`~fklab.wiener.path_blocks` and sums block by block with
+``wiener``'s alpha and trapezoid terms, one value per path; a sum that is
+not finite raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .wiener import TimeGrid, block_trapezoid, path_blocks
-
-STRATONOVICH = 0.5
+from .wiener import (STRATONOVICH, TimeGrid, alpha_term, path_blocks,
+                     trapezoid_term, walk_sums)
 
 
 @dataclass(frozen=True)
@@ -46,48 +46,25 @@ class FieldWithDivergence:
     div_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _alpha_term(grid: TimeGrid, field: FieldWithDivergence, a: float):
-    """One :func:`path_blocks` block's alpha-point sums per path."""
-    def term(k0, w):
-        times = grid.dt * np.arange(k0, k0 + w.shape[1])
-        x = a * w[:, 1:] + (1 - a) * w[:, :-1]
-        s = a * times[1:] + (1 - a) * times[:-1]
-        gv = np.asarray(field.g(x, np.broadcast_to(s, x.shape[:2])))
-        return np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
-    return term
-
-
-def _trapezoid_term(grid: TimeGrid, u: Callable):
-    """One :func:`path_blocks` block's trapezoid of u(w(s), s) per path."""
-    def term(k0, w):
-        lo, weights = block_trapezoid(grid, k0, w.shape[1] - 1)
-        x = w[:, lo:]
-        s = grid.dt * np.arange(k0 + lo, k0 + w.shape[1])
-        uv = np.asarray(u(x, np.broadcast_to(s, x.shape[:2])))
-        if not np.all(np.isfinite(uv)):
-            raise FloatingPointError("non-finite value of the integrand")
-        return uv @ weights
-    return term
-
-
-def _walk(grid: TimeGrid, blocks, *terms) -> list[np.ndarray]:
-    """Each term summed over the blocks of one walk, in block order."""
-    totals = [0.0] * len(terms)
-    for k0, w in path_blocks(grid, blocks):
-        totals = [total + term(k0, w) for total, term in zip(totals, terms)]
+def _sums(grid: TimeGrid, blocks, *terms) -> list[np.ndarray]:
+    """Each term summed along the free walk of ``blocks``; a
+    FloatingPointError when a sum is not finite."""
+    totals, _ = walk_sums(path_blocks(grid, blocks), *terms)
+    if not np.isfinite(totals).all():
+        raise FloatingPointError("non-finite stochastic or time sum")
     return totals
 
 
 def alpha_integral_batch(grid: TimeGrid, blocks, field: FieldWithDivergence,
                          scheme: AlphaScheme) -> np.ndarray:
     """Alpha-point stochastic sums for every path, shape (n_paths,)."""
-    return _walk(grid, blocks, _alpha_term(grid, field, scheme.alpha))[0]
+    return _sums(grid, blocks, alpha_term(grid, field.g, scheme.alpha))[0]
 
 
 def time_integral_batch(grid: TimeGrid, blocks,
                         u: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Trapezoidal integral of u(w(s), s) ds per path, shape (n_paths,)."""
-    return _walk(grid, blocks, _trapezoid_term(grid, u))[0]
+    return _sums(grid, blocks, trapezoid_term(grid, u))[0]
 
 
 def convert_check_batch(grid: TimeGrid, blocks, field: FieldWithDivergence,
@@ -101,8 +78,8 @@ def convert_check_batch(grid: TimeGrid, blocks, field: FieldWithDivergence,
     """
     if scheme.alpha == STRATONOVICH:
         return np.zeros(next(iter(blocks)).shape[1])
-    strat, asum, trap = _walk(grid, blocks,
-                              _alpha_term(grid, field, STRATONOVICH),
-                              _alpha_term(grid, field, scheme.alpha),
-                              _trapezoid_term(grid, field.div_g))
+    strat, asum, trap = _sums(grid, blocks,
+                              alpha_term(grid, field.g, STRATONOVICH),
+                              alpha_term(grid, field.g, scheme.alpha),
+                              trapezoid_term(grid, field.div_g))
     return strat - (asum + (0.5 - scheme.alpha) * trap)

@@ -4,7 +4,8 @@ Every walk draws its increments a block of steps at a time, time-major,
 from its chunk's generator (:func:`increment_blocks`), so the blocks are
 one (n, n_paths, d) draw whatever their size, and :func:`path_blocks` turns
 them into free paths or bridges: a chunk holds O(n_paths * block * d)
-floats whatever n.
+floats whatever n. Every path sum is written once, here: :func:`walk_sums`
+adds up the block terms :func:`trapezoid_term` and :func:`alpha_term`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ MAX_INCREMENT_BYTES = 2**30
 
 # time steps per block of the path walk
 BLOCK = 16
+
+STRATONOVICH = 0.5  # alpha of the midpoint-position sum
 
 
 def check_budget(what: str, *shape: int) -> None:
@@ -149,6 +152,43 @@ def block_trapezoid(grid: TimeGrid, k0: int, m: int) -> tuple[int, np.ndarray]:
     return lo, weights
 
 
+def alpha_term(grid: TimeGrid, g: Callable, a: float):
+    """The alpha-point sums of g(x, s) . dw of one :func:`path_blocks`
+    block per path, x = a w(s_k+1) + (1 - a) w(s_k) and s likewise (times
+    broadcast over paths): a = 0 is Ito's sum, a = 1/2 Stratonovich's."""
+    def term(k0, w):
+        times = grid.dt * np.arange(k0, k0 + w.shape[1])
+        s = a * times[1:] + (1 - a) * times[:-1]
+        # x is freed when g returns, before the diff is allocated
+        gv = np.asarray(g(a * w[:, 1:] + (1 - a) * w[:, :-1],
+                          np.broadcast_to(s, (w.shape[0], s.size))))
+        return np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
+    return term
+
+
+def trapezoid_term(grid: TimeGrid, u: Callable):
+    """The trapezoid of u(w(s), s) ds over one :func:`path_blocks` block per
+    path, with the weights of :func:`block_trapezoid`; s is the block's
+    times broadcast over the paths."""
+    def term(k0, w):
+        lo, weights = block_trapezoid(grid, k0, w.shape[1] - 1)
+        x = w[:, lo:]
+        s = grid.dt * np.arange(k0 + lo, k0 + w.shape[1])
+        return np.asarray(u(x, np.broadcast_to(s, x.shape[:2]))) @ weights
+    return term
+
+
+def walk_sums(walk, *terms) -> tuple[list, np.ndarray]:
+    """Each term summed over the ``(k0, w)`` blocks of ``walk`` in block
+    order, and the last block. An overflowing or invalid value raises no
+    warning: its sum is not finite, and the caller checks the sums."""
+    totals = [0.0] * len(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, w in walk:
+            totals = [t + term(k0, w) for t, term in zip(totals, terms)]
+    return totals, w
+
+
 def bridge_from_free(grid: TimeGrid, values: np.ndarray,
                      endpoint: np.ndarray) -> np.ndarray:
     """Pin free paths (n_paths, n+1, d) to the endpoint by linear drift; no
@@ -160,36 +200,15 @@ def bridge_from_free(grid: TimeGrid, values: np.ndarray,
     return pinned
 
 
-def _linear_functional(grid: TimeGrid, f: TestFunction, G: np.ndarray,
-                       n_paths: int, rng: RngStream, chunk_size: int,
-                       workers: int) -> MCEstimate:
-    """Mean of exp(-i sum_k dw_k . G_k) over Wiener increments, G (n, d)."""
-    if f.support_end > grid.t_end + 1e-12:
-        raise ValueError("test function support exceeds the time horizon")
-
-    def func(gen: np.random.Generator, count: int) -> np.ndarray:
-        blocks = increment_blocks(grid, G.shape[1], count, gen)
-        Gs = np.split(G, range(BLOCK, grid.n_steps, BLOCK))
-        return np.exp(-1j * sum(np.tensordot(dw, Gb, axes=([0, 2], [0, 1]))
-                                for dw, Gb in zip(blocks, Gs)))
-
-    return mc_run(func, n_paths, rng, chunk_size, workers)
-
-
 def estimate_char_functional(grid: TimeGrid, f: TestFunction, n_paths: int,
                              rng: RngStream, chunk_size: int = DEFAULT_CHUNK,
                              workers: int = 1) -> MCEstimate:
-    """Monte Carlo functional Fourier transform <exp(-i trapz(w . f ds))>.
-
-    The trapezoid sum over nodes s_j with weights c_j is linear in the
-    increments, sum_k dw_k . G_k with G_k = sum_{j>k} c_j f(s_j), so no path
-    is built. The target for Wiener statistics is
-    exp(-1/2 * integral integral min(r, s) f(r) . f(s) dr ds).
-    """
-    _, weights = block_trapezoid(grid, 0, grid.n_steps)
-    cf = weights[:, None] * np.asarray(f.evaluator(grid.times()))
-    G = np.cumsum(cf[:0:-1], axis=0)[::-1]  # (n, d): G_k sums j > k
-    return _linear_functional(grid, f, G, n_paths, rng, chunk_size, workers)
+    """Monte Carlo functional Fourier transform <exp(-i trapz(w . f ds))>,
+    the trapezoid term of w . f(s); the target for Wiener statistics is
+    exp(-1/2 * integral integral min(r, s) f(r) . f(s) dr ds)."""
+    term = trapezoid_term(grid, lambda x, s: np.einsum(
+        "pkd,kd->pk", x, f.evaluator(s[0])))
+    return _phase_mean(grid, f, term, n_paths, rng, chunk_size, workers)
 
 
 def estimate_white_noise_functional(grid: TimeGrid, f: TestFunction,
@@ -197,10 +216,25 @@ def estimate_white_noise_functional(grid: TimeGrid, f: TestFunction,
                                     chunk_size: int = DEFAULT_CHUNK,
                                     workers: int = 1) -> MCEstimate:
     """White-noise characteristic functional <exp(-i sum_k f(mid_k) . dw_k)>,
-    the Stratonovich sum; target exp(-1/2 * integral f^2)."""
-    times = grid.times()
-    G = np.asarray(f.evaluator(0.5 * (times[1:] + times[:-1])))
-    return _linear_functional(grid, f, G, n_paths, rng, chunk_size, workers)
+    the Stratonovich term of g(x, s) = f(s); target exp(-1/2 int f^2)."""
+    term = alpha_term(grid, lambda x, s: np.broadcast_to(
+        f.evaluator(s[0]), x.shape), STRATONOVICH)
+    return _phase_mean(grid, f, term, n_paths, rng, chunk_size, workers)
+
+
+def _phase_mean(grid: TimeGrid, f: TestFunction, term, n_paths: int,
+                rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
+    """Mean of exp(-i S) over free paths, S the sum of ``term``, which reads
+    f at s[0], the block's times; f must vanish beyond the horizon."""
+    if f.support_end > grid.t_end + 1e-12:
+        raise ValueError("test function support exceeds the time horizon")
+    d = np.shape(f.evaluator(np.zeros(1)))[1]
+
+    def func(gen: np.random.Generator, count: int) -> np.ndarray:
+        walk = path_blocks(grid, increment_blocks(grid, d, count, gen))
+        return np.exp(-1j * walk_sums(walk, term)[0][0])
+
+    return mc_run(func, n_paths, rng, chunk_size, workers)
 
 
 def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,

@@ -666,11 +666,14 @@ def test_sweep_of_zero_means_has_no_slope_row(tmp_path, capfd):
         == [("ms_residual", 0.0)] * 2
 
 
-@pytest.mark.parametrize("axis, values", [("grid.n_steps", "16,16"),
-                                          ("grid.t_end", "1,0.5,1.0")])
+@pytest.mark.parametrize("axis, values", [
+    ("grid.n_steps", "16,16"), ("grid.t_end", "1,0.5,1.0"),
+    ("params.alpha", "0.1234561,0.1234562"),
+    ("grid.n_steps", "1000000,1000001")])
 def test_sweep_repeated_value_runs_no_point(tmp_path, capsys, monkeypatch,
                                             axis, values):
-    # a repeated point would make the slope fit rank-deficient
+    # a repeated point would make the slope fit rank-deficient, and two
+    # values of one %g label would write rows under one [axis=value] label
     code, calls = _counted_sweep(monkeypatch, tmp_path, STOCHINT_SWEEP_DOC,
                                  axis, values)
     assert code == 2

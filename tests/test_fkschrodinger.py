@@ -214,7 +214,6 @@ MEMORY_CASES = {
 def test_chunk_memory_does_not_grow_with_steps(estimator):
     # the walk draws its increments a block at a time and holds a few
     # blocks of them and of positions, so 16 times the steps adds nothing
-    # but the linear functionals' (n, d) weights
     short, long = (_traced_peak(lambda: MEMORY_CASES[estimator](
         TimeGrid(1.0, n))) for n in (64, 1024))
     assert long <= 1.1 * short + 2**16, (short, long)
@@ -227,6 +226,16 @@ def test_free_and_bridge_walks_hold_no_whole_increments(estimator):
     # walk holds one block of them
     short, long = (_traced_peak(lambda: MEMORY_CASES[estimator](
         TimeGrid(1.0, n))) for n in (256, 4096))
+    assert long <= 1.1 * short + 2**16, (short, long)
+
+
+@pytest.mark.parametrize("estimator", ["estimate_char_functional",
+                                       "estimate_white_noise_functional"])
+def test_wiener_functionals_hold_no_whole_grid_arrays(estimator):
+    # times, f values or weights of all 16384 steps would take 256 KiB in
+    # d = 2: each block evaluates f at its own times
+    short, long = (_traced_peak(lambda: MEMORY_CASES[estimator](
+        TimeGrid(1.0, n))) for n in (64, 16384))
     assert long <= 1.1 * short + 2**16, (short, long)
 
 

@@ -1,7 +1,8 @@
 """Every name a fklab module imports is used in that module, every
 parameter a fklab function takes is read in its body, no preset name is
 compared, no module builds whole paths, only the block stream draws
-increments and no def takes a horizon t beside its TimeGrid."""
+increments, only the trapezoid term weighs blocks and no def takes a
+horizon t beside its TimeGrid."""
 
 import ast
 from pathlib import Path
@@ -125,13 +126,15 @@ FULL_PATH_BUILDERS = {"paths_from_increments", "bridge_from_free"}
 
 def _calls(source: str, names) -> list[tuple[str, str, int]]:
     """(caller, name, line) of each call of one of ``names``, by bare name
-    or as an attribute; the caller is the innermost enclosing def."""
+    or as an attribute; the caller is the enclosing def, dotted after the
+    defs that enclose it."""
     found = []
 
     def visit(node, caller):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, child.name if caller is None
+                      else f"{caller}.{child.name}")
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
@@ -175,6 +178,19 @@ def test_only_the_block_stream_draws_increments_in_src():
         for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in callers.items() if v} \
         == {"wiener.py": {"increment_blocks"}}
+
+
+def test_only_the_trapezoid_term_weighs_blocks_in_src():
+    # one trapezoid rule: the FK damping, the time integrals and the
+    # characteristic functional all sum through wiener.trapezoid_term
+    assert _calls("def f(g):\n    def term(k):\n"
+                  "        return block_trapezoid(g, k)\n    return term\n",
+                  {"block_trapezoid"}) == [("f.term", "block_trapezoid", 3)]
+    callers = {path.name: {c for c, _, _ in _calls(
+        path.read_text("utf-8"), {"block_trapezoid"})}
+        for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in callers.items() if v} \
+        == {"wiener.py": {"trapezoid_term.term"}}
 
 
 def _horizon_twins(source: str) -> list[str]:

@@ -71,6 +71,23 @@ def test_time_integral_nonfinite_raises():
                             lambda x, s: np.full(x.shape[:-1], np.inf))
 
 
+INFINITE = FieldWithDivergence(lambda x, s: np.full(x.shape, np.inf),
+                               lambda x, s: np.zeros(x.shape[:-1]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_nonfinite_alpha_sums_raise(alpha):
+    # inf . dw sums to +-inf or, where the signs of dw mix, nan: no sum
+    # returns it as a value
+    g = TimeGrid(1.0, 20)
+    dw = increments(g, 1, 64, 8)
+    with pytest.raises(FloatingPointError):
+        alpha_integral_batch(g, dw, INFINITE, AlphaScheme(alpha))
+    if alpha != STRATONOVICH:
+        with pytest.raises(FloatingPointError):
+            convert_check_batch(g, dw, INFINITE, AlphaScheme(alpha))
+
+
 def test_conversion_residual_zero_at_half():
     g = TimeGrid(1.0, 64)
     res = convert_check_batch(g, increments(g, 1, 100, 4), LINEAR,
