@@ -43,8 +43,8 @@ from typing import Callable
 import numpy as np
 
 from . import fkmatrix, fkschrodinger, phasespace
-from .fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
-                            PathRejectionOverflow, linear_gauge)
+from .fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
+                            linear_gauge)
 from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
@@ -136,6 +136,12 @@ def _ranged(convert, rule: str, ok):
         return out
 
     return check
+
+
+def _distinct_labels(values, what: str) -> None:
+    """Raise when two ``values`` print as one ``%g`` row label."""
+    if len({f"{v:g}" for v in values}) < len(values):
+        raise ConfigError(f"{what} repeat a %g row label")
 
 
 _positive = _ranged(_num, "positive", lambda x: x > 0)
@@ -356,6 +362,7 @@ def _node_indices(cfg: ExperimentConfig) -> np.ndarray:
     idx = np.rint(cfg.params["node_fractions"] * n).astype(int)
     if np.any(idx < 1) or np.any(idx > n):
         raise ConfigError(f"node_fractions must round to grid nodes 1 .. {n}")
+    _distinct_labels(idx * cfg.grid.dt, "the node_fractions' nodes s")
     check_budget("one chunk's second moments", min(cfg.n_paths, DEFAULT_CHUNK),
                  len(idx), len(idx), d, d)
     return idx
@@ -483,17 +490,15 @@ def _run_gauge(cfg: ExperimentConfig) -> list[Row]:
 
 
 def _kato_nodes(cfg: ExperimentConfig) -> None:
-    # one time step of the quadrature: n_probes^d x n_space^d points in R^d
     p, d = cfg.params, cfg.params["potential"].d
     check_budget("the Kato nodes", p["n_probes"] ** d, p["n_space"] ** d, d)
+    check_budget("the Kato values", p["n_probes"] ** d, cfg.grid.n_steps + 1)
 
 
 def _run_kato(cfg: ExperimentConfig) -> list[Row]:
-    p = cfg.params
-    pot, t = p["potential"], cfg.grid.t_end
-    kappa = fkschrodinger.box_kappa(pot, t, p["n_probes"],
-                                    KatoQuadSpec(p["n_space"], p["n_time"]))
-    target = pot.closed.kappa(t)
+    p, pot = cfg.params, cfg.params["potential"]
+    kappa = fkschrodinger.box_kappa(pot, cfg.grid, p["n_probes"], p["n_space"])
+    target = pot.closed.kappa(cfg.grid.t_end)
     if target is None:
         return [_inforow("kappa", "-", kappa)]
     return [Row("kappa", "-", kappa, 0.0, target,
@@ -603,7 +608,7 @@ EXPERIMENTS = {
         "potential": _POTENTIAL, "chi": (_chi, REQUIRED), "q": _ORIGIN,
         "q_prime": (_point, lambda pot: [0.5] * pot.d), "zmax": _ZMAX}),
     "kato": Experiment(_run_kato, {
-        "potential": _POTENTIAL, "n_space": (_int, 96), "n_time": (_int, 64),
+        "potential": _POTENTIAL, "n_space": (_int, 96),
         "n_probes": (_int, 33)}, needs=("grid",),
         slope=("grid.t_end", "kappa", None, None), check=_kato_nodes),
     "khasminskii": Experiment(_run_khasminskii, {
@@ -617,7 +622,8 @@ EXPERIMENTS = {
     "phasespace-roundtrip": Experiment(_run_phasespace_roundtrip, {
         **_LATTICE, "alpha_values": (_ranged(_vector, *_UNIT),
                                      [0.0, 0.25, 0.5, 0.75, 1.0]),
-        "operator": _HARMONIC}, needs=()),
+        "operator": _HARMONIC}, needs=(), check=lambda cfg: _distinct_labels(
+            cfg.params["alpha_values"], "alpha_values")),
     "trotter": Experiment(_run_trotter, {
         **_LATTICE, "alpha": (_ranged(_num, *_UNIT), 0.5),
         "t": (_ranged(_num, "non-negative", lambda t: t >= 0), 1.0),
@@ -736,8 +742,7 @@ def cmd_sweep(args) -> int:
     if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
                          for v in values):
         raise ConfigError(f"sweep values must be numbers: {args.values!r}")
-    if len({f"{v:g}" for v in values}) < len(values):  # row labels [axis=v:g]
-        raise ConfigError(f"sweep value labels repeat: {args.values!r}")
+    _distinct_labels(values, f"sweep values {args.values!r}")  # [axis=v:g]
     # every point is parsed before the first one runs
     configs = []
     for value in values:

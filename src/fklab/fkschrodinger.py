@@ -10,7 +10,7 @@ positions are arrays of shape (..., d); scalar fields return (...), vector
 fields (..., d). Each path estimator averages exp(-int v ds) exp(-i int a o dw)
 psi(endpoint) from :func:`_path_functionals` over paths on its time grid, so
 the horizon t is ``grid.t_end``; the two integrals are ``wiener``'s
-trapezoid and Stratonovich terms.
+trapezoid and Stratonovich terms. The Kato quadrature reads its grid too.
 """
 
 from __future__ import annotations
@@ -234,14 +234,6 @@ def diamagnetic_check(pot: PotentialConfig, psi: Callable,
 # Kato-class diagnostics
 
 
-@dataclass(frozen=True)
-class KatoQuadSpec:
-    """Quadrature sizes for the deterministic heat-convolution integral."""
-
-    n_space: int = 64
-    n_time: int = 48
-
-
 _KATO_Z_CUT = 8.0  # Gaussian mass beyond 8 sigma is below 1e-15
 
 
@@ -260,23 +252,22 @@ def _outside_box(probes: np.ndarray, offsets: np.ndarray,
     return outside.reshape(n_probe, -1)
 
 
-def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
-               quad: KatoQuadSpec = KatoQuadSpec(),
-               box_halfwidth: float = 8.0) -> float:
-    """max over probes of int_0^t ds (heat_s * u)(x), u >= 0.
+def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
+               n_space: int = 64, box_halfwidth: float = 8.0) -> float:
+    """max over probes of int_0^t ds (heat_s * u)(x), u >= 0, t = grid.t_end.
 
     The heat convolution is computed in the rescaled variable
-    z = (y - x)/sqrt(s) with tensor-product Gauss-Legendre nodes on
-    [-8, 8]^d, so the kernel stays resolved uniformly in s; the time
-    integral uses the trapezoid rule with the s = 0 value u(x).
+    z = (y - x)/sqrt(s) with ``n_space`` tensor-product Gauss-Legendre nodes
+    per axis on [-8, 8]^d, so the kernel stays resolved uniformly in s; the
+    time integral is the grid's trapezoid, with the s = 0 value u(x).
     ``box_halfwidth`` declares where u is negligible: a warning is raised
     when sampled points outside the box carry non-negligible u, and a
     ValueError, before allocating, when one time step's nodes are too many.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
-    check_budget("the Kato nodes", probes.shape[0], quad.n_space**d, d)
-    x1, w1 = gauss_legendre(quad.n_space)
+    check_budget("the Kato nodes", probes.shape[0], n_space**d, d)
+    x1, w1 = gauss_legendre(n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
     znodes = np.stack([g.ravel() for g in grids], axis=-1)   # (M, d)
@@ -286,14 +277,13 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
         / (2 * math.pi) ** (d / 2)
     zweights = zweights * density  # now sums to 1 - O(1e-15)
 
-    s_grid = np.linspace(0.0, t, quad.n_time + 1)
-    trap = np.full(quad.n_time + 1, s_grid[1] - s_grid[0])
-    trap[0] = trap[-1] = trap[0] / 2
+    # linspace puts the last node exactly on t_end
+    s_grid = np.linspace(0.0, grid.t_end, grid.n_steps + 1)
 
     u0 = np.asarray(u(probes), dtype=float)
     if np.any(u0 < -1e-12):
         raise ValueError("u must be non-negative")
-    values = np.empty((probes.shape[0], quad.n_time + 1))
+    values = np.empty((probes.shape[0], grid.n_steps + 1))
     values[:, 0] = u0
     u_scale = max(float(u0.max()), 0.0)
     leak = 0.0
@@ -311,30 +301,34 @@ def kato_kappa(u: Callable, t: float, probe_points: np.ndarray,
     if leak > 1e-6 * (1.0 + u_scale):
         warnings.warn("potential is not negligible outside the declared box",
                       RuntimeWarning)
-    kappa = values @ trap
-    return float(kappa.max())
+    # each probe's row is one whole-grid block of the paths' trapezoid
+    return float(trapezoid_term(grid, lambda v, s: v)(0, values).max())
 
 
-def box_kappa(pot: PotentialConfig, t: float, n_per_axis: int,
-              quad: KatoQuadSpec) -> float:
-    """kappa_t(v_-) over a tensor grid of n_per_axis**d probe points
-    spanning the declared box."""
+def box_kappa(pot: PotentialConfig, grid: TimeGrid, n_per_axis: int,
+              n_space: int) -> float:
+    """kappa_t(v_-), t = grid.t_end, over a tensor grid of n_per_axis**d
+    probe points spanning the declared box."""
     if pot.v is None:  # v_- = 0, and so is kappa, with no quadrature
         return 0.0
     axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_per_axis)
     probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
                       axis=-1).reshape(-1, pot.d)
-    return kato_kappa(pot.eval_v_minus, t, probes, quad, pot.box_halfwidth)
+    return kato_kappa(pot.eval_v_minus, grid, probes, n_space,
+                      pot.box_halfwidth)
 
 
 # a frozen potential and t fix the bound: the CLI's check and run share it
 @functools.lru_cache(maxsize=64)
 def khasminskii_bound(pot: PotentialConfig, t: float) -> float:
-    """The Khas'minskii bound (1 - kappa_t(v_-))^(-1) over the box probes.
+    """The Khas'minskii bound (1 - kappa_t(v_-))^(-1), kappa the preset's
+    closed form, else the quadrature over the box probes.
 
     Raises ValueError when kappa_t(v_-) >= 1, where the bound is undefined.
     """
-    kappa = box_kappa(pot, t, 33, KatoQuadSpec())
+    kappa = pot.closed.kappa(t)
+    if kappa is None:
+        kappa = box_kappa(pot, TimeGrid(t, 48), 33, 64)
     if kappa >= 1.0:
         raise ValueError(f"kappa_t(v_minus) = {kappa:.3f} >= 1; bound undefined")
     return 1.0 / (1.0 - kappa)
@@ -397,7 +391,7 @@ def _harmonic(d, omega):
         d=d, v=lambda x: 0.5 * omega**2 * np.sum(x**2, axis=-1),
         closed=ClosedForms(kernel=lambda q, qp, t: mehler_kernel(
             float(q[0]), float(qp[0]), t, omega) if d == 1 else None,
-            ground=ground, omega=omega))
+            ground=ground, omega=omega, kappa=lambda t: 0.0))  # v >= 0
 
 
 def _coulomb_3d(gamma):

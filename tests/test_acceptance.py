@@ -262,8 +262,9 @@ def test_criterion_8_gauge_and_diamagnetic():
 def test_criterion_9_kato_khasminskii():
     # constant potential: kappa = c t to quadrature accuracy
     c, t = 0.7, 0.8
-    kappa_const = kato_kappa(lambda x: np.full(x.shape[:-1], c), t,
-                             np.zeros((1, 1)), box_halfwidth=np.inf)
+    kappa_const = kato_kappa(lambda x: np.full(x.shape[:-1], c),
+                             TimeGrid(t, 48), np.zeros((1, 1)),
+                             box_halfwidth=np.inf)
     const_ok = abs(kappa_const - c * t) <= 1e-4
 
     # Khas'minskii bound on a sweep of well strengths
@@ -277,13 +278,13 @@ def test_criterion_9_kato_khasminskii():
     # cross-check kappa for the well against the dense CDF quadrature
     well = preset_potential("constant-well", height=0.4, halfwidth=1.0)
     probes = np.linspace(-2, 2, 17)[:, None]
-    kw = kato_kappa(well.eval_v_minus, 0.5, probes,
+    kw = kato_kappa(well.eval_v_minus, TimeGrid(0.5, 48), probes,
                     box_halfwidth=well.box_halfwidth)
     well_ok = abs(kw - well_kato_oracle(0.4, 1.0, 0.5)) <= 2e-3
 
     # kappa_t -> 0 as t -> 0 with a positive decay slope
     ts = [2.0**-k for k in range(1, 7)]
-    ks = [kato_kappa(well.eval_v_minus, tt, probes,
+    ks = [kato_kappa(well.eval_v_minus, TimeGrid(tt, 48), probes,
                      box_halfwidth=well.box_halfwidth) for tt in ts]
     slope = loglog_slope(ts, ks)
     decay_ok = slope > 0 and ks[-1] < ks[0]
@@ -398,9 +399,9 @@ REDUCED_CONFIGS = {
                    "chi": {"name": "linear", "c": 0.7}}},
     "kato": {
         "experiment": "kato", "seed": 28,
-        "grid": {"t_end": 0.5, "n_steps": 1},
+        "grid": {"t_end": 0.5, "n_steps": 24},
         "params": {"potential": {"name": "constant-well"},
-                   "n_probes": 9, "n_space": 48, "n_time": 24}},
+                   "n_probes": 9, "n_space": 48}},
     "khasminskii": {
         "experiment": "khasminskii", "seed": 29, "n_paths": 8000,
         "grid": {"t_end": 1.0, "n_steps": 64},

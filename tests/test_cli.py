@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -284,8 +286,9 @@ def test_harmonic_ground_state_follows_omega(tmp_path, capsys):
 
 def _preset_doc(case: str) -> dict:
     """The config of a PRESET_RUNS case ``"experiment preset..."``: 8 paths x
-    4 steps, an 8-point lattice, and Kato sizes 3 x 48 x 4 at t = 1/64, where
-    the default constant well is wide enough for its closed-form kappa."""
+    4 steps, an 8-point lattice, and Kato sizes of 3 probes x 48 nodes x 4
+    time steps at t = 1/64, where the default constant well is wide enough
+    for its closed-form kappa."""
     experiment, *names = case.split()
     blocks = {"gauge": ("chi",), "phasespace-roundtrip": ("operator",),
               "trotter": ("hamiltonian",)}.get(experiment, ("potential", "psi"))
@@ -296,8 +299,8 @@ def _preset_doc(case: str) -> dict:
     elif experiment == "trotter":
         params.update(n_points=8, length=8.0, n=4)
     elif experiment == "kato":
-        doc["grid"] = {"t_end": 1 / 64, "n_steps": 1}
-        params.update(n_probes=3, n_space=48, n_time=4)
+        doc["grid"] = {"t_end": 1 / 64, "n_steps": 4}
+        params.update(n_probes=3, n_space=48)
     else:
         doc.update(n_paths=8, grid={"t_end": 0.5, "n_steps": 4})
         params.setdefault("potential", {"name": "free"})
@@ -314,7 +317,7 @@ PRESET_CASES = (
     + [f"{e} {op}" for e in ("phasespace-roundtrip", "trotter")
        for op in ("harmonic", "random-hermitian")])
 # case -> (exit code, the quantity of each row, starred where it has a
-# target); khasminskii in d = 3 asks for 211 GiB of Kato nodes
+# target); khasminskii of coulomb-3d asks for 211 GiB of Kato nodes
 PRESET_RUNS = {
     'fk-semigroup free harmonic-ground': (0, 'psi_t'),
     'fk-semigroup free gaussian': (0, 'psi_t*'),
@@ -348,7 +351,7 @@ PRESET_RUNS = {
     'fk-kernel gauge-linear': (0, 'kernel'),
     'kato free': (0, 'kappa'),
     'kato constant-well': (0, 'kappa*'),
-    'kato harmonic': (0, 'kappa'),
+    'kato harmonic': (0, 'kappa*'),
     'kato coulomb-3d': (0, 'kappa'),
     'kato constant-magnetic-2d': (0, 'kappa'),
     'kato gauge-linear': (0, 'kappa'),
@@ -387,6 +390,7 @@ CLOSED_FORMS = {
     "fk-kernel free": (2 * math.pi * 0.5) ** -0.5,
     "fk-kernel harmonic": (2 * math.pi * math.sinh(0.5)) ** -0.5,
     "kato constant-well": 0.3 / 64,
+    "kato harmonic": 0.0,  # v >= 0
 }
 
 
@@ -464,6 +468,10 @@ BAD_INPUTS = {
         ("params.potential", {"name": "coulomb-3d"})]),
     "lattice-over-budget": ("phasespace-roundtrip",
                             [("params.n_points", 2**20)]),
+    # the Kato values of 9 probes at 2^40 + 1 time nodes: 72 TiB
+    "kato-values-over-budget": ("kato", [("grid.n_steps", 2**40)]),
+    # kato's time nodes are its grid's: the former params.n_time is unknown
+    "kato-n_time": ("kato", [("params.n_time", 4)]),
     # one chunk's (count, nodes, nodes, d, d) second moments: 4.5 GiB
     "wiener-moments-over-budget": ("wiener-stats", [
         ("n_paths", 16384), ("params.d", 64)]),
@@ -722,10 +730,10 @@ def test_sweep_kato_decay(tmp_path, capsys):
     doc = {
         "experiment": "kato",
         "seed": 1,
-        "grid": {"t_end": 0.5, "n_steps": 1},
+        "grid": {"t_end": 0.5, "n_steps": 24},
         "params": {"potential": {"name": "constant-well", "height": 0.3,
                                  "halfwidth": 1.0},
-                   "n_probes": 9, "n_space": 48, "n_time": 24},
+                   "n_probes": 9, "n_space": 48},
     }
     cfg = write_config(tmp_path, doc, "kato.json")
     code = main(["sweep", cfg, "--axis", "grid.t_end",
@@ -849,6 +857,79 @@ def test_khasminskii_without_v_runs_no_quadrature(tmp_path, capsys,
     capsys.readouterr()
     assert code == 0
     assert calls == []
+
+
+def test_kato_time_nodes_are_the_grid_steps(tmp_path, capsys):
+    # the quadrature's time steps are grid.n_steps: another count, another
+    # trapezoid
+    kappas = []
+    for n_steps in (1, 4):
+        code, _ = run_cli(tmp_path, _shrunk("kato", [("grid.n_steps",
+                                                      n_steps)]))
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        kappas.append(row["mean_re"])
+    assert kappas[0] != kappas[1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_khasminskii_takes_a_closed_form_kappa(tmp_path, capsys, monkeypatch,
+                                               d):
+    # the harmonic v >= 0 has kappa_t = 0 in closed form: no quadrature runs,
+    # not even in d = 3, where its nodes would be over the budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("kato_kappa ran")
+
+    monkeypatch.setattr(fkschrodinger, "kato_kappa", refuse)
+    code, _ = run_cli(tmp_path, _shrunk("khasminskii", [(
+        "params.potential", {"name": "harmonic", "d": d})]))
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert code == 0
+    assert row["target_re"] == 1.0
+
+
+# entries that print as one %g row label would write two rows under it
+REPEATED_LABELS = {
+    "alpha_values-equal": ("phasespace-roundtrip",
+                           [("params.alpha_values", [0.5, 0.5])],
+                           "params.n_points", "8,16"),
+    "alpha_values-g": ("phasespace-roundtrip",
+                       [("params.alpha_values", [0.1234561, 0.1234562])],
+                       "params.n_points", "8,16"),
+    # 0.5 and 0.51 of 16 steps both round to node 8, s=0.5
+    "node_fractions": ("wiener-stats",
+                       [("grid.n_steps", 16),
+                        ("params.node_fractions", [0.5, 0.51])],
+                       "grid.t_end", "1,2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_LABELS))
+def test_repeated_row_label_runs_no_point(tmp_path, capsys, monkeypatch,
+                                          case):
+    name, overrides, axis, values = REPEATED_LABELS[case]
+    code, calls = _counted_sweep(monkeypatch, tmp_path,
+                                 _shrunk(name, overrides), axis, values)
+    assert code == 2
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
+    assert "repeat" in capsys.readouterr().err
+
+
+def test_readme_table_matches_the_experiments():
+    # a README row | `experiment` | needs | params | names the table's
+    # required top-level keys and its params; backticked experiment names
+    # in a params cell point at another row
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0].strip("`") in cli.EXPERIMENTS:
+            needs, params = (re.findall(r"`([^`]+)`", c) for c in cells[1:])
+            rows[cells[0].strip("`")] = (
+                tuple(needs), set(params) - set(cli.EXPERIMENTS))
+    assert rows == {name: (row.needs, set(row.params))
+                    for name, row in cli.EXPERIMENTS.items()}
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fklab import fkschrodinger
-from fklab.fkschrodinger import (POTENTIAL_PRESETS, KatoQuadSpec,
-                                 PathRejectionOverflow, PotentialConfig,
-                                 _functional_columns, _outside_box,
-                                 apply_semigroup,
+from fklab.fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
+                                 PotentialConfig, _functional_columns,
+                                 _outside_box, apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
                                  mehler_kernel, preset_potential)
@@ -382,8 +381,8 @@ def test_kato_constant_potential_exact():
     # (heat_s * c)(x) = c, so kappa = c t for any probe set
     c, t = 0.7, 0.8
     probes = np.linspace(-2, 2, 9)[:, None]
-    kappa = kato_kappa(lambda x: np.full(x.shape[:-1], c), t, probes,
-                       box_halfwidth=np.inf)
+    kappa = kato_kappa(lambda x: np.full(x.shape[:-1], c), TimeGrid(t, 48),
+                       probes, box_halfwidth=np.inf)
     assert kappa == pytest.approx(c * t, abs=1e-12)
 
 
@@ -392,9 +391,8 @@ def test_kato_well_matches_dense_oracle():
     well = preset_potential("constant-well", height=height,
                             halfwidth=halfwidth)
     probes = np.linspace(-4, 4, 65)[:, None]
-    kappa = kato_kappa(well.eval_v_minus, t, probes,
-                       KatoQuadSpec(n_space=96, n_time=96),
-                       box_halfwidth=well.box_halfwidth)
+    kappa = kato_kappa(well.eval_v_minus, TimeGrid(t, 96), probes,
+                       n_space=96, box_halfwidth=well.box_halfwidth)
     # the max over probes is attained at the center by symmetry
     oracle = well_kato_oracle(height, halfwidth, t, x=0.0)
     assert kappa == pytest.approx(oracle, rel=2e-3)
@@ -403,7 +401,7 @@ def test_kato_well_matches_dense_oracle():
 def test_kato_kappa_vanishes_with_time():
     well = preset_potential("constant-well", height=0.4, halfwidth=1.0)
     probes = np.linspace(-2, 2, 17)[:, None]
-    ks = [kato_kappa(well.eval_v_minus, t, probes,
+    ks = [kato_kappa(well.eval_v_minus, TimeGrid(t, 48), probes,
                      box_halfwidth=well.box_halfwidth)
           for t in (0.1, 0.2, 0.4)]
     assert 0.0 < ks[0] < ks[1] < ks[2]
@@ -411,7 +409,7 @@ def test_kato_kappa_vanishes_with_time():
 
 def test_kato_rejects_negative_u():
     with pytest.raises(ValueError):
-        kato_kappa(lambda x: -np.ones(x.shape[:-1]), 0.5,
+        kato_kappa(lambda x: -np.ones(x.shape[:-1]), TimeGrid(0.5, 48),
                    np.zeros((1, 1)))
 
 
@@ -419,7 +417,7 @@ def test_kato_box_leak_warning():
     # a constant potential is clearly not negligible outside any finite box
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        kato_kappa(lambda x: np.ones(x.shape[:-1]), 0.5,
+        kato_kappa(lambda x: np.ones(x.shape[:-1]), TimeGrid(0.5, 48),
                    np.zeros((1, 1)), box_halfwidth=0.5)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
@@ -448,13 +446,12 @@ def test_kato_leak_matches_full_mask(monkeypatch, halfwidth):
     axis = np.linspace(-halfwidth, halfwidth, 5)
     probes = np.stack(np.meshgrid(axis, axis, indexing="ij"),
                       axis=-1).reshape(-1, 2)
-    quad = KatoQuadSpec(n_space=24, n_time=8)
 
     def run():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            kappa = kato_kappa(well.eval_v_minus, 1.0, probes, quad,
-                               halfwidth)
+            kappa = kato_kappa(well.eval_v_minus, TimeGrid(1.0, 8), probes,
+                               24, halfwidth)
         return kappa, [str(w.message) for w in caught]
 
     kappa, warned = run()
@@ -473,22 +470,21 @@ def test_kato_nodes_rejected_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
-            kato_kappa(u, 0.5, np.zeros((1, 3)), KatoQuadSpec(n_space=1024))
+            kato_kappa(u, TimeGrid(0.5, 48), np.zeros((1, 3)), 1024)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
     with pytest.raises(ValueError, match="budget"):
-        kato_kappa(u, 0.5, np.zeros((1, 1)),
-                   KatoQuadSpec(n_space=MAX_INCREMENT_BYTES // 8 + 1))
+        kato_kappa(u, TimeGrid(0.5, 48), np.zeros((1, 1)),
+                   MAX_INCREMENT_BYTES // 8 + 1)
 
 
 def test_kato_nodes_take_linear_memory():
     # 2000 Gauss-Legendre nodes on one probe: no n_space x n_space matrix
     tracemalloc.start()
     try:
-        kappa = kato_kappa(lambda x: np.ones(x.shape[:-1]), 0.5,
-                           np.zeros((1, 1)), KatoQuadSpec(n_space=2000,
-                                                          n_time=2))
+        kappa = kato_kappa(lambda x: np.ones(x.shape[:-1]), TimeGrid(0.5, 2),
+                           np.zeros((1, 1)), 2000)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
