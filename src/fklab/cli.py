@@ -614,7 +614,7 @@ EXPERIMENTS = {
     "khasminskii": Experiment(_run_khasminskii, {
         "potential": _POTENTIAL, "q": _ORIGIN},
         # kappa_t(v_-) >= 1 fails in the parse, so a sweep with such a
-        # point runs none; the run reuses the memoized bound
+        # point runs none
         check=lambda cfg: fkschrodinger.khasminskii_bound(
             cfg.params["potential"], cfg.grid.t_end)),
     "diamagnetic": Experiment(_run_diamagnetic, {

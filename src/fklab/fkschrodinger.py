@@ -15,7 +15,6 @@ trapezoid and Stratonovich terms. The Kato quadrature reads its grid too.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,7 +51,8 @@ class PotentialConfig:
     part V_- = max(-v, 0) follows from v. ``box_halfwidth`` declares the
     region outside which the scalar potential is negligible; it is used by
     the deterministic Kato-class quadrature. ``closed`` holds what a preset
-    knows in closed form.
+    knows in closed form about this v and a: a ``dataclasses.replace`` that
+    changes v or a must replace ``closed`` too.
     """
 
     d: int
@@ -263,6 +263,8 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
     ``box_halfwidth`` declares where u is negligible: a warning is raised
     when sampled points outside the box carry non-negligible u, and a
     ValueError, before allocating, when one time step's nodes are too many.
+    A u that is NaN or infinite at a probe or a node raises
+    FloatingPointError before anything is summed.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
@@ -280,9 +282,15 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
     # linspace puts the last node exactly on t_end
     s_grid = np.linspace(0.0, grid.t_end, grid.n_steps + 1)
 
-    u0 = np.asarray(u(probes), dtype=float)
-    if np.any(u0 < -1e-12):
-        raise ValueError("u must be non-negative")
+    def u_at(x):
+        ux = np.asarray(u(x), dtype=float)
+        if not np.isfinite(ux).all():
+            raise FloatingPointError("u is not finite at a Kato node")
+        if np.any(ux < -1e-12):
+            raise ValueError("u must be non-negative")
+        return ux
+
+    u0 = u_at(probes)
     values = np.empty((probes.shape[0], grid.n_steps + 1))
     values[:, 0] = u0
     u_scale = max(float(u0.max()), 0.0)
@@ -290,9 +298,7 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
     for i, s in enumerate(s_grid[1:], start=1):
         root_s = math.sqrt(s)
         pts = probes[:, None, :] + root_s * znodes[None, :, :]
-        uvals = np.asarray(u(pts), dtype=float)
-        if np.any(uvals < -1e-12):
-            raise ValueError("u must be non-negative")
+        uvals = u_at(pts)
         u_scale = max(u_scale, float(uvals.max()))
         outside = _outside_box(probes, root_s * z1, box_halfwidth)
         if outside.any():
@@ -318,11 +324,10 @@ def box_kappa(pot: PotentialConfig, grid: TimeGrid, n_per_axis: int,
                       pot.box_halfwidth)
 
 
-# a frozen potential and t fix the bound: the CLI's check and run share it
-@functools.lru_cache(maxsize=64)
 def khasminskii_bound(pot: PotentialConfig, t: float) -> float:
-    """The Khas'minskii bound (1 - kappa_t(v_-))^(-1), kappa the preset's
-    closed form, else the quadrature over the box probes.
+    """The Khas'minskii bound (1 - kappa_t(v_-))^(-1), kappa the closed
+    form of ``pot.closed`` (every preset with a v has one), else the
+    quadrature over the box probes.
 
     Raises ValueError when kappa_t(v_-) >= 1, where the bound is undefined.
     """
@@ -371,15 +376,25 @@ def _free(d):
 
 
 def _constant_well(d, height, halfwidth):
-    # a well wide enough that no Gaussian escapes it from the central probe
-    # acts as a constant potential: kappa_t = c t exactly (a negative height
-    # is a barrier, whose negative part vanishes)
+    def kappa(t):
+        # E_x v_-(B_s) is h times a product of symmetric unimodal box
+        # factors, largest at the centre: h erf(a / sqrt(2 s))^d. The rule
+        # runs in u = sqrt(s / t), which resolves a narrow well's step at
+        # s ~ a^2; its weights, normalized by their sum, make kappa h t bit
+        # for bit where erf rounds to 1, and 0 where v_- vanishes (h <= 0,
+        # a <= 0). 2 t would overflow at t near the largest double
+        u, w = gauss_legendre(64)
+        u = 0.5 * (u + 1)
+        w = w * u  # ds = 2 t u du
+        r = max(halfwidth, 0.0) / math.sqrt(2.0) / math.sqrt(t)
+        inside = [math.erf(r / ui) ** d for ui in u]
+        return max(height, 0.0) * t * (math.fsum(w * inside) / math.fsum(w))
+
     return PotentialConfig(
         d=d, v=lambda x: np.where(np.all(np.abs(x) <= halfwidth, axis=-1),
                                   -height, 0.0),
         box_halfwidth=max(4.0, 4 * halfwidth),
-        closed=ClosedForms(kappa=lambda t: max(height, 0.0) * t
-                           if halfwidth >= 8 * math.sqrt(t) else None))
+        closed=ClosedForms(kappa=kappa))
 
 
 def _harmonic(d, omega):
@@ -400,7 +415,10 @@ def _coulomb_3d(gamma):
         with np.errstate(divide="ignore"):
             return -gamma / r
 
-    return PotentialConfig(d=3, v=v, box_halfwidth=10.0)
+    # E_x |x + B_s|^-1 = erf(|x| / sqrt(2 s)) / |x| <= sqrt(2 / (pi s)),
+    # its value at x = 0, whose integral over [0, t] is sqrt(8 t / pi)
+    return PotentialConfig(d=3, v=v, box_halfwidth=10.0, closed=ClosedForms(
+        kappa=lambda t: max(gamma, 0.0) * math.sqrt(8 * t / math.pi)))
 
 
 # name -> (default parameters, builder); a preset takes no other parameters

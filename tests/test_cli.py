@@ -12,7 +12,6 @@ import pytest
 
 from fklab import cli, fkschrodinger
 from fklab.cli import ConfigError, main, parse_config
-from fklab.fkschrodinger import kato_kappa
 
 from test_acceptance import REDUCED_CONFIGS
 
@@ -287,8 +286,7 @@ def test_harmonic_ground_state_follows_omega(tmp_path, capsys):
 def _preset_doc(case: str) -> dict:
     """The config of a PRESET_RUNS case ``"experiment preset..."``: 8 paths x
     4 steps, an 8-point lattice, and Kato sizes of 3 probes x 48 nodes x 4
-    time steps at t = 1/64, where the default constant well is wide enough
-    for its closed-form kappa."""
+    time steps at t = 1/64."""
     experiment, *names = case.split()
     blocks = {"gauge": ("chi",), "phasespace-roundtrip": ("operator",),
               "trotter": ("hamiltonian",)}.get(experiment, ("potential", "psi"))
@@ -317,7 +315,9 @@ PRESET_CASES = (
     + [f"{e} {op}" for e in ("phasespace-roundtrip", "trotter")
        for op in ("harmonic", "random-hermitian")])
 # case -> (exit code, the quantity of each row, starred where it has a
-# target); khasminskii of coulomb-3d asks for 211 GiB of Kato nodes
+# target); kato's odd probe count puts a probe on the coulomb-3d
+# singularity, and khasminskii of coulomb-3d at t = 0.5 has kappa =
+# sqrt(4 / pi) = 1.128 >= 1
 PRESET_RUNS = {
     'fk-semigroup free harmonic-ground': (0, 'psi_t'),
     'fk-semigroup free gaussian': (0, 'psi_t*'),
@@ -352,7 +352,7 @@ PRESET_RUNS = {
     'kato free': (0, 'kappa'),
     'kato constant-well': (0, 'kappa*'),
     'kato harmonic': (0, 'kappa*'),
-    'kato coulomb-3d': (0, 'kappa'),
+    'kato coulomb-3d': (3, ''),
     'kato constant-magnetic-2d': (0, 'kappa'),
     'kato gauge-linear': (0, 'kappa'),
     'khasminskii free': (0, 'exp_moment*'),
@@ -460,11 +460,12 @@ BAD_INPUTS = {
     "matrix-components-over-budget": ("fk-matrix",
                                       [("params.A", [[[[1, 0]]]] * 129)]),
     # one time step's Kato nodes or an N x N lattice operator over the same
-    # budget: 711 GiB, 211 GiB (khasminskii in d = 3) and 16 TiB
+    # budget: 711 GiB and 16 TiB
     "kato-nodes-over-budget": ("kato", [
         ("params.potential", {"name": "coulomb-3d"}),
         ("params.n_probes", 33), ("params.n_space", 96)]),
-    "khasminskii-nodes-over-budget": ("khasminskii", [
+    # the closed form kappa_1 = sqrt(8 / pi) = 1.596 of coulomb-3d is >= 1
+    "khasminskii-coulomb-kappa-above-one": ("khasminskii", [
         ("params.potential", {"name": "coulomb-3d"})]),
     "lattice-over-budget": ("phasespace-roundtrip",
                             [("params.n_points", 2**20)]),
@@ -774,9 +775,10 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
     }
     # a bad type, an odd antithetic path count, node fractions that round
     # to node 0 on a one-step grid, a well with kappa_t >= 1, a potential
-    # dimension whose block of increments is over the budget, Kato nodes
-    # over it in d = 3 and one chunk's wiener-stats second moments over it
-    # at d = 64
+    # dimension whose block of increments is over the budget, a coulomb-3d
+    # horizon with kappa_t = sqrt(8 t / pi) >= 1 (0.798 at t = 0.25, 1.128
+    # at 0.5), Kato nodes over the budget in d = 3 and one chunk's
+    # wiener-stats second moments over it at d = 64
     sweeps = [(doc, "grid.n_steps", "8,16,32,2.5"),
               (_shrunk("fk-matrix"), "n_paths", "8,9"),
               (_shrunk("wiener-stats"), "grid.n_steps", "8,1"),
@@ -784,8 +786,10 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys,
                "params.potential.height", "0.3,5.0"),
               (_shrunk("fk-kernel", [("params.potential.d", 1)]),
                "params.potential.d", "1,1099511627776"),
-              (_shrunk("khasminskii", [("params.potential.d", 1)]),
-               "params.potential.d", "1,3"),
+              (_shrunk("khasminskii", [
+                  ("params.potential", {"name": "coulomb-3d"}),
+                  ("params.q", [1.0, 0.0, 0.0])]),
+               "grid.t_end", "0.25,0.5"),
               (_shrunk("kato", [("params.potential", {"name": "coulomb-3d"}),
                                 ("params.n_probes", 3)]),
                "params.n_probes", "3,33"),
@@ -830,62 +834,89 @@ def test_sweep_range_rule_runs_no_point(tmp_path, capsys, monkeypatch, case):
     assert "config error" in capsys.readouterr().err
 
 
-def test_khasminskii_run_computes_one_quadrature(tmp_path, capsys,
-                                                monkeypatch):
-    # the parse-time check and the run share one memoized bound
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kato_kappa(*args, **kwargs)
-
-    monkeypatch.setattr(fkschrodinger, "kato_kappa", counted)
-    code, _ = run_cli(tmp_path, _shrunk("khasminskii"))
-    capsys.readouterr()
-    assert code == 0
-    assert len(calls) == 1
-
-
-def test_khasminskii_without_v_runs_no_quadrature(tmp_path, capsys,
-                                                  monkeypatch):
-    # with no scalar v, v_- and so kappa are exactly 0
-    calls = []
-    monkeypatch.setattr(fkschrodinger, "kato_kappa",
-                        lambda *args, **kwargs: calls.append(args))
-    code, _ = run_cli(tmp_path, _shrunk("khasminskii", [(
-        "params.potential", {"name": "constant-magnetic-2d"})]))
-    capsys.readouterr()
-    assert code == 0
-    assert calls == []
-
-
 def test_kato_time_nodes_are_the_grid_steps(tmp_path, capsys):
     # the quadrature's time steps are grid.n_steps: another count, another
-    # trapezoid
+    # trapezoid; 1 and 4 steps both miss the well's closed form by about
+    # 3.5e-4, over the row's 1e-4
     kappas = []
     for n_steps in (1, 4):
         code, _ = run_cli(tmp_path, _shrunk("kato", [("grid.n_steps",
                                                       n_steps)]))
-        assert code == 0
         row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert code == (0 if row["pass"] else 1)
         kappas.append(row["mean_re"])
     assert kappas[0] != kappas[1]
 
 
-@pytest.mark.parametrize("d", [2, 3])
+# every preset with a v knows kappa_t in closed form, and box_kappa gives
+# the others 0 without quadrature; coulomb-3d starts off its singularity
+# at t = 0.25, where kappa_t = sqrt(2 / pi) < 1
+KHASMINSKII_PRESETS = {
+    **{f"constant-well-d{d}": {"name": "constant-well", "d": d}
+       for d in (1, 2, 3)},
+    **{f"harmonic-d{d}": {"name": "harmonic", "d": d} for d in (2, 3)},
+    **{name: {"name": name} for name in ("coulomb-3d", "free",
+                                         "constant-magnetic-2d",
+                                         "gauge-linear")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(KHASMINSKII_PRESETS))
 def test_khasminskii_takes_a_closed_form_kappa(tmp_path, capsys, monkeypatch,
-                                               d):
-    # the harmonic v >= 0 has kappa_t = 0 in closed form: no quadrature runs,
-    # not even in d = 3, where its nodes would be over the budget
+                                               case):
+    # neither the parse-time check nor the run calls the quadrature
     def refuse(*args, **kwargs):
         raise AssertionError("kato_kappa ran")
 
+    overrides = [("params.potential", KHASMINSKII_PRESETS[case])]
+    if case == "coulomb-3d":
+        overrides += [("params.q", [1.0, 0.0, 0.0]), ("grid.t_end", 0.25)]
+    doc = _shrunk("khasminskii", overrides)
     monkeypatch.setattr(fkschrodinger, "kato_kappa", refuse)
-    code, _ = run_cli(tmp_path, _shrunk("khasminskii", [(
-        "params.potential", {"name": "harmonic", "d": d})]))
+    code, _ = run_cli(tmp_path, doc)
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    kappa = cli.parse_config(doc).params["potential"].closed.kappa(
+        doc["grid"]["t_end"])
+    assert code == 0
+    assert row["target_re"] == 1.0 / (1.0 - (kappa or 0.0))
+
+
+def _coulomb_khasminskii(q):
+    return {"experiment": "khasminskii", "seed": 29, "n_paths": 8000,
+            "grid": {"t_end": 0.25, "n_steps": 64},
+            "params": {"potential": {"name": "coulomb-3d"}, "q": q}}
+
+
+def test_khasminskii_coulomb_below_the_critical_time(tmp_path, capsys):
+    # at t = 0.25 < pi / 8 the bound is 1 / (1 - sqrt(2 / pi)); paths from
+    # the singularity all have an infinite integral and are rejected
+    code, csv_path = run_cli(tmp_path, _coulomb_khasminskii([0.0] * 3))
+    assert code == 3
+    assert not csv_path.exists()
+    assert "numerical failure" in capsys.readouterr().err
+    code, _ = run_cli(tmp_path, _coulomb_khasminskii([1.0, 0.0, 0.0]))
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert code == 0
-    assert row["target_re"] == 1.0
+    assert row["target_re"] == 1.0 / (1.0 - math.sqrt(2 / math.pi))
+    assert 1.0 <= row["mean_re"] < row["target_re"]
+
+
+# 1 / r is not negligible outside the declared box: the leak warning is
+# expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kato_coulomb_off_its_singularity_misses_the_closed_form(tmp_path,
+                                                                 capsys):
+    # 4 probes per axis avoid the origin: the quadrature runs and reports
+    # its kappa, far from the sup that the closed form takes at x = 0
+    doc = _preset_doc("kato coulomb-3d")
+    doc["params"]["n_probes"] = 4
+    code, csv_path = run_cli(tmp_path, doc)
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert code == 1
+    assert csv_path.exists()
+    assert row["target_re"] == pytest.approx(math.sqrt(1 / (8 * math.pi)),
+                                             rel=1e-15)
+    assert 0.0 < row["mean_re"] < 0.01
 
 
 # entries that print as one %g row label would write two rows under it

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fklab import fkschrodinger
 from fklab.fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
@@ -19,6 +20,7 @@ from fklab.fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
                                  mehler_kernel, preset_potential)
 from fklab.stochint import (AlphaScheme, FieldWithDivergence,
                             convert_check_batch)
+from fklab.opalg import gauss_legendre
 from fklab.streams import RngStream
 from fklab.wiener import BLOCK as _BLOCK
 from fklab.wiener import TestFunction as PathTestFunction
@@ -489,6 +491,95 @@ def test_kato_nodes_take_linear_memory():
     finally:
         tracemalloc.stop()
     assert abs(kappa - 0.5) <= 1e-12
+
+
+def _inverse_distance(center):
+    def u(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / np.linalg.norm(x - center, axis=-1)
+    return u
+
+
+# a singular u on a probe (the s = 0 column), on the middle node of an odd
+# n_space that sits on that probe, and on one node off the probe; and a NaN
+@pytest.mark.parametrize("u, n_space", [
+    (_inverse_distance(0.0), 48),
+    (_inverse_distance(0.0), 49),
+    (_inverse_distance(math.sqrt(0.5) * (8.0 * gauss_legendre(48)[0][30])),
+     48),
+    (lambda x: np.where(np.abs(x[..., 0]) > 3.0, np.nan, 0.0), 48)])
+def test_kato_rejects_non_finite_u(u, n_space):
+    with pytest.raises(FloatingPointError, match="not finite"):
+        kato_kappa(u, TimeGrid(0.5, 1), np.zeros((1, 1)), n_space,
+                   box_halfwidth=np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("halfwidth", [1.0, 8.0])
+@pytest.mark.parametrize("t", [1 / 64, 0.5, 1.0])
+def test_well_kappa_matches_quad(d, halfwidth, t):
+    # at the centre, E v_-(B_s) = h erf(a / sqrt(2 s))^d
+    well = preset_potential("constant-well", d=d, height=0.3,
+                            halfwidth=halfwidth)
+    ref = 0.3 * quad(lambda s: math.erf(halfwidth / math.sqrt(2 * s)) ** d,
+                     0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
+    assert abs(well.closed.kappa(t) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t", [1 / 64, 0.5])
+def test_wide_well_kappa_is_h_t(d, t):
+    # no Gaussian leaves a halfwidth-8 well by t = 0.5: erf rounds to 1
+    well = preset_potential("constant-well", d=d, height=0.3, halfwidth=8.0)
+    assert well.closed.kappa(t) == 0.3 * t
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("height, halfwidth", [(-1, 1.0), (0, 1.0),
+                                               (0.3, -1), (0.3, 0)])
+def test_no_well_has_zero_kappa(d, height, halfwidth):
+    # a barrier, or a box of no width, has v_- = 0 almost everywhere
+    well = preset_potential("constant-well", d=d, height=height,
+                            halfwidth=halfwidth)
+    assert well.closed.kappa(0.5) == 0.0
+
+
+def test_well_kappa_at_the_largest_horizon_is_finite():
+    # 2 t overflows at t = 1e308; kappa ~ h a sqrt(8 t / pi) is far above 1
+    well = preset_potential("constant-well", height=0.3, halfwidth=1.0)
+    assert 1.0 < well.closed.kappa(1e308) < math.inf
+
+
+@pytest.mark.parametrize("height, halfwidth, t", [(0.3, 1.0, 0.5),
+                                                  (0.4, 1.0, 0.8),
+                                                  (0.3, 0.2, 1.0)])
+def test_well_kappa_matches_dense_oracle(height, halfwidth, t):
+    well = preset_potential("constant-well", height=height,
+                            halfwidth=halfwidth)
+    assert well.closed.kappa(t) == pytest.approx(
+        well_kato_oracle(height, halfwidth, t), rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.5, 0.0, -1.0])
+def test_coulomb_kappa(gamma):
+    # the sup of int_0^t E_x |x + B_s|^-1 ds is at x = 0
+    pot = preset_potential("coulomb-3d", gamma=gamma)
+    for t in (1 / 64, 0.25, 1.0):
+        assert pot.closed.kappa(t) == pytest.approx(
+            max(gamma, 0.0) * math.sqrt(8 * t / math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_PRESETS))
+def test_every_preset_with_v_has_a_closed_kappa(name):
+    # no preset with a v falls back to the Kato quadrature
+    defaults, build = POTENTIAL_PRESETS[name]
+    pot = build(**defaults)
+    for t in (1 / 64, 0.5, 1.0):
+        kappa = pot.closed.kappa(t)
+        if pot.v is None:
+            assert kappa is None
+        else:
+            assert math.isfinite(kappa) and kappa >= 0.0
 
 
 def test_khasminskii_bound_holds():
