@@ -14,7 +14,8 @@ a params spec ``{key: (converter, default)}`` and a check across blocks.
 a preset block (potential, psi, chi, operator) resolves to what the run
 uses, with the closed forms its preset knows, so runners read only
 resolved objects and compare no preset name. Potential presets come from
-``fkschrodinger.POTENTIAL_PRESETS``.
+``fkschrodinger.POTENTIAL_PRESETS``; a chi block is the gauge that the
+gauge check applies to the potential, not part of it.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error
 (a failed table check, a ``ValueError`` from a library input check, an
@@ -43,8 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import fkmatrix, fkschrodinger, phasespace
-from .fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
-                            linear_gauge)
+from .fkschrodinger import POTENTIAL_PRESETS, PathRejectionOverflow
 from .mc import DEFAULT_CHUNK, MCEstimate, mc_run
 from .stochint import AlphaScheme, FieldWithDivergence, convert_check_batch
 from .streams import RngStream
@@ -183,12 +183,18 @@ def _point(value, name: str, pot) -> np.ndarray:
 
 
 def _matrix(value, name: str, pot=None) -> np.ndarray:
-    """Nested arrays with innermost [re, im] pairs -> complex square matrix."""
+    """Nested arrays with innermost [re, im] pairs -> complex square matrix,
+    at most _MAX_M x _MAX_M."""
     arr = _array(value)
     if arr is None or arr.ndim != 3 or arr.shape[2] != 2 \
             or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             f"{name} must be a square matrix of finite [re, im] entry pairs")
+    if arr.shape[0] > _MAX_M:
+        raise ConfigError(
+            f"{name} must be at most {_MAX_M} x {_MAX_M} (a block of a "
+            f"chunk's step factors, {DEFAULT_CHUNK} pairs x {fkmatrix.BLOCK} "
+            "steps x m x m complex, must fit the budget)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -251,10 +257,20 @@ def _presets(table: dict):
     return convert
 
 
+def _per_step(block: int) -> int:
+    """The doubles per path (or pair) and time step that one block of a
+    full chunk, DEFAULT_CHUNK x ``block`` steps, may hold in the budget."""
+    return MAX_INCREMENT_BYTES // (8 * DEFAULT_CHUNK * block)
+
+
+# each side's step factors are m x m complex, two doubles per entry
+_MAX_M = math.isqrt(_per_step(fkmatrix.BLOCK) // 2)
+
+
 def _dimension(convert, block: int, size=lambda x: x):
     """``convert``, then d = ``size(value)`` within the budget of one block
     of a full chunk's increments, DEFAULT_CHUNK x block x d doubles."""
-    most = MAX_INCREMENT_BYTES // (8 * DEFAULT_CHUNK * block)
+    most = _per_step(block)
     return _ranged(convert, f"of dimension d <= {most} (a block of a "
                    f"chunk's increments, {DEFAULT_CHUNK} x {block} x d "
                    "doubles, must fit the budget)", lambda x: size(x) <= most)
@@ -287,15 +303,15 @@ def _psi(value, name: str, pot):
     })(value, name, pot)
 
 
-# a chi block resolves to the PotentialConfig fields chi and grad_chi
+# a chi block resolves to the gauge check's pair (chi, grad chi)
 _chi = _presets({
-    "linear": ({"c": (_num, 1.0)}, linear_gauge),
+    "linear": ({"c": (_num, 1.0)}, lambda c: (
+        lambda x: c * np.sum(x, axis=-1), lambda x: np.full_like(x, c))),
     "sine": ({"amplitude": (_num, 1.0), "wavenumber": (_num, 1.0)},
-             lambda amplitude, wavenumber: {
-                 "chi": lambda x: amplitude * np.sum(np.sin(wavenumber * x),
-                                                     axis=-1),
-                 "grad_chi": lambda x: (amplitude * wavenumber
-                                        * np.cos(wavenumber * x))}),
+             lambda amplitude, wavenumber: (
+                 lambda x: amplitude * np.sum(np.sin(wavenumber * x),
+                                              axis=-1),
+                 lambda x: amplitude * wavenumber * np.cos(wavenumber * x))),
 })
 
 
@@ -482,10 +498,9 @@ def _run_fk_kernel(cfg: ExperimentConfig) -> list[Row]:
 
 def _run_gauge(cfg: ExperimentConfig) -> list[Row]:
     p = cfg.params
-    pot = replace(p["potential"], **p["chi"])
-    est = fkschrodinger.gauge_check(pot, p["q"], p["q_prime"], cfg.n_paths,
-                                    cfg.grid, RngStream(cfg.seed),
-                                    workers=cfg.workers)
+    est = fkschrodinger.gauge_check(p["potential"], *p["chi"], p["q"],
+                                    p["q_prime"], cfg.n_paths, cfg.grid,
+                                    RngStream(cfg.seed), workers=cfg.workers)
     return [_zrow("gauge_residual", "-", est.mean, est.stderr, 0.0, p["zmax"])]
 
 
@@ -686,7 +701,7 @@ def _resolve_axis(doc: dict, axis: str):
 
 
 def _load(args) -> dict:
-    """The config object, with the environment and flag overrides applied."""
+    """The config object, with the flag overrides applied."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -696,11 +711,8 @@ def _load(args) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    # int() of a malformed override raises ValueError: a config error
-    for key, var in (("seed", "FKLAB_SEED"), ("workers", "FKLAB_WORKERS")):
-        if var in os.environ:
-            doc[key] = int(os.environ[var])
-        if getattr(args, key) is not None:  # the flag wins
+    for key in ("seed", "workers"):
+        if getattr(args, key) is not None:
             doc[key] = getattr(args, key)
     return doc
 

@@ -20,7 +20,7 @@ from .opalg import (as_operator, as_operator_tuple, expm, gauss_legendre,
                     ordered_prefix, ordered_product_tree, stack_product,
                     step_factors)
 from .streams import RngStream
-from .wiener import TimeGrid, increment_blocks
+from .wiener import TimeGrid, check_budget, increment_blocks
 
 BLOCK = 64  # time steps per block of the antithetic walk
 
@@ -72,10 +72,14 @@ def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
     the T_s. ``visit(s0, dWb, F, T)`` returns a copy of T at the block's end
     and the block's terms X (count, k, m, m) or None; ``keep(kept, X)``
     folds X into the side's kept terms, ``finish(kept, T_n)`` its sample.
+    A ValueError, before any factor is built, when one block of a chunk's
+    complex factors is over the budget.
     """
     if n_paths < 2 or n_paths % 2:
         raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
     grid, m = problem.grid, problem.dim
+    check_budget("one block of step factors", min(n_paths // 2, chunk_size),
+                 min(BLOCK, grid.n_steps), m, m, 2)
 
     def chunk_fn(gen, count):
         T = dict.fromkeys((1, -1), np.eye(m, dtype=complex)[None])

@@ -45,7 +45,7 @@ class ClosedForms(NamedTuple):
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Scalar potential v, vector potential a and an optional gauge chi.
+    """Scalar potential v and vector potential a.
 
     Any evaluator may be None (treated as identically zero). The negative
     part V_- = max(-v, 0) follows from v. ``box_halfwidth`` declares the
@@ -58,8 +58,6 @@ class PotentialConfig:
     d: int
     v: Callable | None = None
     a: Callable | None = None
-    chi: Callable | None = None
-    grad_chi: Callable | None = None
     box_halfwidth: float = 8.0
     closed: ClosedForms = ClosedForms()
 
@@ -185,26 +183,26 @@ def kernel(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
                       est.n_samples)
 
 
-def gauge_check(pot: PotentialConfig, q: Sequence[float], qp: Sequence[float],
-                n_paths: int, grid: TimeGrid, rng: RngStream,
+def gauge_check(pot: PotentialConfig, chi: Callable, grad_chi: Callable,
+                q: Sequence[float], qp: Sequence[float], n_paths: int,
+                grid: TimeGrid, rng: RngStream,
                 chunk_size: int = DEFAULT_CHUNK,
                 workers: int = 1) -> MCEstimate:
     """Per-path gauge-covariance residual with common random bridges.
 
     Compares the kernel functional with a + grad(chi) against
-    exp(i (chi(q) - chi(q'))) times the functional with a; the mean residual
-    vanishes in the refinement limit by the Stratonovich chain rule.
+    exp(i (chi(q) - chi(q'))) times the functional with a, for a gauge chi
+    with its analytic gradient ``grad_chi``; the mean residual vanishes in
+    the refinement limit by the Stratonovich chain rule.
     """
-    if pot.chi is None or pot.grad_chi is None:
-        raise ValueError("gauge check needs chi with an analytic gradient")
     q, qp = _position(pot, q, "q"), _position(pot, qp, "q'")
 
     def shifted_a(x):
-        g = np.asarray(pot.grad_chi(x))
+        g = np.asarray(grad_chi(x))
         return g if pot.a is None else np.asarray(pot.a(x)) + g
 
-    phase = np.exp(1j * (float(np.asarray(pot.chi(q[None, :]))[0])
-                         - float(np.asarray(pot.chi(qp[None, :]))[0])))
+    phase = np.exp(1j * (float(np.asarray(chi(q[None, :]))[0])
+                         - float(np.asarray(chi(qp[None, :]))[0])))
     bridged = _path_functionals(pot, grid, q,
                                 [(shifted_a, None), (pot.a, None)], qp)
 
@@ -359,12 +357,6 @@ def khasminskii_check(pot: PotentialConfig, q: Sequence[float],
 # presets addressable from the CLI
 
 
-def linear_gauge(c: float) -> dict:
-    """PotentialConfig fields of the gauge chi(x) = c sum_j x_j."""
-    return {"chi": lambda x: c * np.sum(x, axis=-1),
-            "grad_chi": lambda x: np.full_like(x, c)}
-
-
 def _free(d):
     def gaussian(width, center, q, t):
         s = width**2 + t  # the heat flow adds t to the variance
@@ -379,14 +371,24 @@ def _constant_well(d, height, halfwidth):
     def kappa(t):
         # E_x v_-(B_s) is h times a product of symmetric unimodal box
         # factors, largest at the centre: h erf(a / sqrt(2 s))^d. The rule
-        # runs in u = sqrt(s / t), which resolves a narrow well's step at
-        # s ~ a^2; its weights, normalized by their sum, make kappa h t bit
-        # for bit where erf rounds to 1, and 0 where v_- vanishes (h <= 0,
-        # a <= 0). 2 t would overflow at t near the largest double
-        u, w = gauss_legendre(64)
-        u = 0.5 * (u + 1)
-        w = w * u  # ds = 2 t u du
-        r = max(halfwidth, 0.0) / math.sqrt(2.0) / math.sqrt(t)
+        # runs in u = sqrt(s / t), where the step of erf sits at u ~ a /
+        # sqrt(t): below 1, the 64 nodes run on [0, u*] and on pieces 16
+        # times longer each, up to 1. Its weights, normalized by their sum,
+        # make kappa h t bit for bit where erf rounds to 1, and 0 where v_-
+        # vanishes (h <= 0, a <= 0). 2 t would overflow at t near the
+        # largest double
+        x, wx = gauss_legendre(64)
+        a = max(halfwidth, 0.0)
+        edges, cut = [0.0], a / math.sqrt(t)
+        while 0.0 < cut < 1.0:
+            edges.append(cut)
+            cut *= 16
+        pieces = list(zip(edges, edges[1:] + [1.0]))
+        u = np.concatenate([lo + (hi - lo) * (0.5 * (x + 1))
+                            for lo, hi in pieces])
+        w = np.concatenate([(hi - lo) * wx for lo, hi in pieces]) \
+            * u  # ds = 2 t u du
+        r = a / math.sqrt(2.0) / math.sqrt(t)
         inside = [math.erf(r / ui) ** d for ui in u]
         return max(height, 0.0) * t * (math.fsum(w * inside) / math.fsum(w))
 
@@ -431,8 +433,6 @@ POTENTIAL_PRESETS = {
     "constant-magnetic-2d": ({"b0": 1.0}, lambda b0: PotentialConfig(
         d=2, a=lambda x: 0.5 * b0 * np.stack([-x[..., 1], x[..., 0]],
                                              axis=-1))),
-    "gauge-linear": ({"d": 1, "c": 1.0},
-                     lambda d, c: PotentialConfig(d=d, **linear_gauge(c))),
 }
 
 

@@ -17,8 +17,7 @@ from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
                             product_formula_target, rhs_generator)
 from fklab.fkschrodinger import (diamagnetic_check, free_kernel, gauge_check,
                                  kato_kappa, kernel, khasminskii_check,
-                                 mehler_kernel, preset_potential,
-                                 PotentialConfig)
+                                 mehler_kernel, preset_potential)
 from fklab.opalg import expm, trotter_product
 from fklab.phasespace import (PeriodicGrid, alpha_quantize, alpha_symbol,
                               short_time_family, standard_hamiltonian,
@@ -215,25 +214,25 @@ def test_criterion_7_semigroup_and_kernel():
 
 def test_criterion_8_gauge_and_diamagnetic():
     # linear gauge: residual is zero pathwise
-    lin = preset_potential("gauge-linear", d=1, c=0.8)
-    est_lin = gauge_check(lin, [0.0], [0.5], 400, TimeGrid(1.0, 64),
-                          RngStream(110))
+    free = preset_potential("free", d=1)
+    c = 0.8
+    est_lin = gauge_check(free, lambda x: c * np.sum(x, axis=-1),
+                          lambda x: np.full_like(x, c), [0.0], [0.5], 400,
+                          TimeGrid(1.0, 64), RngStream(110))
     lin_ok = abs(est_lin.mean) < 1e-13
 
     # sine gauge at q = q' = 0: the weak bias averages out, z-test applies
     amp, k = 0.3, 0.5
-    sine = PotentialConfig(
-        d=1,
-        chi=lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
-        grad_chi=lambda x: amp * k * np.cos(k * x))
-    est_sine = gauge_check(sine, [0.0], [0.0], 20_000, TimeGrid(0.25, 256),
-                           RngStream(111), workers=2)
+    sine = (lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
+            lambda x: amp * k * np.cos(k * x))
+    est_sine = gauge_check(free, *sine, [0.0], [0.0], 20_000,
+                           TimeGrid(0.25, 256), RngStream(111), workers=2)
     z_sine = abs(est_sine.mean) / est_sine.stderr
 
     # the per-path mean residual decays O(dt) under refinement
     biases = []
     for n in (32, 128, 512):
-        e = gauge_check(sine, [0.0], [0.4], 40_000, TimeGrid(1.0, n),
+        e = gauge_check(free, *sine, [0.0], [0.4], 40_000, TimeGrid(1.0, n),
                         RngStream(112), workers=2)
         biases.append(abs(e.mean))
     decay_ok = biases[2] < biases[1] < biases[0] and biases[2] < 0.3 * biases[0]
@@ -395,7 +394,7 @@ REDUCED_CONFIGS = {
     "gauge": {
         "experiment": "gauge", "seed": 27, "n_paths": 2000,
         "grid": {"t_end": 1.0, "n_steps": 64},
-        "params": {"potential": {"name": "gauge-linear", "c": 0.7},
+        "params": {"potential": {"name": "free"},
                    "chi": {"name": "linear", "c": 0.7}}},
     "kato": {
         "experiment": "kato", "seed": 28,

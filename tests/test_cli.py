@@ -329,8 +329,6 @@ PRESET_RUNS = {
     'fk-semigroup coulomb-3d gaussian': (3, ''),
     'fk-semigroup constant-magnetic-2d harmonic-ground': (0, 'psi_t'),
     'fk-semigroup constant-magnetic-2d gaussian': (0, 'psi_t'),
-    'fk-semigroup gauge-linear harmonic-ground': (0, 'psi_t'),
-    'fk-semigroup gauge-linear gaussian': (0, 'psi_t'),
     'diamagnetic free harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
     'diamagnetic free gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
     'diamagnetic constant-well harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
@@ -341,26 +339,21 @@ PRESET_RUNS = {
     'diamagnetic coulomb-3d gaussian': (3, ''),
     'diamagnetic constant-magnetic-2d harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
     'diamagnetic constant-magnetic-2d gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
-    'diamagnetic gauge-linear harmonic-ground': (0, 'magnetic nonmagnetic magnitude_gap*'),
-    'diamagnetic gauge-linear gaussian': (0, 'magnetic nonmagnetic magnitude_gap*'),
     'fk-kernel free': (0, 'kernel*'),
     'fk-kernel constant-well': (0, 'kernel'),
     'fk-kernel harmonic': (0, 'kernel*'),
     'fk-kernel coulomb-3d': (3, ''),
     'fk-kernel constant-magnetic-2d': (0, 'kernel'),
-    'fk-kernel gauge-linear': (0, 'kernel'),
     'kato free': (0, 'kappa'),
     'kato constant-well': (0, 'kappa*'),
     'kato harmonic': (0, 'kappa*'),
     'kato coulomb-3d': (3, ''),
     'kato constant-magnetic-2d': (0, 'kappa'),
-    'kato gauge-linear': (0, 'kappa'),
     'khasminskii free': (0, 'exp_moment*'),
     'khasminskii constant-well': (0, 'exp_moment*'),
     'khasminskii harmonic': (0, 'exp_moment*'),
     'khasminskii coulomb-3d': (2, ''),
     'khasminskii constant-magnetic-2d': (0, 'exp_moment*'),
-    'khasminskii gauge-linear': (0, 'exp_moment*'),
     'gauge linear': (0, 'gauge_residual*'),
     'gauge sine': (0, 'gauge_residual*'),
     'phasespace-roundtrip harmonic': (0, 'roundtrip_error* imag_part*'),
@@ -421,6 +414,8 @@ def _shrunk(name, overrides=()):
     return doc
 
 
+NINE_BY_NINE = [[[0, 0]] * 9 for _ in range(9)]
+
 BAD_INPUTS = {
     # library range checks: alpha in [0, 1], Trotter time t >= 0
     "stochint-alpha": ("stochint-convergence", [("params.alpha", 1.5)]),
@@ -434,8 +429,7 @@ BAD_INPUTS = {
     "d-string": ("kato", [("params.potential.d", "2")]),
     "height-string": ("kato", [("params.potential.height", "0.3")]),
     # points have the potential dimension
-    "gauge-q-1d": ("gauge", [("params.potential",
-                              {"name": "gauge-linear", "c": 0.7, "d": 2}),
+    "gauge-q-1d": ("gauge", [("params.potential", {"name": "free", "d": 2}),
                              ("params.q", [0.0])]),
     "khasminskii-q-1d": ("khasminskii", [("params.potential",
                                           {"name": "constant-well", "d": 2}),
@@ -459,6 +453,11 @@ BAD_INPUTS = {
     "wiener-d-over-budget": ("wiener-stats", [("params.d", 513)]),
     "matrix-components-over-budget": ("fk-matrix",
                                       [("params.A", [[[[1, 0]]]] * 129)]),
+    # a block of a full chunk's step factors, 16384 pairs x 64 steps x
+    # m x m complex, is over the budget for m = 9
+    "matrix-9x9-over-budget": ("fk-matrix", [("params.A", [NINE_BY_NINE])]),
+    "aplus-9x9-over-budget": ("fk-product",
+                              [("params.Aplus", NINE_BY_NINE)]),
     # one time step's Kato nodes or an N x N lattice operator over the same
     # budget: 711 GiB and 16 TiB
     "kato-nodes-over-budget": ("kato", [
@@ -563,16 +562,16 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
     assert one.read_bytes() == four.read_bytes()
 
 
-def test_seed_overrides_env_then_flag(tmp_path, capsys, monkeypatch):
+def test_seed_flag_overrides_the_config(tmp_path, capsys):
     _, base = run_cli(tmp_path, FK_MATRIX_DOC, name="base.json")
-    monkeypatch.setenv("FKLAB_SEED", "999")
-    _, env = run_cli(tmp_path, FK_MATRIX_DOC, name="env.json")
-    _, flag = run_cli(tmp_path, FK_MATRIX_DOC, "--seed", "11",
+    _, flag = run_cli(tmp_path, FK_MATRIX_DOC, "--seed", "999",
                       name="flag.json")
+    _, given = run_cli(tmp_path, dict(FK_MATRIX_DOC, seed=999),
+                       name="given.json")
     capsys.readouterr()
-    assert env.read_bytes() != base.read_bytes()  # env seed applied
-    # the command line flag wins over the environment
-    assert flag.read_bytes() == base.read_bytes()
+    # the run takes the flag's seed in place of the config's
+    assert flag.read_bytes() != base.read_bytes()
+    assert flag.read_bytes() == given.read_bytes()
 
 
 def test_wiener_stats_run(tmp_path, capsys):
@@ -856,8 +855,7 @@ KHASMINSKII_PRESETS = {
        for d in (1, 2, 3)},
     **{f"harmonic-d{d}": {"name": "harmonic", "d": d} for d in (2, 3)},
     **{name: {"name": name} for name in ("coulomb-3d", "free",
-                                         "constant-magnetic-2d",
-                                         "gauge-linear")},
+                                         "constant-magnetic-2d")},
 }
 
 
@@ -961,6 +959,22 @@ def test_readme_table_matches_the_experiments():
                 tuple(needs), set(params) - set(cli.EXPERIMENTS))
     assert rows == {name: (row.needs, set(row.params))
                     for name, row in cli.EXPERIMENTS.items()}
+
+
+def test_readme_potential_row_matches_the_presets():
+    # the README row | `potential` | `name`: `key` (default), ... · ... |
+    # lists every potential preset with exactly its parameters' defaults
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    row = next(line for line in readme.read_text(encoding="utf-8")
+               .splitlines() if line.startswith("| `potential` |"))
+    listed = {}
+    for item in row.split("|")[2].split("·"):
+        name = re.match(r"\s*`([^`]+)`", item).group(1)
+        listed[name] = {key: float(default) for key, default
+                        in re.findall(r"`(\w+)` \(([^)]+)\)", item)}
+    assert listed == {
+        name: {key: float(default) for key, default in defaults.items()}
+        for name, (defaults, _) in fkschrodinger.POTENTIAL_PRESETS.items()}
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fklab import fkmatrix
 from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
                             estimate_generalized_fk, estimate_product_formula,
                             product_formula_target, rhs_generator)
@@ -316,3 +317,19 @@ def test_odd_path_count_rejected():
     with pytest.raises(ValueError, match="even"):
         estimate_product_formula(SX, Z2, Z2, TimeGrid(1.0, 8), 7,
                                  RngStream(11))
+
+
+def test_factor_block_over_budget_rejected_before_any_factor(monkeypatch):
+    # 16384 pairs x 64 steps x 9 x 9 complex is 1.27 GiB, over the 1 GiB
+    # budget; 8 pairs of the same problem run
+    def refuse(*args, **kwargs):
+        raise AssertionError("step_factors ran")
+
+    A9 = np.diag(np.linspace(-1.0, 1.0, 9)).astype(complex)
+    prob = FKProblem((A9,), np.zeros((9, 9)), 1.0, TimeGrid(1.0, 64))
+    with monkeypatch.context() as patch:
+        patch.setattr(fkmatrix, "step_factors", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            estimate_generalized_fk(prob, 2 * 16384, RngStream(12))
+    est = estimate_generalized_fk(prob, 16, RngStream(12))
+    assert est.mean.shape == (9, 9) and np.all(np.isfinite(est.mean))

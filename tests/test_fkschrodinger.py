@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +116,17 @@ def test_harmonic_kernel_mehler_and_grid_oracle():
     assert abs(est.mean - closed) <= max(4 * est.stderr, 0.01 * closed)
 
 
+def linear_chi(c):
+    """The gauge chi(x) = c sum_j x_j and its gradient."""
+    return lambda x: c * np.sum(x, axis=-1), lambda x: np.full_like(x, c)
+
+
+def sine_chi(amp, k):
+    """The gauge chi(x) = amp sin(k sum_j x_j) and its gradient."""
+    return (lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
+            lambda x: amp * k * np.cos(k * x))
+
+
 # each scalar path estimator on 100 paths, called with (pot, grid, rng)
 # and optional chunk_size / workers keywords; the horizon is grid.t_end
 SCALAR_ESTIMATORS = {
@@ -125,7 +135,7 @@ SCALAR_ESTIMATORS = {
     "kernel": lambda pot, grid, rng, **kw: kernel(
         pot, [0.0], [1.0], 100, grid, rng, **kw),
     "gauge_check": lambda pot, grid, rng, **kw: gauge_check(
-        pot, [0.0], [1.0], 100, grid, rng, **kw),
+        pot, *linear_chi(0.4), [0.0], [1.0], 100, grid, rng, **kw),
     "diamagnetic_check": lambda pot, grid, rng, **kw: diamagnetic_check(
         pot, gauss_psi(), [0.0], 100, grid, rng, **kw),
     "khasminskii_check": lambda pot, grid, rng, **kw: khasminskii_check(
@@ -136,7 +146,7 @@ SCALAR_ESTIMATORS = {
 @pytest.mark.parametrize("estimator", sorted(SCALAR_ESTIMATORS))
 def test_points_off_the_dimension_rejected(estimator):
     # each estimator starts its paths at q = [0.0], of length 1, in d = 2
-    pot = preset_potential("gauge-linear", d=2)
+    pot = preset_potential("free", d=2)
     with pytest.raises(ValueError, match="not d = 2"):
         SCALAR_ESTIMATORS[estimator](pot, TimeGrid(1.0, 16), RngStream(24))
 
@@ -154,9 +164,8 @@ def test_kernel_endpoints_off_the_dimension_rejected(q, qp):
 def test_estimates_do_not_depend_on_workers(estimator):
     # chunks of 32 of the 100 paths, the last one partial, and 37 steps,
     # so the time walk ends mid-block
-    pot = replace(preset_potential("gauge-linear", d=1, c=0.4),
-                  v=lambda x: 0.1 * np.sum(x**2, axis=-1) - 0.2,
-                  a=lambda x: 0.5 * np.sin(x))
+    pot = PotentialConfig(d=1, v=lambda x: 0.1 * np.sum(x**2, axis=-1) - 0.2,
+                          a=lambda x: 0.5 * np.sin(x))
     grid = TimeGrid(1.0, 2 * _BLOCK + 5)
     runs = [SCALAR_ESTIMATORS[estimator](pot, grid, RngStream(37),
                                          chunk_size=32, workers=workers)
@@ -174,11 +183,9 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-MAGNETIC_SINE_GAUGE = replace(
-    preset_potential("constant-magnetic-2d"),
-    v=lambda x: 0.1 * np.sum(x**2, axis=-1),
-    chi=lambda x: 0.3 * np.sum(np.sin(0.5 * x), axis=-1),
-    grad_chi=lambda x: 0.15 * np.cos(0.5 * x))
+MAGNETIC = PotentialConfig(
+    d=2, v=lambda x: 0.1 * np.sum(x**2, axis=-1),
+    a=preset_potential("constant-magnetic-2d").a)
 
 # estimator and call on 256 paths of a grid
 MEMORY_CASES = {
@@ -189,7 +196,8 @@ MEMORY_CASES = {
         preset_potential("harmonic"), [0.2], [-0.5], 256, grid,
         RngStream(39)),
     "gauge_check": lambda grid: gauge_check(
-        MAGNETIC_SINE_GAUGE, [0.0, 0.1], [0.3, 0.0], 256, grid,
+        MAGNETIC, lambda x: 0.3 * np.sum(np.sin(0.5 * x), axis=-1),
+        lambda x: 0.15 * np.cos(0.5 * x), [0.0, 0.1], [0.3, 0.0], 256, grid,
         RngStream(40)),
     # the other path experiments: one stochint-convergence chunk, the
     # covariance at three nodes and the two linear functionals
@@ -298,46 +306,32 @@ def test_singular_potential_rejects_paths():
 
 def test_gauge_linear_chi_residual_is_exactly_zero():
     # linear chi: the Stratonovich midpoint sum telescopes pathwise
-    pot = preset_potential("gauge-linear", d=1, c=0.8)
-    est = gauge_check(pot, [0.0], [0.6], 400, TimeGrid(1.0, 64),
-                      RngStream(26))
+    pot = preset_potential("free", d=1)
+    est = gauge_check(pot, *linear_chi(0.8), [0.0], [0.6], 400,
+                      TimeGrid(1.0, 64), RngStream(26))
     assert abs(est.mean) < 1e-13
     assert est.stderr < 1e-13
 
 
 def test_gauge_sine_chi_residual_consistent_with_zero():
-    amp, k = 0.3, 0.5
-    pot = PotentialConfig(
-        d=1,
-        chi=lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
-        grad_chi=lambda x: amp * k * np.cos(k * x))
+    pot = PotentialConfig(d=1)
     # with q' = q = 0 the leading weak bias is odd in the bridge and
     # averages out, leaving the residual noise-dominated
-    est = gauge_check(pot, [0.0], [0.0], 20000, TimeGrid(0.25, 256),
-                      RngStream(27))
+    est = gauge_check(pot, *sine_chi(0.3, 0.5), [0.0], [0.0], 20000,
+                      TimeGrid(0.25, 256), RngStream(27))
     assert abs(est.mean) <= 4 * est.stderr
 
 
 def test_gauge_bias_decays_with_refinement():
     # the per-path mean residual is O(dt): halving dt roughly halves it
-    amp, k = 0.3, 0.5
-    pot = PotentialConfig(
-        d=1,
-        chi=lambda x: amp * np.sin(k * np.sum(x, axis=-1)),
-        grad_chi=lambda x: amp * k * np.cos(k * x))
+    pot = PotentialConfig(d=1)
     biases = []
     for n in (32, 128, 512):
-        est = gauge_check(pot, [0.0], [0.4], 60000, TimeGrid(1.0, n),
-                          RngStream(28))
+        est = gauge_check(pot, *sine_chi(0.3, 0.5), [0.0], [0.4], 60000,
+                          TimeGrid(1.0, n), RngStream(28))
         biases.append(abs(est.mean))
     assert biases[2] < biases[1] < biases[0]
     assert biases[2] < 0.3 * biases[0]
-
-
-def test_gauge_check_requires_chi():
-    pot = preset_potential("free", d=1)
-    with pytest.raises(ValueError):
-        gauge_check(pot, [0.0], [1.0], 10, TimeGrid(1.0, 8), RngStream(29))
 
 
 @pytest.mark.parametrize("estimator", ["gauge_check", "diamagnetic_check"])
@@ -349,7 +343,7 @@ def test_one_potential_evaluation_per_chunk(estimator):
         calls.append(x.shape)
         return 0.1 * np.sum(x**2, axis=-1)
 
-    pot = replace(preset_potential("gauge-linear", d=1), v=v)
+    pot = PotentialConfig(d=1, v=v)
     # 100 paths are one chunk
     SCALAR_ESTIMATORS[estimator](pot, TimeGrid(1.0, 8), RngStream(34))
     assert calls == [(100, 9, 1)]
@@ -527,6 +521,24 @@ def test_well_kappa_matches_quad(d, halfwidth, t):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("halfwidth", [0.001, 0.01, 0.03, 0.1, 0.3, 0.7])
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+def test_narrow_well_kappa_matches_quad(d, halfwidth, t):
+    # erf(a / sqrt(2 s)) steps down at s ~ a^2 << t: quad runs on the
+    # pieces [0, a^2], [a^2, 4 a^2], ... of [0, t]
+    cuts = [halfwidth**2 * 4.0**k for k in range(40)
+            if halfwidth**2 * 4.0**k < t]
+    edges = [0.0] + cuts + [t]
+    ref = math.fsum(quad(
+        lambda s: math.erf(halfwidth / math.sqrt(2 * s)) ** d, lo, hi,
+        epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:]))
+    well = preset_potential("constant-well", d=d, height=1.0,
+                            halfwidth=halfwidth)
+    assert abs(well.closed.kappa(t) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("t", [1 / 64, 0.5])
 def test_wide_well_kappa_is_h_t(d, t):
     # no Gaussian leaves a halfwidth-8 well by t = 0.5: erf rounds to 1
@@ -580,6 +592,29 @@ def test_every_preset_with_v_has_a_closed_kappa(name):
             assert kappa is None
         else:
             assert math.isfinite(kappa) and kappa >= 0.0
+
+
+def _preset_fingerprint(pot: PotentialConfig) -> tuple:
+    """d, v and a on a grid of points and each closed form at one point."""
+    axis = np.linspace(-3.0, 3.0, 13)
+    x = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
+                 axis=-1).reshape(-1, pot.d)
+    q, qp, c = np.full(pot.d, 0.1), np.full(pot.d, -0.3), pot.closed
+    return (pot.d, pot.eval_v(x).tobytes(),
+            None if pot.a is None else np.asarray(pot.a(x)).tobytes(),
+            c.kernel(q, qp, 0.5), c.gaussian(1.0, qp, q, 0.5),
+            c.ground(q, 0.5), c.omega, c.kappa(0.5))
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, (defaults, _) in sorted(POTENTIAL_PRESETS.items())
+    for key in defaults])
+def test_every_preset_parameter_changes_the_potential(name, key):
+    # a preset parameter that no run reads would change none of these
+    default = POTENTIAL_PRESETS[name][0][key]
+    changed = default + 1 if isinstance(default, int) else 2 * default + 0.5
+    assert _preset_fingerprint(preset_potential(name)) \
+        != _preset_fingerprint(preset_potential(name, **{key: changed}))
 
 
 def test_khasminskii_bound_holds():
