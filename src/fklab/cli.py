@@ -263,7 +263,8 @@ def _per_step(block: int) -> int:
     return MAX_INCREMENT_BYTES // (8 * DEFAULT_CHUNK * block)
 
 
-# each side's step factors are m x m complex, two doubles per entry
+# each side's step factors are m x m complex, two doubles per entry; the
+# pair that both sides share for m = 2 at B = 0 is 16 doubles, inside it
 _MAX_M = math.isqrt(_per_step(fkmatrix.BLOCK) // 2)
 
 

@@ -66,19 +66,28 @@ def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
     """Antithetic Monte Carlo mean of one time-blocked walk per side.
 
     The sides walk in lockstep: each block of ``BLOCK`` steps draws dW once,
-    and side +1 walks dW, then side -1 walks -dW, one block of factors
-    alive at a time. Each side folds its carried T = T_s0 (T_0 = I) into
-    the block's first factor F[:, 0], so the block's ordered products are
-    the T_s. ``visit(s0, dWb, F, T)`` returns a copy of T at the block's end
-    and the block's terms X (count, k, m, m) or None; ``keep(kept, X)``
-    folds X into the side's kept terms, ``finish(kept, T_n)`` its sample.
+    time-major (b, P, d), and side +1 walks dW, then side -1 walks -dW.
+    Each side's factors are built from the time-major block, so they are
+    step-major, and handed on as a (P, b, m, m) view; they are freed before
+    the next are built. For m = 2 at B = 0 the -dW generator is exactly
+    -M, and one ``step_factors(..., antithetic=True)`` builds both sides'
+    factors from one closed form, freed before the next block's. Each
+    side folds its carried T = T_s0 (T_0 = I) into the block's first
+    factor F[:, 0], so the block's ordered products are the T_s.
+    ``visit(s0, dWs, F, T)`` (dWs the side's time-major increments)
+    returns a copy of T at the block's end and the block's terms X
+    (count, k, m, m) or None; ``keep(kept, X)`` folds X into the side's
+    kept terms, ``finish(kept, T_n)`` its sample.
     A ValueError, before any factor is built, when one block of a chunk's
-    complex factors is over the budget.
+    complex factors, of both sides when they are shared, is over the
+    budget.
     """
     if n_paths < 2 or n_paths % 2:
         raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
     grid, m = problem.grid, problem.dim
-    check_budget("one block of step factors", min(n_paths // 2, chunk_size),
+    shared = m == 2 and not np.any(problem.B)
+    check_budget("one block of step factors",
+                 (1 + shared) * min(n_paths // 2, chunk_size),
                  min(BLOCK, grid.n_steps), m, m, 2)
 
     def chunk_fn(gen, count):
@@ -86,15 +95,20 @@ def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
         kept = dict.fromkeys((1, -1))
         blocks = increment_blocks(grid, max(problem.d, 1), count, gen, BLOCK)
         for s0, dW in zip(range(0, grid.n_steps, BLOCK), blocks):
-            for sign in (1, -1):  # path-major (count, b, d) increments
-                dWb = np.multiply(sign, np.swapaxes(dW, 0, 1), order="C")
-                F = step_factors(dWb, grid.dt, problem.A, problem.B)
+            pair = step_factors(dW, grid.dt, problem.A, problem.B,
+                                antithetic=True) if shared else None
+            for side, sign in enumerate((1, -1)):
+                dWs = sign * dW
+                F = step_factors(dWs, grid.dt, problem.A, problem.B) \
+                    if pair is None else pair[side]
+                F = np.swapaxes(F, 0, 1)  # (count, b, m, m), step-major
                 F[:, 0] = stack_product(F[:, 0], T[sign])
-                T[sign], X = visit(s0, dWb, F, T[sign])
+                T[sign], X = visit(s0, dWs, F, T[sign])
                 del F  # free these factors before the next are built
                 if X is not None:
                     kept[sign] = X if kept[sign] is None \
                         else keep(kept[sign], X)
+            del pair  # and the shared pair before the next block's
         return 0.5 * (finish(kept[1], T[1]) + finish(kept[-1], T[-1])), None
 
     return reduce_chunks(chunk_fn, n_paths // 2, rng, chunk_size, workers)[0]
@@ -104,7 +118,7 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    return _matrix_mc(lambda s0, dWb, F, T: (ordered_product_tree(F), None),
+    return _matrix_mc(lambda s0, dWs, F, T: (ordered_product_tree(F), None),
                       None, lambda kept, T: T, problem, n_paths, rng,
                       chunk_size, workers)
 
@@ -125,23 +139,23 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
     m, d, dt = problem.dim, problem.d, problem.grid.dt
     A = np.stack(problem.A)
 
-    def visit(dWb, F, T0):
-        L = ordered_prefix(F)
-        T = L.reshape(len(L), -1, m * m)
-        mid = T.copy()  # T_(k+1) + T_k
-        mid[:, 1:] += T[:, :-1]
-        mid[:, 0] += T0.reshape(-1, m * m)
-        dWt = np.swapaxes(dWb, 1, 2)
-        X = np.empty((len(L), d + 1, m * m), dtype=complex)
-        X[:, :d] = dWt @ mid.real + 1j * (dWt @ mid.imag)
-        T.sum(axis=1, out=X[:, d])
-        return L[:, -1].copy(), X.reshape(len(L), d + 1, m, m)
+    def visit(dW, F, T0):
+        L = ordered_prefix(F).transpose(2, 3, 1, 0)  # step-major (m, m, b, P)
+        mid = L.copy()  # T_(k+1) + T_k
+        mid[..., 1:, :] += L[..., :-1, :]
+        mid[..., 0, :] += T0.transpose(1, 2, 0)
+        X = np.empty((d + 1, m, m, L.shape[-1]), dtype=complex)
+        for j in range(d):  # a step sum per entry and part
+            for out, part in ((X[j].real, mid.real), (X[j].imag, mid.imag)):
+                np.einsum("kp,abkp->abp", dW[..., j], part, out=out)
+        L.sum(axis=-2, out=X[d])
+        return F[:, -1].copy(), np.ascontiguousarray(X.transpose(3, 0, 1, 2))
 
     def finish(X, T):
         leb = 0.5 * dt * (2.0 * X[:, d] - T + np.eye(m))
         return 0.5 * X[:, :d] + 0.5j * np.einsum("jab,pbc->pjac", A, leb)
 
-    return _matrix_mc(lambda s0, dWb, F, T: visit(dWb, F, T), np.add,
+    return _matrix_mc(lambda s0, dWs, F, T: visit(dWs, F, T), np.add,
                       finish, problem, n_paths, rng, chunk_size, workers)
 
 
@@ -166,12 +180,12 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
     idx, weights = _gauss_legendre_snapped(problem.grid, n_quad)
     keys = sorted({int(i) for i in idx if i > 0} | {problem.grid.n_steps})
 
-    def visit(s0, dWb, F):
+    def visit(s0, F):
         L = ordered_prefix(F)
-        ks = [k - s0 - 1 for k in keys if s0 < k <= s0 + dWb.shape[1]]
+        ks = [k - s0 - 1 for k in keys if s0 < k <= s0 + F.shape[1]]
         return L[:, -1].copy(), L[:, ks]
 
-    est = _matrix_mc(lambda s0, dWb, F, T: visit(s0, dWb, F),
+    est = _matrix_mc(lambda s0, dWs, F, T: visit(s0, F),
                      lambda a, b: np.concatenate([a, b], axis=1),
                      lambda kept, T: kept, problem, n_paths, rng, chunk_size,
                      workers)

@@ -11,7 +11,11 @@ exp(-i dW . A - dt B) for increments of shape (P, n, d) and
 ``ordered_product_tree`` multiplies them, later factors on the left. One
 path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
 ``ordered_prefix`` turns the factors into every partial product in place,
-and ``stack_product`` multiplies two stacks of matrices.
+and ``stack_product`` multiplies two stacks of matrices. Both kernels read
+their (P, n, m, m) argument step-major, as (m, m, n, P): on the factors of
+time-major increments (n, P, d), seen as (P, n, m, m), a step is one
+contiguous row of all P paths. With ``antithetic``, ``step_factors`` and
+``expm_batch`` return the 2x2 exponentials of M and of -M in one result.
 One kernel set serves every m, and one kernel, ``_mul``, does every matrix
 product. It works on the m^2 entry arrays of entry-major (m, m, ...)
 buffers, seen as (..., m, m): a product is m^3 array products
@@ -65,10 +69,14 @@ def expm(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm2_batch(M: np.ndarray) -> np.ndarray:
+def _expm2_batch(M: np.ndarray, antithetic: bool) -> np.ndarray:
     """Closed-form exponential for stacked 2x2 matrices, entry by entry:
     each entry of the entry-major result is scaled by exp(tr/2) in place,
-    unless every trace is exactly zero and the scale is exactly 1."""
+    unless every trace is exactly zero and the scale is exactly 1. With
+    M = tr/2 + N, exp(N) = cosh(delta) + sinhc(delta) N, so exp(-M) is
+    exp(M)'s diagonal swapped and its off-diagonal negated, scaled by
+    exp(-tr/2): ``antithetic`` stacks it on a leading axis from the same
+    delta, cosh and sinhc."""
     m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
@@ -82,14 +90,21 @@ def _expm2_batch(M: np.ndarray) -> np.ndarray:
     else:
         sinhc = np.sinh(delta) / delta
     sa = sinhc * a
-    out = np.empty((2, 2) + M.shape[:-2], dtype=complex)
-    np.add(cosh, sa, out=out[0, 0, ...])
-    np.multiply(sinhc, m01, out=out[0, 1, ...])
-    np.multiply(sinhc, m10, out=out[1, 0, ...])
-    np.subtract(cosh, sa, out=out[1, 1, ...])
+    out = np.empty((1 + antithetic, 2, 2) + M.shape[:-2], dtype=complex)
+    np.add(cosh, sa, out=out[0, 0, 0])
+    np.multiply(sinhc, m01, out=out[0, 0, 1])
+    np.multiply(sinhc, m10, out=out[0, 1, 0])
+    np.subtract(cosh, sa, out=out[0, 1, 1])
+    if antithetic:
+        out[1, 0, 0], out[1, 1, 1] = out[0, 1, 1], out[0, 0, 0]
+        np.negative(out[0, 0, 1], out=out[1, 0, 1])
+        np.negative(out[0, 1, 0], out=out[1, 1, 0])
     if np.any(tr2):
-        out *= np.exp(tr2)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+        out[0] *= np.exp(tr2)
+        if antithetic:
+            out[1] *= np.exp(-tr2)
+    out = np.moveaxis(out, (1, 2), (-2, -1))
+    return out if antithetic else out[0]
 
 
 # theta_k bounds the norm at which the degree-k Pade approximant to exp is
@@ -102,18 +117,23 @@ _PADE = {k: tuple(math.factorial(2 * k - j)
                   for j in range(k + 1)) for k in _THETA}
 
 
-def expm_batch(M: np.ndarray) -> np.ndarray:
-    """Exponentials of a stack (..., m, m).
+def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
+    """Exponentials of a stack (..., m, m); with ``antithetic``, exp(M) and
+    exp(-M) stacked on a new leading axis, (2, ..., m, m), as one result,
+    each side equal to ``expm_batch`` of M or -M alone.
 
-    m == 2 takes the exact closed form. Other m use Pade 3/5/7/9 or scaled
-    Pade-13, chosen by the stack's largest row-sum norm (Higham 2005): the
-    powers, U and the squarings are entry products, (V - U) R = V + U goes
-    to ``np.linalg.solve`` with pivoting, and non-finite entries raise
-    ``OverflowError``.
+    m == 2 takes the exact closed form, the only one that shares its work
+    between M and -M; ``antithetic`` for other m is a ValueError. Other m
+    use Pade 3/5/7/9 or scaled Pade-13, chosen by the stack's largest
+    row-sum norm (Higham 2005): the powers, U and the squarings are entry
+    products, (V - U) R = V + U goes to ``np.linalg.solve`` with pivoting,
+    and non-finite entries raise ``OverflowError``.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] == 2:
-        return _expm2_batch(M)
+        return _expm2_batch(M, antithetic)
+    if antithetic:
+        raise ValueError("an antithetic pair shares the 2x2 closed form only")
     norm = float(np.abs(M).sum(axis=-1).max())
     k = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
     s = 0 if k < 13 else max(0, int(np.ceil(np.log2(norm / _THETA[k]))))
@@ -176,11 +196,17 @@ def _generator(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
 
 
 def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
-                 B: np.ndarray | None) -> np.ndarray:
-    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d)."""
+                 B: np.ndarray | None, antithetic: bool = False) -> np.ndarray:
+    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d);
+    with ``antithetic`` the factors of dW and of -dW, stacked on a leading
+    axis by ``expm_batch``, which needs B = 0: the -dW generator is then
+    exactly -M (a ValueError otherwise)."""
     A = as_operator_tuple(A)
     B = None if B is None else as_operator(B)
-    return expm_batch(_generator(dW, dt, A, B, (A[0] if A else B).shape[0]))
+    if antithetic and np.any(B):
+        raise ValueError("the -dW factors are exp(-M) only when B = 0")
+    return expm_batch(_generator(dW, dt, A, B, (A[0] if A else B).shape[0]),
+                      antithetic)
 
 
 def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
@@ -211,17 +237,20 @@ def ordered_product_tree(F: np.ndarray) -> np.ndarray:
     association changes but the operand order (later leftmost) does not.
     Each level is one entry product of the later factors with the earlier
     ones; an odd level carries its last factor to the next one unchanged.
+    The entry arrays are read step-major, (m, m, n, P), so a step is one
+    row of all P paths. Returns a C-contiguous (P, m, m).
     """
-    E = np.moveaxis(F, (-2, -1), (0, 1))
-    n = E.shape[-1]
+    E = F.transpose(2, 3, 1, 0)
+    n = E.shape[-2]
     while n > 1:
         half, odd = divmod(n, 2)
-        out = np.empty(E.shape[:-1] + (half + odd,), dtype=complex)
-        _mul(E[..., 1:2 * half:2], E[..., 0:2 * half:2], out[..., :half])
+        out = np.empty(E.shape[:2] + (half + odd, E.shape[-1]), dtype=complex)
+        _mul(E[..., 1:2 * half:2, :], E[..., 0:2 * half:2, :],
+             out[..., :half, :])
         if odd:
-            out[..., half] = E[..., n - 1]
+            out[..., half, :] = E[..., n - 1, :]
         E, n = out, half + odd
-    return np.ascontiguousarray(np.moveaxis(E[..., 0], (0, 1), (-2, -1)))
+    return np.ascontiguousarray(E[..., 0, :].transpose(2, 0, 1))
 
 
 def ordered_prefix(F: np.ndarray) -> np.ndarray:
@@ -233,24 +262,28 @@ def ordered_prefix(F: np.ndarray) -> np.ndarray:
     the block ends, then one product of every block with the carry of the
     block before it, so about 3 sqrt(n) entry products do O(n) matrix
     products, each written back into F. The largest temporary, the
-    product of that broadcast step, is about as large as F.
+    product of that broadcast step, is about as large as F. The entry
+    arrays are read step-major, (m, m, n, P): on F a view of step-major
+    memory, as the matrix walk builds it, each scan step reads whole rows
+    of P paths.
     """
-    E = np.moveaxis(F, (-2, -1), (0, 1))  # (m, m, P, n), a view
-    n = E.shape[-1]
+    E = F.transpose(2, 3, 1, 0)  # (m, m, n, P), a view
+    n = E.shape[-2]
     b = max(1, math.isqrt(n))
     for j in range(1, b):
-        L = E[..., j::b]
-        L[...] = _mul(L, E[..., j - 1::b][..., :L.shape[-1]])
+        L = E[..., j::b, :]
+        L[...] = _mul(L, E[..., j - 1::b, :][..., :L.shape[-2], :])
     ends = [*range(b - 1, n - 1, b), n - 1]
     for prev, end in zip(ends, ends[1:]):
-        E[..., end] = _mul(E[..., end], E[..., prev])
+        E[..., end, :] = _mul(E[..., end, :], E[..., prev, :])
     full = n // b
     # splitting one axis in two is always a view, so the writes reach F
-    blocks = E[..., :full * b].reshape(E.shape[:-1] + (full, b))
-    blocks[..., 1:, :-1] = _mul(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
+    blocks = E[..., :full * b, :].reshape(E.shape[:2] + (full, b, E.shape[-1]))
+    blocks[..., 1:, :-1, :] = _mul(blocks[..., 1:, :-1, :],
+                                   blocks[..., :-1, -1:, :])
     # the last, partial block; its end was set by the carry
-    L = E[..., full * b:n - 1]
-    L[...] = _mul(L, E[..., full * b - 1, None])
+    L = E[..., full * b:n - 1, :]
+    L[...] = _mul(L, E[..., full * b - 1, None, :])
     return F
 
 

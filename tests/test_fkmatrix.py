@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fklab import fkmatrix
+from fklab import fkmatrix, opalg, wiener
 from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
                             estimate_generalized_fk, estimate_product_formula,
                             product_formula_target, rhs_generator)
 from fklab.mc import reduce_chunks
-from fklab.opalg import step_factors
+from fklab.opalg import expm_batch, step_factors
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -210,8 +210,8 @@ def test_nov_and_duhamel_worker_invariance_bitwise(chunk):
 
 
 def test_prefix_checks_hold_one_factor_array():
-    # the prefixes overwrite the step factors, one antithetic side at a
-    # time, so a chunk never holds two factor arrays at once
+    # the prefixes overwrite the step factors, one block at a time: at
+    # B = 0 one block of both sides' factors, otherwise one side's
     prob = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 256))
     count = 128
     dW = whole_increments(prob.grid, 2, count, RngStream(14).generator())
@@ -229,6 +229,51 @@ def test_prefix_checks_hold_one_factor_array():
             assert tracemalloc.get_traced_memory()[1] < build + factor_bytes
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("A, B, per_block",
+                         [((SX, SY), Z2, 1), ((SX, SY), SZ, 2),
+                          ((JX,), np.zeros((3, 3)), 2)],
+                         ids=["B0", "Bz", "spin1-B0"])
+def test_one_exponential_per_block_when_drift_vanishes(monkeypatch, A, B,
+                                                       per_block):
+    # for m = 2 at B = 0 one expm_batch call builds both sides' factors of
+    # a block; each side builds its own otherwise
+    calls = []
+
+    def counted(M, antithetic=False):
+        calls.append(antithetic)
+        return expm_batch(M, antithetic)
+
+    monkeypatch.setattr(opalg, "expm_batch", counted)
+    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 130))  # 3 blocks
+    runs = [lambda: estimate_generalized_fk(prob, 64, RngStream(17), 16),
+            lambda: check_duhamel(prob, 64, 12, RngStream(17), 16)]
+    if not np.any(B):
+        runs.append(lambda: check_nov_identity(prob, 64, RngStream(17), 16))
+    for run in runs:
+        calls.clear()
+        run()  # 2 chunks
+        assert calls == [per_block == 1] * (2 * 3 * per_block)
+
+
+def test_shared_factor_pair_counts_both_sides_in_the_budget(monkeypatch):
+    # 64 pairs x 64 steps x 2 x 2 complex is 256 KiB per side; in a
+    # 256 KiB budget the B = 0 pair is over it before any factor is built,
+    # and the B = sigma_z sides, one at a time, run
+    def refuse(*args, **kwargs):
+        raise AssertionError("step_factors ran")
+
+    monkeypatch.setattr(wiener, "MAX_INCREMENT_BYTES", 64 * 64 * 4 * 16)
+    grid = TimeGrid(1.0, 64)
+    with monkeypatch.context() as patch:
+        patch.setattr(fkmatrix, "step_factors", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            estimate_generalized_fk(FKProblem((SX, SY), Z2, 1.0, grid), 128,
+                                    RngStream(12))
+    est = estimate_generalized_fk(FKProblem((SX, SY), SZ, 1.0, grid), 128,
+                                  RngStream(12))
+    assert np.all(np.isfinite(est.mean))
 
 
 # estimator and call on 2 * 128 paths in one chunk

@@ -163,6 +163,54 @@ def test_expm_batch_2x2_entry_path_against_taylor():
         assert np.allclose(out[idx], taylor_expm(M[idx]), rtol=0, atol=1e-14)
 
 
+def _antithetic_batches():
+    """(name, M) 2x2 stacks covering every branch of the closed form:
+    traceless, with a trace and on the small-delta branch."""
+    gen = RngStream(28).generator()
+
+    def stack(top, count=6):
+        shape = (count, 2, 2)
+        M = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        norms = top * np.linspace(1.0, 1e-3, count)
+        return M * (norms / np.abs(M).sum(axis=-1).max(axis=-1))[:, None, None]
+
+    traceless = stack(0.5)
+    traceless[..., 1, 1] = -traceless[..., 0, 0]
+    small = 1e-3 * stack(0.5)
+    small[0] = [[0.3, 1e-9], [0.0, 0.3]]  # delta = 0
+    small[1] = [[0.2, 1e-7], [1e-7, 0.2 + 1e-7j]]  # 0 < |delta| < 1e-6
+    yield "traceless", traceless
+    yield "trace", stack(2.0)
+    yield "small-delta", small
+
+
+ANTITHETIC_BATCHES = dict(_antithetic_batches())
+
+
+@pytest.mark.parametrize("M", ANTITHETIC_BATCHES.values(),
+                         ids=ANTITHETIC_BATCHES.keys())
+def test_expm_batch_antithetic_equals_both_sides(M):
+    # one result holds exp(M) and exp(-M), each equal to its own call (an
+    # exact zero may differ in sign); a leading batch axis is kept
+    both = expm_batch(M.reshape(2, 3, *M.shape[1:]), antithetic=True)
+    assert both.shape == (2, 2, 3) + M.shape[1:]
+    both = both.reshape(2, *M.shape)
+    assert np.array_equal(both[0], expm_batch(M))
+    assert np.array_equal(both[1], expm_batch(-M))
+
+
+def test_antithetic_pair_needs_the_2x2_form_and_no_drift():
+    # only the 2x2 closed form shares its work between M and -M, and the
+    # -dW factors are exp(-M) only when B = 0
+    with pytest.raises(ValueError, match="2x2"):
+        expm_batch(0.1 * np.ones((4, 3, 3)), antithetic=True)
+    dW = np.array([[0.3, -0.2]])
+    with pytest.raises(ValueError, match="B = 0"):
+        step_factors(dW, 0.01, (SX, SY), SZ, antithetic=True)
+    pair = step_factors(dW, 0.01, (SX, SY), np.zeros((2, 2)), antithetic=True)
+    assert np.array_equal(pair[1], step_factors(-dW, 0.01, (SX, SY), None))
+
+
 SIZES = [1, 2, 3, 4, 5]
 
 
@@ -278,6 +326,25 @@ def test_ordered_prefix_strided_input(m):
     untouched = np.ones(G.shape[:2], dtype=bool)
     untouched[::2, 1::3] = False
     assert np.array_equal(G[untouched], before[untouched])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+@pytest.mark.parametrize("m", [2, 3])
+def test_kernels_same_bits_on_path_and_step_major_memory(m, n):
+    # the matrix walk hands the kernels a (P, n, m, m) view of step-major
+    # (m, m, n, P) memory; C-contiguous factors give the same bits
+    gen = RngStream(29).generator()
+    shape = (m, m, n, 5)
+    steps = 0.6 / m * (gen.standard_normal(shape)
+                       + 1j * gen.standard_normal(shape))
+    view = steps.transpose(3, 2, 0, 1)
+    path = np.ascontiguousarray(view)
+    tree = ordered_product_tree(view)
+    assert tree.shape == (5, m, m) and tree.flags.c_contiguous
+    assert tree.tobytes() == ordered_product_tree(path).tobytes()
+    ordered_prefix(view)
+    ordered_prefix(path)
+    assert np.ascontiguousarray(view).tobytes() == path.tobytes()
 
 
 def test_step_factor_definition():
