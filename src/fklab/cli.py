@@ -193,8 +193,8 @@ def _matrix(value, name: str, pot=None) -> np.ndarray:
     if arr.shape[0] > _MAX_M:
         raise ConfigError(
             f"{name} must be at most {_MAX_M} x {_MAX_M} (a block of a "
-            f"chunk's step factors, {DEFAULT_CHUNK} pairs x {fkmatrix.BLOCK} "
-            "steps x m x m complex, must fit the budget)")
+            f"chunk's step factors, {2 * DEFAULT_CHUNK} paths x "
+            f"{fkmatrix.BLOCK} steps x m x m complex, must fit the budget)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -258,14 +258,15 @@ def _presets(table: dict):
 
 
 def _per_step(block: int) -> int:
-    """The doubles per path (or pair) and time step that one block of a
-    full chunk, DEFAULT_CHUNK x ``block`` steps, may hold in the budget."""
+    """The doubles per chunk row (a path, or a pair of the matrix walk) and
+    step that one block of a full chunk, DEFAULT_CHUNK rows x ``block``
+    steps, may hold in the budget."""
     return MAX_INCREMENT_BYTES // (8 * DEFAULT_CHUNK * block)
 
 
-# each side's step factors are m x m complex, two doubles per entry; the
-# pair that both sides share for m = 2 at B = 0 is 16 doubles, inside it
-_MAX_M = math.isqrt(_per_step(fkmatrix.BLOCK) // 2)
+# a pair is two paths of the matrix walk, so one block holds 2 x BLOCK
+# path-steps per pair, each step factor m x m complex, two doubles an entry
+_MAX_M = math.isqrt(_per_step(2 * fkmatrix.BLOCK) // 2)
 
 
 def _dimension(convert, block: int, size=lambda x: x):
@@ -609,7 +610,7 @@ EXPERIMENTS = {
         {"alpha": (_ranged(_num, *_UNIT), REQUIRED)},
         slope=("grid.n_steps", "ms_residual", -1.0, 0.3)),
     "fk-matrix": Experiment(_run_fk_matrix, {
-        "A": (_dimension(_matrices, fkmatrix.BLOCK, len), REQUIRED),
+        "A": (_dimension(_matrices, 2 * fkmatrix.BLOCK, len), REQUIRED),
         **_MATRIX_TOLS}, check=_even_paths),
     "fk-product": Experiment(_run_fk_product, {
         "Aplus": (_matrix, REQUIRED), "Aminus": (_matrix, REQUIRED),

@@ -3,10 +3,11 @@
 The ensemble average of the path-ordered exponential driven by d Gaussian
 increments and a drift operator B is compared with exp(-t (A^2/2 + B)).
 Antithetic pairing (w, -w) is applied throughout; it reduces variance and
-is licensed by the reflection invariance of the measure. Every estimator is
-one time-blocked walk of both sides, :func:`_matrix_mc`, which carries each
-side's ordered product T_s across blocks of step factors, so a chunk holds
-O(paths x block x (d + m^2)) floats, whatever the step count.
+is licensed by the reflection invariance of the measure, so a pair is two
+paths of one batch. Every estimator is one time-blocked walk of that batch,
+:func:`_matrix_mc`, which carries the ordered products T_s across blocks of
+step factors, so a chunk holds O(paths x block x (d + m^2)) floats,
+whatever the step count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .opalg import (as_operator, as_operator_tuple, expm, gauss_legendre,
 from .streams import RngStream
 from .wiener import TimeGrid, check_budget, increment_blocks
 
-BLOCK = 64  # time steps per block of the antithetic walk
+BLOCK = 32  # time steps per block of the antithetic walk
 
 
 @dataclass(frozen=True)
@@ -63,53 +64,40 @@ def rhs_generator(problem: FKProblem) -> np.ndarray:
 
 def _matrix_mc(visit, keep, finish, problem: FKProblem, n_paths: int,
                rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
-    """Antithetic Monte Carlo mean of one time-blocked walk per side.
+    """Antithetic Monte Carlo mean of one time-blocked walk of 2P paths.
 
-    The sides walk in lockstep: each block of ``BLOCK`` steps draws dW once,
-    time-major (b, P, d), and side +1 walks dW, then side -1 walks -dW.
-    Each side's factors are built from the time-major block, so they are
-    step-major, and handed on as a (P, b, m, m) view; they are freed before
-    the next are built. For m = 2 at B = 0 the -dW generator is exactly
-    -M, and one ``step_factors(..., antithetic=True)`` builds both sides'
-    factors from one closed form, freed before the next block's. Each
-    side folds its carried T = T_s0 (T_0 = I) into the block's first
-    factor F[:, 0], so the block's ordered products are the T_s.
-    ``visit(s0, dWs, F, T)`` (dWs the side's time-major increments)
-    returns a copy of T at the block's end and the block's terms X
-    (count, k, m, m) or None; ``keep(kept, X)`` folds X into the side's
-    kept terms, ``finish(kept, T_n)`` its sample.
+    Each block of ``BLOCK`` steps draws the chunk's P pairs' increments dW
+    once, time-major (b, P, d), and ``step_factors(..., antithetic=True)``
+    builds the step-major factors of the 2P paths dW and -dW, handed on as
+    a (2P, b, m, m) view. The carried T = T_s0 (T_0 = I) is folded into the
+    block's first factor F[:, 0], so the block's ordered products are the
+    T_s. ``visit(s0, dW, F, T)`` returns a copy of T at the block's end and
+    the block's terms X (2P, k, m, m) or None; ``keep(kept, X)`` folds X
+    into the kept terms, ``finish(kept, T_n)`` gives the 2P samples, and a
+    pair's sample is the mean of its two paths'.
     A ValueError, before any factor is built, when one block of a chunk's
-    complex factors, of both sides when they are shared, is over the
-    budget.
+    complex factors is over the budget.
     """
     if n_paths < 2 or n_paths % 2:
         raise ValueError(f"antithetic pairs need even n_paths > 0: {n_paths}")
     grid, m = problem.grid, problem.dim
-    shared = m == 2 and not np.any(problem.B)
     check_budget("one block of step factors",
-                 (1 + shared) * min(n_paths // 2, chunk_size),
-                 min(BLOCK, grid.n_steps), m, m, 2)
+                 2 * min(n_paths // 2, chunk_size), min(BLOCK, grid.n_steps),
+                 m, m, 2)
 
     def chunk_fn(gen, count):
-        T = dict.fromkeys((1, -1), np.eye(m, dtype=complex)[None])
-        kept = dict.fromkeys((1, -1))
+        T, kept = np.eye(m, dtype=complex)[None], None
         blocks = increment_blocks(grid, max(problem.d, 1), count, gen, BLOCK)
         for s0, dW in zip(range(0, grid.n_steps, BLOCK), blocks):
-            pair = step_factors(dW, grid.dt, problem.A, problem.B,
-                                antithetic=True) if shared else None
-            for side, sign in enumerate((1, -1)):
-                dWs = sign * dW
-                F = step_factors(dWs, grid.dt, problem.A, problem.B) \
-                    if pair is None else pair[side]
-                F = np.swapaxes(F, 0, 1)  # (count, b, m, m), step-major
-                F[:, 0] = stack_product(F[:, 0], T[sign])
-                T[sign], X = visit(s0, dWs, F, T[sign])
-                del F  # free these factors before the next are built
-                if X is not None:
-                    kept[sign] = X if kept[sign] is None \
-                        else keep(kept[sign], X)
-            del pair  # and the shared pair before the next block's
-        return 0.5 * (finish(kept[1], T[1]) + finish(kept[-1], T[-1])), None
+            F = np.swapaxes(step_factors(dW, grid.dt, problem.A, problem.B,
+                                         antithetic=True), 0, 1)
+            F[:, 0] = stack_product(F[:, 0], T)
+            T, X = visit(s0, dW, F, T)
+            del F  # free these factors before the next are built
+            if X is not None:
+                kept = X if kept is None else keep(kept, X)
+        s = finish(kept, T)
+        return 0.5 * (s[:count] + s[count:]), None
 
     return reduce_chunks(chunk_fn, n_paths // 2, rng, chunk_size, workers)[0]
 
@@ -118,7 +106,7 @@ def estimate_generalized_fk(problem: FKProblem, n_paths: int, rng: RngStream,
                             chunk_size: int = DEFAULT_CHUNK,
                             workers: int = 1) -> MCEstimate:
     """Antithetic Monte Carlo mean of the path-ordered exponential."""
-    return _matrix_mc(lambda s0, dWs, F, T: (ordered_product_tree(F), None),
+    return _matrix_mc(lambda s0, dW, F, T: (ordered_product_tree(F), None),
                       None, lambda kept, T: T, problem, n_paths, rng,
                       chunk_size, workers)
 
@@ -140,7 +128,8 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
     A = np.stack(problem.A)
 
     def visit(dW, F, T0):
-        L = ordered_prefix(F).transpose(2, 3, 1, 0)  # step-major (m, m, b, P)
+        dW = np.concatenate([dW, -dW], axis=1)  # F's 2P paths
+        L = ordered_prefix(F).transpose(2, 3, 1, 0)  # step-major (m, m, b, 2P)
         mid = L.copy()  # T_(k+1) + T_k
         mid[..., 1:, :] += L[..., :-1, :]
         mid[..., 0, :] += T0.transpose(1, 2, 0)
@@ -155,7 +144,7 @@ def check_nov_identity(problem: FKProblem, n_paths: int, rng: RngStream,
         leb = 0.5 * dt * (2.0 * X[:, d] - T + np.eye(m))
         return 0.5 * X[:, :d] + 0.5j * np.einsum("jab,pbc->pjac", A, leb)
 
-    return _matrix_mc(lambda s0, dWs, F, T: visit(dWs, F, T), np.add,
+    return _matrix_mc(lambda s0, dW, F, T: visit(dW, F, T), np.add,
                       finish, problem, n_paths, rng, chunk_size, workers)
 
 
@@ -185,7 +174,7 @@ def check_duhamel(problem: FKProblem, n_paths: int, n_quad: int,
         ks = [k - s0 - 1 for k in keys if s0 < k <= s0 + F.shape[1]]
         return L[:, -1].copy(), L[:, ks]
 
-    est = _matrix_mc(lambda s0, dWs, F, T: visit(s0, F),
+    est = _matrix_mc(lambda s0, dW, F, T: visit(s0, F),
                      lambda a, b: np.concatenate([a, b], axis=1),
                      lambda kept, T: kept, problem, n_paths, rng, chunk_size,
                      workers)

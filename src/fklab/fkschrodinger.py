@@ -260,13 +260,15 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
     time integral is the grid's trapezoid, with the s = 0 value u(x).
     ``box_halfwidth`` declares where u is negligible: a warning is raised
     when sampled points outside the box carry non-negligible u, and a
-    ValueError, before allocating, when one time step's nodes are too many.
+    ValueError, before allocating, when one time step's nodes or the
+    probes' values at every time node are over the budget.
     A u that is NaN or infinite at a probe or a node raises
     FloatingPointError before anything is summed.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
     check_budget("the Kato nodes", probes.shape[0], n_space**d, d)
+    check_budget("the Kato values", probes.shape[0], grid.n_steps + 1)
     x1, w1 = gauss_legendre(n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
@@ -312,9 +314,11 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
 def box_kappa(pot: PotentialConfig, grid: TimeGrid, n_per_axis: int,
               n_space: int) -> float:
     """kappa_t(v_-), t = grid.t_end, over a tensor grid of n_per_axis**d
-    probe points spanning the declared box."""
+    probe points spanning the declared box; a ValueError, before
+    allocating, when the probes are over the budget."""
     if pot.v is None:  # v_- = 0, and so is kappa, with no quadrature
         return 0.0
+    check_budget("the Kato probes", n_per_axis**pot.d, pot.d)
     axis = np.linspace(-pot.box_halfwidth, pot.box_halfwidth, n_per_axis)
     probes = np.stack(np.meshgrid(*([axis] * pot.d), indexing="ij"),
                       axis=-1).reshape(-1, pot.d)

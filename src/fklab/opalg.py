@@ -14,13 +14,13 @@ path is ``ordered_product_tree(step_factors(dW[None], dt, A, B))[0]``.
 and ``stack_product`` multiplies two stacks of matrices. Both kernels read
 their (P, n, m, m) argument step-major, as (m, m, n, P): on the factors of
 time-major increments (n, P, d), seen as (P, n, m, m), a step is one
-contiguous row of all P paths. With ``antithetic``, ``step_factors`` and
-``expm_batch`` return the 2x2 exponentials of M and of -M in one result.
+contiguous row of all P paths. With ``antithetic``, ``step_factors`` builds
+the factors of the paths and of their reflections as one batch.
 One kernel set serves every m, and one kernel, ``_mul``, does every matrix
 product. It works on the m^2 entry arrays of entry-major (m, m, ...)
-buffers, seen as (..., m, m): a product is m^3 array products
-c_ab += l_ak r_kb, not a stacked ``@`` that pays per matrix. The only
-branch on m is the exact 2x2 exponential.
+buffers, seen as (..., m, m): a product is m (2m - 1) array operations,
+c_ab += l_ak r_kb for one a and k over all b at once, not a stacked ``@``
+that pays per matrix. The only branch on m is the exact 2x2 exponential.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _expm2_batch(M: np.ndarray, antithetic: bool) -> np.ndarray:
     unless every trace is exactly zero and the scale is exactly 1. With
     M = tr/2 + N, exp(N) = cosh(delta) + sinhc(delta) N, so exp(-M) is
     exp(M)'s diagonal swapped and its off-diagonal negated, scaled by
-    exp(-tr/2): ``antithetic`` stacks it on a leading axis from the same
-    delta, cosh and sinhc."""
+    exp(-tr/2): ``antithetic`` appends it on the P axis, axis -3, from the
+    same delta, cosh and sinhc."""
     m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
@@ -90,21 +90,24 @@ def _expm2_batch(M: np.ndarray, antithetic: bool) -> np.ndarray:
     else:
         sinhc = np.sinh(delta) / delta
     sa = sinhc * a
-    out = np.empty((1 + antithetic, 2, 2) + M.shape[:-2], dtype=complex)
-    np.add(cosh, sa, out=out[0, 0, 0])
-    np.multiply(sinhc, m01, out=out[0, 0, 1])
-    np.multiply(sinhc, m10, out=out[0, 1, 0])
-    np.subtract(cosh, sa, out=out[0, 1, 1])
+    lead = M.shape[:-2]
     if antithetic:
-        out[1, 0, 0], out[1, 1, 1] = out[0, 1, 1], out[0, 0, 0]
-        np.negative(out[0, 0, 1], out=out[1, 0, 1])
-        np.negative(out[0, 1, 0], out=out[1, 1, 0])
+        lead = lead[:-1] + (2 * lead[-1],)
+    out = np.empty((2, 2) + lead, dtype=complex)
+    pos, neg = np.split(out, 2, axis=-1) if antithetic else (out, None)
+    np.add(cosh, sa, out=pos[0, 0])
+    np.multiply(sinhc, m01, out=pos[0, 1])
+    np.multiply(sinhc, m10, out=pos[1, 0])
+    np.subtract(cosh, sa, out=pos[1, 1])
+    if antithetic:
+        neg[0, 0], neg[1, 1] = pos[1, 1], pos[0, 0]
+        np.negative(pos[0, 1], out=neg[0, 1])
+        np.negative(pos[1, 0], out=neg[1, 0])
     if np.any(tr2):
-        out[0] *= np.exp(tr2)
+        pos *= np.exp(tr2)
         if antithetic:
-            out[1] *= np.exp(-tr2)
-    out = np.moveaxis(out, (1, 2), (-2, -1))
-    return out if antithetic else out[0]
+            neg *= np.exp(-tr2)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # theta_k bounds the norm at which the degree-k Pade approximant to exp is
@@ -118,9 +121,9 @@ _PADE = {k: tuple(math.factorial(2 * k - j)
 
 
 def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
-    """Exponentials of a stack (..., m, m); with ``antithetic``, exp(M) and
-    exp(-M) stacked on a new leading axis, (2, ..., m, m), as one result,
-    each side equal to ``expm_batch`` of M or -M alone.
+    """Exponentials of a stack (..., m, m); with ``antithetic`` those of
+    ``np.concatenate([M, -M], axis=-3)``, equal to that plain call (an
+    exact zero may differ in sign).
 
     m == 2 takes the exact closed form, the only one that shares its work
     between M and -M; ``antithetic`` for other m is a ValueError. Other m
@@ -197,30 +200,36 @@ def _generator(dW: np.ndarray, dt: float, A: tuple[np.ndarray, ...],
 
 def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
                  B: np.ndarray | None, antithetic: bool = False) -> np.ndarray:
-    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., d);
-    with ``antithetic`` the factors of dW and of -dW, stacked on a leading
-    axis by ``expm_batch``, which needs B = 0: the -dW generator is then
-    exactly -M (a ValueError otherwise)."""
+    """exp(-i dW . A - dt B) for stacked increments dW of shape (..., P, d).
+
+    With ``antithetic``, the factors of the 2P paths
+    ``np.concatenate([dW, -dW], axis=-2)``: rows 0 ... P-1 walk dW and rows
+    P ... 2P-1 walk -dW. For m = 2 at B = 0 the -dW generator is exactly
+    -M, and both halves come from one closed form."""
     A = as_operator_tuple(A)
     B = None if B is None else as_operator(B)
-    if antithetic and np.any(B):
-        raise ValueError("the -dW factors are exp(-M) only when B = 0")
-    return expm_batch(_generator(dW, dt, A, B, (A[0] if A else B).shape[0]),
-                      antithetic)
+    m = (A[0] if A else B).shape[0]
+    shared = antithetic and m == 2 and not np.any(B)
+    if antithetic and not shared:
+        dW = np.concatenate([dW, -dW], axis=-2)
+    return expm_batch(_generator(dW, dt, A, B, m), shared)
 
 
 def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
     """L @ R on entry-major stacks (m, m, ...) that broadcast, into out:
-    c_ab = l_a0 r_0b + l_a1 r_1b + ..., one product temporary for all."""
+    c_ab = l_a0 r_0b + l_a1 r_1b + ..., a whole row a per call, one product
+    temporary of one row for all. Few calls matter with two worker threads:
+    numpy drops the interpreter lock in every call on more than 500
+    elements, and each drop may hand it to the other thread."""
     m = L.shape[0]
     if out is None:
         out = np.empty(np.broadcast_shapes(L.shape, R.shape), dtype=complex)
-    tmp = np.empty(out.shape[2:], dtype=complex)
-    for a, b in np.ndindex(m, m):
-        c = out[a, b, ...]
-        np.multiply(L[a, 0], R[0, b], out=c)
+    tmp = np.empty(out.shape[1:], dtype=complex)
+    for a in range(m):
+        c = out[a]
+        np.multiply(L[a, 0, None], R[0], out=c)
         for k in range(1, m):
-            c += np.multiply(L[a, k], R[k, b], out=tmp)
+            c += np.multiply(L[a, k, None], R[k], out=tmp)
     return out
 
 

@@ -8,10 +8,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fklab import cli, fkschrodinger
+from fklab import cli, fkmatrix, fkschrodinger, wiener
 from fklab.cli import ConfigError, main, parse_config
+from fklab.mc import DEFAULT_CHUNK
+from fklab.streams import RngStream
 
 from test_acceptance import REDUCED_CONFIGS
 
@@ -445,7 +448,7 @@ BAD_INPUTS = {
     "length-inf": ("phasespace-roundtrip", [("params.length", math.inf)]),
     "rel_tol-beyond-float": ("fk-kernel", [("params.rel_tol", 10**400)]),
     # a dimension whose block of a full chunk's increments, 16384 paths x
-    # 16 steps (64 for fk-matrix) x d doubles, is over
+    # 16 steps (32768 paths x 32 steps for fk-matrix) x d doubles, is over
     # wiener.MAX_INCREMENT_BYTES, found before anything of length d is
     # built: fk-kernel's q and q' default to d zeros after the potential
     "potential-d-over-budget": ("fk-kernel", [(
@@ -453,7 +456,7 @@ BAD_INPUTS = {
     "wiener-d-over-budget": ("wiener-stats", [("params.d", 513)]),
     "matrix-components-over-budget": ("fk-matrix",
                                       [("params.A", [[[[1, 0]]]] * 129)]),
-    # a block of a full chunk's step factors, 16384 pairs x 64 steps x
+    # a block of a full chunk's step factors, 32768 paths x 32 steps x
     # m x m complex, is over the budget for m = 9
     "matrix-9x9-over-budget": ("fk-matrix", [("params.A", [NINE_BY_NINE])]),
     "aplus-9x9-over-budget": ("fk-product",
@@ -484,6 +487,29 @@ def test_any_step_count_parses(experiment):
     # budget; the config is only parsed here, not run
     doc = _shrunk(experiment, [("grid.n_steps", 10**9)])
     assert cli.parse_config(doc).grid.n_steps == 10**9
+
+
+def test_matrix_bound_is_the_walk_budget(monkeypatch):
+    # the parse-time m bound and the walk's factor budget are one rule: a
+    # full chunk at m = _MAX_M reaches step_factors, at _MAX_M + 1 it is
+    # rejected before
+    class Refused(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    def full_chunk(m):
+        prob = fkmatrix.FKProblem((np.eye(m),), np.zeros((m, m)), 1.0,
+                                  wiener.TimeGrid(1.0, fkmatrix.BLOCK))
+        fkmatrix.estimate_generalized_fk(prob, 2 * DEFAULT_CHUNK,
+                                         RngStream(0))
+
+    monkeypatch.setattr(fkmatrix, "step_factors", refuse)
+    with pytest.raises(Refused):
+        full_chunk(cli._MAX_M)
+    with pytest.raises(ValueError, match="budget"):
+        full_chunk(cli._MAX_M + 1)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -959,6 +985,18 @@ def test_readme_table_matches_the_experiments():
                 tuple(needs), set(params) - set(cli.EXPERIMENTS))
     assert rows == {name: (row.needs, set(row.params))
                     for name, row in cli.EXPERIMENTS.items()}
+
+
+def test_readme_module_rows_name_the_block_sizes():
+    # the README rows of fklab.wiener and fklab.fkmatrix name each
+    # module's BLOCK
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {line.split("|")[1].strip(" `"): line for line in
+            readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `fklab.")}
+    for module in (wiener, fkmatrix):
+        assert re.findall(r"`BLOCK` = (\d+)", rows[module.__name__]) \
+            == [str(module.BLOCK)]
 
 
 def test_readme_potential_row_matches_the_presets():

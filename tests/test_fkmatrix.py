@@ -146,9 +146,9 @@ def _assert_matches_loop(est, ref):
     assert np.array_equal(est.stderr == 0, ref.stderr == 0)
 
 
-# n_steps below one block, one whole block, one block and one step, and
-# two blocks and a partial one; a Duhamel node falls on step 0 at 16 and on
-# the first block end at 65
+# n_steps below one block, two whole blocks, two blocks and one step, and
+# four blocks and a partial one; a Duhamel node falls on step 0 at 16 and
+# on the second block's end at 65
 BLOCK_STEPS = [16, 64, 65, 130]
 CASES = dict(argnames="A, B",
              argvalues=[((SX, SY), Z2), ((SX,), SZ), ((JX,), JZ)],
@@ -210,8 +210,8 @@ def test_nov_and_duhamel_worker_invariance_bitwise(chunk):
 
 
 def test_prefix_checks_hold_one_factor_array():
-    # the prefixes overwrite the step factors, one block at a time: at
-    # B = 0 one block of both sides' factors, otherwise one side's
+    # the prefixes overwrite the step factors, one block of both sides'
+    # paths at a time
     prob = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 256))
     count = 128
     dW = whole_increments(prob.grid, 2, count, RngStream(14).generator())
@@ -231,14 +231,14 @@ def test_prefix_checks_hold_one_factor_array():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("A, B, per_block",
-                         [((SX, SY), Z2, 1), ((SX, SY), SZ, 2),
-                          ((JX,), np.zeros((3, 3)), 2)],
+@pytest.mark.parametrize("A, B, shared",
+                         [((SX, SY), Z2, True), ((SX, SY), SZ, False),
+                          ((JX,), np.zeros((3, 3)), False)],
                          ids=["B0", "Bz", "spin1-B0"])
 def test_one_exponential_per_block_when_drift_vanishes(monkeypatch, A, B,
-                                                       per_block):
-    # for m = 2 at B = 0 one expm_batch call builds both sides' factors of
-    # a block; each side builds its own otherwise
+                                                       shared):
+    # one expm_batch call builds a block's factors of both antithetic sides
+    # for every (A, B); only m = 2 at B = 0 shares the closed form
     calls = []
 
     def counted(M, antithetic=False):
@@ -246,7 +246,8 @@ def test_one_exponential_per_block_when_drift_vanishes(monkeypatch, A, B,
         return expm_batch(M, antithetic)
 
     monkeypatch.setattr(opalg, "expm_batch", counted)
-    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 130))  # 3 blocks
+    prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 130))
+    blocks = -(-130 // fkmatrix.BLOCK)
     runs = [lambda: estimate_generalized_fk(prob, 64, RngStream(17), 16),
             lambda: check_duhamel(prob, 64, 12, RngStream(17), 16)]
     if not np.any(B):
@@ -254,26 +255,30 @@ def test_one_exponential_per_block_when_drift_vanishes(monkeypatch, A, B,
     for run in runs:
         calls.clear()
         run()  # 2 chunks
-        assert calls == [per_block == 1] * (2 * 3 * per_block)
+        assert calls == [shared] * (2 * blocks)
 
 
 def test_shared_factor_pair_counts_both_sides_in_the_budget(monkeypatch):
-    # 64 pairs x 64 steps x 2 x 2 complex is 256 KiB per side; in a
-    # 256 KiB budget the B = 0 pair is over it before any factor is built,
-    # and the B = sigma_z sides, one at a time, run
+    # one block of 64 pairs' factors is 128 paths x BLOCK steps x 2 x 2
+    # complex whether the sides share the closed form (B = 0) or not
+    # (B = sigma_z): one double short of it both are rejected before any
+    # factor is built, and in it both run
     def refuse(*args, **kwargs):
         raise AssertionError("step_factors ran")
 
-    monkeypatch.setattr(wiener, "MAX_INCREMENT_BYTES", 64 * 64 * 4 * 16)
-    grid = TimeGrid(1.0, 64)
-    with monkeypatch.context() as patch:
-        patch.setattr(fkmatrix, "step_factors", refuse)
-        with pytest.raises(ValueError, match="budget"):
-            estimate_generalized_fk(FKProblem((SX, SY), Z2, 1.0, grid), 128,
-                                    RngStream(12))
-    est = estimate_generalized_fk(FKProblem((SX, SY), SZ, 1.0, grid), 128,
-                                  RngStream(12))
-    assert np.all(np.isfinite(est.mean))
+    block_bytes = 128 * fkmatrix.BLOCK * 4 * 16
+    grid = TimeGrid(1.0, fkmatrix.BLOCK)
+    for B in (Z2, SZ):
+        prob = FKProblem((SX, SY), B, 1.0, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(wiener, "MAX_INCREMENT_BYTES", block_bytes - 8)
+            patch.setattr(fkmatrix, "step_factors", refuse)
+            with pytest.raises(ValueError, match="budget"):
+                estimate_generalized_fk(prob, 128, RngStream(12))
+        with monkeypatch.context() as patch:
+            patch.setattr(wiener, "MAX_INCREMENT_BYTES", block_bytes)
+            est = estimate_generalized_fk(prob, 128, RngStream(12))
+        assert np.all(np.isfinite(est.mean))
 
 
 # estimator and call on 2 * 128 paths in one chunk
@@ -310,7 +315,8 @@ def test_matrix_chunk_memory_does_not_grow_with_steps(estimator):
 def test_carried_product_pins_no_block(estimator):
     # one block against several: a carried T that is a view into a block's
     # prefixes would keep that block alive while the next one is built
-    one, several = (_chunk_peak(estimator, n) for n in (64, 256))
+    one, several = (_chunk_peak(estimator, n)
+                    for n in (fkmatrix.BLOCK, 256))
     assert several <= 1.1 * one + 2**16, (one, several)
 
 
@@ -365,7 +371,7 @@ def test_odd_path_count_rejected():
 
 
 def test_factor_block_over_budget_rejected_before_any_factor(monkeypatch):
-    # 16384 pairs x 64 steps x 9 x 9 complex is 1.27 GiB, over the 1 GiB
+    # 32768 paths x 32 steps x 9 x 9 complex is 1.27 GiB, over the 1 GiB
     # budget; 8 pairs of the same problem run
     def refuse(*args, **kwargs):
         raise AssertionError("step_factors ran")

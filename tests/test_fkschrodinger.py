@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fklab import fkschrodinger
+from fklab import fkschrodinger, wiener
 from fklab.fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
                                  PotentialConfig, _functional_columns,
                                  _outside_box, apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
-                                 kato_kappa, kernel, khasminskii_check,
-                                 mehler_kernel, preset_potential)
+                                 box_kappa, kato_kappa, kernel,
+                                 khasminskii_check, mehler_kernel,
+                                 preset_potential)
 from fklab.stochint import (AlphaScheme, FieldWithDivergence,
                             convert_check_batch)
 from fklab.opalg import gauss_legendre
@@ -473,6 +474,30 @@ def test_kato_nodes_rejected_before_allocating():
     with pytest.raises(ValueError, match="budget"):
         kato_kappa(u, TimeGrid(0.5, 48), np.zeros((1, 1)),
                    MAX_INCREMENT_BYTES // 8 + 1)
+
+
+def test_kato_values_rejected_before_allocating(monkeypatch):
+    # in a budget of 1000 doubles the 4 nodes of one probe fit and its
+    # values at 2001 time nodes do not: the check comes before any call of u
+    def u(x):
+        raise AssertionError("u was evaluated")
+
+    monkeypatch.setattr(wiener, "MAX_INCREMENT_BYTES", 8000)
+    with pytest.raises(ValueError, match="Kato values"):
+        kato_kappa(u, TimeGrid(0.5, 2000), np.zeros((1, 1)), 4)
+
+
+def test_box_kappa_probes_rejected_before_allocating(monkeypatch):
+    # in a budget of 1000 doubles the 23^2 x 2 probe coordinates of a d = 2
+    # well do not fit: box_kappa checks them before it builds them
+    def refuse(*args, **kwargs):
+        raise AssertionError("kato_kappa ran")
+
+    monkeypatch.setattr(wiener, "MAX_INCREMENT_BYTES", 8000)
+    monkeypatch.setattr(fkschrodinger, "kato_kappa", refuse)
+    well = preset_potential("constant-well", d=2)
+    with pytest.raises(ValueError, match="Kato probes"):
+        box_kappa(well, TimeGrid(0.5, 4), 23, 2)
 
 
 def test_kato_nodes_take_linear_memory():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
                          expm, expm_batch, gauss_legendre, ordered_prefix,
-                         ordered_product_tree, step_factors, trotter_product)
+                         ordered_product_tree, stack_product, step_factors,
+                         trotter_product)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -20,6 +21,8 @@ from oracles import (dyson_series, generator_probe, prefix_loop, scaled_expm2,
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
 def test_as_operator_validation():
@@ -190,25 +193,27 @@ ANTITHETIC_BATCHES = dict(_antithetic_batches())
 @pytest.mark.parametrize("M", ANTITHETIC_BATCHES.values(),
                          ids=ANTITHETIC_BATCHES.keys())
 def test_expm_batch_antithetic_equals_both_sides(M):
-    # one result holds exp(M) and exp(-M), each equal to its own call (an
-    # exact zero may differ in sign); a leading batch axis is kept
-    both = expm_batch(M.reshape(2, 3, *M.shape[1:]), antithetic=True)
-    assert both.shape == (2, 2, 3) + M.shape[1:]
-    both = both.reshape(2, *M.shape)
-    assert np.array_equal(both[0], expm_batch(M))
-    assert np.array_equal(both[1], expm_batch(-M))
+    # exp(-M) follows exp(M) on the P axis, equal to the plain call on both
+    # (an exact zero may differ in sign); a leading batch axis is kept
+    M = M.reshape(2, 3, *M.shape[1:])
+    both = expm_batch(M, antithetic=True)
+    assert both.shape == (2, 6) + M.shape[2:]
+    assert np.array_equal(both, expm_batch(np.concatenate([M, -M], axis=-3)))
 
 
 def test_antithetic_pair_needs_the_2x2_form_and_no_drift():
-    # only the 2x2 closed form shares its work between M and -M, and the
-    # -dW factors are exp(-M) only when B = 0
+    # only the 2x2 closed form shares its work between M and -M; the
+    # antithetic step factors are those of the 2P paths dW and -dW for every
+    # m and B, shared (m = 2 at B = 0) or not
     with pytest.raises(ValueError, match="2x2"):
         expm_batch(0.1 * np.ones((4, 3, 3)), antithetic=True)
-    dW = np.array([[0.3, -0.2]])
-    with pytest.raises(ValueError, match="B = 0"):
-        step_factors(dW, 0.01, (SX, SY), SZ, antithetic=True)
-    pair = step_factors(dW, 0.01, (SX, SY), np.zeros((2, 2)), antithetic=True)
-    assert np.array_equal(pair[1], step_factors(-dW, 0.01, (SX, SY), None))
+    dW = 0.3 * RngStream(29).generator().standard_normal((3, 4, 2))
+    for A, B in [((SX, SY), np.zeros((2, 2))), ((SX, SY), SZ),
+                 ((JX,), np.zeros((3, 3))), ((JX,), JZ)]:
+        dWd = dW[..., :len(A)]
+        both = step_factors(dWd, 0.01, A, B, antithetic=True)
+        assert np.array_equal(both, step_factors(
+            np.concatenate([dWd, -dWd], axis=-2), 0.01, A, B))
 
 
 SIZES = [1, 2, 3, 4, 5]
@@ -345,6 +350,21 @@ def test_kernels_same_bits_on_path_and_step_major_memory(m, n):
     ordered_prefix(view)
     ordered_prefix(path)
     assert np.ascontiguousarray(view).tobytes() == path.tobytes()
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_stack_product_same_bits_as_the_entry_sum(m):
+    # each entry is l_a0 r_0b + l_a1 r_1b + ..., summed in k order, so the
+    # product's bits do not depend on how the entries are batched
+    gen = RngStream(30).generator()
+    L, R = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+            for shape in ((4, 1, m, m), (1, 3, m, m)))
+    expected = np.empty((4, 3, m, m), dtype=complex)
+    for a, b in np.ndindex(m, m):
+        expected[..., a, b] = L[..., a, 0] * R[..., 0, b]
+        for k in range(1, m):
+            expected[..., a, b] += L[..., a, k] * R[..., k, b]
+    assert stack_product(L, R).tobytes() == expected.tobytes()
 
 
 def test_step_factor_definition():
