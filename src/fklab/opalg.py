@@ -20,7 +20,11 @@ One kernel set serves every m, and one kernel, ``_mul``, does every matrix
 product. It works on the m^2 entry arrays of entry-major (m, m, ...)
 buffers, seen as (..., m, m): a product is m (2m - 1) array operations,
 c_ab += l_ak r_kb for one a and k over all b at once, not a stacked ``@``
-that pays per matrix. The only branch on m is the exact 2x2 exponential.
+that pays per matrix. Up to Pade-7 the Pade system of ``expm_batch`` is
+solved on the same entry arrays by ``_solve``, elimination without
+pivoting, which the diagonal dominance of the Pade denominator allows;
+Pade-9 and -13 keep the pivoted ``np.linalg.solve``. The only branch on m
+is the exact 2x2 exponential.
 """
 
 from __future__ import annotations
@@ -128,9 +132,15 @@ def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
     m == 2 takes the exact closed form, the only one that shares its work
     between M and -M; ``antithetic`` for other m is a ValueError. Other m
     use Pade 3/5/7/9 or scaled Pade-13, chosen by the stack's largest
-    row-sum norm (Higham 2005): the powers, U and the squarings are entry
-    products, (V - U) R = V + U goes to ``np.linalg.solve`` with pivoting,
-    and non-finite entries raise ``OverflowError``.
+    row-sum norm (Higham 2005), on the m^2 entry arrays: each power of A^2
+    is added into the odd and even sums as soon as ``_mul`` forms it, so
+    only A^2 and the latest power are kept, and U = A (odd sum). Up to
+    Pade-7, (V - U) R = V + U is solved by ``_solve`` in the buffers of
+    V - U and V + U; Pade-9 and -13 keep ``np.linalg.solve`` with partial
+    pivoting, since there V - U, though well conditioned, can have a
+    vanishing leading pivot: for A = c [[0, -1], [1, 0]] (+) 0 it is
+    Re p_13(i c), zero near c = pi. Non-finite entries raise
+    ``OverflowError``.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] == 2:
@@ -141,23 +151,66 @@ def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
     k = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
     s = 0 if k < 13 else max(0, int(np.ceil(np.log2(norm / _THETA[k]))))
     A = np.moveaxis(M / 2.0**s if s else M, (-2, -1), (0, 1))
-    ident = np.eye(len(A), dtype=complex)[(...,) + (None,) * (A.ndim - 2)]
     b = _PADE[k]
-    # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
-    powers = [ident, _mul(A, A)]
-    while len(powers) <= k // 2:
-        powers.append(_mul(powers[-1], powers[1]))
-    U = _mul(A, sum(b[2 * j + 1] * P for j, P in enumerate(powers)))
-    V = sum(b[2 * j] * P for j, P in enumerate(powers))
-    R = np.linalg.solve(*(np.moveaxis(X, (0, 1), (-2, -1))
-                          for X in (V - U, V + U)))
-    R = np.moveaxis(R, (-2, -1), (0, 1))
+    # odd = b_1 I + b_3 A^2 + b_5 A^4 + ... and V = b_0 I + b_2 A^2 + ...,
+    # summed left to right
+    P = A2 = _mul(A, A)
+    odd, V = b[3] * A2, b[2] * A2
+    for i in range(len(A)):
+        odd[i, i] += b[1]
+        V[i, i] += b[0]
+    U = np.empty_like(A2)  # the scaled power until it holds U
+    for j in range(2, k // 2 + 1):
+        P = _mul(P, A2)
+        odd += np.multiply(P, b[2 * j + 1], out=U)
+        V += np.multiply(P, b[2 * j], out=U)
+    del P, A2
+    _mul(A, odd, U)
+    L = np.subtract(V, U, out=odd)
+    R = np.add(V, U, out=V)
+    del U
+    if k <= 7:
+        R = _solve(L, R)
+    else:
+        R = np.moveaxis(np.linalg.solve(
+            *(np.moveaxis(X, (0, 1), (-2, -1)) for X in (L, R))),
+            (-2, -1), (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             R = _mul(R, R)
     if not np.all(np.isfinite(R)):
         raise OverflowError("batched matrix exponential overflowed")
     return np.moveaxis(R, (0, 1), (-2, -1))
+
+
+def _solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X with L X = R on entry-major stacks (m, m, ...), by Gauss-Jordan
+    elimination without pivoting, one row of entries per call; both
+    operands are overwritten, and R, which holds X, is returned.
+
+    ``expm_batch`` calls it only on the Pade denominator L = q_k(A) = V - U
+    with k <= 7 and ||A|| <= theta_k in the row-sum norm, where skipping
+    the pivot search is safe: ||q_k(A) / b_0 - I|| <= p_k(theta_k) / b_0 - 1
+    <= 0.6, so every row of L is strictly diagonally dominant, and so is
+    every row of what elimination leaves of it (growth factor at most 2,
+    Wilkinson 1961). A bound on the condition number alone would not do:
+    a well conditioned matrix can have a vanishing leading pivot.
+    """
+    m = len(L)
+    tmp = np.empty(R.shape[1:], dtype=complex)
+    for k in range(m):
+        inv = 1.0 / L[k, k]
+        L[k, k + 1:] *= inv
+        R[k] *= inv
+        for i in range(m):
+            if i == k:
+                continue
+            f = L[i, k, None]
+            if k + 1 < m:
+                L[i, k + 1:] -= np.multiply(f, L[k, k + 1:],
+                                            out=tmp[:m - k - 1])
+            R[i] -= np.multiply(f, R[k], out=tmp)
+    return R
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,12 @@ def _assert_matches_loop(est, ref):
     assert np.array_equal(est.stderr == 0, ref.stderr == 0)
 
 
-# n_steps below one block, two whole blocks, two blocks and one step, and
-# four blocks and a partial one; a Duhamel node falls on step 0 at 16 and
-# on the second block's end at 65
-BLOCK_STEPS = [16, 64, 65, 130]
+# n_steps below one block, exactly one block, one block and one step, two
+# whole blocks, two blocks and one step, and four blocks and a partial one
+# (at BLOCK = 32); of the 12 Duhamel nodes one falls on step 0 at 16, 32 and
+# 33, one on the only block's end at 32 and one on the second block's end
+# at 65
+BLOCK_STEPS = [16, fkmatrix.BLOCK, fkmatrix.BLOCK + 1, 64, 65, 130]
 CASES = dict(argnames="A, B",
              argvalues=[((SX, SY), Z2), ((SX,), SZ), ((JX,), JZ)],
              ids=["pauli-xy", "pauli-x-drift", "spin1"])

@@ -1,6 +1,7 @@
 """Dense operator algebra: exponentials, ordered products, Dyson series."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.opalg import (ApproximantFamily, as_operator, as_operator_tuple,
-                         expm, expm_batch, gauss_legendre, ordered_prefix,
-                         ordered_product_tree, stack_product, step_factors,
-                         trotter_product)
+from fklab.opalg import (_PADE, _THETA, ApproximantFamily, _solve,
+                         as_operator, as_operator_tuple, expm, expm_batch,
+                         gauss_legendre, ordered_prefix, ordered_product_tree,
+                         stack_product, step_factors, trotter_product)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -152,6 +153,112 @@ def test_expm_batch_pade_degree_boundaries(m):
 def test_expm_batch_pade_overflow_raises():
     with pytest.raises(OverflowError):
         expm_batch(np.full((1, 3, 3), 1e306 + 0j))
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 8])
+def test_solve_matches_linalg_solve_at_each_pade_theta(m):
+    # (V - U) X = V + U of degree k for a stack whose largest row-sum norm
+    # is theta_k, the largest that degree takes, for the degrees expm_batch
+    # hands to _solve; entry-major for _solve
+    gen = RngStream(80 + m).generator()
+    for k, theta in zip((3, 5, 7), PADE_THETAS):
+        shape = (64, m, m)
+        A = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        A *= theta * np.linspace(1.0, 1e-3, 64)[:, None, None] / np.abs(
+            A).sum(axis=-1).max(axis=-1)[:, None, None]
+        powers = [np.broadcast_to(np.eye(m), shape)]
+        while len(powers) <= k // 2:
+            powers.append(powers[-1] @ A @ A)
+        b = _PADE[k]
+        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+        ref = np.linalg.solve(V - U, V + U)
+        L, R = (np.ascontiguousarray(np.moveaxis(X, 0, -1))
+                for X in (V - U, V + U))
+        X = np.moveaxis(_solve(L, R), -1, 0)
+        assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max(), (k, m)
+
+
+def test_expm_batch_one_by_one_is_exp():
+    gen = RngStream(86).generator()
+    for top in (*PADE_THETAS, 3 * PADE_THETAS[4]):
+        z = top * np.exp(2j * np.pi * gen.random(32)) * np.linspace(1, 1e-3, 32)
+        out = expm_batch(z[:, None, None])[:, 0, 0]
+        # exp's relative condition number at z is |z|
+        err = np.abs(out - np.exp(z)) / np.abs(np.exp(z))
+        assert np.all(err <= 4e-15 * (1 + np.abs(z))), top
+
+
+def test_expm_batch_up_to_pade7_calls_no_linalg_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    gen = RngStream(87).generator()
+    M = gen.standard_normal((16, 3, 3)) + 1j * gen.standard_normal((16, 3, 3))
+    for top in PADE_THETAS[:3]:
+        expm_batch(top * M / np.abs(M).sum(axis=-1).max())
+
+
+SY0 = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+
+
+def test_expm_batch_rotation_by_multiples_of_pi():
+    # -i c (sigma_y + 0) rotates the first two axes by c; at c = pi the
+    # leading entry of the Pade-13 denominator V - U is Re p_13(i pi), zero
+    # to rounding, and at 2^j pi that of the scaled one
+    for j in range(7):
+        for c in (math.pi * 2**j, math.pi * 2**j * (1 + 1e-12)):
+            ref = np.eye(3, dtype=complex)
+            ref[:2, :2] = [[math.cos(c), -math.sin(c)],
+                           [math.sin(c), math.cos(c)]]
+            err = np.abs(expm_batch(-1j * c * SY0[None])[0] - ref).max()
+            assert err <= 1e-14 * 2**j, (c, err)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_expm_batch_of_real_generators_is_exact(m):
+    # -i c H for an imaginary Hermitian H (like spin-1 J_y) is c K with K
+    # real, and so is V - U. Each K here is mostly a rotation of the first
+    # two axes, so the leading entry of V - U at c K, sum_j b_j (K^j)[0, 0]
+    # (-c)^j, has roots r below theta_13, where the unscaled Pade-13 has a
+    # zero first pivot; c runs up to theta_13 and through r (1 + eps)
+    gen = RngStream(90 + m).generator()
+    eps = np.array([0.0, 1e-10, 1e-8, 1e-6, 1e-4])
+    for _ in range(4):
+        X = gen.standard_normal((m, m))
+        X[0, 1] += 2 * m
+        K = (X - X.T) / np.abs(X - X.T).sum(axis=-1).max()
+        coef = [b * np.linalg.matrix_power(-K, j)[0, 0]
+                for j, b in enumerate(_PADE[13])]
+        roots = np.polynomial.Polynomial(coef).roots()
+        roots = roots.real[(abs(roots.imag) < 1e-9) & (0 < roots.real)
+                           & (roots.real < 0.99 * _THETA[13])]
+        c = np.concatenate([np.linspace(0.0, _THETA[13], 1025)[1:],
+                            np.outer(roots, 1 + np.r_[eps, -eps]).ravel()])
+        w, V = np.linalg.eigh(1j * K)
+        ref = (V * np.exp(-1j * c[:, None] * w)[:, None, :]) @ V.conj().T
+        err = np.abs(expm_batch(c[:, None, None] * K) - ref).max()
+        assert len(roots) and err <= 1e-14, (roots, err)
+
+
+@pytest.mark.parametrize("norm, bound", [(0.9, 7.0), (20.0, 8.0)],
+                         ids=["pade7", "scaled-pade13"])
+def test_expm_batch_peak_is_a_few_outputs(norm, bound):
+    # the tracemalloc peak as a multiple of the output: 6.3 at Pade-7 and
+    # 7.3 at scaled Pade-13 (the stack scaled by 1/4 is one more), so one
+    # more output-sized temporary breaks the bound
+    gen = RngStream(88).generator()
+    shape = (1024, 32, 3, 3)
+    M = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    M *= norm / np.abs(M).sum(axis=-1).max()
+    tracemalloc.start()
+    try:
+        out = expm_batch(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.nbytes, peak / out.nbytes
 
 
 def test_expm_batch_2x2_entry_path_against_taylor():
