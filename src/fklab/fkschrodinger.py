@@ -90,7 +90,7 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray, blocks,
         trapezoid_term(grid, lambda x, s: v(x)),
         *(alpha_term(grid, lambda x, s, a=a: a(x), STRATONOVICH)
           for a, _ in variants if a is not None))
-    end, phases, cols = last[:, -1], iter(phases), []
+    end, phases, cols = last[-1], iter(phases), []
     # a finite but large -int v overflows the weight; such paths and
     # any non-finite column value are rejected, not averaged
     finite = np.isfinite(integral)
@@ -268,7 +268,7 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     d = probes.shape[1]
     check_budget("the Kato nodes", probes.shape[0], n_space**d, d)
-    check_budget("the Kato values", probes.shape[0], grid.n_steps + 1)
+    check_budget("the Kato values", grid.n_steps + 1, probes.shape[0])
     x1, w1 = gauss_legendre(n_space)
     z1 = _KATO_Z_CUT * x1
     grids = np.meshgrid(*([z1] * d), indexing="ij")
@@ -290,10 +290,9 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
             raise ValueError("u must be non-negative")
         return ux
 
-    u0 = u_at(probes)
-    values = np.empty((probes.shape[0], grid.n_steps + 1))
-    values[:, 0] = u0
-    u_scale = max(float(u0.max()), 0.0)
+    values = np.empty((grid.n_steps + 1, probes.shape[0]))
+    values[0] = u_at(probes)
+    u_scale = max(float(values[0].max()), 0.0)
     leak = 0.0
     for i, s in enumerate(s_grid[1:], start=1):
         root_s = math.sqrt(s)
@@ -303,11 +302,11 @@ def kato_kappa(u: Callable, grid: TimeGrid, probe_points: np.ndarray,
         outside = _outside_box(probes, root_s * z1, box_halfwidth)
         if outside.any():
             leak = max(leak, float(np.abs(uvals[outside]).max()))
-        values[:, i] = uvals @ zweights
+        values[i] = uvals @ zweights
     if leak > 1e-6 * (1.0 + u_scale):
         warnings.warn("potential is not negligible outside the declared box",
                       RuntimeWarning)
-    # each probe's row is one whole-grid block of the paths' trapezoid
+    # each probe's column is one whole-grid block of the paths' trapezoid
     return float(trapezoid_term(grid, lambda v, s: v)(0, values).max())
 
 

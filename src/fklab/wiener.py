@@ -91,8 +91,9 @@ def increment_blocks(grid: TimeGrid, d: int, n_paths: int,
 
 
 def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
-    """Whole free paths (n_paths, n+1, d) of increments (n_paths, n, d);
-    no fklab module calls it, it stays because perfbench/tracer.py wraps it."""
+    """Whole free paths (n_paths, n+1, d) of increments (n_paths, n, d),
+    path-major, not the walk's layout; no fklab module calls it, it stays
+    because perfbench/tracer.py wraps it."""
     out = np.zeros((dw.shape[0], grid.n_steps + 1, dw.shape[2]))
     np.cumsum(dw, axis=1, out=out[:, 1:])
     return out
@@ -100,10 +101,10 @@ def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
 
 def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
     """Yield ``(k0, w)`` for each time-major increment block (m, P, d) of
-    ``blocks`` (the first the longest): w (P, m+1, d), valid until the next
-    block, is the path at steps k0 .. k0+m, row 0 the last row of the
-    block before. It is the free path, a carried cumsum, or with
-    ``endpoint`` e the Brownian bridge to e at t, built forward (Levy;
+    ``blocks`` (the first the longest): w (m+1, P, d), time-major too and
+    valid until the next block, is the path at steps k0 .. k0+m, row 0 the
+    last row of the block before. It is the free path, a carried cumsum, or
+    with ``endpoint`` e the Brownian bridge to e at t, built forward (Levy;
     Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = -e/t,
     Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)), w_k = e + tau_k Y_k,
     with w_0 = 0 and w_n = e exact and the last increment unused."""
@@ -111,28 +112,26 @@ def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
     for dw in blocks:
         m = dw.shape[0]
         if k0 == 0:
-            buf = np.zeros((dw.shape[1], m + 1, dw.shape[2]))
+            buf = np.zeros((m + 1,) + dw.shape[1:])
             if endpoint is not None:
-                buf[:, 0] = -endpoint / grid.t_end
-        steps = buf[:, 1:m + 1]
+                buf[0] = -endpoint / grid.t_end
+        w = buf[:m + 1]
         if endpoint is None:
-            steps[...] = np.swapaxes(dw, 0, 1)
+            w[1:] = dw
         else:
             tau = (n - np.arange(k0, k0 + m + 1)) * grid.dt
             root = np.sqrt(tau[:-1] * tau[1:])
             root[root == 0] = np.inf  # tau_n = 0: the last step adds 0
-            np.divide(np.swapaxes(dw, 0, 1), root[:, None], out=steps)
-        steps[:, 0] += buf[:, 0]
-        np.cumsum(steps, axis=1, out=steps)
-        w = buf[:, :m + 1]
+            np.divide(dw, root[:, None, None], out=w[1:])
+        np.cumsum(w, axis=0, out=w)
         if endpoint is not None:
-            w = endpoint + tau[:, None] * w
+            w = endpoint + tau[:, None, None] * w
             if k0 == 0:
-                w[:, 0] = 0.0
+                w[0] = 0.0
             if k0 + m == n:
-                w[:, -1] = endpoint
+                w[-1] = endpoint
         yield k0, w
-        buf[:, 0] = buf[:, m]
+        buf[0] = buf[m]
         k0 += m
 
 
@@ -154,27 +153,27 @@ def block_trapezoid(grid: TimeGrid, k0: int, m: int) -> tuple[int, np.ndarray]:
 
 def alpha_term(grid: TimeGrid, g: Callable, a: float):
     """The alpha-point sums of g(x, s) . dw of one :func:`path_blocks`
-    block per path, x = a w(s_k+1) + (1 - a) w(s_k) and s likewise (times
-    broadcast over paths): a = 0 is Ito's sum, a = 1/2 Stratonovich's."""
+    block per path, x = a w(s_k+1) + (1 - a) w(s_k) and s likewise, times
+    broadcast to (k, P): a = 0 is Ito's sum, a = 1/2 Stratonovich's."""
     def term(k0, w):
-        times = grid.dt * np.arange(k0, k0 + w.shape[1])
+        times = grid.dt * np.arange(k0, k0 + w.shape[0])
         s = a * times[1:] + (1 - a) * times[:-1]
-        # x is freed when g returns, before the diff is allocated
-        gv = np.asarray(g(a * w[:, 1:] + (1 - a) * w[:, :-1],
-                          np.broadcast_to(s, (w.shape[0], s.size))))
-        return np.einsum("pkd,pkd->p", gv, np.diff(w, axis=1))
+        # x is freed when g returns, before the difference is allocated
+        gv = np.asarray(g(a * w[1:] + (1 - a) * w[:-1],
+                          np.broadcast_to(s[:, None], (s.size, w.shape[1]))))
+        return np.einsum("kpd,kpd->p", gv, w[1:] - w[:-1])
     return term
 
 
 def trapezoid_term(grid: TimeGrid, u: Callable):
     """The trapezoid of u(w(s), s) ds over one :func:`path_blocks` block per
-    path, with the weights of :func:`block_trapezoid`; s is the block's
-    times broadcast over the paths."""
+    path, the :func:`block_trapezoid` weights times the block's rows of u;
+    s is the block's times broadcast to (k, P)."""
     def term(k0, w):
-        lo, weights = block_trapezoid(grid, k0, w.shape[1] - 1)
-        x = w[:, lo:]
-        s = grid.dt * np.arange(k0 + lo, k0 + w.shape[1])
-        return np.asarray(u(x, np.broadcast_to(s, x.shape[:2]))) @ weights
+        lo, weights = block_trapezoid(grid, k0, w.shape[0] - 1)
+        x = w[lo:]
+        s = grid.dt * np.arange(k0 + lo, k0 + w.shape[0])[:, None]
+        return weights @ np.asarray(u(x, np.broadcast_to(s, x.shape[:2])))
     return term
 
 
@@ -191,8 +190,9 @@ def walk_sums(walk, *terms) -> tuple[list, np.ndarray]:
 
 def bridge_from_free(grid: TimeGrid, values: np.ndarray,
                      endpoint: np.ndarray) -> np.ndarray:
-    """Pin free paths (n_paths, n+1, d) to the endpoint by linear drift; no
-    fklab module calls it, it stays because perfbench/tracer.py wraps it."""
+    """Pin free paths (n_paths, n+1, d), path-major, not the walk's layout,
+    to the endpoint by linear drift; no fklab module calls it, it stays
+    because perfbench/tracer.py wraps it."""
     s = grid.times() / grid.t_end  # (n+1,)
     correction = values[:, -1:, :] - endpoint[None, None, :]
     pinned = values - s[None, :, None] * correction
@@ -207,7 +207,7 @@ def estimate_char_functional(grid: TimeGrid, f: TestFunction, n_paths: int,
     the trapezoid term of w . f(s); the target for Wiener statistics is
     exp(-1/2 * integral integral min(r, s) f(r) . f(s) dr ds)."""
     term = trapezoid_term(grid, lambda x, s: np.einsum(
-        "pkd,kd->pk", x, f.evaluator(s[0])))
+        "kpd,kd->kp", x, f.evaluator(s[:, 0])))
     return _phase_mean(grid, f, term, n_paths, rng, chunk_size, workers)
 
 
@@ -218,14 +218,14 @@ def estimate_white_noise_functional(grid: TimeGrid, f: TestFunction,
     """White-noise characteristic functional <exp(-i sum_k f(mid_k) . dw_k)>,
     the Stratonovich term of g(x, s) = f(s); target exp(-1/2 int f^2)."""
     term = alpha_term(grid, lambda x, s: np.broadcast_to(
-        f.evaluator(s[0]), x.shape), STRATONOVICH)
+        f.evaluator(s[:, 0])[:, None], x.shape), STRATONOVICH)
     return _phase_mean(grid, f, term, n_paths, rng, chunk_size, workers)
 
 
 def _phase_mean(grid: TimeGrid, f: TestFunction, term, n_paths: int,
                 rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
     """Mean of exp(-i S) over free paths, S the sum of ``term``, which reads
-    f at s[0], the block's times; f must vanish beyond the horizon."""
+    f at s[:, 0], the block's times; f must vanish beyond the horizon."""
     if f.support_end > grid.t_end + 1e-12:
         raise ValueError("test function support exceeds the time horizon")
     d = np.shape(f.evaluator(np.zeros(1)))[1]
@@ -259,8 +259,8 @@ def estimate_covariance(grid: TimeGrid, d: int, n_paths: int, rng: RngStream,
     def func(gen: np.random.Generator, count: int) -> np.ndarray:
         at = np.empty((count, len(idx), d))  # (count, a, d)
         for k0, w in path_blocks(grid, increment_blocks(grid, d, count, gen)):
-            here = (idx >= k0) & (idx < k0 + w.shape[1])
-            at[:, here] = w[:, idx[here] - k0]
+            here = (idx >= k0) & (idx < k0 + w.shape[0])
+            at[:, here] = w[idx[here] - k0].swapaxes(0, 1)
         second = np.einsum("paj,pbk->pabjk", at, at).reshape(count, -1)
         return np.concatenate([at.reshape(count, -1), second], axis=1)
 

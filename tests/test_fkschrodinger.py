@@ -347,7 +347,7 @@ def test_one_potential_evaluation_per_chunk(estimator):
     pot = PotentialConfig(d=1, v=v)
     # 100 paths are one chunk
     SCALAR_ESTIMATORS[estimator](pot, TimeGrid(1.0, 8), RngStream(34))
-    assert calls == [(100, 9, 1)]
+    assert calls == [(9, 100, 1)]  # time-major
 
 
 def test_diamagnetic_inequality():

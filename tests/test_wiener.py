@@ -25,16 +25,20 @@ from oracles import (double_min_integral, full_char_samples,
 
 
 def walked(grid, d, n_paths, seed, endpoint=None, block=wiener.BLOCK):
-    """Whole paths (n_paths, n+1, d) concatenated from the blocks of
-    ``path_blocks`` on stream ``seed``: free, or bridges to ``endpoint``."""
+    """Whole paths (n_paths, n+1, d), the oracles' layout, concatenated from
+    the time-major blocks of ``path_blocks`` on stream ``seed``: free, or
+    bridges to ``endpoint``."""
     rows = []
     blocks = increment_blocks(grid, d, n_paths, RngStream(seed).generator(),
                               block)
     e = None if endpoint is None else np.asarray(endpoint, dtype=float)
     for k0, w in path_blocks(grid, blocks, e):
-        assert 2 <= w.shape[1] <= block + 1
-        rows.append((w[:, 1:] if k0 else w).copy())  # the buffer is reused
-    return np.concatenate(rows, axis=1)
+        # every block, the partial last one and bridges too, is one
+        # C-contiguous (m+1, n_paths, d) array
+        assert 2 <= w.shape[0] <= block + 1
+        assert w.shape[1:] == (n_paths, d) and w.flags.c_contiguous
+        rows.append((w[1:] if k0 else w).copy())  # the buffer is reused
+    return np.concatenate(rows, axis=0).swapaxes(0, 1)
 
 
 def test_grid_validation():
@@ -217,7 +221,7 @@ def test_bridge_linear_drift_transform():
 def test_block_trapezoid_weights_sum_to_the_grid_rule():
     g = TimeGrid(1.0, 37)
     walk = path_blocks(g, increment_blocks(g, 1, 1, RngStream(0).generator()))
-    blocks = [block_trapezoid(g, k0, w.shape[1] - 1) for k0, w in walk]
+    blocks = [block_trapezoid(g, k0, w.shape[0] - 1) for k0, w in walk]
     assert [lo for lo, _ in blocks] == [0, 1, 1]
     weights = np.concatenate([w for _, w in blocks])
     expected = np.full(38, g.dt)
