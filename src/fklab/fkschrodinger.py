@@ -79,7 +79,8 @@ def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray, blocks,
     """FK path functionals on the paths q + w, one column each.
 
     w is the free path of the time-major increment ``blocks``, or its
-    bridge to ``endpoint``, walked by ``wiener.path_blocks``. A variant
+    bridge to ``endpoint``, walked by ``wiener.path_blocks``; q and the
+    endpoint are (d,) vectors or (P, d) rows, with the same bits. A variant
     ``(a, weight)`` multiplies the damping exp(-int v ds), one trapezoid
     term per path, by the phase exp(-i int a o dw), a Stratonovich term,
     and by ``weight`` of the endpoints; None skips either. Returns
@@ -130,9 +131,13 @@ def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
     v = pot.eval_v if v is None else v
 
     def chunk_fn(gen, count):
+        # q and the endpoint as (count, d) rows, so that the walk adds
+        # arrays of one layout, not a (d,) vector broadcast over its blocks
+        rows = [x if x is None else np.tile(x, (count, 1))
+                for x in (q, endpoint)]
         return _functional_columns(
-            v, grid, q, increment_blocks(grid, pot.d, count, gen), variants,
-            endpoint)
+            v, grid, rows[0], increment_blocks(grid, pot.d, count, gen),
+            variants, rows[1])
 
     return chunk_fn
 

@@ -3,9 +3,10 @@
 Every walk draws its increments a block of steps at a time, time-major,
 from its chunk's generator (:func:`increment_blocks`), so the blocks are
 one (n, n_paths, d) draw whatever their size, and :func:`path_blocks` turns
-them into free paths or bridges: a chunk holds O(n_paths * block * d)
-floats whatever n. Every path sum is written once, here: :func:`walk_sums`
-adds up the block terms :func:`trapezoid_term` and :func:`alpha_term`.
+them into free paths or bridges, a running sum of whole (n_paths, d) rows:
+a chunk holds O(n_paths * block * d) floats whatever n. Every path sum is
+written once, here: :func:`walk_sums` adds up the block terms
+:func:`trapezoid_term` and :func:`alpha_term`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def sample_increments(grid: TimeGrid, d: int, n_paths: int,
     if d < 1:
         raise ValueError("dimension must be at least 1")
     check_budget("the increments", steps, n_paths, d)
-    return gen.standard_normal((steps, n_paths, d)) * np.sqrt(grid.dt)
+    dw = gen.standard_normal((steps, n_paths, d))
+    dw *= np.sqrt(grid.dt)
+    return dw
 
 
 def increment_blocks(grid: TimeGrid, d: int, n_paths: int,
@@ -103,9 +106,10 @@ def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
     """Yield ``(k0, w)`` for each time-major increment block (m, P, d) of
     ``blocks`` (the first the longest): w (m+1, P, d), time-major too and
     valid until the next block, is the path at steps k0 .. k0+m, row 0 the
-    last row of the block before. It is the free path, a carried cumsum, or
-    with ``endpoint`` e the Brownian bridge to e at t, built forward (Levy;
-    Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = -e/t,
+    last row of the block before. It is the free path, a running sum added
+    one contiguous (P, d) row at a time, or with ``endpoint`` e, a (d,)
+    vector or (P, d) rows, the Brownian bridge to e at t, built forward
+    (Levy; Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = -e/t,
     Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)), w_k = e + tau_k Y_k,
     with w_0 = 0 and w_n = e exact and the last increment unused."""
     n, k0 = grid.n_steps, 0
@@ -115,15 +119,14 @@ def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
             buf = np.zeros((m + 1,) + dw.shape[1:])
             if endpoint is not None:
                 buf[0] = -endpoint / grid.t_end
-        w = buf[:m + 1]
-        if endpoint is None:
-            w[1:] = dw
-        else:
+        w, steps = buf[:m + 1], dw
+        if endpoint is not None:
             tau = (n - np.arange(k0, k0 + m + 1)) * grid.dt
             root = np.sqrt(tau[:-1] * tau[1:])
             root[root == 0] = np.inf  # tau_n = 0: the last step adds 0
-            np.divide(dw, root[:, None, None], out=w[1:])
-        np.cumsum(w, axis=0, out=w)
+            steps = np.divide(dw, root[:, None, None], out=w[1:])
+        for k in range(m):  # contiguous rows, in the order of a cumsum
+            np.add(w[k], steps[k], out=w[k + 1])
         if endpoint is not None:
             w = endpoint + tau[:, None, None] * w
             if k0 == 0:

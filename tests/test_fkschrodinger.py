@@ -292,6 +292,33 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
             q + endpoint, seen[0].shape).tobytes()
 
 
+@pytest.mark.parametrize("with_a", [False, True], ids=["no-a", "a"])
+@pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1], ids=str)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bridge", [False, True], ids=["free", "bridge"])
+def test_functional_columns_take_rows_or_vectors_bitwise(bridge, d, n_steps,
+                                                         with_a):
+    # the chunk function hands q and the endpoint over as (P, d) rows, so
+    # that the walk adds arrays of one layout; (d,) vectors give the same
+    # bytes, endpoint weights and rejected paths included
+    grid = TimeGrid(0.7, n_steps)
+    draw = np.random.default_rng(10 * d + n_steps)
+    q = draw.uniform(-0.5, 0.5, d)
+    endpoint = draw.uniform(-1.0, 1.0, d) if bridge else None
+    a = (lambda x: 0.7 * np.sin(x[..., ::-1]) + 0.2 * x) if with_a else None
+    variants = [(a, lambda x: np.exp(-np.sum(x**2, axis=-1))), (None, None)]
+
+    def columns(q, endpoint):
+        blocks = increment_blocks(grid, d, 64, RngStream(47).generator())
+        return _functional_columns(_overflowing_v, grid, q, blocks, variants,
+                                   endpoint)
+
+    rows = [x if x is None else np.tile(x, (64, 1)) for x in (q, endpoint)]
+    (cols, finite), (ref, ref_finite) = columns(*rows), columns(q, endpoint)
+    assert cols.tobytes() == ref.tobytes()
+    assert finite.tobytes() == ref_finite.tobytes()
+
+
 def test_singular_potential_rejects_paths():
     pot = preset_potential("coulomb-3d", gamma=1.0)
     bad = PotentialConfig(d=pot.d, v=lambda x: np.where(

@@ -1,8 +1,8 @@
 """Every name a fklab module imports is used in that module, every
 parameter a fklab function takes is read in its body, no preset name is
 compared, no module builds whole paths, only the block stream draws
-increments, only the trapezoid term weighs blocks and no def takes a
-horizon t beside its TimeGrid."""
+increments, only the trapezoid term weighs blocks, no walk runs a
+cumsum and no def takes a horizon t beside its TimeGrid."""
 
 import ast
 from pathlib import Path
@@ -191,6 +191,24 @@ def test_only_the_trapezoid_term_weighs_blocks_in_src():
         for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in callers.items() if v} \
         == {"wiener.py": {"trapezoid_term.term"}}
+
+
+# the walks add whole contiguous (P, d) rows: a cumsum or accumulate down
+# a time-major block loops over m + 1 strided elements per (p, d), about
+# six times slower; only the path-major whole-path form
+# paths_from_increments, which no walk calls, keeps one
+RUNNING_SUMS = {"cumsum", "accumulate"}
+
+
+def test_no_walk_runs_a_cumsum_in_src():
+    assert _calls("def f(w):\n    np.cumsum(w, axis=0, out=w)\n"
+                  "    return np.add.accumulate(w)\n", RUNNING_SUMS) \
+        == [("f", "cumsum", 2), ("f", "accumulate", 3)]
+    callers = {path.name: {c for c, _, _ in _calls(
+        path.read_text("utf-8"), RUNNING_SUMS)}
+        for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in callers.items() if v} \
+        == {"wiener.py": {"paths_from_increments"}}
 
 
 def _horizon_twins(source: str) -> list[str]:

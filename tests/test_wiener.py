@@ -59,6 +59,24 @@ def test_increment_statistics():
     assert dw.var() == pytest.approx(g.dt, rel=0.05)
 
 
+def test_increments_are_scaled_in_place_bitwise():
+    # the draw is scaled by sqrt(dt) in place: the bits of
+    # standard_normal(shape) * sqrt(dt), and no second block at the peak;
+    # 64 KiB is below the 256 KiB from which numpy itself reuses a
+    # temporary operand of * as its output
+    g = TimeGrid(0.7, 16)
+    ref = RngStream(48).generator().standard_normal((16, 256, 2)) \
+        * np.sqrt(g.dt)
+    tracemalloc.start()
+    try:
+        got = sample_increments(g, 2, 256, RngStream(48).generator(), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == ref.tobytes()
+    assert peak < 1.5 * got.nbytes, (peak, got.nbytes)
+
+
 def test_paths_from_increments_cumsum():
     g = TimeGrid(1.0, 3)
     dw = np.array([[[1.0], [2.0], [-1.0]]])
