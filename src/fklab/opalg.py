@@ -15,16 +15,16 @@ and ``stack_product`` multiplies two stacks of matrices. Both kernels read
 their (P, n, m, m) argument step-major, as (m, m, n, P): on the factors of
 time-major increments (n, P, d), seen as (P, n, m, m), a step is one
 contiguous row of all P paths. With ``antithetic``, ``step_factors`` builds
-the factors of the paths and of their reflections as one batch.
-One kernel set serves every m, and one kernel, ``_mul``, does every matrix
-product. It works on the m^2 entry arrays of entry-major (m, m, ...)
-buffers, seen as (..., m, m): a product is m (2m - 1) array operations,
-c_ab += l_ak r_kb for one a and k over all b at once, not a stacked ``@``
-that pays per matrix. Up to Pade-7 the Pade system of ``expm_batch`` is
-solved on the same entry arrays by ``_solve``, elimination without
-pivoting, which the diagonal dominance of the Pade denominator allows;
-Pade-9 and -13 keep the pivoted ``np.linalg.solve``. The only branch on m
-is the exact 2x2 exponential.
+the factors of the paths and of their reflections as one batch, from one
+2x2 closed form when tr(B A_j') = 0 (X' the traceless part). One kernel set
+serves every m, and one kernel, ``_mul``, does every matrix product on the
+m^2 entry arrays of entry-major (m, m, ...) buffers, seen as (..., m, m): a
+product is m (2m - 1) array operations, c_ab += l_ak r_kb for one a and k
+over all b at once, not a stacked ``@`` that pays per matrix. Up to Pade-7
+the Pade system of ``expm_batch`` is solved on the same entry arrays by
+``_solve``, elimination without pivoting, which the diagonal dominance of
+the Pade denominator allows; Pade-9 and -13 keep the pivoted
+``np.linalg.solve``. The only branch on m is the exact 2x2 exponential.
 """
 
 from __future__ import annotations
@@ -73,15 +73,23 @@ def expm(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm2_batch(M: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Closed-form exponential for stacked 2x2 matrices, entry by entry:
-    each entry of the entry-major result is scaled by exp(tr/2) in place,
-    unless every trace is exactly zero and the scale is exactly 1. With
-    M = tr/2 + N, exp(N) = cosh(delta) + sinhc(delta) N, so exp(-M) is
-    exp(M)'s diagonal swapped and its off-diagonal negated, scaled by
-    exp(-tr/2): ``antithetic`` appends it on the P axis, axis -3, from the
-    same delta, cosh and sinhc."""
-    m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
+    """Closed-form exponential of stacked 2x2 X = M - D (D = 0 if None),
+    entry by entry: X = tr/2 + N, exp(N) = cosh(delta) + sinhc(delta) N,
+    scaled by exp(tr/2) unless every trace is 0. Given D with tr(D'M) = 0
+    (D' traceless), exp(-M - D) follows on axis -3 from the same delta:
+    exp(X)'s entry negated or swapped where D is 0, else formed (both on
+    the diagonal if one has drift) from (-D) - M, 0j where M is all 0."""
+    drift = np.zeros((2, 2), bool) if D is None else D != 0
+    form = drift | (np.eye(2, dtype=bool) & drift.diagonal().any())
+    e = [[M[..., i, j] if not form[i, j] or np.any(M[..., i, j]) else 0j
+          for j in (0, 1)] for i in (0, 1)]
+    Dt = np.zeros((2, 2)) if D is None else D - 0.5 * np.trace(D) * np.eye(2)
+    t = sum(Dt[i, j] * e[j][i] for i, j in np.ndindex(2, 2) if Dt[i, j])
+    if np.any(t) and abs(t).max() > 1e-12 * abs(Dt).max() * abs(M).max():
+        raise ValueError("an antithetic drift must be orthogonal to M")
+    m00, m01, m10, m11 = (e[i][j] - D[i, j] if drift[i, j] else e[i][j]
+                          for i, j in np.ndindex(2, 2))
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
     delta = np.sqrt(a * a + m01 * m10 + 0j)
@@ -94,23 +102,32 @@ def _expm2_batch(M: np.ndarray, antithetic: bool) -> np.ndarray:
     else:
         sinhc = np.sinh(delta) / delta
     sa = sinhc * a
-    lead = M.shape[:-2]
-    if antithetic:
-        lead = lead[:-1] + (2 * lead[-1],)
-    out = np.empty((2, 2) + lead, dtype=complex)
-    pos, neg = np.split(out, 2, axis=-1) if antithetic else (out, None)
+    P = M.shape[-3]
+    out = np.empty((2, 2, *M.shape[:-3], P if D is None else 2 * P), complex)
+    pos, neg, ntr2 = out[..., :P], out[..., P:], None
     np.add(cosh, sa, out=pos[0, 0])
     np.multiply(sinhc, m01, out=pos[0, 1])
     np.multiply(sinhc, m10, out=pos[1, 0])
     np.subtract(cosh, sa, out=pos[1, 1])
-    if antithetic:
-        neg[0, 0], neg[1, 1] = pos[1, 1], pos[0, 0]
-        np.negative(pos[0, 1], out=neg[0, 1])
-        np.negative(pos[1, 0], out=neg[1, 0])
+    if D is not None:
+        n = [[np.subtract(-D[i, j], e[i][j]) if form[i, j] else None
+              for j in (0, 1)] for i in (0, 1)]
+        if form[0, 0]:
+            ntr2 = 0.5 * (n[0][0] + n[1][1])
+            np.multiply(sinhc, n[0][0] - ntr2, out=sa)
+            np.add(cosh, sa, out=neg[0, 0])
+            np.subtract(cosh, sa, out=neg[1, 1])
+        else:
+            neg[0, 0], neg[1, 1] = pos[1, 1], pos[0, 0]
+        for i, j in ((0, 1), (1, 0)):
+            if form[i, j]:
+                np.multiply(sinhc, n[i][j], out=neg[i, j])
+            else:
+                np.negative(pos[i, j], out=neg[i, j])
+    if D is not None and np.any(tr2 if ntr2 is None else ntr2):
+        neg *= np.exp(-tr2 if ntr2 is None else ntr2)
     if np.any(tr2):
         pos *= np.exp(tr2)
-        if antithetic:
-            neg *= np.exp(-tr2)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -124,13 +141,14 @@ _PADE = {k: tuple(math.factorial(2 * k - j)
                   for j in range(k + 1)) for k in _THETA}
 
 
-def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
-    """Exponentials of a stack (..., m, m); with ``antithetic`` those of
-    ``np.concatenate([M, -M], axis=-3)``, equal to that plain call (an
-    exact zero may differ in sign).
+def expm_batch(M: np.ndarray,
+               antithetic: np.ndarray | None = None) -> np.ndarray:
+    """Exponentials of a stack (..., m, m); with ``antithetic``, a 2x2 drift
+    D with tr(D'M) = 0 (D' its traceless part; else ValueError), those of
+    ``np.concatenate([M - D, -M - D], axis=-3)`` from one delta.
 
     m == 2 takes the exact closed form, the only one that shares its work
-    between M and -M; ``antithetic`` for other m is a ValueError. Other m
+    between the two sides; ``antithetic`` for other m is a ValueError. Other m
     use Pade 3/5/7/9 or scaled Pade-13, chosen by the stack's largest
     row-sum norm (Higham 2005), on the m^2 entry arrays: each power of A^2
     is added into the odd and even sums as soon as ``_mul`` forms it, so
@@ -145,7 +163,7 @@ def expm_batch(M: np.ndarray, antithetic: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.shape[-1] == 2:
         return _expm2_batch(M, antithetic)
-    if antithetic:
+    if antithetic is not None:
         raise ValueError("an antithetic pair shares the 2x2 closed form only")
     norm = float(np.abs(M).sum(axis=-1).max())
     k = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
@@ -257,15 +275,16 @@ def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
 
     With ``antithetic``, the factors of the 2P paths
     ``np.concatenate([dW, -dW], axis=-2)``: rows 0 ... P-1 walk dW and rows
-    P ... 2P-1 walk -dW. For m = 2 at B = 0 the -dW generator is exactly
-    -M, and both halves come from one closed form."""
+    P ... 2P-1 walk -dW. Both halves come from one 2x2 closed form when
+    tr(B A_j') is exactly 0 for every j (X' the traceless part of X)."""
     A = as_operator_tuple(A)
-    B = None if B is None else as_operator(B)
-    m = (A[0] if A else B).shape[0]
-    shared = antithetic and m == 2 and not np.any(B)
+    B = np.zeros_like(A[0]) if B is None else as_operator(B)
+    shared = antithetic and len(B) == 2 and not any(
+        np.trace(B @ (Aj - np.trace(Aj) / 2 * np.eye(2))) for Aj in A)
     if antithetic and not shared:
         dW = np.concatenate([dW, -dW], axis=-2)
-    return expm_batch(_generator(dW, dt, A, B, m), shared)
+    return expm_batch(_generator(dW, dt, A, None if shared else B, len(B)),
+                      dt * B if shared else None)
 
 
 def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:

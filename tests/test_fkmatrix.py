@@ -198,6 +198,19 @@ def test_generalized_fk_matches_per_step_loop(A, B, n_steps):
     _assert_matches_loop(est, ref)
 
 
+@pytest.mark.parametrize("n_steps", [1, fkmatrix.BLOCK, fkmatrix.BLOCK + 1])
+def test_antithetic_pair_cancels_the_off_diagonal_exactly(n_steps):
+    # for A = (sigma_x,) and B = sigma_z every factor of the -dW path is
+    # sigma_z F sigma_z for the factor F of the dW path, bit for bit, and so
+    # is their product: each pair's off-diagonal is exactly 0, and so are
+    # the mean's off-diagonal entries and their stderr
+    prob = FKProblem((SX,), SZ, 1.0, TimeGrid(1.0, n_steps))
+    est = estimate_generalized_fk(prob, 192, RngStream(16), 40)
+    off = ~np.eye(2, dtype=bool)
+    assert np.all(est.mean[off] == 0) and np.all(est.stderr[off] == 0)
+    assert np.all(est.mean[~off] != 0) and np.all(est.stderr[~off] > 0)
+
+
 @pytest.mark.parametrize("chunk", [16, 50, 256])
 def test_nov_and_duhamel_worker_invariance_bitwise(chunk):
     nov = FKProblem((SX, SY), Z2, 1.0, TimeGrid(1.0, 64))
@@ -234,17 +247,20 @@ def test_prefix_checks_hold_one_factor_array():
 
 
 @pytest.mark.parametrize("A, B, shared",
-                         [((SX, SY), Z2, True), ((SX, SY), SZ, False),
-                          ((JX,), np.zeros((3, 3)), False)],
-                         ids=["B0", "Bz", "spin1-B0"])
-def test_one_exponential_per_block_when_drift_vanishes(monkeypatch, A, B,
-                                                       shared):
+                         [((SX, SY), Z2, True), ((SX, SY), SZ, True),
+                          ((JX,), np.zeros((3, 3)), False),
+                          ((SX,), SX + SZ, False)],
+                         ids=["B0", "Bz", "spin1-B0", "x-drift-xz"])
+def test_one_exponential_per_block_when_drift_is_orthogonal(monkeypatch, A,
+                                                            B, shared):
     # one expm_batch call builds a block's factors of both antithetic sides
-    # for every (A, B); only m = 2 at B = 0 shares the closed form
+    # for every (A, B); m = 2 shares the closed form when tr(B A_j') = 0 for
+    # every j, as at B = 0 and for sigma_z against (sigma_x, sigma_y), and
+    # not for sigma_x + sigma_z against sigma_x
     calls = []
 
-    def counted(M, antithetic=False):
-        calls.append(antithetic)
+    def counted(M, antithetic=None):
+        calls.append(antithetic is not None)
         return expm_batch(M, antithetic)
 
     monkeypatch.setattr(opalg, "expm_batch", counted)

@@ -300,20 +300,43 @@ ANTITHETIC_BATCHES = dict(_antithetic_batches())
 @pytest.mark.parametrize("M", ANTITHETIC_BATCHES.values(),
                          ids=ANTITHETIC_BATCHES.keys())
 def test_expm_batch_antithetic_equals_both_sides(M):
-    # exp(-M) follows exp(M) on the P axis, equal to the plain call on both
-    # (an exact zero may differ in sign); a leading batch axis is kept
+    # exp(-M - D) follows exp(M - D) on the P axis, equal to the plain call
+    # on both (an exact zero may differ in sign) at D = 0, and for a real
+    # diagonal D on a zero diagonal, where both sides' delta have one set
+    # of bits; a leading batch axis is kept
     M = M.reshape(2, 3, *M.shape[1:])
-    both = expm_batch(M, antithetic=True)
-    assert both.shape == (2, 6) + M.shape[2:]
-    assert np.array_equal(both, expm_batch(np.concatenate([M, -M], axis=-3)))
+    drifts = [np.diag([0.3, -0.1]), 1e-7 * np.diag([3.0, -1.0])]
+    for X, D in [(M, np.zeros((2, 2)))] + [(M * (1 - np.eye(2)), D)
+                                           for D in drifts]:
+        both = expm_batch(X, antithetic=D)
+        assert both.shape == (2, 6) + M.shape[2:]
+        assert np.array_equal(both, expm_batch(
+            np.concatenate([X - D, -X - D], axis=-3)))
+    # a complex diagonal enters as one constant per side, and numpy's
+    # complex product of a constant with an array need not round as its
+    # product of two arrays does, so the two may part in the last bit
+    X, D = M * (1 - np.eye(2)), np.diag([0.3, -0.1 + 0.2j])
+    assert np.allclose(expm_batch(X, antithetic=D), expm_batch(
+        np.concatenate([X - D, -X - D], axis=-3)), rtol=0, atol=1e-15)
 
 
-def test_antithetic_pair_needs_the_2x2_form_and_no_drift():
-    # only the 2x2 closed form shares its work between M and -M; the
+def test_expm_batch_antithetic_rejects_a_drift_not_orthogonal_to_m():
+    # the -M - D side reuses the delta of M - D only when tr(D'M) = 0, as
+    # for sigma_z against M = 0.1 sigma_x, not for a drift with a sigma_x part
+    M = 0.1 * np.ones((4, 2, 2)) * (1 - np.eye(2))
+    assert np.array_equal(expm_batch(M, antithetic=SZ)[4:],
+                          expm_batch(-M - SZ))
+    for D in (SX, SX + SZ, 0.5 * np.eye(2) - SX):
+        with pytest.raises(ValueError, match="orthogonal"):
+            expm_batch(M, antithetic=D)
+
+
+def test_antithetic_pair_needs_the_2x2_form():
+    # only the 2x2 closed form shares its work between the two sides; the
     # antithetic step factors are those of the 2P paths dW and -dW for every
-    # m and B, shared (m = 2 at B = 0) or not
+    # m and B, shared (m = 2 with B orthogonal to A) or not
     with pytest.raises(ValueError, match="2x2"):
-        expm_batch(0.1 * np.ones((4, 3, 3)), antithetic=True)
+        expm_batch(0.1 * np.ones((4, 3, 3)), antithetic=np.zeros((3, 3)))
     dW = 0.3 * RngStream(29).generator().standard_normal((3, 4, 2))
     for A, B in [((SX, SY), np.zeros((2, 2))), ((SX, SY), SZ),
                  ((JX,), np.zeros((3, 3))), ((JX,), JZ)]:
@@ -321,6 +344,36 @@ def test_antithetic_pair_needs_the_2x2_form_and_no_drift():
         both = step_factors(dWd, 0.01, A, B, antithetic=True)
         assert np.array_equal(both, step_factors(
             np.concatenate([dWd, -dWd], axis=-2), 0.01, A, B))
+
+
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("A, B, scale, exact", [
+    ((SX, SY), SZ, 1.0, True), ((SX,), SZ, 1.0, True),
+    ((SX,), SY, 1.0, True), ((SX,), SZ + 0.7 * I2, 1.0, True),
+    ((SX + 0.2 * I2,), SZ - 0.4 * I2, 1.0, True), ((SX,), SZ, 1e-9, True),
+    ((SX,), 2 * SZ + 0.3j * SY, 1.0, False)],
+    ids=["xy-z", "x-z", "x-y", "x-z+0.7", "x+0.2-z-0.4", "small-delta",
+         "x-mixed"])
+def test_shared_antithetic_factors_per_drift(A, B, scale, exact):
+    # every drift here is orthogonal to A, so the two sides share one
+    # closed form, and the -dW side gets the bits of the concatenated call
+    dW = 0.3 * scale * RngStream(31).generator().standard_normal((5, 8, 2))
+    dW = dW[..., :len(A)]
+    both = step_factors(dW, 0.01 * scale, A, B, antithetic=True)
+    ref = step_factors(np.concatenate([dW, -dW], axis=-2), 0.01 * scale, A, B)
+    if exact:
+        assert np.array_equal(both, ref)
+    else:
+        # for 2 sigma_z + 0.3 i sigma_y, m01 and m10 both have a real
+        # (drift) and an imaginary (noise) part, and the imaginary part of
+        # m01 m10 vanishes in exact arithmetic; numpy's complex product,
+        # which fuses one multiply into the add, leaves the rounding error
+        # of one real product there, of opposite sign on the two sides, so
+        # the -dW side's own delta differs from the shared one in its last
+        # bits
+        assert np.abs(both - ref).max() <= 1e-15
 
 
 SIZES = [1, 2, 3, 4, 5]
