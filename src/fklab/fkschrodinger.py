@@ -73,41 +73,6 @@ class PotentialConfig:
 # path functionals
 
 
-def _functional_columns(v: Callable, grid: TimeGrid, q: np.ndarray, blocks,
-                        variants: Sequence[tuple],
-                        endpoint: np.ndarray | None = None):
-    """FK path functionals on the paths q + w, one column each.
-
-    w is the free path of the time-major increment ``blocks``, or its
-    bridge to ``endpoint``, walked by ``wiener.path_blocks``; q and the
-    endpoint are (d,) vectors or (P, d) rows, with the same bits. A variant
-    ``(a, weight)`` multiplies the damping exp(-int v ds), one trapezoid
-    term per path, by the phase exp(-i int a o dw), a Stratonovich term,
-    and by ``weight`` of the endpoints; None skips either. Returns
-    (columns (P, k), finite mask).
-    """
-    (integral, *phases), last = walk_sums(
-        ((k0, q + w) for k0, w in path_blocks(grid, blocks, endpoint)),
-        trapezoid_term(grid, lambda x, s: v(x)),
-        *(alpha_term(grid, lambda x, s, a=a: a(x), STRATONOVICH)
-          for a, _ in variants if a is not None))
-    end, phases, cols = last[-1], iter(phases), []
-    # a finite but large -int v overflows the weight; such paths and
-    # any non-finite column value are rejected, not averaged
-    finite = np.isfinite(integral)
-    with np.errstate(over="ignore", invalid="ignore"):
-        damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
-        for a, weight in variants:
-            value = damping
-            if a is not None:
-                value = value * np.exp(-1j * next(phases))
-            if weight is not None:
-                value = value * np.asarray(weight(end))
-            finite &= np.isfinite(value)
-            cols.append(value)
-    return np.stack(cols, axis=1), finite
-
-
 def _position(pot: PotentialConfig, x: Sequence[float], name: str):
     """``x`` as a float vector, which must have the potential's length."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -120,24 +85,42 @@ def _path_functionals(pot: PotentialConfig, grid: TimeGrid,
                       q: Sequence[float], variants: Sequence[tuple],
                       qp: Sequence[float] | None = None,
                       v: Callable | None = None):
-    """Chunk function of :func:`_functional_columns` on the paths q + w.
+    """Chunk function ``(gen, count) -> (columns (count, k), finite mask)``
+    of the FK path functionals, one column per variant, on free Wiener
+    paths from q, or on bridges from q to ``qp`` when it is given, walked
+    by ``wiener.path_blocks``.
 
-    w is a free Wiener path, or the bridge to ``qp - q`` when ``qp`` is
-    given; ``v`` defaults to the scalar potential. q and qp must have
+    A variant ``(a, weight)`` multiplies the damping exp(-int v ds), one
+    trapezoid term per path, by the phase exp(-i int a o dw), a
+    Stratonovich term, and by ``weight`` of the endpoints; None skips
+    either. ``v`` defaults to the scalar potential. q and qp must have
     length ``pot.d``.
     """
     q = _position(pot, q, "q")
-    endpoint = None if qp is None else _position(pot, qp, "q'") - q
+    qp = None if qp is None else _position(pot, qp, "q'")
     v = pot.eval_v if v is None else v
+    terms = [trapezoid_term(grid, lambda x, s: v(x)),
+             *(alpha_term(grid, lambda x, s, a=a: a(x), STRATONOVICH)
+               for a, _ in variants if a is not None)]
 
     def chunk_fn(gen, count):
-        # q and the endpoint as (count, d) rows, so that the walk adds
-        # arrays of one layout, not a (d,) vector broadcast over its blocks
-        rows = [x if x is None else np.tile(x, (count, 1))
-                for x in (q, endpoint)]
-        return _functional_columns(
-            v, grid, rows[0], increment_blocks(grid, pot.d, count, gen),
-            variants, rows[1])
+        (integral, *phases), last = walk_sums(path_blocks(
+            grid, increment_blocks(grid, pot.d, count, gen), q, qp), *terms)
+        end, phases, cols = last[-1], iter(phases), []
+        # a finite but large -int v overflows the weight; such paths and
+        # any non-finite column value are rejected, not averaged
+        finite = np.isfinite(integral)
+        with np.errstate(over="ignore", invalid="ignore"):
+            damping = np.exp(-np.where(finite, integral, 0.0)).astype(complex)
+            for a, weight in variants:
+                value = damping
+                if a is not None:
+                    value = value * np.exp(-1j * next(phases))
+                if weight is not None:
+                    value = value * np.asarray(weight(end))
+                finite &= np.isfinite(value)
+                cols.append(value)
+        return np.stack(cols, axis=1), finite
 
     return chunk_fn
 

@@ -79,11 +79,12 @@ def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     scaled by exp(tr/2) unless every trace is 0. Given D with tr(D'M) = 0
     (D' traceless), exp(-M - D) follows on axis -3 from the same delta:
     exp(X)'s entry negated or swapped where D is 0, else formed (both on
-    the diagonal if one has drift) from (-D) - M, 0j where M is all 0."""
+    the diagonal if one has drift) from (-D) - M. An entry of M that is 0
+    in every matrix enters as the constant 0j."""
     drift = np.zeros((2, 2), bool) if D is None else D != 0
     form = drift | (np.eye(2, dtype=bool) & drift.diagonal().any())
-    e = [[M[..., i, j] if not form[i, j] or np.any(M[..., i, j]) else 0j
-          for j in (0, 1)] for i in (0, 1)]
+    e = [[M[..., i, j] if np.any(M[..., i, j]) else 0j for j in (0, 1)]
+         for i in (0, 1)]
     Dt = np.zeros((2, 2)) if D is None else D - 0.5 * np.trace(D) * np.eye(2)
     t = sum(Dt[i, j] * e[j][i] for i, j in np.ndindex(2, 2) if Dt[i, j])
     if np.any(t) and abs(t).max() > 1e-12 * abs(Dt).max() * abs(M).max():
@@ -101,7 +102,8 @@ def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
                          np.sinh(dsafe) / dsafe)
     else:
         sinhc = np.sinh(delta) / delta
-    sa = sinhc * a
+    # an array even when every entry of M is the constant 0j
+    sa = np.multiply(sinhc, a, out=np.empty(M.shape[:-2], complex))
     P = M.shape[-3]
     out = np.empty((2, 2, *M.shape[:-3], P if D is None else 2 * P), complex)
     pos, neg, ntr2 = out[..., :P], out[..., P:], None

@@ -3,10 +3,10 @@
 Every walk draws its increments a block of steps at a time, time-major,
 from its chunk's generator (:func:`increment_blocks`), so the blocks are
 one (n, n_paths, d) draw whatever their size, and :func:`path_blocks` turns
-them into free paths or bridges, a running sum of whole (n_paths, d) rows:
-a chunk holds O(n_paths * block * d) floats whatever n. Every path sum is
-written once, here: :func:`walk_sums` adds up the block terms
-:func:`trapezoid_term` and :func:`alpha_term`.
+them into free paths or bridges from a start point, a running sum of whole
+(n_paths, d) rows: a chunk holds O(n_paths * block * d) floats whatever n.
+Every path sum is written once, here: :func:`walk_sums` adds up the block
+terms :func:`trapezoid_term` and :func:`alpha_term`.
 """
 
 from __future__ import annotations
@@ -102,23 +102,29 @@ def paths_from_increments(grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
+def path_blocks(grid: TimeGrid, blocks, start: np.ndarray | float = 0.0,
+                endpoint: np.ndarray | None = None):
     """Yield ``(k0, w)`` for each time-major increment block (m, P, d) of
     ``blocks`` (the first the longest): w (m+1, P, d), time-major too and
     valid until the next block, is the path at steps k0 .. k0+m, row 0 the
-    last row of the block before. It is the free path, a running sum added
-    one contiguous (P, d) row at a time, or with ``endpoint`` e, a (d,)
-    vector or (P, d) rows, the Brownian bridge to e at t, built forward
-    (Levy; Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = -e/t,
-    Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)), w_k = e + tau_k Y_k,
-    with w_0 = 0 and w_n = e exact and the last increment unused."""
+    last row of the block before. It is the free path from ``start`` q, a
+    running sum added one contiguous (P, d) row at a time, or with
+    ``endpoint`` q', the Brownian bridge from q to q' at t, built forward
+    (Levy; Karatzas & Shreve 5.6.B): tau_k = (n - k) dt, Y_0 = (q - q')/t,
+    Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)), w_k = q' + tau_k Y_k,
+    with w_0 = q and w_n = q' exact and the last increment unused. q and
+    q' are (d,) vectors or (P, d) rows, with the same bits; q' is copied
+    to (P, d) rows once, so that each block adds arrays of one layout."""
     n, k0 = grid.n_steps, 0
     for dw in blocks:
         m = dw.shape[0]
         if k0 == 0:
-            buf = np.zeros((m + 1,) + dw.shape[1:])
-            if endpoint is not None:
-                buf[0] = -endpoint / grid.t_end
+            buf = np.empty((m + 1,) + dw.shape[1:])
+            if endpoint is None:
+                buf[0] = start
+            else:
+                end = np.broadcast_to(endpoint, buf.shape[1:]).copy()
+                buf[0] = (start - end) / grid.t_end
         w, steps = buf[:m + 1], dw
         if endpoint is not None:
             tau = (n - np.arange(k0, k0 + m + 1)) * grid.dt
@@ -128,11 +134,11 @@ def path_blocks(grid: TimeGrid, blocks, endpoint: np.ndarray | None = None):
         for k in range(m):  # contiguous rows, in the order of a cumsum
             np.add(w[k], steps[k], out=w[k + 1])
         if endpoint is not None:
-            w = endpoint + tau[:, None, None] * w
+            w = end + tau[:, None, None] * w
             if k0 == 0:
-                w[0] = 0.0
+                w[0] = start
             if k0 + m == n:
-                w[-1] = endpoint
+                w[-1] = end
         yield k0, w
         buf[0] = buf[m]
         k0 += m

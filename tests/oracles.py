@@ -37,27 +37,30 @@ def whole_increments(grid, d: int, n_paths: int,
     return np.swapaxes(dw, 0, 1)
 
 
-def whole_free_paths(dw: np.ndarray) -> np.ndarray:
-    """Free paths (P, n+1, d) of whole increments (P, n, d): the cumsum of
-    a zero row and the increments."""
-    start = np.zeros((dw.shape[0], 1, dw.shape[2]))
-    return np.cumsum(np.concatenate([start, dw], axis=1), axis=1)
+def whole_free_paths(dw: np.ndarray, start=0.0) -> np.ndarray:
+    """Free paths (P, n+1, d) from ``start`` q, a (d,) vector or (P, d)
+    rows, of whole increments (P, n, d): the cumsum of q and the
+    increments."""
+    q = np.broadcast_to(start, (dw.shape[0], dw.shape[2]))[:, None]
+    return np.cumsum(np.concatenate([q, dw], axis=1), axis=1)
 
 
-def whole_bridges(grid, dw: np.ndarray, endpoint) -> np.ndarray:
-    """Brownian bridges (P, n+1, d) from 0 to ``endpoint`` e at t, built
-    forward on whole increments (P, n, d): with tau_k = (n - k) dt,
-    Y_0 = -e/t, Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)) for k + 1 < n,
-    X_k = e + tau_k Y_k, and X_0 = 0, X_n = e exactly."""
+def whole_bridges(grid, dw: np.ndarray, start, endpoint) -> np.ndarray:
+    """Brownian bridges (P, n+1, d) from ``start`` q to ``endpoint`` q' at
+    t, built forward on whole increments (P, n, d): with tau_k = (n - k)
+    dt, Y_0 = (q - q')/t, Y_(k+1) = Y_k + dw_k / sqrt(tau_k tau_(k+1)) for
+    k + 1 < n, X_k = q' + tau_k Y_k, and X_0 = q, X_n = q' exactly."""
     n = grid.n_steps
-    e = np.asarray(endpoint, dtype=float)
+    rows = (dw.shape[0], dw.shape[2])
+    q, e = (np.broadcast_to(np.asarray(x, dtype=float), rows)
+            for x in (start, endpoint))
     tau = (n - np.arange(n + 1)) * grid.dt
-    start = np.broadcast_to(-e / grid.t_end, (dw.shape[0], 1, dw.shape[2]))
     steps = dw[:, :n - 1] / np.sqrt(tau[:n - 1] * tau[1:n])[:, None]
-    Y = np.cumsum(np.concatenate([start, steps], axis=1), axis=1)
+    Y = np.cumsum(np.concatenate([((q - e) / grid.t_end)[:, None], steps],
+                                 axis=1), axis=1)
     X = np.empty((dw.shape[0], n + 1, dw.shape[2]))
-    X[:, :n] = e + tau[:n, None] * Y
-    X[:, 0], X[:, n] = 0.0, e
+    X[:, :n] = e[:, None] + tau[:n, None] * Y
+    X[:, 0], X[:, n] = q, e
     return X
 
 
@@ -171,12 +174,13 @@ def prefix_loop(F: np.ndarray) -> np.ndarray:
 
 
 def full_path_columns(v, grid, positions: np.ndarray, variants):
-    """FK path functionals on whole shifted paths (P, n+1, d), one column each.
+    """FK path functionals on whole paths (P, n+1, d), one column each.
 
-    The full-path form of ``fkschrodinger._functional_columns``: the
-    trapezoid sum of v over all n+1 rows as one matrix-vector product, the
-    Stratonovich sums from the whole increment and midpoint arrays, and
-    ``weight`` of the last row. Returns (columns (P, k), finite mask).
+    The full-path form of the chunk function of
+    ``fkschrodinger._path_functionals``: the trapezoid sum of v over all
+    n+1 rows as one matrix-vector product, the Stratonovich sums from the
+    whole increment and midpoint arrays, and ``weight`` of the last row.
+    Returns (columns (P, k), finite mask).
     """
     dW = np.diff(positions, axis=1)
     mid = 0.5 * (positions[:, 1:, :] + positions[:, :-1, :])

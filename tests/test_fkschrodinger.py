@@ -12,8 +12,8 @@ from scipy.integrate import quad
 
 from fklab import fkschrodinger, wiener
 from fklab.fkschrodinger import (POTENTIAL_PRESETS, PathRejectionOverflow,
-                                 PotentialConfig, _functional_columns,
-                                 _outside_box, apply_semigroup,
+                                 PotentialConfig, _outside_box,
+                                 _path_functionals, apply_semigroup,
                                  diamagnetic_check, free_kernel, gauge_check,
                                  box_kappa, kato_kappa, kernel,
                                  khasminskii_check, mehler_kernel,
@@ -239,6 +239,20 @@ def test_free_and_bridge_walks_hold_no_whole_increments(estimator):
     assert long <= 1.1 * short + 2**16, (short, long)
 
 
+@pytest.mark.parametrize("name, d, qp, bound", [
+    ("free", 2, None, 3.5), ("harmonic", 3, None, 3.5),
+    ("free", 2, [0.3, 0.4], 5.5)], ids=["free-d2", "harmonic-d3", "bridge-d2"])
+def test_scalar_chunk_peak_is_a_few_position_blocks(name, d, qp, bound):
+    # the traced peak of one 4096-path x 64-step chunk, in (17, 4096, d)
+    # blocks of positions: 2.9 free, 3.3 harmonic and 5.0 for the bridge;
+    # a shifted copy of each block breaks the bound
+    chunk_fn = _path_functionals(
+        preset_potential(name, d=d), TimeGrid(1.0, 64),
+        np.linspace(-0.2, 0.3, d), [(None, gauss_psi())], qp)
+    peak = _traced_peak(lambda: chunk_fn(RngStream(48).generator(), 4096))
+    assert peak <= bound * 17 * 4096 * d * 8, peak / (17 * 4096 * d * 8)
+
+
 @pytest.mark.parametrize("estimator", ["estimate_char_functional",
                                        "estimate_white_noise_functional"])
 def test_wiener_functionals_hold_no_whole_grid_arrays(estimator):
@@ -267,8 +281,7 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
     grid = TimeGrid(0.7, n_steps)
     draw = np.random.default_rng(seed)
     q = draw.uniform(-0.5, 0.5, d)
-    endpoint = draw.uniform(-1.0, 1.0, d) if bridge else None
-    blocks = increment_blocks(grid, d, 64, RngStream(seed).generator())
+    qp = draw.uniform(-1.0, 1.0, d) if bridge else None
     seen = []
 
     def psi(x):
@@ -277,19 +290,21 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
 
     a = (lambda x: 0.7 * np.sin(x[..., ::-1]) + 0.2 * x) if with_a else None
     variants = [(a, psi), (None, None)]
-    cols, finite = _functional_columns(_overflowing_v, grid, q, blocks,
-                                       variants, endpoint)
+    cols, finite = _path_functionals(
+        PotentialConfig(d, v=_overflowing_v), grid, q, variants, qp)(
+            RngStream(seed).generator(), 64)
     dw = whole_increments(grid, d, 64, RngStream(seed).generator())
-    w = whole_bridges(grid, dw, endpoint) if bridge else whole_free_paths(dw)
-    ref, ref_finite = full_path_columns(_overflowing_v, grid, q + w, variants)
+    w = whole_bridges(grid, dw, q, qp) if bridge \
+        else whole_free_paths(dw, q)
+    ref, ref_finite = full_path_columns(_overflowing_v, grid, w, variants)
     assert finite.tobytes() == ref_finite.tobytes()
     assert np.all(np.abs(cols[finite] - ref[finite])
                   <= 1e-13 * np.abs(ref[finite]))
-    # psi sees the oracle's endpoints bit for bit, q + endpoint on bridges
+    # psi sees the oracle's endpoints bit for bit, q' on bridges
     assert seen[0].tobytes() == seen[1].tobytes()
     if bridge:
         assert seen[0].tobytes() == np.broadcast_to(
-            q + endpoint, seen[0].shape).tobytes()
+            qp, seen[0].shape).tobytes()
 
 
 @pytest.mark.parametrize("with_a", [False, True], ids=["no-a", "a"])
@@ -298,25 +313,33 @@ def test_blocked_functionals_match_full_path_oracle(n_steps, d, bridge,
 @pytest.mark.parametrize("bridge", [False, True], ids=["free", "bridge"])
 def test_functional_columns_take_rows_or_vectors_bitwise(bridge, d, n_steps,
                                                          with_a):
-    # the chunk function hands q and the endpoint over as (P, d) rows, so
-    # that the walk adds arrays of one layout; (d,) vectors give the same
-    # bytes, endpoint weights and rejected paths included
+    # wiener.path_blocks takes the start point and the bridge endpoint as
+    # (d,) vectors or as (P, d) rows with the same bytes: every block of
+    # positions, and the functional sums of v and a over the walk
     grid = TimeGrid(0.7, n_steps)
     draw = np.random.default_rng(10 * d + n_steps)
     q = draw.uniform(-0.5, 0.5, d)
-    endpoint = draw.uniform(-1.0, 1.0, d) if bridge else None
+    qp = draw.uniform(-1.0, 1.0, d) if bridge else None
     a = (lambda x: 0.7 * np.sin(x[..., ::-1]) + 0.2 * x) if with_a else None
-    variants = [(a, lambda x: np.exp(-np.sum(x**2, axis=-1))), (None, None)]
+    terms = [wiener.trapezoid_term(grid, lambda x, s: _overflowing_v(x))]
+    if a is not None:
+        terms.append(wiener.alpha_term(grid, lambda x, s: a(x),
+                                       wiener.STRATONOVICH))
 
-    def columns(q, endpoint):
+    def walk(q, qp):
+        seen = []
+
+        def record(k0, w):
+            seen.append(w.tobytes())
+            return 0.0
+
         blocks = increment_blocks(grid, d, 64, RngStream(47).generator())
-        return _functional_columns(_overflowing_v, grid, q, blocks, variants,
-                                   endpoint)
+        sums, _ = wiener.walk_sums(wiener.path_blocks(grid, blocks, q, qp),
+                                   record, *terms)
+        return seen, [x.tobytes() for x in sums[1:]]
 
-    rows = [x if x is None else np.tile(x, (64, 1)) for x in (q, endpoint)]
-    (cols, finite), (ref, ref_finite) = columns(*rows), columns(q, endpoint)
-    assert cols.tobytes() == ref.tobytes()
-    assert finite.tobytes() == ref_finite.tobytes()
+    rows = [x if x is None else np.tile(x, (64, 1)) for x in (q, qp)]
+    assert walk(*rows) == walk(q, qp)
 
 
 def test_singular_potential_rejects_paths():

@@ -261,6 +261,34 @@ def test_expm_batch_peak_is_a_few_outputs(norm, bound):
     assert peak <= bound * out.nbytes, peak / out.nbytes
 
 
+@pytest.mark.parametrize("B", [None, np.zeros((2, 2)), SZ],
+                         ids=["none", "zero", "sigma-z"])
+def test_shared_antithetic_factors_form_no_zero_entry(B):
+    # the noise of (sigma_x, sigma_y) has a zero diagonal and, at B = 0 as
+    # at sigma_z, it enters as constants: the peak of one (32, 1024, 2)
+    # block is 2.07 outputs, 2.32 with tr/2 and a as arrays of zeros
+    dW = 0.05 * RngStream(89).generator().standard_normal((32, 1024, 2))
+    tracemalloc.start()
+    try:
+        out = step_factors(dW, 1 / 512, (SX, SY), B, antithetic=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * out.nbytes, peak / out.nbytes
+
+
+def test_expm_batch_of_a_zero_stack():
+    # every entry of M enters as the constant 0j, and the outputs still
+    # have the stack's shape: exp(0) = I, and exp(-D) on both sides of an
+    # antithetic pair with a diagonal drift D
+    Z = np.zeros((3, 4, 2, 2), dtype=complex)
+    assert np.array_equal(expm_batch(Z), np.broadcast_to(np.eye(2), Z.shape))
+    D = np.diag([0.3, -0.1])
+    both = expm_batch(Z, antithetic=D)
+    assert both.shape == (3, 8, 2, 2)
+    assert np.allclose(both, np.diag(np.exp([-0.3, 0.1])), rtol=1e-15)
+
+
 def test_expm_batch_2x2_entry_path_against_taylor():
     gen = RngStream(21).generator()
     M = 0.05 * (gen.standard_normal((4, 8, 2, 2))

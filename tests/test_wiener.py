@@ -24,15 +24,16 @@ from oracles import (double_min_integral, full_char_samples,
                      whole_bridges, whole_free_paths, whole_increments)
 
 
-def walked(grid, d, n_paths, seed, endpoint=None, block=wiener.BLOCK):
+def walked(grid, d, n_paths, seed, endpoint=None, block=wiener.BLOCK,
+           start=0.0):
     """Whole paths (n_paths, n+1, d), the oracles' layout, concatenated from
-    the time-major blocks of ``path_blocks`` on stream ``seed``: free, or
-    bridges to ``endpoint``."""
+    the time-major blocks of ``path_blocks`` on stream ``seed``: free from
+    ``start``, or bridges from ``start`` to ``endpoint``."""
     rows = []
     blocks = increment_blocks(grid, d, n_paths, RngStream(seed).generator(),
                               block)
     e = None if endpoint is None else np.asarray(endpoint, dtype=float)
-    for k0, w in path_blocks(grid, blocks, e):
+    for k0, w in path_blocks(grid, blocks, start, e):
         # every block, the partial last one and bridges too, is one
         # C-contiguous (m+1, n_paths, d) array
         assert 2 <= w.shape[0] <= block + 1
@@ -118,12 +119,14 @@ def test_a_walk_of_any_length_draws_one_block_at_a_time():
 def test_path_blocks_are_the_full_paths_bitwise(n_steps, block, d, bridge,
                                                 seed):
     g = TimeGrid(1.0, n_steps)
-    endpoint = np.random.default_rng(seed).uniform(-2.0, 2.0, d) \
-        if bridge else None
+    draw = np.random.default_rng(seed)
+    start = draw.uniform(-1.0, 1.0, d)
+    endpoint = draw.uniform(-2.0, 2.0, d) if bridge else None
     dw = whole_increments(g, d, 5, RngStream(seed).generator())
-    full = whole_free_paths(dw) if endpoint is None \
-        else whole_bridges(g, dw, endpoint)
-    assert walked(g, d, 5, seed, endpoint, block).tobytes() == full.tobytes()
+    full = whole_free_paths(dw, start) if endpoint is None \
+        else whole_bridges(g, dw, start, endpoint)
+    got = walked(g, d, 5, seed, endpoint, block, start)
+    assert got.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("bridge", [False, True], ids=["free", "bridge"])
@@ -135,7 +138,7 @@ def test_walk_is_the_whole_draw_oracle_bitwise(block, bridge):
     endpoint = np.array([0.4, -1.1, 2.0]) if bridge else None
     dw = whole_increments(g, 3, 17, RngStream(45).generator())
     full = whole_free_paths(dw) if endpoint is None \
-        else whole_bridges(g, dw, endpoint)
+        else whole_bridges(g, dw, 0.0, endpoint)
     got = walked(g, 3, 17, 45, endpoint, block or g.n_steps)
     assert got.tobytes() == full.tobytes()
 

@@ -16,8 +16,11 @@ goes first in even pairs and the change in odd ones.
 The output holds, per workload, every run and a summary of each metric:
 median and quartiles per side (``statistics.quantiles``, exclusive) and
 the number of pairs in which the change is better, all metrics being
-lower-is-better. ``digests`` compares each part's result digest pass by
-pass at the same seed. With ``--claim WORKLOAD:METRIC`` it states whether
+lower-is-better. Each metric with a bound in ``BENCHMARK.json`` (read, not
+written; every bound relative to the parent's median) gets a
+``no_regression`` verdict, 'ok', 'worse' or 'unresolved' (see
+:func:`no_regression`). ``digests`` compares each part's result digest
+pass by pass at the same seed. With ``--claim WORKLOAD:METRIC`` it states whether
 the change is better in at least 90% of the pairs and its median beats
 the parent's by more than the parent's interquartile range. An existing
 ``--out`` file keeps its other keys, and the workloads run here replace
@@ -93,22 +96,51 @@ def run(root: Path, workload: str, seed: int) -> tuple[dict, dict, dict]:
     return out, digests, report["provenance"]
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median, q3 (``statistics.quantiles``, exclusive)."""
+    return (statistics.quantiles(values, n=4) if len(values) > 1
+            else values * 3)
+
+
 def stats(values: list[float]) -> dict:
-    q1, med, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                   else values * 3)
+    q1, med, q3 = quartiles(values)
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "n": len(values)}
 
 
-def summary(runs: dict) -> dict:
+def bounds() -> dict:
+    """The end-to-end metrics of BENCHMARK.json and their relative bounds,
+    all lower-is-better."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def no_regression(parent: list[float], change: list[float],
+                  bound: float) -> str:
+    """'ok' when the change's median is no worse than the parent's by more
+    than ``bound`` (relative), 'worse' when it is, and 'unresolved' when
+    the parent's interquartile range is wider than the bound, unless every
+    change run reads better than every parent run."""
+    if max(change) < min(parent):
+        return "ok"
+    q1, med, q3 = quartiles(parent)
+    if q3 - q1 > bound * med:
+        return "unresolved"
+    return "worse" if statistics.median(change) > (1 + bound) * med else "ok"
+
+
+def summary(runs: dict, limits: dict) -> dict:
     out = {}
     for name in METRICS:
         pairs = list(zip(*(runs[side] for side in SIDES)))
-        out[name] = {side: stats([r[name] for r in runs[side]])
-                     for side in SIDES}
+        values = {side: [r[name] for r in runs[side]] for side in SIDES}
+        out[name] = {side: stats(values[side]) for side in SIDES}
         out[name]["change_better_pairs"] = sum(c[name] < p[name]
                                                for p, c in pairs)
         out[name]["pairs"] = len(pairs)
+        if name in limits:
+            out[name]["no_regression"] = no_regression(
+                values["parent"], values["change"], limits[name])
     return out
 
 
@@ -142,6 +174,7 @@ def main(argv=None) -> int:
              "change": (git("rev-parse", args.change) if args.change
                         else git("write-tree")).decode().strip()}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    limits = bounds()
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         roots = {side: tmp / side for side in SIDES}
@@ -172,7 +205,8 @@ def main(argv=None) -> int:
                     c["seeds"] += 1
                     c["passes_compared"] += n
                     c["identical"] += sum(a == b for a, b in zip(ds, cd))
-            rounds[workload] = {"summary": summary(runs), "runs": runs}
+            rounds[workload] = {"summary": summary(runs, limits),
+                                "runs": runs}
             digests[workload] = parts
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
