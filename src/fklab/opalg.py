@@ -16,7 +16,7 @@ their (P, n, m, m) argument step-major, as (m, m, n, P): on the factors of
 time-major increments (n, P, d), seen as (P, n, m, m), a step is one
 contiguous row of all P paths. With ``antithetic``, ``step_factors`` builds
 the factors of the paths and of their reflections as one batch, from one
-2x2 closed form when tr(B A_j') = 0 (X' the traceless part). One kernel set
+closed form when tr(B A_j') = 0 (X' the traceless part). One kernel set
 serves every m, and one kernel, ``_mul``, does every matrix product on the
 m^2 entry arrays of entry-major (m, m, ...) buffers, seen as (..., m, m): a
 product is m (2m - 1) array operations, c_ab += l_ak r_kb for one a and k
@@ -24,11 +24,15 @@ over all b at once, not a stacked ``@`` that pays per matrix. Up to Pade-7
 the Pade system of ``expm_batch`` is solved on the same entry arrays by
 ``_solve``, elimination without pivoting, which the diagonal dominance of
 the Pade denominator allows; Pade-9 and -13 keep the pivoted
-``np.linalg.solve``. The only branch on m is the exact 2x2 exponential.
+``np.linalg.solve``. Two branches on m take an exact exponential instead:
+every 2x2 stack, and at m = 3 the generators of a span whose traceless
+parts are all singular (``_singular_span``, decided by ``step_factors``
+from A and B), such as spin-1 couplings, which skip Pade.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,6 +77,28 @@ def expm(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x) / x, by its series 1 + x^2 / 6 where |x| < 1e-6."""
+    small = np.abs(x) < 1e-6
+    if small.any():
+        safe = np.where(small, 1.0, x)
+        return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+    return np.sinh(x) / x
+
+
+def _traceless_drift(D: np.ndarray | None, e, M: np.ndarray) -> np.ndarray:
+    """D's traceless part D' (0 if D is None), the m x m drift of an
+    antithetic pair whose noise M has the entry arrays e[i][j]; a
+    ValueError where |tr(D'M)| exceeds 1e-12 max|D'| max|M|, since the
+    -M - D side would then need its own delta."""
+    m = len(e)
+    Dt = np.zeros((m, m)) if D is None else D - np.trace(D) / m * np.eye(m)
+    t = sum(Dt[i, j] * e[j][i] for i, j in np.ndindex(m, m) if Dt[i, j])
+    if np.any(t) and abs(t).max() > 1e-12 * abs(Dt).max() * abs(M).max():
+        raise ValueError("an antithetic drift must be orthogonal to M")
+    return Dt
+
+
 def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     """Closed-form exponential of stacked 2x2 X = M - D (D = 0 if None),
     entry by entry: X = tr/2 + N, exp(N) = cosh(delta) + sinhc(delta) N,
@@ -85,23 +111,14 @@ def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     form = drift | (np.eye(2, dtype=bool) & drift.diagonal().any())
     e = [[M[..., i, j] if np.any(M[..., i, j]) else 0j for j in (0, 1)]
          for i in (0, 1)]
-    Dt = np.zeros((2, 2)) if D is None else D - 0.5 * np.trace(D) * np.eye(2)
-    t = sum(Dt[i, j] * e[j][i] for i, j in np.ndindex(2, 2) if Dt[i, j])
-    if np.any(t) and abs(t).max() > 1e-12 * abs(Dt).max() * abs(M).max():
-        raise ValueError("an antithetic drift must be orthogonal to M")
+    _traceless_drift(D, e, M)
     m00, m01, m10, m11 = (e[i][j] - D[i, j] if drift[i, j] else e[i][j]
                           for i, j in np.ndindex(2, 2))
     tr2 = 0.5 * (m00 + m11)
     a = m00 - tr2
     delta = np.sqrt(a * a + m01 * m10 + 0j)
     cosh = np.cosh(delta)
-    small = np.abs(delta) < 1e-6
-    if small.any():
-        dsafe = np.where(small, 1.0, delta)
-        sinhc = np.where(small, 1.0 + delta * delta / 6.0,
-                         np.sinh(dsafe) / dsafe)
-    else:
-        sinhc = np.sinh(delta) / delta
+    sinhc = _sinhc(delta)
     # an array even when every entry of M is the constant 0j
     sa = np.multiply(sinhc, a, out=np.empty(M.shape[:-2], complex))
     P = M.shape[-3]
@@ -133,6 +150,88 @@ def _expm2_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
+def _expm3_batch(M: np.ndarray, D: np.ndarray | None) -> np.ndarray:
+    """Closed-form exponential of stacked 3x3 X = M - D (D = 0 if None)
+    whose traceless part N is singular, on the entry arrays: N^3 =
+    delta^2 N with delta^2 = tr(N^2)/2 (Cayley-Hamilton at det N = 0), so
+    exp(N) = I + s1 N + s2 N^2 with s1 = sinhc(delta) and s2 =
+    sinhc(delta/2)^2 / 2 (Curtright, Fairlie & Zachos 2014), scaled by
+    exp(tr/3) unless every trace is 0.
+    Given D with tr(D'M) = 0 (D' traceless), exp(-M - D) follows on axis -3
+    from the same delta: with N now M's traceless part, the sides' +-N - D'
+    have the squares N^2 -+ {N, D'} + D'^2, so their exponentials are
+    E0 +- E1, E0 = I - s1 D' + s2 (N^2 + D'^2) and E1 = s1 N - s2 {N, D'}.
+    Non-finite entries raise ``OverflowError``."""
+    E = np.moveaxis(M, (-2, -1), (0, 1))
+    I3 = np.eye(3)
+    Dt = _traceless_drift(D, E, M)
+    # {N, D'}_ab = sum_ij K_abij N_ij
+    K = np.einsum("ai,jb->abij", I3, Dt) + np.einsum("ai,jb->abij", Dt, I3)
+    D2 = Dt @ Dt
+    P = E.shape[-1]
+    out = np.empty((3, 3, *E.shape[2:-1], P if D is None else 2 * P), complex)
+    pos, odd = out[..., :P], out[..., -P:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr3 = (E[0, 0] + E[1, 1] + E[2, 2]) / 3
+        N = E
+        if np.any(tr3):
+            N = E.copy()
+            for i in range(3):
+                N[i, i] -= tr3
+        N2 = _mul(N, N)
+        half = 0.5 * np.sqrt(0.5 * (N2[0, 0] + N2[1, 1] + N2[2, 2]
+                                    + np.trace(D2)) + 0j)
+        h = _sinhc(half)
+        # sinh(delta) / delta = sinhc(delta/2) cosh(delta/2)
+        s1, s2 = h * np.cosh(half), 0.5 * h * h
+        # E1 into the -M side's half, E0 in the buffer of N^2
+        np.multiply(s1, N, out=odd)
+        tmp = np.empty(odd.shape[2:], complex)
+        for a, b, i, j in zip(*np.nonzero(K)):
+            np.multiply(s2, N[i, j], out=tmp)
+            odd[a, b] -= np.multiply(tmp, K[a, b, i, j], out=tmp)
+        for a, b in zip(*np.nonzero(D2)):
+            N2[a, b] += D2[a, b]
+        N2 *= s2
+        for a, b in zip(*np.nonzero(Dt)):
+            N2[a, b] -= np.multiply(s1, Dt[a, b], out=tmp)
+        for i in range(3):
+            N2[i, i] += 1.0
+        np.add(N2, odd, out=pos)
+        if D is not None:
+            np.subtract(N2, odd, out=odd)
+        trD = 0.0 if D is None else np.trace(D) / 3
+        if np.any(tr3) or trD:
+            pos *= np.exp(tr3 - trD)
+            if D is not None:
+                odd *= np.exp(-tr3 - trD)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("batched matrix exponential overflowed")
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _singular_span(X: Sequence[np.ndarray]) -> bool:
+    """Whether the traceless part of every 3x3 sum_k c_k X_k is singular.
+
+    Its determinant is a cubic form in c, so it vanishes for all c when it
+    does at the points e_i + e_j + e_k (i <= j <= k) of the degree-3
+    simplex, which are unisolvent for cubics. The c run over an orthonormal
+    basis of the traceless parts' span (right singular vectors), so the
+    form's scale does not depend on the norms of the X_k, and each value
+    is held against 1e-12 times its point's norm cubed.
+    """
+    T = np.array([x - np.trace(x) / 3 * np.eye(3) for x in X]).reshape(-1, 9)
+    s, V = np.linalg.svd(T)[1:]
+    basis = V[:int(np.sum(s > 1e-12 * s[:1]))].reshape(-1, 3, 3)
+    if not len(basis):
+        return True
+    pts = np.array([basis[i] + basis[j] + basis[k] for i, j, k in
+                    itertools.combinations_with_replacement(range(len(basis)),
+                                                            3)])
+    scale = np.linalg.norm(pts, axis=(1, 2)) ** 3
+    return bool(np.all(np.abs(np.linalg.det(pts)) <= 1e-12 * scale))
+
+
 # theta_k bounds the norm at which the degree-k Pade approximant to exp is
 # accurate to double precision (Higham 2005); above theta_9 the stack is
 # scaled to theta_13. The coefficients are b_j = (2k - j)! / (j! (k - j)!).
@@ -149,12 +248,14 @@ def expm_batch(M: np.ndarray,
     D with tr(D'M) = 0 (D' its traceless part; else ValueError), those of
     ``np.concatenate([M - D, -M - D], axis=-3)`` from one delta.
 
-    m == 2 takes the exact closed form, the only one that shares its work
-    between the two sides; ``antithetic`` for other m is a ValueError. Other m
-    use Pade 3/5/7/9 or scaled Pade-13, chosen by the stack's largest
-    row-sum norm (Higham 2005), on the m^2 entry arrays: each power of A^2
-    is added into the odd and even sums as soon as ``_mul`` forms it, so
-    only A^2 and the latest power are kept, and U = A (odd sum). Up to
+    m == 2 takes the exact closed form, which shares its work between the
+    two sides; ``antithetic`` for other m is a ValueError. (The 3x3 closed
+    form of a singular span is reached from ``step_factors`` only, which
+    knows A and B.) Other m use Pade 3/5/7/9 or scaled Pade-13, chosen by
+    the stack's largest row-sum norm (Higham 2005), on the m^2 entry
+    arrays: each power of A^2 is added into the odd and even sums as soon
+    as ``_mul`` forms it, so only A^2 and the latest power are kept, and
+    U = A (odd sum). Up to
     Pade-7, (V - U) R = V + U is solved by ``_solve`` in the buffers of
     V - U and V + U; Pade-9 and -13 keep ``np.linalg.solve`` with partial
     pivoting, since there V - U, though well conditioned, can have a
@@ -277,16 +378,24 @@ def step_factors(dW: np.ndarray, dt: float, A: Sequence[np.ndarray],
 
     With ``antithetic``, the factors of the 2P paths
     ``np.concatenate([dW, -dW], axis=-2)``: rows 0 ... P-1 walk dW and rows
-    P ... 2P-1 walk -dW. Both halves come from one 2x2 closed form when
-    tr(B A_j') is exactly 0 for every j (X' the traceless part of X)."""
+    P ... 2P-1 walk -dW. At m = 2, and at m = 3 when the traceless part
+    of every combination of A_1 ... A_d and B is singular
+    (``_singular_span``, decided once per call), the factors come from a
+    closed form, else from Pade; both halves come from one closed form,
+    sharing its delta, when tr(B A_j') is exactly 0 for every j (X' the
+    traceless part of X)."""
     A = as_operator_tuple(A)
     B = np.zeros_like(A[0]) if B is None else as_operator(B)
-    shared = antithetic and len(B) == 2 and not any(
-        np.trace(B @ (Aj - np.trace(Aj) / 2 * np.eye(2))) for Aj in A)
+    m = len(B)
+    exp, closed = expm_batch, m == 2
+    if m == 3 and _singular_span(A + (B,)):
+        exp, closed = _expm3_batch, True
+    shared = closed and antithetic and not any(
+        np.trace(B @ (Aj - np.trace(Aj) / m * np.eye(m))) for Aj in A)
     if antithetic and not shared:
         dW = np.concatenate([dW, -dW], axis=-2)
-    return expm_batch(_generator(dW, dt, A, None if shared else B, len(B)),
-                      dt * B if shared else None)
+    return exp(_generator(dW, dt, A, None if shared else B, m),
+               dt * B if shared else None)
 
 
 def _mul(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:

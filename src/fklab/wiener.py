@@ -5,8 +5,8 @@ from its chunk's generator (:func:`increment_blocks`), so the blocks are
 one (n, n_paths, d) draw whatever their size, and :func:`path_blocks` turns
 them into free paths or bridges from a start point, a running sum of whole
 (n_paths, d) rows: a chunk holds O(n_paths * block * d) floats whatever n.
-Every path sum is written once, here: :func:`walk_sums` adds up the block
-terms :func:`trapezoid_term` and :func:`alpha_term`.
+Every path sum is written once, here: :func:`walk_sums` adds up block
+terms such as :func:`trapezoid_term` and :func:`alpha_term`.
 """
 
 from __future__ import annotations
@@ -225,16 +225,21 @@ def estimate_white_noise_functional(grid: TimeGrid, f: TestFunction,
                                     chunk_size: int = DEFAULT_CHUNK,
                                     workers: int = 1) -> MCEstimate:
     """White-noise characteristic functional <exp(-i sum_k f(mid_k) . dw_k)>,
-    the Stratonovich term of g(x, s) = f(s); target exp(-1/2 int f^2)."""
-    term = alpha_term(grid, lambda x, s: np.broadcast_to(
-        f.evaluator(s[:, 0])[:, None], x.shape), STRATONOVICH)
+    the block's f at the midpoints contracted with its increments
+    w[1:] - w[:-1] a row at a time, so that no block-sized difference is
+    held; target exp(-1/2 int f^2)."""
+    def term(k0, w):
+        times = grid.dt * np.arange(k0, k0 + w.shape[0])
+        fm = f.evaluator(0.5 * times[1:] + 0.5 * times[:-1])
+        return sum((w[k + 1] - w[k]) @ fm[k] for k in range(len(fm)))
     return _phase_mean(grid, f, term, n_paths, rng, chunk_size, workers)
 
 
 def _phase_mean(grid: TimeGrid, f: TestFunction, term, n_paths: int,
                 rng: RngStream, chunk_size: int, workers: int) -> MCEstimate:
     """Mean of exp(-i S) over free paths, S the sum of ``term``, which reads
-    f at s[:, 0], the block's times; f must vanish beyond the horizon."""
+    f only at the block's own times or midpoints; f must vanish beyond the
+    horizon."""
     if f.support_end > grid.t_end + 1e-12:
         raise ValueError("test function support exceeds the time horizon")
     d = np.shape(f.evaluator(np.zeros(1)))[1]

@@ -11,7 +11,7 @@ from fklab.fkmatrix import (FKProblem, check_duhamel, check_nov_identity,
                             estimate_generalized_fk, estimate_product_formula,
                             product_formula_target, rhs_generator)
 from fklab.mc import reduce_chunks
-from fklab.opalg import expm_batch, step_factors
+from fklab.opalg import step_factors
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -248,22 +248,26 @@ def test_prefix_checks_hold_one_factor_array():
 
 @pytest.mark.parametrize("A, B, shared",
                          [((SX, SY), Z2, True), ((SX, SY), SZ, True),
-                          ((JX,), np.zeros((3, 3)), False),
+                          ((JX,), np.zeros((3, 3)), True),
                           ((SX,), SX + SZ, False)],
                          ids=["B0", "Bz", "spin1-B0", "x-drift-xz"])
 def test_one_exponential_per_block_when_drift_is_orthogonal(monkeypatch, A,
                                                             B, shared):
-    # one expm_batch call builds a block's factors of both antithetic sides
-    # for every (A, B); m = 2 shares the closed form when tr(B A_j') = 0 for
-    # every j, as at B = 0 and for sigma_z against (sigma_x, sigma_y), and
-    # not for sigma_x + sigma_z against sigma_x
+    # one exponential call builds a block's factors of both antithetic sides
+    # for every (A, B); a closed form (m = 2, or a 3x3 span whose traceless
+    # parts are singular, as for J_x) shares its work between the sides when
+    # tr(B A_j') = 0 for every j, as at B = 0 and for sigma_z against
+    # (sigma_x, sigma_y), and not for sigma_x + sigma_z against sigma_x
     calls = []
 
-    def counted(M, antithetic=None):
-        calls.append(antithetic is not None)
-        return expm_batch(M, antithetic)
+    def counted(exp):
+        def call(M, antithetic=None):
+            calls.append(antithetic is not None)
+            return exp(M, antithetic)
+        return call
 
-    monkeypatch.setattr(opalg, "expm_batch", counted)
+    for name in ("expm_batch", "_expm3_batch"):
+        monkeypatch.setattr(opalg, name, counted(getattr(opalg, name)))
     prob = FKProblem(A, B, 1.0, TimeGrid(1.0, 130))
     blocks = -(-130 // fkmatrix.BLOCK)
     runs = [lambda: estimate_generalized_fk(prob, 64, RngStream(17), 16),

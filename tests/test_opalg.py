@@ -1,5 +1,6 @@
 """Dense operator algebra: exponentials, ordered products, Dyson series."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.opalg import (_PADE, _THETA, ApproximantFamily, _solve,
-                         as_operator, as_operator_tuple, expm, expm_batch,
-                         gauss_legendre, ordered_prefix, ordered_product_tree,
-                         stack_product, step_factors, trotter_product)
+from fklab.opalg import (_PADE, _THETA, ApproximantFamily, _expm3_batch,
+                         _singular_span, _solve, as_operator,
+                         as_operator_tuple, expm, expm_batch, gauss_legendre,
+                         ordered_prefix, ordered_product_tree, stack_product,
+                         step_factors, trotter_product)
 from fklab.streams import RngStream
 from fklab.wiener import TimeGrid
 
@@ -23,7 +25,9 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+JY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2)
 JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+I3 = np.eye(3)
 
 
 def test_as_operator_validation():
@@ -360,18 +364,140 @@ def test_expm_batch_antithetic_rejects_a_drift_not_orthogonal_to_m():
 
 
 def test_antithetic_pair_needs_the_2x2_form():
-    # only the 2x2 closed form shares its work between the two sides; the
+    # expm_batch shares its work between the two sides at m = 2 only; the
     # antithetic step factors are those of the 2P paths dW and -dW for every
-    # m and B, shared (m = 2 with B orthogonal to A) or not
+    # m and B, shared (m = 2 with B orthogonal to A, or a spin-1 span with
+    # B orthogonal to A) or not
     with pytest.raises(ValueError, match="2x2"):
         expm_batch(0.1 * np.ones((4, 3, 3)), antithetic=np.zeros((3, 3)))
     dW = 0.3 * RngStream(29).generator().standard_normal((3, 4, 2))
     for A, B in [((SX, SY), np.zeros((2, 2))), ((SX, SY), SZ),
-                 ((JX,), np.zeros((3, 3))), ((JX,), JZ)]:
+                 ((JX,), np.zeros((3, 3))), ((JX,), JZ),
+                 ((0.1 * np.ones((3, 3)),), np.zeros((3, 3)))]:
         dWd = dW[..., :len(A)]
         both = step_factors(dWd, 0.01, A, B, antithetic=True)
-        assert np.array_equal(both, step_factors(
-            np.concatenate([dWd, -dWd], axis=-2), 0.01, A, B))
+        ref = step_factors(np.concatenate([dWd, -dWd], axis=-2), 0.01, A, B)
+        if B is JZ:
+            # the 3x3 closed form squares each side's traceless part: the
+            # concatenated call by one entry product of N - D', the shared
+            # one as N^2 -+ {N, D'} + D'^2, which rounds otherwise
+            assert np.abs(both - ref).max() <= 1e-15
+        else:
+            assert np.array_equal(both, ref)
+
+
+def _spin1_span(gen, count):
+    """count random complex combinations of J_x, J_y, J_z and I."""
+    c = gen.standard_normal((count, 4)) + 1j * gen.standard_normal((count, 4))
+    return np.einsum("pk,kab->pab", c, np.array([JX, JY, JZ, I3]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(log_norms=st.lists(st.floats(-8.0, 1.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_spin1_closed_form_matches_taylor_across_norms(log_norms, seed):
+    # random spin-1 generators with a trace at row-sum norms 1e-8 .. 10,
+    # the nilpotent J_x + i J_y (delta = 0, X^2 != 0, exp = I + X + X^2/2)
+    # and J_x + i J_y + 1e-7 J_z (delta = 1e-7 before scaling, so delta/2
+    # stays under sinhc's 1e-6 series switch at every norm here) at the
+    # first norm
+    gen = RngStream(seed).generator()
+    nil = JX + 1j * JY
+    M = np.concatenate([_spin1_span(gen, len(log_norms)),
+                        [nil, nil + 1e-7 * JZ]])
+    norms = 10.0 ** np.r_[log_norms, log_norms[0], log_norms[0]]
+    M *= (norms / np.abs(M).sum(axis=-1).max(axis=-1))[:, None, None]
+    out = _expm3_batch(M, None)
+    for k, norm in enumerate(norms):
+        err = np.abs(out[k] - taylor_expm(M[k])).max()
+        assert err <= 2e-14 * math.exp(norm), (norm, err)
+    X = M[-2]
+    assert np.abs(out[-2] - (np.eye(3) + X + 0.5 * X @ X)).max() <= 1e-15
+
+
+def test_spin1_closed_form_overflow_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in (800.0 * JZ, 800.0 * np.eye(3), np.full((3, 3), np.inf)):
+            with pytest.raises(OverflowError):
+                _expm3_batch(X[None], None)
+
+
+def test_singular_span_accepts_the_spin1_class():
+    # every combination of the spin-1 J's has a singular traceless part,
+    # at any scale, with a trace on B, and so has every real antisymmetric
+    # 3x3 generator (Rodrigues)
+    gen = RngStream(91).generator()
+    for r in (1, 2, 3):
+        for sub in itertools.combinations((JX, JY, JZ), r):
+            c = 10 * (gen.standard_normal((3, r)) +
+                      1j * gen.standard_normal((3, r)))
+            A = tuple(np.tensordot(c[:2], np.array(sub), 1))
+            B = np.tensordot(c[2], np.array(sub), 1)
+            assert _singular_span(A + (B,))
+            assert _singular_span(A + (B + (0.3 - 2j) * I3,))
+            assert _singular_span((1e-6 * A[0], 1e3 * B))
+    L = [np.zeros((3, 3)) for _ in range(3)]
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        L[k][i, j], L[k][j, i] = -1.0, 1.0
+    assert _singular_span(L)
+    assert _singular_span((np.zeros((3, 3)), I3))
+
+
+def test_singular_span_rejects_other_generators():
+    gen = RngStream(92).generator()
+    rand = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+    for X in (0.1 * np.ones((3, 3)), np.diag([1.0, 2.0, -3.0]), rand):
+        assert not _singular_span((X,))
+        assert not _singular_span((JX, JY, X))
+
+
+@pytest.mark.parametrize("A, B", [
+    ((JX, JY), JZ), ((JX,), JZ), ((JX, JY), None), ((JY,), JZ + 0.7 * I3),
+    ((JX + 0.2 * I3,), JZ - 0.4 * I3), ((JX, JY), 2 * JZ - 0.3j * I3)],
+    ids=["xy-z", "x-z", "xy", "y-z+0.7", "x+0.2-z-0.4", "xy-2z-0.3i"])
+def test_shared_spin1_factors_per_drift(A, B):
+    # every drift here is orthogonal to A, so the two sides share one delta;
+    # at B = 0 the -dW side negates s1 N and gets the concatenated call's
+    # bits, and with a drift it forms its square as N^2 + {N, D'} + D'^2
+    # where the concatenated call squares N + D' by one entry product, so
+    # the two part by rounding
+    dW = 0.3 * RngStream(32).generator().standard_normal((5, 8, 2))
+    dW = dW[..., :len(A)]
+    both = step_factors(dW, 0.01, A, B, antithetic=True)
+    ref = step_factors(np.concatenate([dW, -dW], axis=-2), 0.01, A, B)
+    if B is None:
+        assert np.array_equal(both, ref)
+    else:
+        assert np.abs(both - ref).max() <= 1e-15
+    pade = expm_batch(_generator(np.concatenate([dW, -dW], axis=-2), 0.01,
+                                 A, B))
+    assert np.abs(both - pade).max() <= 1e-15
+
+
+def test_spin1_closed_form_rejects_a_drift_not_orthogonal_to_m():
+    # the -M - D side from the delta of M - D when tr(D'M) = 0, as for J_z
+    # against M = 0.1 (J_x + J_y), not for a drift with a J_x or J_y part
+    M = 0.1 * (JX + JY)[None]
+    assert np.allclose(_expm3_batch(M, JZ)[1:], taylor_expm(-M[0] - JZ),
+                       rtol=0, atol=1e-15)
+    for D in (JX, JZ + JY):
+        with pytest.raises(ValueError, match="orthogonal"):
+            _expm3_batch(M, D)
+
+
+def test_shared_spin1_factors_peak_below_three_outputs():
+    # one (32, 1024)-pair block at B = J_z peaks at 2.46 outputs: the noise
+    # generator and N^2 are half an output each; Pade-7 on the concatenated
+    # generator peaks at 7.4 outputs and the unshared closed form at 3.85
+    dW = 0.09 * RngStream(89).generator().standard_normal((32, 1024, 2))
+    tracemalloc.start()
+    try:
+        out = step_factors(dW, 1 / 128, (JX, JY), JZ, antithetic=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * out.nbytes, peak / out.nbytes
 
 
 I2 = np.eye(2)

@@ -221,6 +221,26 @@ def test_white_noise_functional_indicator():
     assert abs(est.mean - math.exp(-0.5)) <= 4 * est.stderr
 
 
+def test_white_noise_functional_peak_is_the_walks():
+    # the white-noise term reads f only at the block's midpoints and holds
+    # one row of increments at a time, so its peak is the walk's own, no
+    # higher than the char functional's (331.9 KiB against 268 KiB when it
+    # went through alpha_term's midpoint positions); 256 paths, 64 steps
+    g = TimeGrid(1.0, 64)
+    f = _test_function(2, 5)
+    peaks = []
+    for estimate in (estimate_char_functional,
+                     estimate_white_noise_functional):
+        estimate(g, f, 256, RngStream(5))
+        tracemalloc.start()
+        try:
+            estimate(g, f, 256, RngStream(5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+
+
 def test_support_beyond_horizon_rejected():
     g = TimeGrid(1.0, 16)
     f = PathTestFunction(lambda s: np.ones((len(s), 1)), 2.0)

@@ -20,7 +20,11 @@ lower-is-better. Each metric with a bound in ``BENCHMARK.json`` (read, not
 written; every bound relative to the parent's median) gets a
 ``no_regression`` verdict, 'ok', 'worse' or 'unresolved' (see
 :func:`no_regression`). ``digests`` compares each part's result digest
-pass by pass at the same seed. With ``--claim WORKLOAD:METRIC`` it states whether
+pass by pass at the same seed. Each run also keeps its passes (see
+:func:`pass_records`), and ``tta_norm_per_rotation`` in each summary gives
+each side's median of the passes' ``tta / cal`` per rotation index, so a
+metric that moves with the mix of rotation seeds can be split per
+rotation. With ``--claim WORKLOAD:METRIC`` it states whether
 the change is better in at least 90% of the pairs and its median beats
 the parent's by more than the parent's interquartile range. An existing
 ``--out`` file keeps its other keys, and the workloads run here replace
@@ -47,6 +51,9 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_norm", "tta_norm", "peak_rss_mb", "setup_s", "wall_s")
 SIDES = ("parent", "change")
 SECONDS = 20
+# a timed run's pass i runs the configs of rotation i mod ROTATIONS
+# (perfbench/workloads.py)
+ROTATIONS = 6
 
 
 def git(*args: str) -> bytes:
@@ -88,12 +95,30 @@ def run(root: Path, workload: str, seed: int) -> tuple[dict, dict, dict]:
            "attempted": line["attempted"], "failed": line["failed"]}
     for name in METRICS:
         out[name] = round(report["metrics"][name]["value"], 4)
-    out["passes"] = len(report["passes"])
+    out["passes"] = pass_records(report)
     digests = {}
     for p in report["passes"]:
         for part in p["parts"]:
             digests.setdefault(part["name"], []).append(part["digest"])
     return out, digests, report["provenance"]
+
+
+def pass_records(report: dict) -> list[dict]:
+    """Each pass of a benchmark report: its rotation index, its wall time
+    (s) and its ``tta / cal``, the pass's share of ``tta_norm``."""
+    return [{"rotation": i % ROTATIONS, "wall": round(p["wall"], 4),
+             "tta_norm": round(p["tta"] / p["cal"], 4)}
+            for i, p in enumerate(report["passes"])]
+
+
+def per_rotation(runs: list[dict]) -> list[float | None]:
+    """The median ``tta_norm`` of the passes of each rotation index over
+    ``runs``, None for a rotation that no pass ran."""
+    values = [[] for _ in range(ROTATIONS)]
+    for r in runs:
+        for p in r["passes"]:
+            values[p["rotation"]].append(p["tta_norm"])
+    return [round(statistics.median(v), 4) if v else None for v in values]
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -141,6 +166,8 @@ def summary(runs: dict, limits: dict) -> dict:
         if name in limits:
             out[name]["no_regression"] = no_regression(
                 values["parent"], values["change"], limits[name])
+    out["tta_norm_per_rotation"] = {side: per_rotation(runs[side])
+                                    for side in SIDES}
     return out
 
 
